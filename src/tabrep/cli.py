@@ -76,17 +76,17 @@ def load_config(path: str | None, seed_override: int | None = None) -> RunConfig
     cfg = RunConfig(seed=seed, tasks=list(raw.get("tasks", [])))
 
     for name, cls in _SECTIONS.items():
-        section = dict(raw.get(name, {}))
-        if name == "format" and "label_columns" in section:
-            section["label_columns"] = tuple(section["label_columns"])
-        if name == "interpret" and section.get("targets") is not None:
-            section["targets"] = tuple(Target(**t) for t in section["targets"])
-        # stage seeds follow the run seed unless pinned explicitly
-        if name in ("train", "synth", "baseline", "interpret") and "seed" not in section:
-            section["seed"] = seed
         try:
+            section = dict(raw.get(name, {}))
+            if name == "format" and "label_columns" in section:
+                section["label_columns"] = tuple(section["label_columns"])
+            if name == "interpret" and section.get("targets") is not None:
+                section["targets"] = tuple(Target(**t) for t in section["targets"])
+            # stage seeds follow the run seed unless pinned explicitly
+            if name in ("train", "synth", "baseline", "interpret") and "seed" not in section:
+                section["seed"] = seed
             setattr(cfg, name, cls(**section))
-        except TypeError as e:
+        except (TypeError, ValueError) as e:
             raise ConfigError(f"bad [{name}] section: {e}") from e
     return cfg
 

@@ -60,10 +60,6 @@ class EmbeddingBank:
             cols.append(ids + self.cat_offsets[f])
         return np.stack(cols, axis=-1)
 
-    def feature_rows(self, feature: str) -> np.ndarray:
-        lo = self.cat_offsets[feature]
-        return self.cat_table.data[lo:lo + self.cat_sizes[feature]]
-
     def parameters(self) -> list[Parameter]:
         return [p for p in (self.cat_table, self.num_matrix) if p is not None]
 

@@ -8,12 +8,12 @@ is a pure function of (table, schema); no learned state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import SchemaMismatchError
-from .prep import FeatureSchema, uniform_normalize, _cat_value
+from .prep import MISSING_TOKEN_ID, FeatureSchema, uniform_normalize, _cat_value
 from .table import MISSING, BigTable, Number, Row
 
 
@@ -106,21 +106,10 @@ def encode_rows(rows: list[Row], schema: FeatureSchema,
     index = {f: i for i, f in enumerate(schema.feature_order)}
     n_s = layout.n_s
 
-    cs_ids = np.zeros(len(layout.cs_features), dtype=np.int64)
-    cs_any = False
-    for i, f in enumerate(layout.cs_features):
-        cell = _latest_non_missing(rows, index[f])
-        cs_ids[i] = schema.vocabularies[f].encode(cell)
-        cs_any = cs_any or cell is not MISSING
-    cs_ids += BranchLayout.offsets(layout.cs_vocab_sizes).astype(np.int64)
-
-    ns_vals = np.zeros(len(layout.sn_features))
-    ns_any = False
-    for i, f in enumerate(layout.sn_features):
-        cell = _latest_non_missing(rows, index[f])
-        if isinstance(cell, Number):
-            ns_vals[i] = uniform_normalize(cell.value, schema.numeric_stats[f])
-            ns_any = True
+    cs_ids, cs_any = _static_categorical(
+        [_latest_non_missing(rows, index[f]) for f in layout.cs_features], schema, layout)
+    ns_vals, ns_any = _static_numerical(
+        [_latest_non_missing(rows, index[f]) for f in layout.sn_features], schema, layout)
 
     window = rows[-n_s:]
     seq_valid = np.zeros(n_s, dtype=bool)
@@ -155,12 +144,6 @@ def encode_rows(rows: list[Row], schema: FeatureSchema,
                            nd_vals=nd_vals, seq_valid=seq_valid, presence=presence)
 
 
-def encode_batch(table: BigTable, customers: list[str], schema: FeatureSchema,
-                 layout: BranchLayout) -> Batch:
-    encoded = [encode_customer(table, c, schema, layout) for c in customers]
-    return stack_encoded(customers, encoded)
-
-
 def stack_encoded(customers: list[str], encoded: list[EncodedCustomer]) -> Batch:
     return Batch(
         customers=list(customers),
@@ -173,14 +156,85 @@ def stack_encoded(customers: list[str], encoded: list[EncodedCustomer]) -> Batch
     )
 
 
-def masked_rows(rows: list[Row], feature_index: int, record_index: int) -> list[Row]:
-    """Copy of `rows` with one cell set to Missing; input rows untouched."""
-    out = list(rows)
-    row = out[record_index]
-    cells = list(row.cells)
-    cells[feature_index] = MISSING
-    out[record_index] = Row(cells=tuple(cells), date=row.date)
-    return out
+def _static_categorical(cells: list, schema: FeatureSchema,
+                        layout: BranchLayout) -> tuple[np.ndarray, bool]:
+    """Offset ids and presence of the static categorical branch, given each
+    feature's latest non-missing cell."""
+    ids = np.zeros(len(layout.cs_features), dtype=np.int64)
+    for i, (f, cell) in enumerate(zip(layout.cs_features, cells)):
+        ids[i] = schema.vocabularies[f].encode(cell)
+    ids += BranchLayout.offsets(layout.cs_vocab_sizes).astype(np.int64)
+    return ids, any(cell is not MISSING for cell in cells)
+
+
+def _static_numerical(cells: list, schema: FeatureSchema,
+                      layout: BranchLayout) -> tuple[np.ndarray, bool]:
+    """Normalized values and presence of the static numerical branch, given
+    each feature's latest non-missing cell; a non-number encodes as 0.0."""
+    vals = np.zeros(len(layout.sn_features))
+    for i, (f, cell) in enumerate(zip(layout.sn_features, cells)):
+        if isinstance(cell, Number):
+            vals[i] = uniform_normalize(cell.value, schema.numeric_stats[f])
+    return vals, any(isinstance(cell, Number) for cell in cells)
+
+
+def masked_encoding(rows: list[Row], encoded: EncodedCustomer, feature_index: int,
+                    record_index: int, schema: FeatureSchema,
+                    layout: BranchLayout) -> EncodedCustomer | None:
+    """Encoding of `rows` with one cell set to Missing, made by editing
+    `encoded`, which must be `encode_rows(rows, schema, layout)`.
+
+    Returns None when the masked encoding is bitwise equal to `encoded`:
+    the cell is already missing, it is a dynamic cell before the last-`n_s`
+    window, a static cell that is not its feature's latest non-missing
+    cell, or its replacement encodes to the same bits. Neither `rows` nor
+    `encoded` is modified; unedited arrays are shared with `encoded`.
+    """
+    j = feature_index
+    if rows[record_index].cells[j] is MISSING:
+        return None
+    f = schema.feature_order[j]
+    if f in layout.cd_features or f in layout.dn_features:
+        t = record_index - max(0, len(rows) - layout.n_s)    # position in the window
+        if t < 0:
+            return None
+        if f in layout.cd_features:
+            i = layout.cd_features.index(f)
+            cd_ids = encoded.cd_ids.copy()
+            cd_ids[t, i] = BranchLayout.offsets(layout.cd_vocab_sizes)[i] + MISSING_TOKEN_ID
+            edited = replace(encoded, cd_ids=cd_ids)
+        else:
+            nd_vals = encoded.nd_vals.copy()
+            nd_vals[t, layout.dn_features.index(f)] = 0.0
+            edited = replace(encoded, nd_vals=nd_vals)
+    elif f in layout.cs_features or f in layout.sn_features:
+        if any(row.cells[j] is not MISSING for row in rows[record_index + 1:]):
+            return None
+        index = {g: i for i, g in enumerate(schema.feature_order)}
+
+        def latest(features):
+            # the masked feature falls back to its next-latest non-missing cell
+            return [_latest_non_missing(rows[:record_index], j) if g == f
+                    else _latest_non_missing(rows, index[g]) for g in features]
+
+        presence = encoded.presence.copy()
+        if f in layout.cs_features:
+            cs_ids, cs_any = _static_categorical(latest(layout.cs_features), schema, layout)
+            presence[0] = float(cs_any)
+            edited = replace(encoded, cs_ids=cs_ids, presence=presence)
+        else:
+            ns_vals, ns_any = _static_numerical(latest(layout.sn_features), schema, layout)
+            presence[1] = float(ns_any)
+            edited = replace(encoded, ns_vals=ns_vals, presence=presence)
+    else:
+        return None         # the date index is not encoded
+    return None if same_encoding(edited, encoded) else edited
+
+
+def same_encoding(a: EncodedCustomer, b: EncodedCustomer) -> bool:
+    """Bitwise equality of two encodings (0.0 and -0.0 differ)."""
+    return all(getattr(a, fld.name).tobytes() == getattr(b, fld.name).tobytes()
+               for fld in fields(EncodedCustomer))
 
 
 def augmented_summary(table: BigTable, customer: str, schema: FeatureSchema) -> np.ndarray:

@@ -5,6 +5,11 @@ Three steps per target: pick the k customers with the largest target value,
 mask random (feature, time) cells of each and re-run the model, then keep
 the features whose mean absolute effect clears a threshold. The output
 bundles population-level rankings and per-customer contribution lists.
+
+Masking edits a customer's encoding instead of re-encoding its records
+(`encode.masked_encoding`). A masked variant whose encoding is unchanged
+scores a delta of exactly 0.0 without a forward pass; the others are
+forwarded once, across every customer and target of a report.
 """
 
 from __future__ import annotations
@@ -15,9 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numeric
-from .encode import encode_rows, masked_rows, stack_encoded, check_schema
-from .errors import ConfigError, InvalidCellCoordinatesError, PositionOutOfRangeError
-from .model import CustomerEncoder
+from .encode import encode_rows, masked_encoding, stack_encoded, check_schema
+from .errors import (ConfigError, InvalidCellCoordinatesError, PositionOutOfRangeError,
+                     UnknownTaskError)
+from .model import EVAL_BATCH, CustomerEncoder
+from .numeric import Tensor
 from .prep import FeatureKind
 from .table import BigTable
 
@@ -38,6 +45,9 @@ class Target:
     def __post_init__(self):
         if self.kind not in ("position", "class"):
             raise ConfigError(f"unknown target kind {self.kind!r}")
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (self.position, self.class_index)):
+            raise ConfigError("target position and class_index must be integers")
         if self.kind == "class" and not self.task:
             raise ConfigError("class target needs a task name")
 
@@ -99,18 +109,62 @@ def _top_k(values: dict[str, float], k: int) -> list[str]:
     return ranked[:min(k, len(ranked))]
 
 
-def _target_values(model: CustomerEncoder, batch, target: Target) -> np.ndarray:
-    out = model.forward(batch, train=False)
+def _check_target(model: CustomerEncoder, target: Target) -> None:
     if target.kind == "position":
         if not 0 <= target.position < model.config.rep_width:
             raise PositionOutOfRangeError(
                 f"position {target.position} outside [0, {model.config.rep_width})")
-        return out.rep.data[:, target.position]
-    proba = numeric.softmax(model.task_logits(out.rep, target.task), axis=-1).data
-    if not 0 <= target.class_index < proba.shape[1]:
+        return
+    if target.task not in model.task_heads:
+        raise UnknownTaskError(
+            f"unknown task {target.task!r}; model has {sorted(model.task_heads)}")
+    n_classes = model.tasks[target.task]
+    if not 0 <= target.class_index < n_classes:
         raise PositionOutOfRangeError(
-            f"class index {target.class_index} outside [0, {proba.shape[1]})")
-    return proba[:, target.class_index]
+            f"class index {target.class_index} outside [0, {n_classes})")
+
+
+def _target_column(model: CustomerEncoder, rep_chunks: list[np.ndarray],
+                   target: Target) -> np.ndarray:
+    """The target's value for every representation row, in evaluation mode.
+
+    Class heads run chunk by chunk, on the rows that were forwarded
+    together, as `predict_proba` does.
+    """
+    if not rep_chunks:
+        return np.zeros(0)
+    if target.kind == "position":
+        return np.concatenate([c[:, target.position] for c in rep_chunks])
+    return np.concatenate([
+        numeric.softmax(model.task_logits(Tensor(c), target.task), axis=-1).data
+        for c in rep_chunks])[:, target.class_index]
+
+
+def _forward_chunks(model: CustomerEncoder, encoded) -> list[np.ndarray]:
+    """Representation rows of an iterable of (customer, encoding) pairs.
+
+    Encodings are stacked and forwarded EVAL_BATCH at a time, and only the
+    representation rows are kept. No chunk holds a single row unless the
+    input does: BLAS computes a one-row product on its matrix-vector path,
+    which rounds differently from the same row inside a larger batch.
+    """
+    chunks: list[np.ndarray] = []
+    pending: list = []
+
+    def flush(n: int) -> None:
+        batch = stack_encoded([c for c, _ in pending[:n]], [e for _, e in pending[:n]])
+        chunks.append(model.forward(batch, train=False).rep.data)
+        del pending[:n]
+
+    for item in encoded:
+        pending.append(item)
+        if len(pending) == EVAL_BATCH + 2:
+            flush(EVAL_BATCH)
+    if len(pending) > EVAL_BATCH:
+        flush(len(pending) - 2)
+    if pending:
+        flush(len(pending))
+    return chunks
 
 
 def maskable_features(model: CustomerEncoder) -> list[str]:
@@ -122,9 +176,11 @@ def mask_and_delta(model: CustomerEncoder, table: BigTable, customer: str,
                    feature: str, time_index: int, target: Target) -> float:
     """target(cell masked to Missing) − target(original), evaluation mode.
 
-    The table is never modified; masking happens on a copied record list.
+    The table is never modified; masking edits the customer's encoding,
+    and a cell whose masking leaves the encoding unchanged scores 0.0.
     """
     check_schema(table, model.schema)
+    _check_target(model, target)
     rows = table.records.get(customer)
     if rows is None:
         raise InvalidCellCoordinatesError(f"unknown customer {customer!r}")
@@ -133,10 +189,13 @@ def mask_and_delta(model: CustomerEncoder, table: BigTable, customer: str,
     if not 0 <= time_index < len(rows):
         raise InvalidCellCoordinatesError(
             f"record index {time_index} outside [0, {len(rows)}) for {customer!r}")
-    j = model.schema.feature_order.index(feature)
-    variants = [encode_rows(rows, model.schema, model.layout),
-                encode_rows(masked_rows(rows, j, time_index), model.schema, model.layout)]
-    values = _target_values(model, stack_encoded([customer, customer], variants), target)
+    base = encode_rows(rows, model.schema, model.layout)
+    masked = masked_encoding(rows, base, model.schema.feature_order.index(feature),
+                             time_index, model.schema, model.layout)
+    if masked is None:
+        return 0.0
+    values = _target_column(model, _forward_chunks(model, [(customer, base), (customer, masked)]),
+                            target)
     return float(values[1] - values[0])
 
 
@@ -220,51 +279,68 @@ def genome_report(model: CustomerEncoder, table: BigTable,
 
     Position targets default to all representation coordinates. Masking
     draws are partitioned per (target, customer) substream, so reports are
-    reproducible and customers can be processed in any order.
+    reproducible and customers can be processed in any order. Each masked
+    cell is scored once for all targets that drew it.
     """
     check_schema(table, model.schema)
-    customers = list(table.customers)
     names, reps = model.represent(table)
     feats = maskable_features(model)
+    columns = [model.schema.feature_order.index(f) for f in feats]
     if config.targets is not None:
         targets = list(config.targets)
     else:
         targets = [position_target(p) for p in range(model.config.rep_width)]
-
-    genomes = []
     for target in targets:
-        if target.kind == "position":
-            if not 0 <= target.position < reps.shape[1]:
-                raise PositionOutOfRangeError(
-                    f"position {target.position} outside [0, {reps.shape[1]})")
-            values = {cid: float(reps[i, target.position]) for i, cid in enumerate(names)}
-        else:
-            _, proba = model.predict_proba(table, target.task)
-            if not 0 <= target.class_index < proba.shape[1]:
-                raise PositionOutOfRangeError(
-                    f"class index {target.class_index} outside [0, {proba.shape[1]})")
-            values = {cid: float(proba[i, target.class_index]) for i, cid in enumerate(names)}
+        _check_target(model, target)
+
+    # step one, and every target's draws, before any masking
+    population_chunks = [reps[lo:lo + EVAL_BATCH] for lo in range(0, len(reps), EVAL_BATCH)]
+    plans = []
+    for target in targets:
+        values = dict(zip(names, (float(v) for v in
+                                  _target_column(model, population_chunks, target))))
         threshold = (config.delta_threshold if config.delta_threshold is not None
                      else 0.05 * float(np.std(list(values.values()))))
         chosen = _top_k(values, config.k)
-
-        trials = []
+        draws = {}
         for cid in chosen:
             rows = table.records[cid]
             if not rows or not feats:
                 continue
             rng = numeric.substream(config.seed, f"interpret/{target.key()}/{cid}")
-            draws = [(int(rng.integers(len(rows))), int(rng.integers(len(feats))))
-                     for _ in range(config.mask_samples)]
-            variants = [encode_rows(rows, model.schema, model.layout)]
-            for t, fi in draws:
-                j = model.schema.feature_order.index(feats[fi])
-                variants.append(encode_rows(masked_rows(rows, j, t), model.schema, model.layout))
-            batch = stack_encoded([cid] * len(variants), variants)
-            vals = _target_values(model, batch, target)
-            base = vals[0]
-            for (t, fi), v in zip(draws, vals[1:]):
-                trials.append((cid, feats[fi], t, float(v - base)))
+            draws[cid] = [(int(rng.integers(len(rows))), int(rng.integers(len(feats))))
+                          for _ in range(config.mask_samples)]
+        plans.append((target, threshold, chosen, draws))
+
+    # step two: forward each customer once, then each distinct changed variant once
+    bases = {cid: encode_rows(table.records[cid], model.schema, model.layout)
+             for _, _, _, draws in plans for cid in draws}
+    cells = dict.fromkeys((cid, t, fi) for _, _, _, draws in plans
+                          for cid, cid_draws in draws.items() for t, fi in cid_draws)
+    base_row = {cid: i for i, cid in enumerate(bases)}
+    masked_row: dict[tuple, int] = {}     # only cells whose masking changes the encoding
+
+    def rows_to_forward():
+        yield from bases.items()
+        for cid, t, fi in cells:
+            masked = masked_encoding(table.records[cid], bases[cid], columns[fi], t,
+                                     model.schema, model.layout)
+            if masked is not None:
+                masked_row[cid, t, fi] = len(bases) + len(masked_row)
+                yield cid, masked
+
+    rep_chunks = _forward_chunks(model, rows_to_forward())
+
+    genomes = []
+    for target, threshold, chosen, draws in plans:
+        values = _target_column(model, rep_chunks, target)
+        trials = []
+        for cid, cid_draws in draws.items():
+            base = values[base_row[cid]]
+            for t, fi in cid_draws:
+                row = masked_row.get((cid, t, fi))
+                delta = 0.0 if row is None else float(values[row] - base)
+                trials.append((cid, feats[fi], t, delta))
 
         ranked = sensitive_features(trials, threshold)
         per_customer: dict[str, list[dict]] = {}

@@ -1,13 +1,19 @@
 """Independent straight-line reference implementations used as test oracles.
 
-Everything here is deliberately naive and shares no code with the package:
-plain loops over cells, no vectorization, no config plumbing.
+Everything here is deliberately naive: plain loops over cells, no
+vectorization, no config plumbing. The table and metric oracles share no
+code with the package. The masking oracles re-encode a copied record list
+for every masked cell, which is what the package's edit path must match.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from tabrep import numeric
+from tabrep.encode import encode_rows, stack_encoded
+from tabrep.interpret import (GenomeReport, InterpretConfig, TargetGenome, _top_k,
+                              maskable_features, position_target, sensitive_features)
 from tabrep.table import MISSING, BigTable, Date, Number, Row, Token
 
 
@@ -161,3 +167,71 @@ def reference_weighted_accuracy(predicted, labels, frequency_weighted=False) -> 
     if frequency_weighted:
         return sum(f * r for f, r in zip(freqs, recalls))
     return sum(recalls) / len(recalls)
+
+
+def masked_rows(rows: list[Row], feature_index: int, record_index: int) -> list[Row]:
+    """Copy of `rows` with one cell set to Missing; input rows untouched."""
+    out = list(rows)
+    row = out[record_index]
+    cells = list(row.cells)
+    cells[feature_index] = MISSING
+    out[record_index] = Row(cells=tuple(cells), date=row.date)
+    return out
+
+
+def _reference_target_values(model, batch, target) -> np.ndarray:
+    out = model.forward(batch, train=False)
+    if target.kind == "position":
+        return out.rep.data[:, target.position]
+    proba = numeric.softmax(model.task_logits(out.rep, target.task), axis=-1).data
+    return proba[:, target.class_index]
+
+
+def reference_genome_report(model, table: BigTable,
+                            config: InterpretConfig = InterpretConfig()) -> GenomeReport:
+    """Genome report by re-encoding: one forward of the unmasked customer
+    plus every re-encoded masked variant, per (target, customer)."""
+    names, reps = model.represent(table)
+    feats = maskable_features(model)
+    targets = (list(config.targets) if config.targets is not None
+               else [position_target(p) for p in range(model.config.rep_width)])
+    genomes = []
+    for target in targets:
+        if target.kind == "position":
+            values = {cid: float(reps[i, target.position]) for i, cid in enumerate(names)}
+        else:
+            _, proba = model.predict_proba(table, target.task)
+            values = {cid: float(proba[i, target.class_index]) for i, cid in enumerate(names)}
+        threshold = (config.delta_threshold if config.delta_threshold is not None
+                     else 0.05 * float(np.std(list(values.values()))))
+        chosen = _top_k(values, config.k)
+        trials = []
+        for cid in chosen:
+            rows = table.records[cid]
+            if not rows or not feats:
+                continue
+            rng = numeric.substream(config.seed, f"interpret/{target.key()}/{cid}")
+            draws = [(int(rng.integers(len(rows))), int(rng.integers(len(feats))))
+                     for _ in range(config.mask_samples)]
+            variants = [encode_rows(rows, model.schema, model.layout)]
+            for t, fi in draws:
+                j = model.schema.feature_order.index(feats[fi])
+                variants.append(encode_rows(masked_rows(rows, j, t), model.schema, model.layout))
+            vals = _reference_target_values(
+                model, stack_encoded([cid] * len(variants), variants), target)
+            for (t, fi), v in zip(draws, vals[1:]):
+                trials.append((cid, feats[fi], t, float(v - vals[0])))
+        per_customer = {}
+        for cid in chosen:
+            per_feat: dict[str, list[float]] = {}
+            for c, feat, _t, delta in trials:
+                if c == cid:
+                    per_feat.setdefault(feat, []).append(delta)
+            contribs = [{"feature": feat, "contribution": float(np.mean(vals))}
+                        for feat, vals in per_feat.items()]
+            contribs.sort(key=lambda rec: (-abs(rec["contribution"]), rec["feature"]))
+            per_customer[cid] = contribs
+        genomes.append(TargetGenome(target=target, threshold=threshold, customers=chosen,
+                                    features=sensitive_features(trials, threshold),
+                                    per_customer=per_customer))
+    return GenomeReport(seed=config.seed, mask_samples=config.mask_samples, targets=genomes)

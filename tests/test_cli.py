@@ -176,3 +176,36 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     for name in EXIT_CODES:
         assert name in proc.stdout
+
+
+# Malformed inputs fed through `cli.main`: each must end in the error JSON on
+# stderr and the stage's exit code, never in a traceback. Grow as gaps turn up.
+MALFORMED = [
+    # (id, stage, config object, expected error code)
+    ("target-unknown-key", "interpret",
+     {"interpret": {"targets": [{"kind": "position", "colour": 1}]}}, "config-error"),
+    ("target-not-an-object", "interpret",
+     {"interpret": {"targets": ["position"]}}, "config-error"),
+    ("target-number", "interpret", {"interpret": {"targets": [3]}}, "config-error"),
+    ("target-list", "interpret",
+     {"interpret": {"targets": [["position", 0]]}}, "config-error"),
+    ("targets-not-a-list", "interpret", {"interpret": {"targets": 7}}, "config-error"),
+    ("target-position-string", "interpret",
+     {"interpret": {"targets": [{"kind": "position", "position": "0"}]}}, "config-error"),
+    ("target-unknown-kind", "interpret",
+     {"interpret": {"targets": [{"kind": "gradient"}]}}, "config-error"),
+    ("section-not-an-object", "interpret", {"interpret": "fast"}, "config-error"),
+]
+
+
+@pytest.mark.parametrize("stage,config,code", [row[1:] for row in MALFORMED],
+                         ids=[row[0] for row in MALFORMED])
+def test_malformed_input_ends_in_error_json(tmp_path, capsys, stage, config, code):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = [stage, "--config", str(path), "--out", str(tmp_path),
+            "--table", str(tmp_path / "t.csv"), "--checkpoint", str(tmp_path / "m.json")]
+    assert run_cli(argv) == EXIT_CODES[stage]
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"]["code"] == code
+    assert payload["error"]["message"]

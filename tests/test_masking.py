@@ -1,0 +1,203 @@
+"""The edit-based masking path against the re-encoding oracles.
+
+`encode.masked_encoding` must produce, bitwise, what re-encoding a copied
+record list with one cell set to Missing produces, and must report "no
+change" exactly when that re-encoding equals the unmasked encoding. The
+genome report built on it must match the per-customer re-encode loop:
+byte for byte on position targets, to rounding on class targets.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from oracles import masked_rows, reference_genome_report
+from tabrep import numeric
+from tabrep.encode import BranchLayout, encode_rows, masked_encoding, same_encoding
+from tabrep.eval import SynthConfig, synth_generate
+from tabrep.interpret import (InterpretConfig, _forward_chunks, class_target, genome_report,
+                              mask_and_delta, maskable_features, position_target)
+from tabrep.model import EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig
+from tabrep.prep import OOV_TOKEN_ID, build_schema
+from tabrep.table import MISSING, BigTable, Number, Row, Token
+
+
+def test_masked_rows_pure_copy():
+    rows = [Row(cells=(Token("x"), Number(1.0)), date=0)]
+    out = masked_rows(rows, 0, 0)
+    assert out[0].cells[0] is MISSING
+    assert out[0].cells[1] == Number(1.0)
+    assert rows[0].cells[0] == Token("x")
+
+
+def _with_extra_customers(table: BigTable, extra: dict) -> BigTable:
+    records = dict(table.records)
+    records.update(extra)
+    return BigTable(customers=list(table.customers) + list(extra),
+                    features=list(table.features), records=records,
+                    labels=table.labels, has_date_index=table.has_date_index)
+
+
+def _hand_made_customers(table: BigTable, schema) -> dict:
+    """Customers with unseen tokens; with a single static cell whose
+    masking clears its branch's presence bit; and with a static value
+    repeated, so masking the latest cell re-encodes to the same bits."""
+    kinds = {f: schema.kinds[f].value for f in table.features}
+
+    def row(date, **cells):
+        return Row(cells=tuple(cells.get(f, MISSING) for f in table.features), date=date)
+
+    sc = [f for f in table.features if kinds[f] == "SC"]
+    dc = [f for f in table.features if kinds[f] == "DC"]
+    sn = [f for f in table.features if kinds[f] == "SN"]
+    assert sc and dc and sn
+    unseen = {f: Token(f"unseen-{f}") for f in sc + dc}
+    return {
+        "oov": [row(t, **unseen, **{sn[0]: Number(1.0)}) for t in range(6)],
+        "lone_static": [row(0, **{sc[0]: Token("unseen")}), row(1), row(2)],
+        "lone_number": [row(0), row(1, **{sn[0]: Number(2.0)})],
+        "repeated_number": [row(0, **{sn[0]: Number(2.0)}), row(1, **{sn[0]: Number(2.0)})],
+    }
+
+
+def test_edited_encoding_matches_reencoding_on_every_cell():
+    base_table = synth_generate(SynthConfig(n_customers=40, records_min=2, records_max=9,
+                                            seed=4))
+    schema = build_schema(base_table)
+    table = _with_extra_customers(base_table, _hand_made_customers(base_table, schema))
+    layout = BranchLayout.from_schema(schema, n_s=4)
+    vocabs = schema.vocabularies
+
+    seen = {"long_history": 0, "missing": 0, "oov": 0, "presence_flip": 0,
+            "skipped": 0, "edited": 0}
+    for cid in table.customers:
+        rows = table.records[cid]
+        base = encode_rows(rows, schema, layout)
+        untouched = encode_rows(rows, schema, layout)
+        seen["long_history"] += len(rows) > layout.n_s
+        for t, record in enumerate(rows):
+            for j, f in enumerate(schema.feature_order):
+                cell = record.cells[j]
+                seen["missing"] += cell is MISSING
+                seen["oov"] += f in vocabs and cell is not MISSING \
+                    and vocabs[f].encode(cell) == OOV_TOKEN_ID
+                want = encode_rows(masked_rows(rows, j, t), schema, layout)
+                got = masked_encoding(rows, base, j, t, schema, layout)
+                if got is None:
+                    seen["skipped"] += 1
+                    assert same_encoding(want, base), (cid, t, f)
+                else:
+                    seen["edited"] += 1
+                    assert same_encoding(got, want), (cid, t, f)
+                    assert not same_encoding(want, base), (cid, t, f)
+                    seen["presence_flip"] += not np.array_equal(got.presence, base.presence)
+        assert same_encoding(base, untouched), cid
+    assert all(seen.values()), seen
+
+
+# ---- the report against the re-encode loop --------------------------------
+#
+# Representation rows are bitwise the same whichever rows share their batch,
+# so position targets must match the reference byte for byte. A binary class
+# head ends in a two-column matrix product, and OpenBLAS rounds the rows of
+# such a product by their place in the batch. The reference forwards one
+# customer's variants per batch, the report forwards shared batches, so class
+# values may differ by a few units in the last place (and the reference may
+# give an unchanged variant a delta of one such unit where the report gives
+# exactly 0.0). Class results are therefore compared within CLASS_TOLERANCE.
+
+CLASS_TOLERANCE = 8 * np.finfo(np.float64).eps   # deltas of probabilities in [0, 1]
+
+
+@pytest.fixture(scope="module")
+def trained():
+    table = synth_generate(SynthConfig(n_customers=36, n_dynamic_categorical=1,
+                                       records_min=2, records_max=10,
+                                       label_noise=0.02, seed=21))
+    table = _with_extra_customers(table, {"nobody": []})
+    schema = build_schema(table)
+    model = CustomerEncoder(schema,
+                            ModelConfig(embed_dim=8, n_s=4, heads=2, t_max=2, rep_width=8,
+                                        fusion_hidden=16, head_hidden=16, recon_count=1,
+                                        recon_dim=4, dropout=0.0),
+                            tasks={"churn": 2}, seed=1)
+    model.fit(table, TrainConfig(epochs=3, batch_size=16, learning_rate=3e-3,
+                                 validation_fraction=0.0, seed=1))
+    return model, table
+
+
+MIXED = InterpretConfig(k=37, mask_samples=12, delta_threshold=0.0, seed=5,
+                        targets=(class_target("churn", 1), position_target(0),
+                                 class_target("churn", 0), position_target(5)))
+
+
+def _assert_close_genomes(got: dict, want: dict) -> None:
+    """Same customers and threshold; every feature score and contribution
+    within CLASS_TOLERANCE, a feature absent on one side counting as 0."""
+    assert got["customers"] == want["customers"]
+    assert got["threshold"] == want["threshold"]
+    for side in (got, want):
+        side["scores"] = {rec["feature"]: rec["score"] for rec in side["features"]}
+    for feat in set(got["scores"]) | set(want["scores"]):
+        assert abs(got["scores"].get(feat, 0.0) - want["scores"].get(feat, 0.0)) \
+            <= CLASS_TOLERANCE, feat
+    for cid in want["customers"]:
+        g = {rec["feature"]: rec["contribution"] for rec in got["per_customer"][cid]}
+        w = {rec["feature"]: rec["contribution"] for rec in want["per_customer"][cid]}
+        assert set(g) == set(w), cid
+        for feat in w:
+            assert abs(g[feat] - w[feat]) <= CLASS_TOLERANCE, (cid, feat)
+
+
+@pytest.mark.parametrize("config", [MIXED, InterpretConfig(k=6, mask_samples=9, seed=2)],
+                         ids=["mixed-targets", "all-positions-default-threshold"])
+def test_report_equals_reencoding_reference(trained, config):
+    model, table = trained
+    got = genome_report(model, table, config).to_dict()
+    want = reference_genome_report(model, table, config).to_dict()
+    assert [g["target"] for g in got["targets"]] == [w["target"] for w in want["targets"]]
+    for g, w in zip(got["targets"], want["targets"]):
+        if g["target"]["kind"] == "position":
+            assert json.dumps(g, sort_keys=True) == json.dumps(w, sort_keys=True)
+        else:
+            _assert_close_genomes(g, w)
+    if config is MIXED:
+        assert all(g["per_customer"]["nobody"] == [] for g in got["targets"])
+
+
+def test_mask_and_delta_equals_report_delta(trained):
+    """With one draw per customer, each contribution is that cell's delta."""
+    model, table = trained
+    config = InterpretConfig(k=37, mask_samples=1, delta_threshold=0.0, seed=3,
+                             targets=MIXED.targets)
+    report = genome_report(model, table, config)
+    feats = maskable_features(model)
+    checked = 0
+    for genome in report.targets:
+        for cid in genome.customers:
+            rows = table.records[cid]
+            if not rows:
+                continue
+            rng = numeric.substream(config.seed, f"interpret/{genome.target.key()}/{cid}")
+            t, fi = int(rng.integers(len(rows))), int(rng.integers(len(feats)))
+            delta = mask_and_delta(model, table, cid, feats[fi], t, genome.target)
+            [rec] = genome.per_customer[cid]
+            assert rec["feature"] == feats[fi]
+            if genome.target.kind == "position":
+                assert rec["contribution"] == delta, (genome.target.key(), cid)
+            else:
+                assert abs(rec["contribution"] - delta) <= CLASS_TOLERANCE, cid
+            checked += delta != 0.0
+    assert checked
+
+
+def test_forwarded_rows_do_not_depend_on_chunking(trained):
+    """A lone trailing row would take BLAS's matrix-vector path and round
+    differently from the same row inside a batch."""
+    model, table = trained
+    cid = table.customers[0]
+    enc = encode_rows(table.records[cid], model.schema, model.layout)
+    chunks = _forward_chunks(model, [(cid, enc)] * (EVAL_BATCH + 1))
+    rows = np.concatenate(chunks)
+    assert all(row.tobytes() == rows[0].tobytes() for row in rows)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tabrep import numeric
-from tabrep.encode import (augmented_summary, encode_customer, masked_rows,
-                           stack_encoded, summary_width)
+from tabrep.encode import (augmented_summary, encode_customer, stack_encoded,
+                           summary_width)
 from tabrep.errors import (AllTermsDisabledError, ConfigError, TableIOError,
                            UnknownTaskError)
 from tabrep.model import (CustomerEncoder, ModelConfig, TrainConfig,
@@ -101,14 +101,6 @@ def test_zero_record_customer_gets_anchor_step(schema):
     assert enc.presence.tolist() == [0.0, 0.0, 0.0, 0.0]
     out = model.forward(stack_encoded(["a"], [enc]))
     assert np.all(np.isfinite(out.rep.data))
-
-
-def test_masked_rows_pure_copy():
-    rows = [Row(cells=(Token("x"), Number(1.0)), date=0)]
-    out = masked_rows(rows, 0, 0)
-    assert out[0].cells[0] is MISSING
-    assert out[0].cells[1] == Number(1.0)
-    assert rows[0].cells[0] == Token("x")
 
 
 def test_augmented_summary_hand_check(schema):
