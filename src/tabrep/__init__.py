@@ -11,7 +11,7 @@ from .table import (BigTable, Row, TableFormat, TableStats, Number, Token, Date,
                     MISSING, load_table, save_table, order_records, compute_stats)
 from .prep import (FeatureKind, FeatureSchema, RecognizerConfig, build_schema,
                    nc_recognize, sd_recognize, dynamics_matrix, tokenize,
-                   uniform_normalize, impute, Vocabulary)
+                   uniform_normalize, Vocabulary)
 from .model import CustomerEncoder, ModelConfig, TrainConfig
 from .eval import (MetricSet, SynthConfig, synth_generate, roc_auc, f_score,
                    weighted_accuracy, baseline_linear, BaselineConfig,
@@ -28,7 +28,7 @@ __all__ = [
     "MISSING", "load_table", "save_table", "order_records", "compute_stats",
     "FeatureKind", "FeatureSchema", "RecognizerConfig", "build_schema",
     "nc_recognize", "sd_recognize", "dynamics_matrix", "tokenize",
-    "uniform_normalize", "impute", "Vocabulary",
+    "uniform_normalize", "Vocabulary",
     "CustomerEncoder", "ModelConfig", "TrainConfig",
     "MetricSet", "SynthConfig", "synth_generate", "roc_auc", "f_score",
     "weighted_accuracy", "baseline_linear", "BaselineConfig",

@@ -216,11 +216,16 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     task = args.task or next(iter(model.tasks), None)
     if task is None:
         raise ConfigError("model has no task heads; nothing to evaluate")
+    if model.tasks.get(task, 2) != 2:
+        raise ConfigError(f"evaluate reports binary metrics; task {task!r} "
+                          f"has {model.tasks[task]} classes")
     got = table.labels.get(task, {})
     if not got:
         raise ConfigError(f"table has no labels for task {task!r}")
     names, proba = model.predict_proba(table, task, [c for c in table.customers if c in got])
     labels = np.array([int(got[c]) for c in names])
+    if not np.isin(labels, (0, 1)).all():
+        raise ConfigError(f"task {task!r} has labels outside {{0, 1}}")
     metrics = MetricSet.from_scores(proba[:, 1], labels)
     out = Path(args.out) / "metrics.json"
     _write(out, metrics.to_json())

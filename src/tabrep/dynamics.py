@@ -112,14 +112,11 @@ def _sinusoid(positions: np.ndarray, width: int) -> np.ndarray:
     return code
 
 
-def mhsa(e: Tensor, params: TransformerParams, config: TransformerConfig,
-         mask: np.ndarray | None = None) -> Tensor:
-    """Multi-head dot-product self-attention over the position axis.
-
-    Accepts [n_s, n_e] or batched [b, n_s, n_e]. Masked (padded) key
-    positions receive a large negative score so their softmax weight
-    underflows to exactly zero; attention rows over valid keys sum to 1.
-    """
+def _attention(e: Tensor, params: TransformerParams, config: TransformerConfig,
+               mask: np.ndarray | None) -> tuple[Tensor, Tensor, bool]:
+    """Softmax weights [b, k, n_s, n_s] and split values [b, k, n_s, hd] of
+    `e`, plus whether a single [n_s, n_e] sequence gained the batch axis.
+    Masked keys get a large negative score."""
     squeeze = e.ndim == 2
     if squeeze:
         e = numeric.reshape(e, (1,) + e.shape)
@@ -127,7 +124,7 @@ def mhsa(e: Tensor, params: TransformerParams, config: TransformerConfig,
             mask = np.asarray(mask, dtype=bool)[None, :]
     if e.ndim != 3 or e.shape[-1] != config.n_e:
         raise ShapeMismatchError("mhsa", e.shape, (None, config.n_e))
-    b, n_s, n_e = e.shape
+    b, n_s, _ = e.shape
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (b, n_s):
@@ -138,10 +135,9 @@ def mhsa(e: Tensor, params: TransformerParams, config: TransformerConfig,
     q = numeric.matmul(e, numeric.concat(params.wq, axis=1))   # [b, n_s, n_e]
     k = numeric.matmul(e, numeric.concat(params.wk, axis=1))
     v = numeric.matmul(e, numeric.concat(params.wv, axis=1))
-    heads, hd = config.k, config.head_dim
 
     def split(x):
-        x = numeric.reshape(x, (b, n_s, heads, hd))
+        x = numeric.reshape(x, (b, n_s, config.k, config.head_dim))
         return numeric.transpose(x, (0, 2, 1, 3))              # [b, k, n_s, hd]
 
     q, k, v = split(q), split(k), split(v)
@@ -149,35 +145,32 @@ def mhsa(e: Tensor, params: TransformerParams, config: TransformerConfig,
     if mask is not None:
         key_mask = mask[:, None, None, :].astype(np.float64)   # [b, 1, 1, n_s]
         scores = scores * key_mask + (-NEG_MASK_VALUE) * (1.0 - key_mask)
-    weights = numeric.softmax(scores, axis=-1)
+    return numeric.softmax(scores, axis=-1), v, squeeze
+
+
+def mhsa(e: Tensor, params: TransformerParams, config: TransformerConfig,
+         mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head dot-product self-attention over the position axis.
+
+    Accepts [n_s, n_e] or batched [b, n_s, n_e]. Masked (padded) key
+    positions receive a large negative score so their softmax weight
+    underflows to exactly zero; attention rows over valid keys sum to 1.
+    """
+    weights, v, squeeze = _attention(e, params, config, mask)
+    b, _, n_s, _ = v.shape
     mixed = numeric.matmul(weights, v)                         # [b, k, n_s, hd]
     mixed = numeric.transpose(mixed, (0, 2, 1, 3))
-    mixed = numeric.reshape(mixed, (b, n_s, n_e))
+    mixed = numeric.reshape(mixed, (b, n_s, config.n_e))
     out = numeric.matmul(mixed, params.wo)
-    return numeric.reshape(out, (n_s, n_e)) if squeeze else out
+    return numeric.reshape(out, (n_s, config.n_e)) if squeeze else out
 
 
 def attention_weights(e: Tensor, params: TransformerParams, config: TransformerConfig,
                       mask: np.ndarray | None = None) -> np.ndarray:
-    """Forward-only attention matrix [b, k, n_s, n_s] for inspection."""
-    squeeze = e.ndim == 2
-    data = e.data[None] if squeeze else e.data
-    b, n_s, n_e = data.shape
-    wq = np.concatenate([p.data for p in params.wq], axis=1)
-    wk = np.concatenate([p.data for p in params.wk], axis=1)
-    q = (data @ wq).reshape(b, n_s, config.k, config.head_dim).transpose(0, 2, 1, 3)
-    k = (data @ wk).reshape(b, n_s, config.k, config.head_dim).transpose(0, 2, 1, 3)
-    scores = q @ k.swapaxes(-1, -2) / config.score_scale
-    if mask is not None:
-        m = np.asarray(mask, dtype=bool)
-        if squeeze:
-            m = m[None, :]
-        key_mask = m[:, None, None, :]
-        scores = np.where(key_mask, scores, -NEG_MASK_VALUE)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    weights = np.exp(shifted)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    return weights[0] if squeeze else weights
+    """The attention matrix [b, k, n_s, n_s] ([k, n_s, n_s] for one
+    sequence) that `mhsa` mixes its values with, for inspection."""
+    weights, _, squeeze = _attention(e, params, config, mask)
+    return weights.data[0] if squeeze else weights.data
 
 
 def transformer_step(e: Tensor, step: int, params: TransformerParams, config: TransformerConfig,

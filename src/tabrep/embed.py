@@ -22,43 +22,20 @@ from .numeric import Parameter, Tensor
 class EmbeddingBank:
     """Lookup storage for one branch pair (categorical table + numeric rows).
 
-    `cat_table` stacks every categorical feature's vocabulary rows; feature f
-    owns rows [offset_f, offset_f + vocab_size_f). `num_matrix` has one row
-    per numerical feature in fixed schema order. Both share width `dim`.
+    `cat_table` stacks every categorical feature's vocabulary rows in the
+    block order of `encode.BranchLayout`; `num_matrix` has one row per
+    numerical feature. Both share one width.
     """
 
-    dim: int
-    cat_features: list[str]
-    cat_offsets: dict[str, int]
-    cat_sizes: dict[str, int]
     cat_table: Parameter | None
-    num_features: list[str]
     num_matrix: Parameter | None
 
     @classmethod
-    def build(cls, dim: int, cat_vocab_sizes: dict[str, int], num_features: list[str],
+    def build(cls, dim: int, cat_rows: int, num_rows: int,
               rng: np.random.Generator, name: str) -> "EmbeddingBank":
-        cat_features = list(cat_vocab_sizes)
-        offsets, total = {}, 0
-        for f in cat_features:
-            offsets[f] = total
-            total += cat_vocab_sizes[f]
-        cat_table = numeric.embedding_init((total, dim), rng, f"{name}.cat") if total else None
-        num_matrix = numeric.embedding_init((len(num_features), dim), rng, f"{name}.num") if num_features else None
-        return cls(dim=dim, cat_features=cat_features, cat_offsets=offsets,
-                   cat_sizes=dict(cat_vocab_sizes), cat_table=cat_table,
-                   num_features=list(num_features), num_matrix=num_matrix)
-
-    def offset_ids(self, ids_by_feature: dict[str, np.ndarray]) -> np.ndarray:
-        """Stack per-feature id arrays into one offset id array (last axis = features)."""
-        cols = []
-        for f in self.cat_features:
-            ids = np.asarray(ids_by_feature[f], dtype=np.int64)
-            size = self.cat_sizes[f]
-            if ids.size and (ids.min() < 0 or ids.max() >= size):
-                raise IdOutOfRangeError(f"feature {f!r}: id outside [0, {size})")
-            cols.append(ids + self.cat_offsets[f])
-        return np.stack(cols, axis=-1)
+        cat_table = numeric.embedding_init((cat_rows, dim), rng, f"{name}.cat") if cat_rows else None
+        num_matrix = numeric.embedding_init((num_rows, dim), rng, f"{name}.num") if num_rows else None
+        return cls(cat_table=cat_table, num_matrix=num_matrix)
 
     def parameters(self) -> list[Parameter]:
         return [p for p in (self.cat_table, self.num_matrix) if p is not None]

@@ -13,7 +13,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import SchemaMismatchError
-from .prep import MISSING_TOKEN_ID, FeatureSchema, uniform_normalize, _cat_value
+from .prep import (MISSING_TOKEN_ID, FeatureSchema, change_rate, latest_non_missing,
+                   normalized_mean, uniform_normalize)
 from .table import MISSING, BigTable, Number, Row
 
 
@@ -78,13 +79,6 @@ def check_schema(table: BigTable, schema: FeatureSchema) -> None:
             f"table features {table.features} differ from schema {schema.feature_order}")
 
 
-def _latest_non_missing(rows: list[Row], j: int):
-    for row in reversed(rows):
-        if row.cells[j] is not MISSING:
-            return row.cells[j]
-    return MISSING
-
-
 def encode_customer(table: BigTable, customer: str, schema: FeatureSchema,
                     layout: BranchLayout) -> EncodedCustomer:
     rows = table.records.get(customer)
@@ -107,9 +101,9 @@ def encode_rows(rows: list[Row], schema: FeatureSchema,
     n_s = layout.n_s
 
     cs_ids, cs_any = _static_categorical(
-        [_latest_non_missing(rows, index[f]) for f in layout.cs_features], schema, layout)
+        [latest_non_missing(rows, index[f]) for f in layout.cs_features], schema, layout)
     ns_vals, ns_any = _static_numerical(
-        [_latest_non_missing(rows, index[f]) for f in layout.sn_features], schema, layout)
+        [latest_non_missing(rows, index[f]) for f in layout.sn_features], schema, layout)
 
     window = rows[-n_s:]
     seq_valid = np.zeros(n_s, dtype=bool)
@@ -214,8 +208,8 @@ def masked_encoding(rows: list[Row], encoded: EncodedCustomer, feature_index: in
 
         def latest(features):
             # the masked feature falls back to its next-latest non-missing cell
-            return [_latest_non_missing(rows[:record_index], j) if g == f
-                    else _latest_non_missing(rows, index[g]) for g in features]
+            return [latest_non_missing(rows[:record_index], j) if g == f
+                    else latest_non_missing(rows, index[g]) for g in features]
 
         presence = encoded.presence.copy()
         if f in layout.cs_features:
@@ -248,22 +242,12 @@ def augmented_summary(table: BigTable, customer: str, schema: FeatureSchema) -> 
     branch = schema.branch_features()
     out: list[float] = []
     for f in branch["SN"]:
-        cell = _latest_non_missing(rows, table.feature_index(f))
+        cell = latest_non_missing(rows, table.feature_index(f))
         out.append(uniform_normalize(cell.value, schema.numeric_stats[f])
                    if isinstance(cell, Number) else 0.0)
-    for f in branch["DN"]:
-        j = table.feature_index(f)
-        vals = [uniform_normalize(c.value, schema.numeric_stats[f])
-                for c in (row.cells[j] for row in rows) if isinstance(c, Number)]
-        out.append(sum(vals) / len(vals) if vals else 0.0)
-    for f in branch["DC"]:
-        j = table.feature_index(f)
-        cells = [row.cells[j] for row in rows]
-        if len(cells) < 2:
-            out.append(0.0)
-        else:
-            changes = sum(1 for a, b in zip(cells[:-1], cells[1:]) if _cat_value(a) != _cat_value(b))
-            out.append(changes / (len(cells) - 1))
+    out += [normalized_mean(rows, table.feature_index(f), schema.numeric_stats[f])
+            for f in branch["DN"]]
+    out += [change_rate(rows, table.feature_index(f)) for f in branch["DC"]]
     return np.array(out)
 
 

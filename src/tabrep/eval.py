@@ -13,7 +13,8 @@ import numpy as np
 from . import numeric
 from .errors import ConfigError, InfeasibleConfigError, SingleClassError
 from .numeric import Tensor
-from .prep import FeatureSchema, uniform_normalize, _cat_value
+from .encode import augmented_summary, summary_width
+from .prep import FeatureSchema, latest_non_missing
 from .table import MISSING, BigTable, Number, Row, Token
 
 
@@ -309,67 +310,28 @@ def flatten_features(table: BigTable, schema: FeatureSchema,
     categoricals a one-hot block over their vocabulary (missing and
     out-of-vocabulary slots included). With `include_dynamic`, dynamic
     numericals add their observed-value mean and dynamic categoricals their
-    change rate.
+    change rate. All but the one-hot blocks are `augmented_summary` columns.
     """
     branch = schema.branch_features()
-    names: list[str] = []
-    columns: list[np.ndarray] = []
-    n = table.n_customers
+    n, n_sn = table.n_customers, len(branch["SN"])
+    summary = np.zeros((n, summary_width(schema)))
+    for i, c in enumerate(table.customers):
+        summary[i] = augmented_summary(table, c, schema)
 
-    def col(fn) -> np.ndarray:
-        return np.array([fn(table.records[c]) for c in table.customers])
-
-    for f in branch["SN"]:
-        j = table.feature_index(f)
-        stats = schema.numeric_stats[f]
-
-        def latest(rows, j=j, stats=stats):
-            for row in reversed(rows):
-                if isinstance(row.cells[j], Number):
-                    return uniform_normalize(row.cells[j].value, stats)
-            return 0.0
-        names.append(f)
-        columns.append(col(latest))
-
+    names = list(branch["SN"])
+    columns = [summary[:, :n_sn]]
     for f in branch["SC"]:
         j = table.feature_index(f)
         vocab = schema.vocabularies[f]
-        ids = np.array([next((vocab.encode(row.cells[j]) for row in reversed(table.records[c])
-                              if row.cells[j] is not MISSING), 0)
-                        for c in table.customers])
+        ids = [vocab.encode(latest_non_missing(table.records[c], j)) for c in table.customers]
         block = np.zeros((n, vocab.size))
-        block[np.arange(n), ids] = 1.0
-        for slot in range(vocab.size):
-            names.append(f"{f}[{slot}]")
-        columns.extend(block.T)
-
+        block[np.arange(n), np.array(ids, dtype=np.int64)] = 1.0
+        names += [f"{f}[{slot}]" for slot in range(vocab.size)]
+        columns.append(block)
     if include_dynamic:
-        for f in branch["DN"]:
-            j = table.feature_index(f)
-            stats = schema.numeric_stats[f]
-
-            def mean_val(rows, j=j, stats=stats):
-                vals = [uniform_normalize(row.cells[j].value, stats)
-                        for row in rows if isinstance(row.cells[j], Number)]
-                return float(np.mean(vals)) if vals else 0.0
-            names.append(f"{f}.mean")
-            columns.append(col(mean_val))
-
-        for f in branch["DC"]:
-            j = table.feature_index(f)
-
-            def change_rate(rows, j=j):
-                cells = [row.cells[j] for row in rows]
-                if len(cells) < 2:
-                    return 0.0
-                changes = sum(1 for a, b in zip(cells[:-1], cells[1:])
-                              if _cat_value(a) != _cat_value(b))
-                return changes / (len(cells) - 1)
-            names.append(f"{f}.changes")
-            columns.append(col(change_rate))
-
-    matrix = np.stack(columns, axis=1) if columns else np.zeros((n, 0))
-    return matrix, names
+        names += [f"{f}.mean" for f in branch["DN"]] + [f"{f}.changes" for f in branch["DC"]]
+        columns.append(summary[:, n_sn:])
+    return np.concatenate(columns, axis=1), names
 
 
 def task_labels(table: BigTable, task: str) -> tuple[list[str], np.ndarray]:

@@ -163,11 +163,9 @@ class CustomerEncoder:
         rng = numeric.substream(self.seed, "init")
 
         self.static_bank = EmbeddingBank.build(
-            d, dict(zip(self.layout.cs_features, self.layout.cs_vocab_sizes)),
-            list(self.layout.sn_features), rng, "static")
+            d, sum(self.layout.cs_vocab_sizes), len(self.layout.sn_features), rng, "static")
         self.dynamic_bank = EmbeddingBank.build(
-            d, dict(zip(self.layout.cd_features, self.layout.cd_vocab_sizes)),
-            list(self.layout.dn_features), rng, "dynamic")
+            d, sum(self.layout.cd_vocab_sizes), len(self.layout.dn_features), rng, "dynamic")
         self.cd_params = (TransformerParams.init(self.tconfig, rng, "cd")
                           if self.layout.cd_features else None)
         self.nd_params = (TransformerParams.init(self.tconfig, rng, "nd")
@@ -246,17 +244,25 @@ class CustomerEncoder:
             payload = json.loads(Path(path).read_text())
         except OSError as e:
             raise TableIOError(str(e)) from e
-        except json.JSONDecodeError as e:
+        except ValueError as e:     # invalid JSON or UTF-8
             raise TableIOError(f"not a model checkpoint: {e}") from e
-        if payload.get("format") != MODEL_FORMAT:
-            raise TableIOError(f"not a model checkpoint: format={payload.get('format')!r}")
+        fmt = payload.get("format") if isinstance(payload, dict) else type(payload).__name__
+        if fmt != MODEL_FORMAT:
+            raise TableIOError(f"not a model checkpoint: format={fmt!r}")
         if payload.get("version") != MODEL_VERSION:
             raise TableIOError(f"unsupported model version {payload.get('version')!r}")
-        schema = FeatureSchema.from_dict(payload["schema"])
-        model = cls(schema, ModelConfig(**payload["config"]),
-                    tasks={t: int(n) for t, n in payload["tasks"].items()},
-                    seed=int(payload["seed"]))
-        arrays = numeric.dict_to_arrays(payload["params"])
+        try:
+            schema = FeatureSchema.from_dict(payload["schema"])
+            model = cls(schema, ModelConfig(**payload["config"]),
+                        tasks={t: int(n) for t, n in payload["tasks"].items()},
+                        seed=int(payload["seed"]))
+            arrays = numeric.dict_to_arrays(payload["params"])
+            recon_projections = [np.asarray(g, dtype=np.float64)
+                                 for g in payload["recon_projections"]]
+            class_weights = {t: np.asarray(w, dtype=np.float64)
+                             for t, w in payload["class_weights"].items()}
+        except (KeyError, TypeError, ValueError, AttributeError) as e:
+            raise TableIOError(f"malformed model checkpoint: {type(e).__name__}: {e}") from e
         named = model.named_parameters()
         if set(arrays) != set(named):
             raise TableIOError("checkpoint parameters do not match the model architecture")
@@ -265,10 +271,8 @@ class CustomerEncoder:
                 raise TableIOError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
                                    f"expected {named[name].data.shape}")
             named[name].data = arr
-        model.recon_projections = [np.asarray(g, dtype=np.float64)
-                                   for g in payload["recon_projections"]]
-        model.class_weights = {t: np.asarray(w, dtype=np.float64)
-                               for t, w in payload["class_weights"].items()}
+        model.recon_projections = recon_projections
+        model.class_weights = class_weights
         return model
 
     # ---- forward --------------------------------------------------------

@@ -8,9 +8,7 @@ gradients can be verified against central finite differences with headroom.
 
 from __future__ import annotations
 
-import json
 import zlib
-from pathlib import Path
 
 import numpy as np
 
@@ -546,22 +544,29 @@ class Adam:
             p.zero_grad()
 
     def step(self) -> None:
-        # validate every gradient before touching any parameter
+        """One update of every parameter with a gradient. All updates are
+        computed and checked first: a non-finite gradient or updated value
+        raises before any parameter, moment or the step count changes."""
         for p in self.params:
             if p.grad is not None and not np.isfinite(p.grad).all():
                 raise NonFiniteGradientError(p.name or "<unnamed>")
-        self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        t = self.t + 1
+        b1t = 1.0 - self.beta1 ** t
+        b2t = 1.0 - self.beta2 ** t
+        updates = []
         for i, p in enumerate(self.params):
             g = p.grad
             if g is None:
                 continue
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
-            p.data = p.data - self.lr * (self._m[i] / b1t) / (np.sqrt(self._v[i] / b2t) + self.epsilon)
-            if not np.isfinite(p.data).all():
+            m = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
+            v = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
+            data = p.data - self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.epsilon)
+            if not np.isfinite(data).all():
                 raise NonFiniteGradientError(p.name or "<unnamed>")
+            updates.append((i, p, m, v, data))
+        self.t = t
+        for i, p, m, v, data in updates:
+            self._m[i], self._v[i], p.data = m, v, data
 
 
 # ---------------------------------------------------------------------------
@@ -588,16 +593,6 @@ def dict_to_arrays(payload: dict) -> dict[str, np.ndarray]:
     out = {}
     for name, rec in payload["tensors"].items():
         out[name] = np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
+        if not np.isfinite(out[name]).all():
+            raise TableIOError(f"checkpoint tensor {name!r} holds a non-finite value")
     return out
-
-
-def save_params(path, params: dict[str, Tensor]) -> None:
-    Path(path).write_text(json.dumps(params_to_dict(params), sort_keys=True))
-
-
-def load_params(path) -> dict[str, np.ndarray]:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as e:
-        raise TableIOError(str(e)) from e
-    return dict_to_arrays(payload)

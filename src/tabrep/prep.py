@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MixedKindFeatureError, SchemaError, TableIOError
-from .table import MISSING, BigTable, Date, Number, Token
+from .table import MISSING, BigTable, Date, Number, Row, Token
 
 MISSING_TOKEN_ID = 0
 OOV_TOKEN_ID = 1
@@ -154,11 +154,6 @@ def uniform_normalize(x, stats: tuple[float, float]):
     return clipped if np.ndim(x) else float(clipped)
 
 
-def impute(values):
-    """Replace Missing with 0.0, pass real values through."""
-    return [0.0 if v is MISSING else float(v) for v in values]
-
-
 @dataclass
 class Vocabulary:
     """Token -> dense id map with reserved missing (0) and OOV (1) slots."""
@@ -194,6 +189,39 @@ def tokenize(values, vocab: Vocabulary | None = None) -> tuple[list[int], Vocabu
     return [vocab.encode(cell) for cell in values], vocab
 
 
+# ---- per-customer reductions over time-ordered records --------------------
+
+def _cat_value(cell):
+    return None if cell is MISSING else _canonical_token(cell)
+
+
+def latest_non_missing(rows: list[Row], j: int):
+    """The most recent non-missing cell of feature `j`, or Missing."""
+    for row in reversed(rows):
+        if row.cells[j] is not MISSING:
+            return row.cells[j]
+    return MISSING
+
+
+def normalized_mean(rows: list[Row], j: int, stats: tuple[float, float]) -> float:
+    """Time mean of feature `j`'s normalized numbers; 0.0 when none is observed."""
+    vals = [uniform_normalize(c.value, stats)
+            for c in (row.cells[j] for row in rows) if isinstance(c, Number)]
+    return sum(vals) / len(vals) if vals else 0.0
+
+
+def change_count(rows: list[Row], j: int) -> int:
+    """Successive record pairs whose feature-`j` values differ, missing
+    counted as its own value."""
+    values = [_cat_value(row.cells[j]) for row in rows]
+    return sum(a != b for a, b in zip(values, values[1:]))
+
+
+def change_rate(rows: list[Row], j: int) -> float:
+    """`change_count` per successive pair; 0.0 below two records."""
+    return change_count(rows, j) / (len(rows) - 1) if len(rows) > 1 else 0.0
+
+
 def dynamics_statistic(table: BigTable, feature: str, kind: str) -> np.ndarray:
     """Per-customer change statistic over successive ordered records.
 
@@ -207,24 +235,17 @@ def dynamics_statistic(table: BigTable, feature: str, kind: str) -> np.ndarray:
     stats = numeric_range(table, feature) if kind == "numerical" else None
     for i, cust in enumerate(table.customers):
         rows = table.records[cust]
-        if len(rows) < 2:
+        if kind == "categorical":
+            column[i] = change_count(rows, j)
             continue
         total = 0.0
         for prev, cur in zip(rows[:-1], rows[1:]):
             a, b = prev.cells[j], cur.cells[j]
-            if kind == "categorical":
-                if _cat_value(a) != _cat_value(b):
-                    total += 1.0
-            else:
-                if a is MISSING or b is MISSING:
-                    continue
-                total += abs(uniform_normalize(b.value, stats) - uniform_normalize(a.value, stats))
+            if a is MISSING or b is MISSING:
+                continue
+            total += abs(uniform_normalize(b.value, stats) - uniform_normalize(a.value, stats))
         column[i] = total
     return column
-
-
-def _cat_value(cell):
-    return None if cell is MISSING else _canonical_token(cell)
 
 
 @dataclass
@@ -247,25 +268,22 @@ def dynamics_matrix(table: BigTable, nc_kinds: dict[str, str], config: Recognize
     return DynamicsMatrix(customers=list(table.customers), features=feats, values=values)
 
 
-def sd_recognize(matrix: DynamicsMatrix, nc_kinds: dict[str, str], config: RecognizerConfig) -> dict[str, bool]:
-    """Per-feature dynamic flag: dynamic iff the number of customers whose
-    change statistic clears the pair threshold exceeds the feature threshold.
-    Equality resolves to static."""
-    t_f = config.resolved_feature_threshold(len(matrix.customers))
-    out: dict[str, bool] = {}
-    for k, feature in enumerate(matrix.features):
-        t_d = config.pair_threshold(nc_kinds[feature])
-        d_f = int(np.sum(matrix.values[:, k] > t_d))
-        out[feature] = d_f > t_f
-    return out
-
-
 def dynamic_customer_counts(matrix: DynamicsMatrix, nc_kinds: dict[str, str], config: RecognizerConfig) -> dict[str, int]:
+    """Per feature, the number of customers whose change statistic clears
+    the pair threshold."""
     counts = {}
     for k, feature in enumerate(matrix.features):
         t_d = config.pair_threshold(nc_kinds[feature])
         counts[feature] = int(np.sum(matrix.values[:, k] > t_d))
     return counts
+
+
+def sd_recognize(matrix: DynamicsMatrix, nc_kinds: dict[str, str], config: RecognizerConfig) -> dict[str, bool]:
+    """Per-feature dynamic flag: dynamic iff the number of customers whose
+    change statistic clears the pair threshold exceeds the feature threshold.
+    Equality resolves to static."""
+    t_f = config.resolved_feature_threshold(len(matrix.customers))
+    return {f: d_f > t_f for f, d_f in dynamic_customer_counts(matrix, nc_kinds, config).items()}
 
 
 @dataclass
@@ -327,14 +345,17 @@ class FeatureSchema:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FeatureSchema":
-        return cls(
-            feature_order=list(payload["feature_order"]),
-            kinds={f: FeatureKind(k) for f, k in payload["kinds"].items()},
-            vocabularies={f: Vocabulary(token_to_id=dict(v)) for f, v in payload["vocabularies"].items()},
-            numeric_stats={f: (float(s[0]), float(s[1])) for f, s in payload["numeric_stats"].items()},
-            dynamics_summary={f: int(v) for f, v in payload["dynamics_summary"].items()},
-            config=RecognizerConfig(**payload["config"]),
-        )
+        try:
+            return cls(
+                feature_order=list(payload["feature_order"]),
+                kinds={f: FeatureKind(k) for f, k in payload["kinds"].items()},
+                vocabularies={f: Vocabulary(token_to_id=dict(v)) for f, v in payload["vocabularies"].items()},
+                numeric_stats={f: (float(s[0]), float(s[1])) for f, s in payload["numeric_stats"].items()},
+                dynamics_summary={f: int(v) for f, v in payload["dynamics_summary"].items()},
+                config=RecognizerConfig(**payload["config"]),
+            )
+        except (KeyError, TypeError, ValueError, AttributeError, IndexError) as e:
+            raise TableIOError(f"malformed feature schema: {type(e).__name__}: {e}") from e
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True))
@@ -345,6 +366,8 @@ class FeatureSchema:
             payload = json.loads(Path(path).read_text())
         except OSError as e:
             raise TableIOError(str(e)) from e
+        except ValueError as e:     # invalid JSON or UTF-8
+            raise TableIOError(f"not a feature schema: {e}") from e
         return cls.from_dict(payload)
 
 

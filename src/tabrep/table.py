@@ -179,7 +179,7 @@ def load_table(path, fmt: TableFormat = TableFormat()) -> BigTable:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise TableIOError(f"cannot read {path}: {e}") from e
     reader = csv.reader(text.splitlines(), delimiter=fmt.delimiter)
     try:

@@ -1,12 +1,17 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tabrep.cli import EXIT_CODES, load_config, main
 from tabrep.errors import ConfigError
+from tabrep.eval import SynthConfig, synth_generate
+from tabrep.model import CustomerEncoder, ModelConfig
+from tabrep.prep import build_schema
+from tabrep.table import TableFormat, save_table
 
 
 def run_cli(argv, capsys=None):
@@ -179,33 +184,120 @@ def test_console_entry_point_runs():
 
 
 # Malformed inputs fed through `cli.main`: each must end in the error JSON on
-# stderr and the stage's exit code, never in a traceback. Grow as gaps turn up.
+# stderr and the stage's exit code, never in a traceback. Every row runs on
+# a small valid synthetic table, `t.csv`; a row may replace it or supply the
+# stage's `schema.json` (train) or `m.json` checkpoint, either as bytes or
+# as a maker `write(path, table)`. Grow as gaps turn up.
+FORMAT = {"date_column": "date", "label_columns": ["churn"]}
+TABLE_FORMAT = TableFormat(date_column="date", label_columns=("churn",))
+TINY_MODEL = dict(embed_dim=4, n_s=3, heads=1, t_max=1, rep_width=4, fusion_hidden=4,
+                  head_hidden=4, recon_count=1, recon_dim=2, dropout=0.0)
+
+
+def schema_file(edit=lambda payload: None):
+    """Maker of the table's recognized schema, after `edit` of its JSON."""
+    def write(path, table):
+        payload = build_schema(table).to_dict()
+        edit(payload)
+        path.write_text(json.dumps(payload))
+    return write
+
+
+def checkpoint_file(edit=lambda payload: None, tasks=None):
+    """Maker of an untrained checkpoint for the table, after `edit` of its JSON."""
+    def write(path, table):
+        CustomerEncoder(build_schema(table), ModelConfig(**TINY_MODEL),
+                        tasks or {"churn": 2}).save(path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+    return write
+
+
+def table_file(label):
+    """Maker of the table with its first customer's churn label set to `label`."""
+    def write(path, table):
+        labels = {**table.labels["churn"], table.customers[0]: label}
+        save_table(replace(table, labels={"churn": labels}), path, TABLE_FORMAT)
+    return write
+
+
+def first_weight(value):
+    def edit(payload):
+        next(iter(payload["params"]["tensors"].values()))["data"][0] = value
+    return edit
+
+
 MALFORMED = [
-    # (id, stage, config object, expected error code)
+    # (id, stage, config object, files, expected error code)
     ("target-unknown-key", "interpret",
-     {"interpret": {"targets": [{"kind": "position", "colour": 1}]}}, "config-error"),
+     {"interpret": {"targets": [{"kind": "position", "colour": 1}]}}, {}, "config-error"),
     ("target-not-an-object", "interpret",
-     {"interpret": {"targets": ["position"]}}, "config-error"),
-    ("target-number", "interpret", {"interpret": {"targets": [3]}}, "config-error"),
+     {"interpret": {"targets": ["position"]}}, {}, "config-error"),
+    ("target-number", "interpret", {"interpret": {"targets": [3]}}, {}, "config-error"),
     ("target-list", "interpret",
-     {"interpret": {"targets": [["position", 0]]}}, "config-error"),
-    ("targets-not-a-list", "interpret", {"interpret": {"targets": 7}}, "config-error"),
+     {"interpret": {"targets": [["position", 0]]}}, {}, "config-error"),
+    ("targets-not-a-list", "interpret", {"interpret": {"targets": 7}}, {}, "config-error"),
     ("target-position-string", "interpret",
-     {"interpret": {"targets": [{"kind": "position", "position": "0"}]}}, "config-error"),
+     {"interpret": {"targets": [{"kind": "position", "position": "0"}]}}, {}, "config-error"),
     ("target-unknown-kind", "interpret",
-     {"interpret": {"targets": [{"kind": "gradient"}]}}, "config-error"),
-    ("section-not-an-object", "interpret", {"interpret": "fast"}, "config-error"),
+     {"interpret": {"targets": [{"kind": "gradient"}]}}, {}, "config-error"),
+    ("section-not-an-object", "interpret", {"interpret": "fast"}, {}, "config-error"),
+    ("table-not-utf8", "profile", {},
+     {"t.csv": "customer_id,date,f\nc1,2020-01-01,caf\xe9\n".encode("latin-1")}, "io-error"),
+    ("schema-corrupt-json", "train", {}, {"schema.json": b'{"feature_order": ['}, "io-error"),
+    ("schema-missing-keys", "train", {},
+     {"schema.json": schema_file(lambda s: s.pop("kinds"))}, "io-error"),
+    ("checkpoint-missing-tasks", "embed", {},
+     {"m.json": checkpoint_file(lambda c: c.pop("tasks"))}, "io-error"),
+    ("checkpoint-unknown-config-key", "embed", {},
+     {"m.json": checkpoint_file(lambda c: c["config"].update(colour=1))}, "io-error"),
+    ("checkpoint-nan-weight", "embed", {},
+     {"m.json": checkpoint_file(first_weight(float("nan")))}, "io-error"),
+    ("checkpoint-inf-weight", "embed", {},
+     {"m.json": checkpoint_file(first_weight(float("-inf")))}, "io-error"),
+    ("evaluate-three-class-head", "evaluate", {},
+     {"m.json": checkpoint_file(tasks={"churn": 3})}, "config-error"),
+    ("evaluate-label-outside-binary", "evaluate", {},
+     {"t.csv": table_file(2), "m.json": checkpoint_file()}, "config-error"),
 ]
 
 
-@pytest.mark.parametrize("stage,config,code", [row[1:] for row in MALFORMED],
-                         ids=[row[0] for row in MALFORMED])
-def test_malformed_input_ends_in_error_json(tmp_path, capsys, stage, config, code):
+def run_on_files(tmp_path, stage, config, files):
+    table = synth_generate(SynthConfig(n_customers=12, records_min=3, records_max=6, seed=1))
+    save_table(table, tmp_path / "t.csv", TABLE_FORMAT)
+    for name, content in files.items():
+        if callable(content):
+            content(tmp_path / name, table)
+        else:
+            (tmp_path / name).write_bytes(content)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps({"format": FORMAT, **config}))
     argv = [stage, "--config", str(path), "--out", str(tmp_path),
-            "--table", str(tmp_path / "t.csv"), "--checkpoint", str(tmp_path / "m.json")]
-    assert run_cli(argv) == EXIT_CODES[stage]
+            "--table", str(tmp_path / "t.csv")]
+    if stage == "train":
+        argv += ["--schema", str(tmp_path / "schema.json")]
+    elif stage != "profile":
+        argv += ["--checkpoint", str(tmp_path / "m.json")]
+    return run_cli(argv)
+
+
+@pytest.mark.parametrize("stage,config,files,code", [row[1:] for row in MALFORMED],
+                         ids=[row[0] for row in MALFORMED])
+def test_malformed_input_ends_in_error_json(tmp_path, capsys, stage, config, files, code):
+    assert run_on_files(tmp_path, stage, config, files) == EXIT_CODES[stage]
     payload = json.loads(capsys.readouterr().err)
     assert payload["error"]["code"] == code
     assert payload["error"]["message"]
+
+
+@pytest.mark.parametrize("stage,files", [
+    ("profile", {}),
+    ("train", {"schema.json": schema_file()}),
+    ("embed", {"m.json": checkpoint_file()}),
+    ("evaluate", {"m.json": checkpoint_file()}),
+])
+def test_unedited_malformed_row_files_are_accepted(tmp_path, capsys, stage, files):
+    # so each MALFORMED row fails on its own edit, not on the shared set-up
+    assert run_on_files(tmp_path, stage, {"train": {"epochs": 1}}, files) == 0
+    assert not capsys.readouterr().err

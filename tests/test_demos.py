@@ -3,15 +3,29 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_genome_report_demo_ranks_planted_feature_first():
+def run_demo(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "06_genome_report.py")],
+    return subprocess.run([sys.executable, str(ROOT / "demos" / name)],
                           capture_output=True, text=True, timeout=300, env=env)
+
+
+@pytest.mark.parametrize("name", ["01_profile_a_table.py", "02_clean_and_encode.py",
+                                  "03_autodiff_basics.py", "04_refinement_and_halting.py",
+                                  "05_train_and_evaluate.py"])
+def test_demo_runs(name):
+    proc = run_demo(name)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_genome_report_demo_ranks_planted_feature_first():
+    proc = run_demo("06_genome_report.py")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     header = next(i for i, line in enumerate(lines) if line.startswith("target class:churn:1"))

@@ -24,7 +24,7 @@ def test_lookup_of_hand_set_rows():
 
 def test_missing_id_reads_learned_row_not_zero():
     rng = np.random.default_rng(0)
-    bank = EmbeddingBank.build(4, {"f": 5}, [], rng, "b")
+    bank = EmbeddingBank.build(4, 5, 0, rng, "b")
     out = categorical_embed(np.array([0]), bank.cat_table)
     assert np.array_equal(out.data[0], bank.cat_table.data[0])
     assert np.any(out.data[0] != 0.0)
@@ -42,23 +42,6 @@ def test_id_out_of_range():
         categorical_embed(np.array([1]), table)
     with pytest.raises(IdOutOfRangeError):
         categorical_embed(np.array([-1]), table)
-
-
-def test_bank_offsets_stack_feature_blocks():
-    rng = np.random.default_rng(1)
-    bank = EmbeddingBank.build(3, {"a": 4, "b": 2}, [], rng, "b")
-    ids = bank.offset_ids({"a": np.array([3]), "b": np.array([1])})
-    assert ids.tolist() == [[3], [5]] or ids.tolist() == [[3, 5]]
-    out = categorical_embed(ids, bank.cat_table)
-    assert np.array_equal(out.data[..., 0, :].ravel(), bank.cat_table.data[3])
-    assert np.array_equal(out.data[..., 1, :].ravel(), bank.cat_table.data[4 + 1])
-
-
-def test_bank_rejects_id_outside_feature_vocab():
-    rng = np.random.default_rng(1)
-    bank = EmbeddingBank.build(3, {"a": 4, "b": 2}, [], rng, "b")
-    with pytest.raises(IdOutOfRangeError):
-        bank.offset_ids({"a": np.array([0]), "b": np.array([2])})
 
 
 def test_lookup_gradient_accumulates_repeated_rows():

@@ -5,7 +5,7 @@ import pytest
 
 from tabrep import numeric
 from tabrep.errors import (NonFiniteGradientError, NonScalarLossError,
-                           ShapeMismatchError)
+                           ShapeMismatchError, TableIOError)
 from tabrep.numeric import Parameter, Tensor
 
 from gradcheck import assert_gradients_match, scalarize
@@ -226,29 +226,42 @@ def test_adam_rejects_non_finite_gradient_and_names_parameter():
     assert "culprit" in str(exc.value)
     assert p.data.tolist() == [1.0]
 
+    # a finite gradient whose update overflows the second parameter leaves
+    # both parameters, the moments and the step count as they were
+    a = Parameter(np.array([1.0]), name="a")
+    b = Parameter(np.array([1e308]), name="culprit")
+    opt = numeric.Adam([a, b], lr=1e308)
+    a.grad, b.grad = np.array([1.0]), np.array([-1.0])
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteGradientError) as exc:
+        opt.step()
+    assert "culprit" in str(exc.value)
+    assert a.data.tolist() == [1.0] and b.data.tolist() == [1e308]
+    assert opt.t == 0
+    assert all(not m.any() for m in opt._m + opt._v)
+
 
 # ---- checkpoints and substreams -----------------------------------------
 
-def test_checkpoint_round_trip_is_bit_exact(tmp_path):
+def test_checkpoint_round_trip_is_bit_exact():
     rng = np.random.default_rng(11)
     params = {
         "a": Parameter(rng.standard_normal((3, 4)) * 1e-7, name="a"),
         "b": Parameter(rng.standard_normal(5) * 1e9, name="b"),
     }
-    path = tmp_path / "ckpt.json"
-    numeric.save_params(path, params)
-    loaded = numeric.load_params(path)
+    text = json.dumps(numeric.params_to_dict(params), sort_keys=True)
+    loaded = numeric.dict_to_arrays(json.loads(text))
     for name, p in params.items():
         assert loaded[name].shape == p.data.shape
         assert np.array_equal(loaded[name], p.data)  # bitwise, no tolerance
 
 
-def test_checkpoint_is_versioned(tmp_path):
-    path = tmp_path / "ckpt.json"
-    numeric.save_params(path, {"a": Parameter(np.zeros(1), name="a")})
-    payload = json.loads(path.read_text())
+def test_checkpoint_is_versioned():
+    payload = numeric.params_to_dict({"a": Parameter(np.zeros(1), name="a")})
     assert payload["format"] == numeric.CHECKPOINT_FORMAT
     assert payload["version"] == numeric.CHECKPOINT_VERSION
+    for key, bad in (("format", "other"), ("version", numeric.CHECKPOINT_VERSION + 1)):
+        with pytest.raises(TableIOError):
+            numeric.dict_to_arrays({**payload, key: bad})
 
 
 def test_substreams_are_deterministic_and_distinct():

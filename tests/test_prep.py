@@ -3,7 +3,7 @@ import pytest
 
 from tabrep.errors import MixedKindFeatureError
 from tabrep.prep import (FeatureKind, RecognizerConfig, Vocabulary, build_schema,
-                         dynamics_matrix, dynamics_statistic, impute,
+                         dynamics_matrix, dynamics_statistic,
                          nc_recognize, sd_recognize, tokenize, uniform_normalize,
                          FeatureSchema, MISSING_TOKEN_ID, OOV_TOKEN_ID)
 from tabrep.table import MISSING, BigTable, Date, Number, Row, Token
@@ -86,11 +86,6 @@ def test_normalize_clamps_out_of_range():
 
 def test_normalize_degenerate_stats_give_half():
     assert uniform_normalize(7.0, (7.0, 7.0)) == 0.5
-
-
-def test_impute():
-    assert impute([MISSING, 1.0, MISSING]) == [0.0, 1.0, 0.0]
-    assert impute([0.7]) == [0.7]
 
 
 # ---- change statistics ---------------------------------------------------
