@@ -67,10 +67,10 @@ class TransformerParams:
     wd: Parameter
 
     @classmethod
-    def init(cls, config: TransformerConfig, rng: np.random.Generator, name: str,
-             transition_hidden: int | None = None) -> "TransformerParams":
+    def init(cls, config: TransformerConfig, rng: np.random.Generator,
+             name: str) -> "TransformerParams":
         n_e, hd = config.n_e, config.head_dim
-        hidden = transition_hidden or 2 * n_e
+        hidden = 2 * n_e
         return cls(
             wq=[numeric.glorot_uniform((n_e, hd), rng, f"{name}.wq{i}") for i in range(config.k)],
             wk=[numeric.glorot_uniform((n_e, hd), rng, f"{name}.wk{i}") for i in range(config.k)],

@@ -30,6 +30,8 @@ def roc_auc(scores, labels) -> float:
     labels = np.asarray(labels, dtype=np.int64)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError(f"scores {scores.shape} vs labels {labels.shape}")
+    if not np.isin(labels, (0, 1)).all():
+        raise ConfigError("auc needs labels in {0, 1}")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:

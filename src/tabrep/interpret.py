@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numeric
-from .encode import encode_rows, masked_encoding, stack_encoded, check_schema
+from .encode import encode_rows, masked_encoding, check_schema
 from .errors import (ConfigError, InvalidCellCoordinatesError, PositionOutOfRangeError,
                      UnknownTaskError)
-from .model import EVAL_BATCH, CustomerEncoder
-from .numeric import Tensor
+from .model import CustomerEncoder, ForwardResult
 from .prep import FeatureKind
 from .table import BigTable
 
@@ -124,47 +123,19 @@ def _check_target(model: CustomerEncoder, target: Target) -> None:
             f"class index {target.class_index} outside [0, {n_classes})")
 
 
-def _target_column(model: CustomerEncoder, rep_chunks: list[np.ndarray],
+def _target_column(model: CustomerEncoder, chunks: list[ForwardResult],
                    target: Target) -> np.ndarray:
-    """The target's value for every representation row, in evaluation mode.
+    """The target's value for every row of the forwarded chunks, in order.
 
     Class heads run chunk by chunk, on the rows that were forwarded
     together, as `predict_proba` does.
     """
-    if not rep_chunks:
-        return np.zeros(0)
     if target.kind == "position":
-        return np.concatenate([c[:, target.position] for c in rep_chunks])
-    return np.concatenate([
-        numeric.softmax(model.task_logits(Tensor(c), target.task), axis=-1).data
-        for c in rep_chunks])[:, target.class_index]
-
-
-def _forward_chunks(model: CustomerEncoder, encoded) -> list[np.ndarray]:
-    """Representation rows of an iterable of (customer, encoding) pairs.
-
-    Encodings are stacked and forwarded EVAL_BATCH at a time, and only the
-    representation rows are kept. No chunk holds a single row unless the
-    input does: BLAS computes a one-row product on its matrix-vector path,
-    which rounds differently from the same row inside a larger batch.
-    """
-    chunks: list[np.ndarray] = []
-    pending: list = []
-
-    def flush(n: int) -> None:
-        batch = stack_encoded([c for c, _ in pending[:n]], [e for _, e in pending[:n]])
-        chunks.append(model.forward(batch, train=False).rep.data)
-        del pending[:n]
-
-    for item in encoded:
-        pending.append(item)
-        if len(pending) == EVAL_BATCH + 2:
-            flush(EVAL_BATCH)
-    if len(pending) > EVAL_BATCH:
-        flush(len(pending) - 2)
-    if pending:
-        flush(len(pending))
-    return chunks
+        columns = [out.rep.data[:, target.position] for out in chunks]
+    else:
+        columns = [model.class_proba(out.rep, target.task)[:, target.class_index]
+                   for out in chunks]
+    return np.concatenate([np.zeros(0), *columns])
 
 
 def maskable_features(model: CustomerEncoder) -> list[str]:
@@ -194,8 +165,8 @@ def mask_and_delta(model: CustomerEncoder, table: BigTable, customer: str,
                              time_index, model.schema, model.layout)
     if masked is None:
         return 0.0
-    values = _target_column(model, _forward_chunks(model, [(customer, base), (customer, masked)]),
-                            target)
+    pairs = [(customer, base), (customer, masked)]
+    values = _target_column(model, list(model.forward_chunks(pairs)), target)
     return float(values[1] - values[0])
 
 
@@ -282,8 +253,8 @@ def genome_report(model: CustomerEncoder, table: BigTable,
     reproducible and customers can be processed in any order. Each masked
     cell is scored once for all targets that drew it.
     """
-    check_schema(table, model.schema)
-    names, reps = model.represent(table)
+    names, encoded = model.encode_table(table)
+    population = list(model.forward_chunks(zip(names, encoded)))
     feats = maskable_features(model)
     columns = [model.schema.feature_order.index(f) for f in feats]
     if config.targets is not None:
@@ -294,11 +265,10 @@ def genome_report(model: CustomerEncoder, table: BigTable,
         _check_target(model, target)
 
     # step one, and every target's draws, before any masking
-    population_chunks = [reps[lo:lo + EVAL_BATCH] for lo in range(0, len(reps), EVAL_BATCH)]
     plans = []
     for target in targets:
         values = dict(zip(names, (float(v) for v in
-                                  _target_column(model, population_chunks, target))))
+                                  _target_column(model, population, target))))
         threshold = (config.delta_threshold if config.delta_threshold is not None
                      else 0.05 * float(np.std(list(values.values()))))
         chosen = _top_k(values, config.k)
@@ -313,8 +283,8 @@ def genome_report(model: CustomerEncoder, table: BigTable,
         plans.append((target, threshold, chosen, draws))
 
     # step two: forward each customer once, then each distinct changed variant once
-    bases = {cid: encode_rows(table.records[cid], model.schema, model.layout)
-             for _, _, _, draws in plans for cid in draws}
+    encoding = dict(zip(names, encoded))
+    bases = {cid: encoding[cid] for _, _, _, draws in plans for cid in draws}
     cells = dict.fromkeys((cid, t, fi) for _, _, _, draws in plans
                           for cid, cid_draws in draws.items() for t, fi in cid_draws)
     base_row = {cid: i for i, cid in enumerate(bases)}
@@ -329,11 +299,11 @@ def genome_report(model: CustomerEncoder, table: BigTable,
                 masked_row[cid, t, fi] = len(bases) + len(masked_row)
                 yield cid, masked
 
-    rep_chunks = _forward_chunks(model, rows_to_forward())
+    forwarded = list(model.forward_chunks(rows_to_forward()))
 
     genomes = []
     for target, threshold, chosen, draws in plans:
-        values = _target_column(model, rep_chunks, target)
+        values = _target_column(model, forwarded, target)
         trials = []
         for cid, cid_draws in draws.items():
             base = values[base_row[cid]]

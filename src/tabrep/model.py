@@ -15,6 +15,7 @@ penalty on the adaptive depth.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -346,33 +347,50 @@ class CustomerEncoder:
 
     # ---- inference ------------------------------------------------------
 
-    def _batches(self, table, customers, size=EVAL_BATCH):
-        customers, encoded = self.encode_table(table, customers)
-        for lo in range(0, len(customers), size):
-            yield stack_encoded(customers[lo:lo + size], encoded[lo:lo + size])
+    def forward_chunks(self, pairs) -> Iterator[ForwardResult]:
+        """Evaluation-mode forward of (customer, encoding) pairs: one result
+        per chunk of at most EVAL_BATCH rows, in input order.
+
+        No chunk holds a single row unless the input does: BLAS computes a
+        one-row product on its matrix-vector path, which rounds differently
+        from the same row inside a larger batch. `rep` and `ponder` are leaf
+        tensors, so a result kept by the caller keeps no graph alive.
+        """
+        pending: list = []
+
+        def flush(n: int) -> ForwardResult:
+            out = self.forward(stack_encoded(*zip(*pending[:n])), train=False)
+            del pending[:n]
+            return ForwardResult(rep=Tensor(out.rep.data),
+                                 ponder=None if out.ponder is None else Tensor(out.ponder.data))
+
+        for item in pairs:
+            pending.append(item)
+            if len(pending) == EVAL_BATCH + 2:
+                yield flush(EVAL_BATCH)
+        if len(pending) > EVAL_BATCH:
+            yield flush(len(pending) - 2)
+        if pending:
+            yield flush(len(pending))
+
+    def class_proba(self, rep: Tensor, task: str) -> np.ndarray:
+        """Class probabilities of `task` for the rows of one forwarded chunk."""
+        return numeric.softmax(self.task_logits(rep, task), axis=-1).data
 
     def represent(self, table: BigTable, customers=None) -> tuple[list[str], np.ndarray]:
         """Deterministic evaluation-mode representations, one row per customer."""
-        names: list[str] = []
-        chunks = []
-        for batch in self._batches(table, customers):
-            names += batch.customers
-            chunks.append(self.forward(batch, train=False).rep.data)
-        return names, (np.concatenate(chunks) if chunks
-                       else np.zeros((0, self.config.rep_width)))
+        names, encoded = self.encode_table(table, customers)
+        chunks = [out.rep.data for out in self.forward_chunks(zip(names, encoded))]
+        return names, np.concatenate([np.zeros((0, self.config.rep_width)), *chunks])
 
     def predict_proba(self, table: BigTable, task: str,
                       customers=None) -> tuple[list[str], np.ndarray]:
         if task not in self.task_heads:
             raise UnknownTaskError(f"unknown task {task!r}; model has {sorted(self.task_heads)}")
-        names: list[str] = []
-        chunks = []
-        for batch in self._batches(table, customers):
-            names += batch.customers
-            logits = self.task_logits(self.forward(batch, train=False).rep, task)
-            chunks.append(numeric.softmax(logits, axis=-1).data)
-        n_classes = self.tasks[task]
-        return names, (np.concatenate(chunks) if chunks else np.zeros((0, n_classes)))
+        names, encoded = self.encode_table(table, customers)
+        chunks = [self.class_proba(out.rep, task)
+                  for out in self.forward_chunks(zip(names, encoded))]
+        return names, np.concatenate([np.zeros((0, self.tasks[task])), *chunks])
 
     # ---- training -------------------------------------------------------
 
@@ -381,7 +399,9 @@ class CustomerEncoder:
 
         Supervision uses every labeled customer of each configured task
         (others contribute only reconstruction); the best validation loss
-        decides which epoch's parameters are kept.
+        decides which epoch's parameters are kept (the training loss when no
+        validation chunk has a trainable term). Batches and validation chunks
+        without a trainable term are skipped and counted in `skipped_batches`.
         """
         customers, encoded = self.encode_table(table)
         n = len(customers)
@@ -431,9 +451,10 @@ class CustomerEncoder:
         best_loss = np.inf
         best_params: dict[str, np.ndarray] | None = None
 
-        def batch_loss(idx: np.ndarray, train: bool) -> Tensor:
-            batch = stack_encoded([customers[i] for i in idx], [encoded[i] for i in idx])
-            out = self.forward(batch, train=train, rng=drop_rng if train else None)
+        def has_term(idx: np.ndarray) -> bool:
+            return recon_on or any((labels[task][idx] >= 0).any() for task in self.tasks)
+
+        def loss_of(out: ForwardResult, idx: np.ndarray) -> Tensor:
             recon_terms = [mean_squared_error(pred, t[idx])
                            for pred, t in zip(self.reconstruction_outputs(out.rep), targets)
                            ] if recon_on else []
@@ -447,33 +468,42 @@ class CustomerEncoder:
             return joint_loss(recon_terms, task_terms, out.ponder, config.recon_weight,
                               config.ponder_weight, config.task_weights)
 
-        def evaluate_split(idx: np.ndarray) -> float:
-            total, count = 0.0, 0
-            for lo in range(0, len(idx), EVAL_BATCH):
-                chunk = idx[lo:lo + EVAL_BATCH]
-                total += float(batch_loss(chunk, train=False).data) * len(chunk)
-                count += len(chunk)
-            return total / count
+        def train_step(idx: np.ndarray) -> float:
+            # the step's graph is released when this returns, before the next forward
+            batch = stack_encoded([customers[i] for i in idx], [encoded[i] for i in idx])
+            loss = loss_of(self.forward(batch, train=True, rng=drop_rng), idx)
+            opt.zero_grad()
+            numeric.backward(loss)
+            opt.step()
+            return float(loss.data)
 
         for epoch in range(config.epochs):
             order = train_idx[batch_rng.permutation(len(train_idx))]
-            epoch_total, seen = 0.0, 0
+            epoch_total, seen, skipped = 0.0, 0, 0
             for lo in range(0, len(order), config.batch_size):
                 chunk = order[lo:lo + config.batch_size]
-                loss = batch_loss(chunk, train=True)
-                opt.zero_grad()
-                numeric.backward(loss)
-                opt.step()
-                epoch_total += float(loss.data) * len(chunk)
+                if not has_term(chunk):
+                    skipped += 1
+                    continue
+                epoch_total += train_step(chunk) * len(chunk)
                 seen += len(chunk)
             record = {"epoch": epoch, "train_loss": epoch_total / seen,
-                      "val_loss": None, "val_auc": {}}
-            selector = record["train_loss"]
+                      "val_loss": None, "val_auc": {}, "skipped_batches": skipped}
             if len(val_idx):
-                record["val_loss"] = evaluate_split(val_idx)
-                selector = record["val_loss"]
-                record["val_auc"] = self._val_auc(table, customers, labels, val_idx)
+                chunks = list(self.forward_chunks((customers[i], encoded[i]) for i in val_idx))
+                total, count, lo = 0.0, 0, 0
+                for out in chunks:
+                    idx = val_idx[lo:lo + out.rep.shape[0]]
+                    lo += len(idx)
+                    if has_term(idx):
+                        total += float(loss_of(out, idx).data) * len(idx)
+                        count += len(idx)
+                    else:
+                        record["skipped_batches"] += 1
+                record["val_loss"] = total / count if count else None
+                record["val_auc"] = self._val_auc(chunks, labels, val_idx)
             log.append(record)
+            selector = record["train_loss"] if record["val_loss"] is None else record["val_loss"]
             if selector < best_loss:
                 best_loss = selector
                 best_params = {k: p.data.copy() for k, p in self.named_parameters().items()}
@@ -482,18 +512,16 @@ class CustomerEncoder:
                 p.data = best_params[name]
         return log
 
-    def _val_auc(self, table, customers, labels, val_idx) -> dict:
+    def _val_auc(self, chunks: list[ForwardResult], labels: dict[str, np.ndarray],
+                 val_idx: np.ndarray) -> dict:
         from .eval import roc_auc
         out = {}
         for task in self.tasks:
-            if self.tasks[task] != 2:
-                out[task] = None
-                continue
             lab = labels[task][val_idx]
-            rows = val_idx[lab >= 0]
-            if rows.size == 0 or len(set(labels[task][rows])) < 2:
+            known = lab >= 0
+            if self.tasks[task] != 2 or len(set(lab[known])) < 2:
                 out[task] = None
                 continue
-            _, proba = self.predict_proba(table, task, [customers[i] for i in rows])
-            out[task] = roc_auc(proba[:, 1], labels[task][rows])
+            proba = np.concatenate([self.class_proba(c.rep, task) for c in chunks])
+            out[task] = roc_auc(proba[known, 1], lab[known])
         return out

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tabrep.errors import InfeasibleConfigError, SingleClassError
+from tabrep.errors import ConfigError, InfeasibleConfigError, SingleClassError
 from tabrep.eval import (BaselineConfig, MetricSet, SynthConfig, baseline_linear,
                          f_score, flatten_features, roc_auc, synth_generate,
                          task_labels, weighted_accuracy)
@@ -41,6 +41,14 @@ def test_auc_needs_both_classes():
         roc_auc([0.1, 0.9], [1, 1])
     with pytest.raises(SingleClassError):
         roc_auc([0.1, 0.9], [0, 0])
+
+
+def test_auc_rejects_labels_outside_binary():
+    labels = [0, 2, 2, 2, 1, 1]
+    with pytest.raises(ConfigError):
+        roc_auc(np.arange(6.0), labels)
+    with pytest.raises(ConfigError):
+        MetricSet.from_scores(np.linspace(0.0, 1.0, 6), labels)
 
 
 # ---- f-score ------------------------------------------------------------

@@ -16,7 +16,7 @@ from oracles import masked_rows, reference_genome_report
 from tabrep import numeric
 from tabrep.encode import BranchLayout, encode_rows, masked_encoding, same_encoding
 from tabrep.eval import SynthConfig, synth_generate
-from tabrep.interpret import (InterpretConfig, _forward_chunks, class_target, genome_report,
+from tabrep.interpret import (InterpretConfig, class_target, genome_report,
                               mask_and_delta, maskable_features, position_target)
 from tabrep.model import EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig
 from tabrep.prep import OOV_TOKEN_ID, build_schema
@@ -198,6 +198,6 @@ def test_forwarded_rows_do_not_depend_on_chunking(trained):
     model, table = trained
     cid = table.customers[0]
     enc = encode_rows(table.records[cid], model.schema, model.layout)
-    chunks = _forward_chunks(model, [(cid, enc)] * (EVAL_BATCH + 1))
-    rows = np.concatenate(chunks)
+    chunks = model.forward_chunks([(cid, enc)] * (EVAL_BATCH + 1))
+    rows = np.concatenate([out.rep.data for out in chunks])
     assert all(row.tobytes() == rows[0].tobytes() for row in rows)

@@ -1,14 +1,17 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from tabrep import model as model_module
 from tabrep import numeric
 from tabrep.encode import (augmented_summary, encode_customer, stack_encoded,
                            summary_width)
 from tabrep.errors import (AllTermsDisabledError, ConfigError, TableIOError,
                            UnknownTaskError)
-from tabrep.model import (CustomerEncoder, ModelConfig, TrainConfig,
+from tabrep.eval import SynthConfig, synth_generate
+from tabrep.model import (EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig,
                           cross_entropy, joint_loss, mean_squared_error)
 from tabrep.numeric import Tensor
 from tabrep.prep import RecognizerConfig, build_schema
@@ -296,6 +299,51 @@ def test_supervision_requires_labels_when_recon_disabled(schema):
                   TrainConfig(epochs=1, recon_weight=0.0))
 
 
+@pytest.mark.parametrize("val_labeled", [True, False])
+def test_recon_off_skips_batches_without_labeled_customers(val_labeled):
+    """Reconstruction off and 6 of 200 customers labeled: most training
+    batches have no trainable term and are skipped; with no labeled
+    validation customer the validation chunk is skipped too."""
+    table = synth_generate(SynthConfig(n_customers=200, seed=3))
+    config = TrainConfig(epochs=2, batch_size=16, recon_weight=0.0, seed=3)
+    val_idx = numeric.substream(config.seed, "split").permutation(200)[:40]
+    train_idx = np.setdiff1d(np.arange(200), val_idx)
+    pool = [*train_idx[:3], *(val_idx if val_labeled else train_idx[3:])[:3]]
+    labeled = [table.customers[i] for i in pool]
+    table.labels["churn"] = {c: table.labels["churn"][c] for c in labeled}
+    model = CustomerEncoder(build_schema(table, RecognizerConfig()),
+                            small_model_config(dropout=0.1), tasks={"churn": 2}, seed=3)
+    log = model.fit(table, config)
+    assert len(log) == 2
+    for rec in log:
+        assert rec["skipped_batches"] > 0
+        assert math.isfinite(rec["train_loss"])
+        assert (rec["val_loss"] is not None) == val_labeled
+
+
+def test_fit_encodes_once_and_forwards_validation_once_per_epoch(schema, monkeypatch):
+    table = fixture_table()
+    encoded = []
+    monkeypatch.setattr(model_module, "encode_customer",
+                        lambda t, c, *a: encoded.append(c) or encode_customer(t, c, *a))
+    evaluated = []
+    forward = CustomerEncoder.forward
+
+    def spy(self, batch, train=False, rng=None):
+        if not train:
+            evaluated.extend(batch.customers)
+        return forward(self, batch, train, rng)
+
+    monkeypatch.setattr(CustomerEncoder, "forward", spy)
+    model = CustomerEncoder(schema, small_model_config(), tasks={"churn": 2}, seed=3)
+    log = model.fit(table, TrainConfig(epochs=3, batch_size=16, validation_fraction=0.25,
+                                       seed=3))
+    assert sorted(encoded) == sorted(table.customers)
+    assert len(evaluated) == 3 * 10
+    assert Counter(evaluated) == Counter({c: 3 for c in set(evaluated)})
+    assert all(rec["val_auc"]["churn"] is not None for rec in log)
+
+
 def test_label_outside_task_range_rejected(schema):
     table = fixture_table()
     table.labels["churn"]["u000"] = 7
@@ -320,6 +368,23 @@ def test_unknown_task_rejected(schema):
         model.predict_proba(fixture_table(n=2), "upsell")
     with pytest.raises(UnknownTaskError):
         model.task_logits(Tensor(np.zeros((1, 8))), "upsell")
+
+
+def test_inference_never_forwards_a_lone_row(schema, monkeypatch):
+    table = fixture_table(n=EVAL_BATCH + 1)
+    model = CustomerEncoder(schema, small_model_config(), tasks={"churn": 2})
+    sizes = []
+    forward = CustomerEncoder.forward
+
+    def spy(self, batch, train=False, rng=None):
+        sizes.append(batch.size)
+        return forward(self, batch, train, rng)
+
+    monkeypatch.setattr(CustomerEncoder, "forward", spy)
+    _, reps = model.represent(table)
+    _, proba = model.predict_proba(table, "churn")
+    assert reps.shape[0] == proba.shape[0] == EVAL_BATCH + 1
+    assert sizes == [EVAL_BATCH - 1, 2] * 2
 
 
 def test_hand_set_head_matches_straight_line_computation(schema):
