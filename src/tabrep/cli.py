@@ -121,6 +121,7 @@ def cmd_profile(args, cfg: RunConfig) -> int:
     schema = build_schema(table, cfg.recognizer)
     stats = compute_stats(table, schema)
     out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     schema.save(out / "schema.json")
     _write(out / "stats.json", stats.to_json())
     print(f"profiled {table.n_customers} customers, {table.n_features} features "

@@ -26,7 +26,6 @@ class TransformerConfig:
     k: int = 4                   # attention heads
     t_max: int = 4               # refinement step cap
     act_epsilon: float = 0.01
-    ponder_cost: float = 0.01
     dropout: float = numeric.DEFAULT_DROPOUT
     literal_scale: bool = False  # score scale sqrt(n_e) instead of sqrt(n_e/k)
 
@@ -37,8 +36,6 @@ class TransformerConfig:
             raise ValueError("t_max must be >= 1")
         if not 0.0 < self.act_epsilon < 1.0:
             raise ValueError("act_epsilon must lie in (0, 1)")
-        if self.ponder_cost < 0.0:
-            raise ValueError("ponder_cost must be non-negative")
 
     @property
     def head_dim(self) -> int:
@@ -51,12 +48,15 @@ class TransformerConfig:
 
 @dataclass
 class TransformerParams:
-    """Step-shared weights: per-head projections, output mixer, transition
-    pair, halting unit and the final sequence-to-vector mixer."""
+    """Step-shared weights: query/key/value projections, output mixer,
+    transition pair, halting unit and the final sequence-to-vector mixer.
 
-    wq: list[Parameter]
-    wk: list[Parameter]
-    wv: list[Parameter]
+    `wq`, `wk` and `wv` are [n_e, n_e] each; head h owns columns
+    h*head_dim:(h+1)*head_dim, drawn as its own [n_e, head_dim] block."""
+
+    wq: Parameter
+    wk: Parameter
+    wv: Parameter
     wo: Parameter
     ts_w1: Parameter
     ts_b1: Parameter
@@ -71,10 +71,15 @@ class TransformerParams:
              name: str) -> "TransformerParams":
         n_e, hd = config.n_e, config.head_dim
         hidden = 2 * n_e
+
+        def per_head(key):
+            blocks = [numeric.glorot_uniform((n_e, hd), rng, key).data for _ in range(config.k)]
+            return Parameter(np.concatenate(blocks, axis=1), f"{name}.{key}")
+
         return cls(
-            wq=[numeric.glorot_uniform((n_e, hd), rng, f"{name}.wq{i}") for i in range(config.k)],
-            wk=[numeric.glorot_uniform((n_e, hd), rng, f"{name}.wk{i}") for i in range(config.k)],
-            wv=[numeric.glorot_uniform((n_e, hd), rng, f"{name}.wv{i}") for i in range(config.k)],
+            wq=per_head("wq"),
+            wk=per_head("wk"),
+            wv=per_head("wv"),
             wo=numeric.glorot_uniform((n_e, n_e), rng, f"{name}.wo"),
             ts_w1=numeric.glorot_uniform((n_e, hidden), rng, f"{name}.ts_w1"),
             ts_b1=numeric.zeros_param((hidden,), f"{name}.ts_b1"),
@@ -86,7 +91,7 @@ class TransformerParams:
         )
 
     def parameters(self) -> list[Parameter]:
-        return [*self.wq, *self.wk, *self.wv, self.wo, self.ts_w1, self.ts_b1,
+        return [self.wq, self.wk, self.wv, self.wo, self.ts_w1, self.ts_b1,
                 self.ts_w2, self.ts_b2, self.halt_w, self.halt_b, self.wd]
 
 
@@ -113,17 +118,11 @@ def _sinusoid(positions: np.ndarray, width: int) -> np.ndarray:
 
 
 def _attention(e: Tensor, params: TransformerParams, config: TransformerConfig,
-               mask: np.ndarray | None) -> tuple[Tensor, Tensor, bool]:
+               mask: np.ndarray | None) -> tuple[Tensor, Tensor]:
     """Softmax weights [b, k, n_s, n_s] and split values [b, k, n_s, hd] of
-    `e`, plus whether a single [n_s, n_e] sequence gained the batch axis.
-    Masked keys get a large negative score."""
-    squeeze = e.ndim == 2
-    if squeeze:
-        e = numeric.reshape(e, (1,) + e.shape)
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)[None, :]
+    `e` [b, n_s, n_e]. Masked keys get a large negative score."""
     if e.ndim != 3 or e.shape[-1] != config.n_e:
-        raise ShapeMismatchError("mhsa", e.shape, (None, config.n_e))
+        raise ShapeMismatchError("mhsa", e.shape, (None, None, config.n_e))
     b, n_s, _ = e.shape
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
@@ -132,45 +131,42 @@ def _attention(e: Tensor, params: TransformerParams, config: TransformerConfig,
         if not mask.any(axis=1).all():
             raise AllMaskedError("a sequence in the batch has no valid position")
 
-    q = numeric.matmul(e, numeric.concat(params.wq, axis=1))   # [b, n_s, n_e]
-    k = numeric.matmul(e, numeric.concat(params.wk, axis=1))
-    v = numeric.matmul(e, numeric.concat(params.wv, axis=1))
-
     def split(x):
         x = numeric.reshape(x, (b, n_s, config.k, config.head_dim))
         return numeric.transpose(x, (0, 2, 1, 3))              # [b, k, n_s, hd]
 
-    q, k, v = split(q), split(k), split(v)
-    scores = numeric.matmul(q, numeric.swap_axes(k, -1, -2)) * (1.0 / config.score_scale)
+    q = split(numeric.matmul(e, params.wq))
+    k = split(numeric.matmul(e, params.wk))
+    v = split(numeric.matmul(e, params.wv))
+    scores = numeric.matmul(q, numeric.transpose(k, (0, 1, 3, 2))) * (1.0 / config.score_scale)
     if mask is not None:
         key_mask = mask[:, None, None, :].astype(np.float64)   # [b, 1, 1, n_s]
         scores = scores * key_mask + (-NEG_MASK_VALUE) * (1.0 - key_mask)
-    return numeric.softmax(scores, axis=-1), v, squeeze
+    return numeric.softmax(scores, axis=-1), v
 
 
 def mhsa(e: Tensor, params: TransformerParams, config: TransformerConfig,
          mask: np.ndarray | None = None) -> Tensor:
-    """Multi-head dot-product self-attention over the position axis.
+    """Multi-head dot-product self-attention over the position axis of
+    [b, n_s, n_e] sequences, with a [b, n_s] validity mask.
 
-    Accepts [n_s, n_e] or batched [b, n_s, n_e]. Masked (padded) key
-    positions receive a large negative score so their softmax weight
-    underflows to exactly zero; attention rows over valid keys sum to 1.
+    Masked (padded) key positions receive a large negative score so their
+    softmax weight underflows to exactly zero; attention rows over valid
+    keys sum to 1.
     """
-    weights, v, squeeze = _attention(e, params, config, mask)
+    weights, v = _attention(e, params, config, mask)
     b, _, n_s, _ = v.shape
     mixed = numeric.matmul(weights, v)                         # [b, k, n_s, hd]
     mixed = numeric.transpose(mixed, (0, 2, 1, 3))
     mixed = numeric.reshape(mixed, (b, n_s, config.n_e))
-    out = numeric.matmul(mixed, params.wo)
-    return numeric.reshape(out, (n_s, config.n_e)) if squeeze else out
+    return numeric.matmul(mixed, params.wo)
 
 
 def attention_weights(e: Tensor, params: TransformerParams, config: TransformerConfig,
                       mask: np.ndarray | None = None) -> np.ndarray:
-    """The attention matrix [b, k, n_s, n_s] ([k, n_s, n_s] for one
-    sequence) that `mhsa` mixes its values with, for inspection."""
-    weights, _, squeeze = _attention(e, params, config, mask)
-    return weights.data[0] if squeeze else weights.data
+    """The attention matrix [b, k, n_s, n_s] that `mhsa` mixes its values
+    with, for inspection."""
+    return _attention(e, params, config, mask)[0].data
 
 
 def transformer_step(e: Tensor, step: int, params: TransformerParams, config: TransformerConfig,
@@ -196,31 +192,25 @@ class PonderStats:
     mean_remainder: float
     accumulated: np.ndarray = field(repr=False, default=None)
 
-    @property
-    def mean_ponder(self) -> float:
-        return self.mean_steps + self.mean_remainder
-
 
 def act_run(e0: Tensor, params: TransformerParams, config: TransformerConfig,
             mask: np.ndarray | None = None, train: bool = False,
             rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor, PonderStats]:
-    """Adaptive refinement with per-position halting.
+    """Adaptive refinement of [b, n_s, n_e] sequences with per-position
+    halting; `mask` [b, n_s] marks the valid positions.
 
     Per position, sigmoid halting probabilities accumulate across steps; the
     position halts at the first step where the accumulator reaches
     1 - epsilon (or at the cap) and its final state is the snapshot taken at
     that step. The realized halting pattern is treated as fixed during
-    backpropagation; the returned ponder term (mean steps plus remainder,
-    already scaled by the configured cost) is what trains the halting unit.
+    backpropagation; the returned ponder term (mean steps plus mean
+    remainder, at unit cost) is what trains the halting unit.
 
     Returns (final sequence state with padded rows zeroed, scalar ponder
-    penalty, halting statistics).
+    term, halting statistics).
     """
-    squeeze = e0.ndim == 2
-    if squeeze:
-        e0 = numeric.reshape(e0, (1,) + e0.shape)
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)[None, :]
+    if e0.ndim != 3:
+        raise ShapeMismatchError("act_run", e0.shape, (None, None, config.n_e))
     b, n_s, n_e = e0.shape
     valid = np.ones((b, n_s), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if not valid.any():
@@ -261,24 +251,16 @@ def act_run(e0: Tensor, params: TransformerParams, config: TransformerConfig,
         remainder_sum = remainder_sum + term
     mean_remainder = numeric.tensor_sum(remainder_sum * Tensor(weight))
     mean_steps = float((halt_steps * valid).sum() / n_valid)
-    ponder = config.ponder_cost * (mean_steps + mean_remainder)
-
-    stats = PonderStats(halt_steps=halt_steps if not squeeze else halt_steps[0],
-                        mean_steps=mean_steps,
-                        mean_remainder=float(mean_remainder.data),
-                        accumulated=acc if not squeeze else acc[0])
-    if squeeze:
-        final = numeric.reshape(final, (n_s, n_e))
-    return final, ponder, stats
+    stats = PonderStats(halt_steps=halt_steps, mean_steps=mean_steps,
+                        mean_remainder=float(mean_remainder.data), accumulated=acc)
+    return final, mean_steps + mean_remainder, stats
 
 
 def dynamic_embed(e_final: Tensor, wd: Tensor) -> Tensor:
-    """Flatten the halted sequence row-wise and mix it to one vector."""
-    if e_final.ndim == 2:
-        flat = numeric.reshape(e_final, (1, e_final.shape[0] * e_final.shape[1]))
-        if flat.shape[1] != wd.shape[0]:
-            raise ShapeMismatchError("dynamic_embed", e_final.shape, wd.shape)
-        return numeric.reshape(numeric.matmul(flat, wd), (wd.shape[1],))
+    """Flatten each halted [n_s, n_e] sequence of the batch row-wise and mix
+    it to one vector: [b, n_s, n_e] -> [b, wd.shape[1]]."""
+    if e_final.ndim != 3:
+        raise ShapeMismatchError("dynamic_embed", e_final.shape, wd.shape)
     b = e_final.shape[0]
     flat = numeric.reshape(e_final, (b, e_final.shape[1] * e_final.shape[2]))
     if flat.shape[1] != wd.shape[0]:

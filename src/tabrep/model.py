@@ -33,7 +33,7 @@ from .prep import FeatureSchema
 from .table import BigTable
 
 MODEL_FORMAT = "tabrep-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 EVAL_BATCH = 256
 
 
@@ -55,10 +55,9 @@ class ModelConfig:
     attention_literal_scale: bool = False
 
     def transformer(self) -> TransformerConfig:
-        # ponder_cost 1.0: the training loss applies its own ponder weight
         return TransformerConfig(n_s=self.n_s, n_e=self.embed_dim, k=self.heads,
                                  t_max=self.t_max, act_epsilon=self.act_epsilon,
-                                 ponder_cost=1.0, dropout=self.dropout,
+                                 dropout=self.dropout,
                                  literal_scale=self.attention_literal_scale)
 
 
@@ -400,8 +399,10 @@ class CustomerEncoder:
         Supervision uses every labeled customer of each configured task
         (others contribute only reconstruction); the best validation loss
         decides which epoch's parameters are kept (the training loss when no
-        validation chunk has a trainable term). Batches and validation chunks
-        without a trainable term are skipped and counted in `skipped_batches`.
+        validation chunk has a trainable term). A labeled customer adds a task
+        term only when its class has positive training weight; batches and
+        validation chunks without a trainable term are skipped and counted in
+        `skipped_batches`.
         """
         customers, encoded = self.encode_table(table)
         n = len(customers)
@@ -451,8 +452,13 @@ class CustomerEncoder:
         best_loss = np.inf
         best_params: dict[str, np.ndarray] | None = None
 
+        def supervised(task: str, idx: np.ndarray) -> bool:
+            # rows of a class with training weight 0 (absent from training) add nothing
+            lab = labels[task][idx]
+            return bool((self.class_weights[task][lab[lab >= 0]] > 0).any())
+
         def has_term(idx: np.ndarray) -> bool:
-            return recon_on or any((labels[task][idx] >= 0).any() for task in self.tasks)
+            return recon_on or any(supervised(task, idx) for task in self.tasks)
 
         def loss_of(out: ForwardResult, idx: np.ndarray) -> Tensor:
             recon_terms = [mean_squared_error(pred, t[idx])
@@ -460,9 +466,9 @@ class CustomerEncoder:
                            ] if recon_on else []
             task_terms = {}
             for task in self.tasks:
-                lab = labels[task][idx]
-                rows = np.nonzero(lab >= 0)[0]
-                if rows.size:
+                if supervised(task, idx):
+                    lab = labels[task][idx]
+                    rows = np.nonzero(lab >= 0)[0]
                     task_terms[task] = cross_entropy(self.task_logits(out.rep, task)[rows],
                                                      lab[rows], self.class_weights[task])
             return joint_loss(recon_terms, task_terms, out.ponder, config.recon_weight,

@@ -266,18 +266,6 @@ def transpose(a, axes=None) -> Tensor:
     return out
 
 
-def swap_axes(a, ax1: int, ax2: int) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.swapaxes(a.data, ax1, ax2), requires_grad=a.requires_grad, parents=(a,))
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate(np.swapaxes(g, ax1, ax2))
-
-    out._backward_fn = backward_fn
-    return out
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor(np.maximum(a.data, 0.0), requires_grad=a.requires_grad, parents=(a,))

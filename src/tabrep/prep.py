@@ -40,10 +40,6 @@ class FeatureKind(str, Enum):
     def is_categorical(self) -> bool:
         return self in (FeatureKind.STATIC_CATEGORICAL, FeatureKind.DYNAMIC_CATEGORICAL)
 
-    @property
-    def is_dynamic(self) -> bool:
-        return self in (FeatureKind.DYNAMIC_NUMERICAL, FeatureKind.DYNAMIC_CATEGORICAL)
-
 
 @dataclass(frozen=True)
 class RecognizerConfig:
@@ -130,12 +126,23 @@ def _canonical_token(cell) -> str:
     raise TypeError(f"cannot tokenize {cell!r}")
 
 
+def check_range(feature: str, lo: float, hi: float) -> None:
+    """Raise unless [lo, hi] is a range that `uniform_normalize` can scale by."""
+    if hi < lo:
+        raise SchemaError(f"feature {feature!r}: max < min in stats")
+    if not math.isfinite(hi - lo):
+        raise SchemaError(f"feature {feature!r}: range [{lo!r}, {hi!r}] has no finite width")
+
+
 def numeric_range(table: BigTable, feature: str) -> tuple[float, float]:
-    """(min, max) over the feature's non-missing numeric cells; (0, 0) if none."""
+    """(min, max) over the feature's non-missing numeric cells; (0, 0) if none.
+    Raises `SchemaError` when max - min overflows."""
     values = [c.value for c in table.column(feature) if isinstance(c, Number)]
     if not values:
         return (0.0, 0.0)
-    return (min(values), max(values))
+    lo, hi = min(values), max(values)
+    check_range(feature, lo, hi)
+    return (lo, hi)
 
 
 def uniform_normalize(x, stats: tuple[float, float]):
@@ -304,8 +311,7 @@ class FeatureSchema:
 
     def __post_init__(self):
         for feature, (lo, hi) in self.numeric_stats.items():
-            if hi < lo:
-                raise SchemaError(f"feature {feature!r}: max < min in stats")
+            check_range(feature, lo, hi)
         dates = [f for f, k in self.kinds.items() if k is FeatureKind.DATE_INDEX]
         if len(dates) > 1:
             raise SchemaError(f"more than one date-kind feature: {dates}")

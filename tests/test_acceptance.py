@@ -121,9 +121,9 @@ def gradient_cases():
 
     sh = Parameter(rng.normal(size=(2, 6)), name="sh")
     w43 = rng.normal(size=(4, 3))
-    cases.append(("reshape/transpose/swap_axes",
-                  lambda: scalarize(numeric.swap_axes(numeric.transpose(
-                      numeric.reshape(sh, (4, 3))), 0, 1), w43), [sh]))
+    cases.append(("reshape/transpose",
+                  lambda: scalarize(numeric.transpose(numeric.transpose(
+                      numeric.reshape(sh, (4, 3))), (1, 0)), w43), [sh]))
 
     r = Parameter(signed((4, 5)), name="r")
     w45 = rng.normal(size=(4, 5))
@@ -177,29 +177,29 @@ def gradient_cases():
 
     tcfg = TransformerConfig(n_s=3, n_e=8, k=2, t_max=3, dropout=0.0)
     tparams = TransformerParams.init(tcfg, np.random.default_rng(11), "t")
-    te = Parameter(rng.normal(size=(3, 8)), name="te")
-    tmask = np.array([True, True, False])
-    w38 = rng.normal(size=(3, 8))
+    te = Parameter(rng.normal(size=(1, 3, 8)), name="te")
+    tmask = np.array([[True, True, False]])
+    w38 = rng.normal(size=(1, 3, 8))
     cases.append(("mhsa", lambda: scalarize(mhsa(te, tparams, tcfg, mask=tmask), w38),
-                  [te, tparams.wq[0], tparams.wk[1], tparams.wv[0], tparams.wo]))
+                  [te, tparams.wq, tparams.wk, tparams.wv, tparams.wo]))
     cases.append(("transformer_step",
                   lambda: scalarize(transformer_step(te, 1, tparams, tcfg), w38),
                   [te, tparams.ts_w1, tparams.ts_b1, tparams.ts_w2]))
 
     aparams = TransformerParams.init(tcfg, np.random.default_rng(35), "t")
     aparams.halt_b.data[:] = -1.0       # keep refinement running a few steps
-    ae = Parameter(rng.normal(size=(3, 8)), name="ae")
+    ae = Parameter(rng.normal(size=(1, 3, 8)), name="ae")
 
     def act_fn():
         final, ponder, _ = act_run(ae, aparams, tcfg, mask=tmask)
-        return scalarize(final, w38) + ponder
+        return scalarize(final, w38) + 0.01 * ponder
 
     cases.append(("act_run", act_fn,
-                  [ae, aparams.wq[0], aparams.wv[1], aparams.ts_w1,
+                  [ae, aparams.wq, aparams.wv, aparams.ts_w1,
                    aparams.halt_w, aparams.halt_b, aparams.wo]))
 
     wd = Parameter(rng.normal(size=(24, 4)), name="wd")
-    de = Parameter(rng.normal(size=(3, 8)), name="de")
+    de = Parameter(rng.normal(size=(1, 3, 8)), name="de")
     w34d = rng.normal(size=(3, 4))
     cases.append(("dynamic_embed", lambda: scalarize(dynamic_embed(de, wd), w34d),
                   [wd, de]))
@@ -340,13 +340,13 @@ def test_criterion_4_structural_invariants():
         # padded positions never leak into valid attention outputs
         config = TransformerConfig(n_s=5, n_e=8, k=2, t_max=2, dropout=0.0)
         params = TransformerParams.init(config, rng, "t")
-        base = rng.normal(size=(5, config.n_e))
-        mask = np.array([True, True, True, False, False])
+        base = rng.normal(size=(1, 5, config.n_e))
+        mask = np.array([[True, True, True, False, False]])
         altered = base.copy()
-        altered[3:] += 100.0
+        altered[:, 3:] += 100.0
         out_a = mhsa(Tensor(base), params, config, mask=mask).data
         out_b = mhsa(Tensor(altered), params, config, mask=mask).data
-        assert out_a[:3].tobytes() == out_b[:3].tobytes()
+        assert out_a[:, :3].tobytes() == out_b[:, :3].tobytes()
 
         # halting steps stay within the cap on random inputs
         for _ in range(100):
@@ -354,7 +354,7 @@ def test_criterion_4_structural_invariants():
                                        t_max=int(rng.integers(1, 5)), dropout=0.0)
             params = TransformerParams.init(config, rng, "t")
             params.halt_b.data[:] = rng.uniform(-3.0, 3.0)
-            _, _, stats = act_run(Tensor(rng.normal(size=(3, config.n_e))),
+            _, _, stats = act_run(Tensor(rng.normal(size=(1, 3, config.n_e))),
                                   params, config)
             assert np.all(stats.halt_steps >= 1)
             assert np.all(stats.halt_steps <= config.t_max)

@@ -166,6 +166,18 @@ def test_unreadable_table_maps_to_stage_exit_code(tmp_path, capsys):
     assert "message" in payload["error"]
 
 
+def test_profile_creates_missing_out_dir(tmp_path, capsys):
+    table = synth_generate(SynthConfig(n_customers=12, records_min=3, records_max=6, seed=1))
+    save_table(table, tmp_path / "t.csv", TABLE_FORMAT)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"format": FORMAT}))
+    out = tmp_path / "absent" / "run"
+    assert run_cli(["profile", "--config", str(config), "--table", str(tmp_path / "t.csv"),
+                    "--out", str(out)]) == 0
+    assert (out / "schema.json").exists() and (out / "stats.json").exists()
+    assert not capsys.readouterr().err
+
+
 def test_bad_config_reports_stage_code(tmp_path, capsys):
     config = tmp_path / "c.json"
     config.write_text('{"synth": {"n_customers": -4}}')
@@ -222,6 +234,11 @@ def table_file(label):
     return write
 
 
+def overflowing_range(payload):
+    feature = next(iter(payload["numeric_stats"]))
+    payload["numeric_stats"][feature] = [-1.5e308, 1.5e308]
+
+
 def first_weight(value):
     def edit(payload):
         next(iter(payload["params"]["tensors"].values()))["data"][0] = value
@@ -245,6 +262,11 @@ MALFORMED = [
     ("section-not-an-object", "interpret", {"interpret": "fast"}, {}, "config-error"),
     ("table-not-utf8", "profile", {},
      {"t.csv": "customer_id,date,f\nc1,2020-01-01,caf\xe9\n".encode("latin-1")}, "io-error"),
+    ("table-range-overflows", "profile", {},
+     {"t.csv": b"customer_id,date,f,churn\nc1,2020-01-01,1.5e308,0\n"
+               b"c1,2020-01-02,0.5,0\nc2,2020-01-01,-1.5e308,1\n"}, "schema-error"),
+    ("schema-range-overflows", "train", {},
+     {"schema.json": schema_file(overflowing_range)}, "schema-error"),
     ("schema-corrupt-json", "train", {}, {"schema.json": b'{"feature_order": ['}, "io-error"),
     ("schema-missing-keys", "train", {},
      {"schema.json": schema_file(lambda s: s.pop("kinds"))}, "io-error"),
@@ -252,6 +274,8 @@ MALFORMED = [
      {"m.json": checkpoint_file(lambda c: c.pop("tasks"))}, "io-error"),
     ("checkpoint-unknown-config-key", "embed", {},
      {"m.json": checkpoint_file(lambda c: c["config"].update(colour=1))}, "io-error"),
+    ("checkpoint-version-1", "embed", {},
+     {"m.json": checkpoint_file(lambda c: c.update(version=1))}, "io-error"),
     ("checkpoint-nan-weight", "embed", {},
      {"m.json": checkpoint_file(first_weight(float("nan")))}, "io-error"),
     ("checkpoint-inf-weight", "embed", {},

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from tabrep import numeric
-from tabrep.dynamics import (PonderStats, TransformerConfig, TransformerParams,
-                             act_run, attention_weights, coordinate_embedding,
-                             dynamic_embed, mhsa, transformer_step)
+from tabrep import dynamics, numeric
+from tabrep.dynamics import (TransformerConfig, TransformerParams, act_run,
+                             attention_weights, coordinate_embedding, dynamic_embed,
+                             mhsa, transformer_step)
 from tabrep.errors import AllMaskedError, ShapeMismatchError
 from tabrep.numeric import Parameter, Tensor
 
@@ -25,6 +25,42 @@ def ref_layer_norm(x, eps=1e-5):
     mean = x.mean(axis=-1, keepdims=True)
     var = ((x - mean) ** 2).mean(axis=-1, keepdims=True)
     return (x - mean) / np.sqrt(var + eps)
+
+
+# ---- parameters and input shapes -----------------------------------------
+
+def test_projections_are_per_head_blocks_drawn_in_order():
+    # the layout of the per-head matrices they replace, drawn the same way
+    config = small_config(n_e=12, k=3)
+    params = TransformerParams.init(config, np.random.default_rng(7), "t")
+    rng = np.random.default_rng(7)
+    shape = (config.n_e, config.head_dim)
+    for w in (params.wq, params.wk, params.wv):
+        blocks = [numeric.glorot_uniform(shape, rng, "head").data for _ in range(config.k)]
+        assert w.shape == (config.n_e, config.n_e)
+        assert w.data.tobytes() == np.concatenate(blocks, axis=1).tobytes()
+    wo = numeric.glorot_uniform((config.n_e, config.n_e), rng, "wo")
+    assert params.wo.data.tobytes() == wo.data.tobytes()
+    assert [p.name for p in params.parameters()][:3] == ["t.wq", "t.wk", "t.wv"]
+
+
+UNBATCHED_CALLS = {
+    "_attention": lambda e, params, config, mask: dynamics._attention(e, params, config, mask),
+    "mhsa": lambda e, params, config, mask: mhsa(e, params, config, mask=mask),
+    "attention_weights": lambda e, params, config, mask: attention_weights(e, params, config,
+                                                                           mask=mask),
+    "act_run": lambda e, params, config, mask: act_run(e, params, config, mask=mask),
+    "dynamic_embed": lambda e, params, config, mask: dynamic_embed(e, params.wd),
+}
+
+
+@pytest.mark.parametrize("name", list(UNBATCHED_CALLS))
+def test_single_unbatched_sequence_is_rejected(name):
+    config = small_config()
+    params = init_params(config)
+    e = Tensor(np.zeros((config.n_s, config.n_e)))
+    with pytest.raises(ShapeMismatchError):
+        UNBATCHED_CALLS[name](e, params, config, np.ones(config.n_s, dtype=bool))
 
 
 # ---- coordinate embedding ------------------------------------------------
@@ -58,12 +94,11 @@ def test_step_index_starts_at_one():
 def test_single_position_attention_weight_is_one():
     config = small_config(n_s=1)
     params = init_params(config)
-    e = Tensor(np.random.default_rng(1).normal(size=(1, config.n_e)))
+    e = Tensor(np.random.default_rng(1).normal(size=(1, 1, config.n_e)))
     w = attention_weights(e, params, config)
     assert np.allclose(w, 1.0, atol=1e-12)
     # with the sole softmax weight at 1 the output is (E Wv) mixed by Wo
-    wv = np.concatenate([p.data for p in params.wv], axis=1)
-    want = (e.data @ wv) @ params.wo.data
+    want = (e.data @ params.wv.data) @ params.wo.data
     assert np.allclose(mhsa(e, params, config).data, want, atol=1e-12)
 
 
@@ -87,9 +122,9 @@ def test_two_position_single_head_matches_brute_force():
     wk = np.array([[0.3, -1.0], [1.0, 0.2]])
     wv = np.array([[2.0, 0.0], [0.0, -1.0]])
     wo = np.array([[1.0, 1.0], [0.0, 1.0]])
-    params.wq[0].data[:] = wq
-    params.wk[0].data[:] = wk
-    params.wv[0].data[:] = wv
+    params.wq.data[:] = wq
+    params.wk.data[:] = wk
+    params.wv.data[:] = wv
     params.wo.data[:] = wo
     e = np.array([[0.2, -0.4], [1.0, 0.3]])
 
@@ -98,7 +133,7 @@ def test_two_position_single_head_matches_brute_force():
     soft = expw / expw.sum(axis=1, keepdims=True)
     want = (soft @ (e @ wv)) @ wo
 
-    got = mhsa(Tensor(e), params, config).data
+    got = mhsa(Tensor(e[None]), params, config).data[0]
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -106,37 +141,39 @@ def test_padded_values_cannot_leak_into_valid_rows():
     config = small_config()
     params = init_params(config, seed=7)
     rng = np.random.default_rng(8)
-    base = rng.normal(size=(config.n_s, config.n_e))
-    mask = np.array([True, True, False, False])
+    base = rng.normal(size=(1, config.n_s, config.n_e))
+    mask = np.array([[True, True, False, False]])
 
     altered = base.copy()
-    altered[2:] = rng.normal(size=(2, config.n_e)) * 100.0
+    altered[0, 2:] = rng.normal(size=(2, config.n_e)) * 100.0
 
     out_a = mhsa(Tensor(base), params, config, mask=mask).data
     out_b = mhsa(Tensor(altered), params, config, mask=mask).data
-    assert out_a[:2].tobytes() == out_b[:2].tobytes()
+    assert out_a[0, :2].tobytes() == out_b[0, :2].tobytes()
 
 
 def test_all_masked_sequence_rejected():
     config = small_config()
     params = init_params(config)
-    e = Tensor(np.zeros((config.n_s, config.n_e)))
+    e = Tensor(np.zeros((2, config.n_s, config.n_e)))
+    mask = np.ones((2, config.n_s), dtype=bool)
+    mask[1] = False
     with pytest.raises(AllMaskedError):
-        mhsa(e, params, config, mask=np.zeros(config.n_s, dtype=bool))
+        mhsa(e, params, config, mask=mask)
 
 
 def test_mhsa_gradcheck():
     config = small_config(n_s=3)
     params = init_params(config, seed=11)
     rng = np.random.default_rng(12)
-    e = Parameter(rng.normal(size=(3, config.n_e)), name="e")
-    mask = np.array([True, True, False])
-    w = rng.normal(size=(3, config.n_e))
+    e = Parameter(rng.normal(size=(1, 3, config.n_e)), name="e")
+    mask = np.array([[True, True, False]])
+    w = rng.normal(size=(1, 3, config.n_e))
 
     def fn():
         return scalarize(mhsa(e, params, config, mask=mask), w)
 
-    assert_gradients_match(fn, [e, params.wq[0], params.wk[1], params.wv[0], params.wo])
+    assert_gradients_match(fn, [e, params.wq, params.wk, params.wv, params.wo])
 
 
 # ---- one refinement step -------------------------------------------------
@@ -144,7 +181,7 @@ def test_mhsa_gradcheck():
 def test_step_deterministic_in_eval_mode():
     config = small_config()
     params = init_params(config, seed=13)
-    e = Tensor(np.random.default_rng(14).normal(size=(config.n_s, config.n_e)))
+    e = Tensor(np.random.default_rng(14).normal(size=(1, config.n_s, config.n_e)))
     a = transformer_step(e, 1, params, config).data
     b = transformer_step(e, 1, params, config).data
     assert a.tobytes() == b.tobytes()
@@ -154,8 +191,8 @@ def test_step_preserves_shape():
     for n_s, n_e, k in [(2, 4, 1), (5, 12, 3), (8, 32, 4)]:
         config = TransformerConfig(n_s=n_s, n_e=n_e, k=k, dropout=0.0)
         params = init_params(config)
-        e = Tensor(np.zeros((n_s, n_e)))
-        assert transformer_step(e, 2, params, config).shape == (n_s, n_e)
+        e = Tensor(np.zeros((3, n_s, n_e)))
+        assert transformer_step(e, 2, params, config).shape == (3, n_s, n_e)
 
 
 def test_zero_weights_reduce_to_double_layer_norm():
@@ -163,7 +200,7 @@ def test_zero_weights_reduce_to_double_layer_norm():
     params = init_params(config, seed=15)
     for p in params.parameters():
         p.data[:] = 0.0
-    e = np.random.default_rng(16).normal(size=(config.n_s, config.n_e))
+    e = np.random.default_rng(16).normal(size=(1, config.n_s, config.n_e))
     coords = coordinate_embedding(1, config.n_s, config.n_e)
     want = ref_layer_norm(ref_layer_norm(e + coords))
     got = transformer_step(Tensor(e), 1, params, config).data
@@ -174,8 +211,8 @@ def test_step_gradcheck():
     config = small_config(n_s=3)
     params = init_params(config, seed=17)
     rng = np.random.default_rng(18)
-    e = Parameter(rng.normal(size=(3, config.n_e)), name="e")
-    w = rng.normal(size=(3, config.n_e))
+    e = Parameter(rng.normal(size=(1, 3, config.n_e)), name="e")
+    w = rng.normal(size=(1, 3, config.n_e))
 
     def fn():
         return scalarize(transformer_step(e, 1, params, config), w)
@@ -190,7 +227,7 @@ def test_strong_halt_bias_stops_after_one_step():
     params = init_params(config, seed=19)
     params.halt_w.data[:] = 0.0
     params.halt_b.data[:] = 20.0          # sigmoid ~ 1 everywhere
-    e0 = Tensor(np.random.default_rng(20).normal(size=(config.n_s, config.n_e)))
+    e0 = Tensor(np.random.default_rng(20).normal(size=(1, config.n_s, config.n_e)))
     final, ponder, stats = act_run(e0, params, config)
     assert np.all(stats.halt_steps == 1)
     want = transformer_step(e0, 1, params, config).data
@@ -202,7 +239,7 @@ def test_near_zero_halting_probability_hits_the_cap():
     params = init_params(config, seed=21)
     params.halt_w.data[:] = 0.0
     params.halt_b.data[:] = -20.0         # sigmoid ~ 0 everywhere
-    e0 = Tensor(np.random.default_rng(22).normal(size=(config.n_s, config.n_e)))
+    e0 = Tensor(np.random.default_rng(22).normal(size=(1, config.n_s, config.n_e)))
     _, _, stats = act_run(e0, params, config)
     assert np.all(stats.halt_steps == config.t_max)
 
@@ -212,7 +249,7 @@ def test_halt_steps_bounded_over_random_trials():
     rng = np.random.default_rng(23)
     for trial in range(100):
         params = init_params(config, seed=trial)
-        e0 = Tensor(rng.normal(size=(config.n_s, config.n_e)))
+        e0 = Tensor(rng.normal(size=(1, config.n_s, config.n_e)))
         _, _, stats = act_run(e0, params, config)
         assert np.all(stats.halt_steps >= 1)
         assert np.all(stats.halt_steps <= config.t_max)
@@ -224,7 +261,7 @@ def test_halting_mass_accounting():
     threshold = 1.0 - config.act_epsilon
     for trial in range(20):
         params = init_params(config, seed=100 + trial)
-        e0 = Tensor(rng.normal(size=(config.n_s, config.n_e)))
+        e0 = Tensor(rng.normal(size=(1, config.n_s, config.n_e)))
         _, _, stats = act_run(e0, params, config)
         # mass before the halting step was below threshold, so total stays
         # under threshold + 1; capped positions can stop with less
@@ -236,27 +273,23 @@ def test_halting_mass_accounting():
 def test_padded_positions_excluded_and_zeroed():
     config = small_config()
     params = init_params(config, seed=31)
-    e0 = Tensor(np.random.default_rng(32).normal(size=(config.n_s, config.n_e)))
-    mask = np.array([True, True, True, False])
+    e0 = Tensor(np.random.default_rng(32).normal(size=(1, config.n_s, config.n_e)))
+    mask = np.array([[True, True, True, False]])
     final, _, stats = act_run(e0, params, config, mask=mask)
-    assert stats.halt_steps[3] == 0
-    assert np.all(final.data[3] == 0.0)
-    assert np.all(stats.halt_steps[:3] >= 1)
+    assert stats.halt_steps[0, 3] == 0
+    assert np.all(final.data[0, 3] == 0.0)
+    assert np.all(stats.halt_steps[0, :3] >= 1)
 
 
-def test_ponder_scales_with_configured_cost():
-    rng = np.random.default_rng(33)
-    e = rng.normal(size=(4, 8))
-    ponders = {}
-    for cost in (0.5, 1.0):
-        config = small_config(ponder_cost=cost)
-        params = init_params(config, seed=34)
-        _, ponder, stats = act_run(Tensor(e), params, config)
-        assert float(ponder.data) == pytest.approx(
-            cost * (stats.mean_steps + stats.mean_remainder), abs=1e-12)
-        assert 0.0 <= stats.mean_remainder <= 1.0
-        ponders[cost] = float(ponder.data)
-    assert ponders[1.0] == pytest.approx(2.0 * ponders[0.5], abs=1e-12)
+def test_ponder_is_mean_steps_plus_mean_remainder():
+    config = small_config()
+    params = init_params(config, seed=34)
+    e = np.random.default_rng(33).normal(size=(2, config.n_s, config.n_e))
+    mask = np.array([[True, True, True, True], [True, True, False, False]])
+    _, ponder, stats = act_run(Tensor(e), params, config, mask=mask)
+    assert float(ponder.data) == stats.mean_steps + stats.mean_remainder
+    assert stats.mean_steps == stats.halt_steps.sum() / mask.sum()
+    assert 0.0 <= stats.mean_remainder <= 1.0
 
 
 def test_act_gradcheck_three_step_unrolled():
@@ -264,16 +297,16 @@ def test_act_gradcheck_three_step_unrolled():
     params = init_params(config, seed=35)
     params.halt_b.data[:] = -1.0          # keep refinement running a few steps
     rng = np.random.default_rng(36)
-    e0 = Parameter(rng.normal(size=(3, config.n_e)), name="e0")
-    mask = np.array([True, True, False])
-    w = rng.normal(size=(3, config.n_e))
+    e0 = Parameter(rng.normal(size=(1, 3, config.n_e)), name="e0")
+    mask = np.array([[True, True, False]])
+    w = rng.normal(size=(1, 3, config.n_e))
 
     def fn():
         final, ponder, _ = act_run(e0, params, config, mask=mask)
         return scalarize(final, w) + ponder
 
     assert_gradients_match(
-        fn, [e0, params.wq[0], params.wv[1], params.ts_w1, params.halt_w,
+        fn, [e0, params.wq, params.wv, params.ts_w1, params.halt_w,
              params.halt_b, params.wo])
 
 
@@ -281,21 +314,21 @@ def test_act_gradcheck_three_step_unrolled():
 
 def test_zero_sequence_embeds_to_zero():
     wd = Tensor(np.random.default_rng(37).normal(size=(12, 4)))
-    out = dynamic_embed(Tensor(np.zeros((3, 4))), wd)
+    out = dynamic_embed(Tensor(np.zeros((2, 3, 4))), wd)
     assert np.all(out.data == 0.0)
 
 
 def test_stacked_identity_blocks_give_row_mean():
     n_s, n_e = 4, 5
-    e = np.random.default_rng(38).normal(size=(n_s, n_e))
+    e = np.random.default_rng(38).normal(size=(2, n_s, n_e))
     wd = Tensor(np.tile(np.eye(n_e), (n_s, 1)) / n_s)
     out = dynamic_embed(Tensor(e), wd)
-    assert np.allclose(out.data, e.mean(axis=0), atol=1e-12)
+    assert np.allclose(out.data, e.mean(axis=1), atol=1e-12)
 
 
 def test_doubling_input_doubles_embedding():
     rng = np.random.default_rng(39)
-    e = rng.normal(size=(2, 6))
+    e = rng.normal(size=(1, 2, 6))
     wd = Tensor(rng.normal(size=(12, 3)))
     once = dynamic_embed(Tensor(e), wd).data
     twice = dynamic_embed(Tensor(2.0 * e), wd).data
@@ -305,7 +338,7 @@ def test_doubling_input_doubles_embedding():
 def test_flatten_width_must_match_mixer():
     wd = Tensor(np.zeros((10, 3)))
     with pytest.raises(ShapeMismatchError):
-        dynamic_embed(Tensor(np.zeros((3, 4))), wd)
+        dynamic_embed(Tensor(np.zeros((1, 3, 4))), wd)
 
 
 def test_batched_embedding_matches_per_sequence():
@@ -314,5 +347,5 @@ def test_batched_embedding_matches_per_sequence():
     wd = Tensor(rng.normal(size=(12, 5)))
     batched = dynamic_embed(Tensor(e), wd).data
     for i in range(3):
-        single = dynamic_embed(Tensor(e[i]), wd).data
-        assert np.allclose(batched[i], single, atol=1e-12)
+        single = dynamic_embed(Tensor(e[i:i + 1]), wd).data
+        assert np.allclose(batched[i], single[0], atol=1e-12)

@@ -321,6 +321,32 @@ def test_recon_off_skips_batches_without_labeled_customers(val_labeled):
         assert (rec["val_loss"] is not None) == val_labeled
 
 
+@pytest.mark.parametrize("recon_weight", [0.5, 0.0])
+def test_validation_class_unseen_in_training_adds_no_term(recon_weight):
+    """The first 60 of 200 customers labeled: validation ones 1, training
+    ones 0. Class 1 has no training weight, so the validation chunk has no
+    supervised term: with reconstruction on its loss is reconstruction and
+    ponder only, with it off the chunk is skipped and counted."""
+    table = synth_generate(SynthConfig(n_customers=200, seed=3))
+    config = TrainConfig(epochs=1, batch_size=16, recon_weight=recon_weight, seed=3)
+    perm = numeric.substream(config.seed, "split").permutation(200)
+    val_idx, train_idx = perm[:40], perm[40:]
+    table.labels["churn"] = {c: int(i in val_idx) for i, c in enumerate(table.customers[:60])}
+    model = CustomerEncoder(build_schema(table, RecognizerConfig()),
+                            small_model_config(), tasks={"churn": 2}, seed=3)
+    (rec,) = model.fit(table, config)
+    assert model.class_weights["churn"][1] == 0.0
+    assert math.isfinite(rec["train_loss"])
+    if recon_weight:
+        assert math.isfinite(rec["val_loss"])
+        assert rec["skipped_batches"] == 0
+    else:
+        assert rec["val_loss"] is None
+        order = train_idx[numeric.substream(config.seed, "batches").permutation(160)]
+        unlabeled = sum(not (order[lo:lo + 16] < 60).any() for lo in range(0, 160, 16))
+        assert rec["skipped_batches"] == unlabeled + 1     # plus the validation chunk
+
+
 def test_fit_encodes_once_and_forwards_validation_once_per_epoch(schema, monkeypatch):
     table = fixture_table()
     encoded = []
