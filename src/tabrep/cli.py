@@ -89,9 +89,20 @@ def load_config(path: str | None, seed_override: int | None = None) -> RunConfig
     return cfg
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+def _out_dir(args) -> Path:
+    """The `--out` directory, created if missing."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_rows(path: Path, header: list, names, rows) -> None:
+    """One CSV row per customer: its id, then `repr(float)` of each value."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for cid, row in zip(names, rows):
+            writer.writerow([cid] + [repr(float(v)) for v in row])
 
 
 def _load_ordered(args, cfg: RunConfig) -> BigTable:
@@ -120,10 +131,9 @@ def cmd_profile(args, cfg: RunConfig) -> int:
     table = _load_ordered(args, cfg)
     schema = build_schema(table, cfg.recognizer)
     stats = compute_stats(table, schema)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     schema.save(out / "schema.json")
-    _write(out / "stats.json", stats.to_json())
+    (out / "stats.json").write_text(stats.to_json())
     print(f"profiled {table.n_customers} customers, {table.n_features} features "
           f"-> {out / 'schema.json'}, {out / 'stats.json'}")
     return 0
@@ -131,12 +141,11 @@ def cmd_profile(args, cfg: RunConfig) -> int:
 
 def cmd_synth(args, cfg: RunConfig) -> int:
     table = synth_generate(cfg.synth)
-    out = Path(args.out) / (args.name or "synth.csv")
+    out = _out_dir(args) / (args.name or "synth.csv")
     fmt = TableFormat(id_column=cfg.format.id_column,
                       date_column=cfg.format.date_column or "date",
                       delimiter=cfg.format.delimiter,
                       label_columns=(cfg.synth.task,))
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_table(table, out, fmt)
     print(f"wrote {table.n_customers} customers to {out}")
     return 0
@@ -149,11 +158,10 @@ def cmd_train(args, cfg: RunConfig) -> int:
     tasks = _infer_tasks(table, task_names) if task_names else {}
     model = CustomerEncoder(schema, cfg.model, tasks, seed=cfg.seed)
     log = model.fit(table, cfg.train)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     model.save(out / "checkpoint.json")
     log_lines = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in log)
-    _write(out / "train_log.jsonl", log_lines)
+    (out / "train_log.jsonl").write_text(log_lines)
     last = log[-1] if log else {}
     print(f"trained {len(log)} epochs on {table.n_customers} customers "
           f"-> {out / 'checkpoint.json'} (final train loss "
@@ -165,13 +173,9 @@ def cmd_embed(args, cfg: RunConfig) -> int:
     table = _load_ordered(args, cfg)
     model = CustomerEncoder.load(args.checkpoint)
     names, reps = model.represent(table)
-    out = Path(args.out) / "embeddings.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([cfg.format.id_column] + [f"r{i:03d}" for i in range(reps.shape[1])])
-        for cid, row in zip(names, reps):
-            writer.writerow([cid] + [repr(float(v)) for v in row])
+    out = _out_dir(args) / "embeddings.csv"
+    _write_rows(out, [cfg.format.id_column] + [f"r{i:03d}" for i in range(reps.shape[1])],
+                names, reps)
     print(f"wrote {len(names)} representation rows to {out}")
     return 0
 
@@ -183,14 +187,9 @@ def cmd_predict(args, cfg: RunConfig) -> int:
     if task is None:
         raise ConfigError("model has no task heads; nothing to predict")
     names, proba = model.predict_proba(table, task)
-    out = Path(args.out) / "predictions.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([cfg.format.id_column]
-                        + [f"p_{task}_{c}" for c in range(proba.shape[1])])
-        for cid, row in zip(names, proba):
-            writer.writerow([cid] + [repr(float(v)) for v in row])
+    out = _out_dir(args) / "predictions.csv"
+    _write_rows(out, [cfg.format.id_column] + [f"p_{task}_{c}" for c in range(proba.shape[1])],
+                names, proba)
     print(f"wrote {len(names)} prediction rows to {out}")
     return 0
 
@@ -199,11 +198,11 @@ def cmd_interpret(args, cfg: RunConfig) -> int:
     table = _load_ordered(args, cfg)
     model = CustomerEncoder.load(args.checkpoint)
     report = genome_report(model, table, cfg.interpret)
-    out = Path(args.out)
-    _write(out / "genome.json", report.to_json())
+    out = _out_dir(args)
+    (out / "genome.json").write_text(report.to_json())
     written = [str(out / "genome.json")]
     if args.text:
-        _write(out / "genome.txt", report.render_text())
+        (out / "genome.txt").write_text(report.render_text())
         written.append(str(out / "genome.txt"))
     print(f"wrote genome report for {len(report.targets)} targets -> {', '.join(written)}")
     return 0
@@ -224,8 +223,8 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     names, proba = model.predict_proba(table, task, [c for c in table.customers if c in got])
     labels = [int(got[c]) for c in names]
     metrics = MetricSet.from_scores(proba[:, 1], labels)
-    out = Path(args.out) / "metrics.json"
-    _write(out, metrics.to_json())
+    out = _out_dir(args) / "metrics.json"
+    out.write_text(metrics.to_json())
     print(f"evaluated task {task!r} on {len(names)} labeled customers -> {out}: "
           f"auc {metrics.auc:.4f}, f {metrics.f_score:.4f}, "
           f"wacc {metrics.weighted_accuracy:.4f}")

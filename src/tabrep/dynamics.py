@@ -27,7 +27,6 @@ class TransformerConfig:
     t_max: int = 4               # refinement step cap
     act_epsilon: float = 0.01
     dropout: float = numeric.DEFAULT_DROPOUT
-    literal_scale: bool = False  # score scale sqrt(n_e) instead of sqrt(n_e/k)
 
     def __post_init__(self):
         if self.n_e % self.k:
@@ -43,7 +42,7 @@ class TransformerConfig:
 
     @property
     def score_scale(self) -> float:
-        return math.sqrt(self.n_e) if self.literal_scale else math.sqrt(self.head_dim)
+        return math.sqrt(self.head_dim)
 
 
 @dataclass
@@ -238,7 +237,7 @@ def act_run(e0: Tensor, params: TransformerParams, config: TransformerConfig,
         remainder_terms.append(Tensor(select) * (1.0 - mass_before))
 
         acc_graph = p if acc_graph is None else acc_graph + p
-        acc = acc + p.data
+        acc = acc + np.where(valid, p.data, 0.0)
         halt_steps[crossing] = step
         halted |= crossing
         if halted.all():

@@ -33,7 +33,7 @@ from .prep import FeatureSchema
 from .table import BigTable
 
 MODEL_FORMAT = "tabrep-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 EVAL_BATCH = 256
 
 
@@ -52,13 +52,11 @@ class ModelConfig:
     head_hidden: int = 32
     recon_count: int = 3
     recon_dim: int = 16
-    attention_literal_scale: bool = False
 
     def transformer(self) -> TransformerConfig:
         return TransformerConfig(n_s=self.n_s, n_e=self.embed_dim, k=self.heads,
                                  t_max=self.t_max, act_epsilon=self.act_epsilon,
-                                 dropout=self.dropout,
-                                 literal_scale=self.attention_literal_scale)
+                                 dropout=self.dropout)
 
 
 @dataclass(frozen=True)

@@ -31,22 +31,20 @@ def substream(seed: int, name: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(key,))))
 
 
-def _as_array(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    return arr
-
-
 class Tensor:
-    """N-dimensional float64 array node in the differentiation graph."""
+    """N-dimensional float64 array node in the differentiation graph.
+
+    Ops record their nodes through `_node`; a tensor built directly is a
+    leaf, with no parents and no backward function."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "name")
 
-    def __init__(self, data, requires_grad: bool = False, parents=(), backward_fn=None, name: str | None = None):
-        self.data = _as_array(data)
+    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents = parents
-        self._backward_fn = backward_fn
+        self._parents = ()
+        self._backward_fn = None
         self.name = name
 
     @property
@@ -56,9 +54,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def item(self) -> float:
-        return float(self.data)
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -112,8 +107,24 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _needs_grad(*tensors: Tensor) -> bool:
-    return any(t.requires_grad for t in tensors)
+def _node(data, *edges) -> Tensor:
+    """Record one op: its value `data` and one edge `(parent, share)` per
+    parent, where `share(g)` is that parent's part of the output gradient
+    `g`. Only parents that require a gradient are linked, and the backward
+    function exists only when one does: a node computed from constants
+    alone is a plain leaf."""
+    out = Tensor(data)
+    live = [edge for edge in edges if edge[0].requires_grad]
+    if live:
+        out.requires_grad = True
+        out._parents = tuple([parent for parent, _ in live])
+
+        def backward_fn(g):
+            for parent, share in live:
+                parent.accumulate(share(g))
+
+        out._backward_fn = backward_fn
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -139,46 +150,25 @@ def _broadcast_check(op: str, a: Tensor, b: Tensor) -> None:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_check("add", a, b)
-    out = Tensor(a.data + b.data, requires_grad=_needs_grad(a, b), parents=(a, b))
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g, b.shape))
-
-    out._backward_fn = backward_fn
-    return out
+    return _node(a.data + b.data,
+                 (a, lambda g: _unbroadcast(g, a.shape)),
+                 (b, lambda g: _unbroadcast(g, b.shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_check("sub", a, b)
-    out = Tensor(a.data - b.data, requires_grad=_needs_grad(a, b), parents=(a, b))
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(-g, b.shape))
-
-    out._backward_fn = backward_fn
-    return out
+    return _node(a.data - b.data,
+                 (a, lambda g: _unbroadcast(g, a.shape)),
+                 (b, lambda g: _unbroadcast(-g, b.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_check("mul", a, b)
-    out = Tensor(a.data * b.data, requires_grad=_needs_grad(a, b), parents=(a, b))
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g * a.data, b.shape))
-
-    out._backward_fn = backward_fn
-    return out
+    return _node(a.data * b.data,
+                 (a, lambda g: _unbroadcast(g * b.data, a.shape)),
+                 (b, lambda g: _unbroadcast(g * a.data, b.shape)))
 
 
 def _swap_last(x: np.ndarray) -> np.ndarray:
@@ -193,16 +183,9 @@ def matmul(a, b) -> Tensor:
         np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError:
         raise ShapeMismatchError("matmul", a.shape, b.shape) from None
-    out = Tensor(np.matmul(a.data, b.data), requires_grad=_needs_grad(a, b), parents=(a, b))
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(np.matmul(g, _swap_last(b.data)), a.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(np.matmul(_swap_last(a.data), g), b.shape))
-
-    out._backward_fn = backward_fn
-    return out
+    return _node(np.matmul(a.data, b.data),
+                 (a, lambda g: _unbroadcast(np.matmul(g, _swap_last(b.data)), a.shape)),
+                 (b, lambda g: _unbroadcast(np.matmul(_swap_last(a.data), g), b.shape)))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -211,110 +194,59 @@ def concat(tensors, axis: int = 0) -> Tensor:
         data = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError:
         raise ShapeMismatchError("concat", *[t.shape for t in tensors]) from None
-    out = Tensor(data, requires_grad=_needs_grad(*tensors), parents=tuple(tensors))
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward_fn(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(lo, hi)
-                t.accumulate(g[tuple(index)])
-
-    out._backward_fn = backward_fn
-    return out
+    edges, lo = [], 0
+    for t in tensors:
+        index = [slice(None)] * data.ndim
+        index[axis] = slice(lo, lo + t.shape[axis])
+        edges.append((t, lambda g, key=tuple(index): g[key]))
+        lo += t.shape[axis]
+    return _node(data, *edges)
 
 
 def take(a, key) -> Tensor:
     """Slicing / advanced indexing; gradients scatter-add back into `a`."""
     a = as_tensor(a)
-    out = Tensor(a.data[key], requires_grad=a.requires_grad, parents=(a,))
 
-    def backward_fn(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, key, g)
+    def scatter(g):
+        share = np.zeros_like(a.data)
+        np.add.at(share, key, g)
+        return share
 
-    out._backward_fn = backward_fn
-    return out
+    return _node(a.data[key], (a, scatter))
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape), requires_grad=a.requires_grad, parents=(a,))
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate(g.reshape(a.shape))
-
-    out._backward_fn = backward_fn
-    return out
+    return _node(a.data.reshape(shape), (a, lambda g: g.reshape(a.shape)))
 
 
 def transpose(a, axes=None) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.transpose(a.data, axes), requires_grad=a.requires_grad, parents=(a,))
     inverse = None if axes is None else np.argsort(axes)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate(np.transpose(g, inverse))
-
-    out._backward_fn = backward_fn
-    return out
+    return _node(np.transpose(a.data, axes), (a, lambda g: np.transpose(g, inverse)))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0), requires_grad=a.requires_grad, parents=(a,))
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate(g * (a.data > 0))
-
-    out._backward_fn = backward_fn
-    return out
+    return _node(np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0)))
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     with np.errstate(over="ignore"):
         y = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(y, requires_grad=a.requires_grad, parents=(a,))
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate(g * y * (1.0 - y))
-
-    out._backward_fn = backward_fn
-    return out
+    return _node(y, (a, lambda g: g * y * (1.0 - y)))
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     y = np.exp(a.data)
-    out = Tensor(y, requires_grad=a.requires_grad, parents=(a,))
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate(g * y)
-
-    out._backward_fn = backward_fn
-    return out
+    return _node(y, (a, lambda g: g * y))
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.log(a.data), requires_grad=a.requires_grad, parents=(a,))
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate(g / a.data)
-
-    out._backward_fn = backward_fn
-    return out
+    return _node(np.log(a.data), (a, lambda g: g / a.data))
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -322,15 +254,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, requires_grad=a.requires_grad, parents=(a,))
-
-    def backward_fn(g):
-        if a.requires_grad:
-            inner = (g * y).sum(axis=axis, keepdims=True)
-            a.accumulate(y * (g - inner))
-
-    out._backward_fn = backward_fn
-    return out
+    return _node(y, (a, lambda g: y * (g - (g * y).sum(axis=axis, keepdims=True))))
 
 
 def layer_norm(a, axis: int = -1, epsilon: float = LAYER_NORM_EPS) -> Tensor:
@@ -341,16 +265,13 @@ def layer_norm(a, axis: int = -1, epsilon: float = LAYER_NORM_EPS) -> Tensor:
     var = (centered * centered).mean(axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + epsilon)
     y = centered * inv
-    out = Tensor(y, requires_grad=a.requires_grad, parents=(a,))
 
-    def backward_fn(g):
-        if a.requires_grad:
-            gm = g.mean(axis=axis, keepdims=True)
-            gy = (g * y).mean(axis=axis, keepdims=True)
-            a.accumulate(inv * (g - gm - y * gy))
+    def share(g):
+        gm = g.mean(axis=axis, keepdims=True)
+        gy = (g * y).mean(axis=axis, keepdims=True)
+        return inv * (g - gm - y * gy)
 
-    out._backward_fn = backward_fn
-    return out
+    return _node(y, (a, share))
 
 
 def dropout(a, rate: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -361,14 +282,7 @@ def dropout(a, rate: float, train: bool, rng: np.random.Generator | None = None)
     if rng is None:
         raise ValueError("dropout in training mode needs a generator")
     mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    out = Tensor(a.data * mask, requires_grad=a.requires_grad, parents=(a,))
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate(g * mask)
-
-    out._backward_fn = backward_fn
-    return out
+    return _node(a.data * mask, (a, lambda g: g * mask))
 
 
 def _norm_axes(axis, ndim: int):
@@ -379,56 +293,52 @@ def _norm_axes(axis, ndim: int):
     return tuple(ax % ndim for ax in axis)
 
 
+def _spread(g: np.ndarray, a: Tensor, axes, keepdims: bool) -> np.ndarray:
+    """A reduction's output gradient broadcast back over `a`'s shape."""
+    return np.broadcast_to(g if keepdims else np.expand_dims(g, axes), a.shape)
+
+
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), requires_grad=a.requires_grad, parents=(a,))
     axes = _norm_axes(axis, a.ndim)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            if not keepdims:
-                g = np.expand_dims(g, axes)
-            a.accumulate(np.broadcast_to(g, a.shape).copy())
-
-    out._backward_fn = backward_fn
-    return out
+    return _node(a.data.sum(axis=axis, keepdims=keepdims),
+                 (a, lambda g: _spread(g, a, axes, keepdims)))
 
 
 def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     axes = _norm_axes(axis, a.ndim)
     count = int(np.prod([a.shape[ax] for ax in axes]))
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims), requires_grad=a.requires_grad, parents=(a,))
+    return _node(a.data.mean(axis=axis, keepdims=keepdims),
+                 (a, lambda g: _spread(g, a, axes, keepdims) / count))
 
-    def backward_fn(g):
-        if a.requires_grad:
-            if not keepdims:
-                g = np.expand_dims(g, axes)
-            a.accumulate(np.broadcast_to(g, a.shape) / count)
 
-    out._backward_fn = backward_fn
-    return out
+def _argmax_node(a: Tensor, values: np.ndarray, axis: int, keepdims: bool,
+                 valid: np.ndarray | None = None) -> Tensor:
+    """Max of `values` (`a`'s data or a masked copy) along `axis`; each
+    slice's gradient routes to its first argmax. Slices where `valid` is
+    false read exactly 0.0 and route no gradient."""
+    idx = np.expand_dims(np.argmax(values, axis=axis), axis)
+    y = np.take_along_axis(values, idx, axis=axis)
+    if valid is not None:
+        y = np.where(valid, y, 0.0)
+
+    def route(g):
+        if not keepdims:
+            g = np.expand_dims(g, axis)
+        if valid is not None:
+            g = np.where(valid, g, 0.0)
+        share = np.zeros_like(a.data)
+        np.put_along_axis(share, idx, g, axis=axis)
+        return share
+
+    return _node(y if keepdims else np.squeeze(y, axis=axis), (a, route))
 
 
 def tensor_max(a, axis: int, keepdims: bool = False) -> Tensor:
     """Max along one axis; gradient routes to the first argmax per slice."""
     a = as_tensor(a)
-    axis = axis % a.ndim
-    idx = np.argmax(a.data, axis=axis)
-    y = np.take_along_axis(a.data, np.expand_dims(idx, axis), axis=axis)
-    data = y if keepdims else np.squeeze(y, axis=axis)
-    out = Tensor(data, requires_grad=a.requires_grad, parents=(a,))
-
-    def backward_fn(g):
-        if a.requires_grad:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            buf = np.zeros_like(a.data)
-            np.put_along_axis(buf, np.expand_dims(idx, axis), g, axis=axis)
-            a.accumulate(buf)
-
-    out._backward_fn = backward_fn
-    return out
+    return _argmax_node(a, a.data, axis % a.ndim, keepdims)
 
 
 def masked_max(a, mask: np.ndarray, axis: int, keepdims: bool = False) -> Tensor:
@@ -444,24 +354,8 @@ def masked_max(a, mask: np.ndarray, axis: int, keepdims: bool = False) -> Tensor
     if mask.shape != a.shape[: mask.ndim] or mask.ndim > a.ndim:
         raise ShapeMismatchError("masked_max", a.shape, mask.shape)
     full_mask = np.broadcast_to(mask.reshape(mask.shape + (1,) * (a.ndim - mask.ndim)), a.shape)
-    masked = np.where(full_mask, a.data, -np.inf)
-    idx = np.argmax(masked, axis=axis)
-    any_valid = full_mask.any(axis=axis)
-    y = np.take_along_axis(masked, np.expand_dims(idx, axis), axis=axis)
-    y = np.where(np.expand_dims(any_valid, axis), y, 0.0)
-    data = y if keepdims else np.squeeze(y, axis=axis)
-    out = Tensor(data, requires_grad=a.requires_grad, parents=(a,))
-
-    def backward_fn(g):
-        if a.requires_grad:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            buf = np.zeros_like(a.data)
-            np.put_along_axis(buf, np.expand_dims(idx, axis), np.where(np.expand_dims(any_valid, axis), g, 0.0), axis=axis)
-            a.accumulate(buf)
-
-    out._backward_fn = backward_fn
-    return out
+    valid = np.expand_dims(full_mask.any(axis=axis), axis)
+    return _argmax_node(a, np.where(full_mask, a.data, -np.inf), axis, keepdims, valid)
 
 
 def degenerate_rows(mask: np.ndarray, axis: int) -> np.ndarray:

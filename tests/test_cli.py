@@ -1,10 +1,16 @@
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabrep.cli import EXIT_CODES, load_config, main
 from tabrep.errors import ConfigError
@@ -234,6 +240,12 @@ def table_file(label):
     return write
 
 
+def as_version_2(payload):
+    """A version-2 checkpoint: its config still held `attention_literal_scale`."""
+    payload["version"] = 2
+    payload["config"]["attention_literal_scale"] = False
+
+
 def overflowing_range(payload):
     feature = next(iter(payload["numeric_stats"]))
     payload["numeric_stats"][feature] = [-1.5e308, 1.5e308]
@@ -276,6 +288,8 @@ MALFORMED = [
      {"m.json": checkpoint_file(lambda c: c["config"].update(colour=1))}, "io-error"),
     ("checkpoint-version-1", "embed", {},
      {"m.json": checkpoint_file(lambda c: c.update(version=1))}, "io-error"),
+    ("checkpoint-version-2", "embed", {},
+     {"m.json": checkpoint_file(as_version_2)}, "io-error"),
     ("checkpoint-nan-weight", "embed", {},
      {"m.json": checkpoint_file(first_weight(float("nan")))}, "io-error"),
     ("checkpoint-inf-weight", "embed", {},
@@ -325,3 +339,37 @@ def test_unedited_malformed_row_files_are_accepted(tmp_path, capsys, stage, file
     # so each MALFORMED row fails on its own edit, not on the shared set-up
     assert run_on_files(tmp_path, stage, {"train": {"epochs": 1}}, files) == 0
     assert not capsys.readouterr().err
+
+
+# Random small tables through `profile` and `train`: every example ends in
+# exit 0 or in the stage's exit code with the error JSON on stderr. Any other
+# exception escapes `cli.main` as a traceback and fails the test.
+TRICKY_CELLS = ["", "0", "1", "-2.5", "1e308", "-1e308", "1e999", "nan", "inf",
+                "2020-01-01", "2020-02-30", "\x00", '"', '""', '"a,b"', 'x"y', "c1"]
+cells = st.one_of(st.sampled_from(TRICKY_CELLS), st.text(max_size=5))
+table_rows = st.lists(
+    st.tuples(st.sampled_from(["", "c1", "c2", "c3", "\x00"]),
+              st.sampled_from(["2020-01-01", "2020-01-02", "2021-06-30", "", "01/02/2020"]),
+              cells, cells, st.sampled_from(["0", "1", "", "2", "x"])),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(rows=table_rows)
+def test_random_tables_end_in_exit_zero_or_error_json(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        lines = ["customer_id,date,f,g,churn"] + [",".join(row) for row in rows]
+        (tmp / "t.csv").write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogatepass"))
+        (tmp / "c.json").write_text(json.dumps(
+            {"format": FORMAT, "model": TINY_MODEL, "train": {"epochs": 1, "batch_size": 4}}))
+        common = ["--config", str(tmp / "c.json"), "--table", str(tmp / "t.csv"),
+                  "--out", str(tmp)]
+        for stage, extra in (("profile", []), ("train", ["--schema", str(tmp / "schema.json")])):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main([stage] + common + extra)
+            if code != 0:
+                assert code == EXIT_CODES[stage]
+                assert json.loads(err.getvalue())["error"]["code"]
+                break

@@ -281,6 +281,16 @@ def test_padded_positions_excluded_and_zeroed():
     assert np.all(stats.halt_steps[0, :3] >= 1)
 
 
+def test_padded_positions_accumulate_no_halting_mass():
+    config = small_config()
+    params = init_params(config, seed=31)
+    e = np.random.default_rng(32).normal(size=(2, config.n_s, config.n_e))
+    mask = np.array([[True, True, True, False], [True, False, False, False]])
+    _, _, stats = act_run(Tensor(e), params, config, mask=mask)
+    assert np.all(stats.accumulated[~mask] == 0.0)
+    assert np.all(stats.accumulated[mask] > 0.0)
+
+
 def test_ponder_is_mean_steps_plus_mean_remainder():
     config = small_config()
     params = init_params(config, seed=34)

@@ -121,18 +121,26 @@ def _op_cases(rng):
          lambda a, b: numeric.add(a, b)),
         ("add_broadcast", lambda: (rnd(rng, 2, 3), rnd(rng, 3)),
          lambda a, b: numeric.add(a, b)),
+        ("add_constant_operand", lambda: (rnd(rng, 2, 3),),
+         lambda a: numeric.add(Tensor(np.arange(6.0).reshape(2, 3)), a)),
         ("sub", lambda: (rnd(rng, 2, 3), rnd(rng, 2, 3)),
          lambda a, b: numeric.sub(a, b)),
         ("mul", lambda: (rnd(rng, 2, 3), rnd(rng, 2, 3)),
          lambda a, b: numeric.mul(a, b)),
         ("mul_broadcast", lambda: (rnd(rng, 2, 3), rnd(rng, 2, 1)),
          lambda a, b: numeric.mul(a, b)),
+        ("mul_constant_operand", lambda: (rnd(rng, 2, 3),),
+         lambda a: numeric.mul(a, Tensor(np.linspace(-1.0, 2.0, 6).reshape(2, 3)))),
         ("matmul", lambda: (rnd(rng, 2, 3), rnd(rng, 3, 4)),
          lambda a, b: numeric.matmul(a, b)),
         ("matmul_batched", lambda: (rnd(rng, 2, 3, 4), rnd(rng, 2, 4, 2)),
          lambda a, b: numeric.matmul(a, b)),
+        ("matmul_constant_operand", lambda: (rnd(rng, 3, 4),),
+         lambda b: numeric.matmul(Tensor(np.linspace(-2.0, 2.0, 6).reshape(2, 3)), b)),
         ("concat", lambda: (rnd(rng, 2, 2), rnd(rng, 3, 2)),
          lambda a, b: numeric.concat([a, b], axis=0)),
+        ("concat_negative_axis", lambda: (rnd(rng, 2, 3, 1), rnd(rng, 2, 3, 2)),
+         lambda a, b: numeric.concat([a, b], axis=-1)),
         ("getitem", lambda: (rnd(rng, 4, 3),),
          lambda a: a[np.array([0, 2, 2]), np.array([1, 0, 2])]),
         ("reshape", lambda: (rnd(rng, 2, 6),),
@@ -155,10 +163,16 @@ def _op_cases(rng):
          lambda a: numeric.layer_norm(a, axis=-1)),
         ("sum", lambda: (rnd(rng, 3, 4),),
          lambda a: numeric.tensor_sum(a, axis=1)),
+        ("sum_keepdims", lambda: (rnd(rng, 3, 4),),
+         lambda a: numeric.tensor_sum(a, axis=1, keepdims=True)),
         ("mean", lambda: (rnd(rng, 3, 4),),
          lambda a: numeric.tensor_mean(a, axis=0)),
+        ("mean_keepdims", lambda: (rnd(rng, 3, 4),),
+         lambda a: numeric.tensor_mean(a, axis=0, keepdims=True)),
         ("max", lambda: (rnd(rng, 3, 4),),
          lambda a: numeric.tensor_max(a, axis=0)),
+        ("max_keepdims", lambda: (rnd(rng, 3, 4),),
+         lambda a: numeric.tensor_max(a, axis=-1, keepdims=True)),
         ("masked_max", lambda: (rnd(rng, 4, 3),),
          lambda a: numeric.masked_max(a, np.array([True, False, True, True]), axis=0)),
     ]
@@ -173,6 +187,23 @@ def test_every_op_matches_finite_differences():
             w = rng.standard_normal(out_shape)
             err = assert_gradients_match(lambda: scalarize(build(*tensors), w), tensors)
             assert err < 1e-3, f"{name} trial {trial}: {err}"
+
+
+def test_nodes_link_only_parents_that_need_a_gradient():
+    # an op over constants alone is a plain leaf
+    c1, c2 = Tensor(np.ones((2, 2))), Tensor(np.full((2, 2), 3.0))
+    for out in (c1 + c2, numeric.matmul(c1, c2), numeric.relu(c1),
+                numeric.concat([c1, c2], axis=0), numeric.tensor_max(c1, axis=0)):
+        assert not out.requires_grad
+        assert out._parents == () and out._backward_fn is None
+    # with one grad-requiring operand, only that operand is linked
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    for out in (c1 + x, x * c2, numeric.matmul(c1, x), numeric.concat([c1, x, c2], axis=1)):
+        assert out.requires_grad
+        assert out._parents == (x,) and out._backward_fn is not None
+        x.zero_grad()
+        numeric.backward(numeric.tensor_sum(out))
+        assert x.grad is not None and c1.grad is None and c2.grad is None
 
 
 def test_dropout_gradient_with_pinned_mask():
