@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, TabrepError
-from .eval import (BaselineConfig, MetricSet, SynthConfig, synth_generate)
+from .eval import MetricSet, SynthConfig, synth_generate
 from .interpret import InterpretConfig, Target, genome_report
 from .model import CustomerEncoder, ModelConfig, TrainConfig
 from .prep import FeatureSchema, RecognizerConfig, build_schema
@@ -37,7 +37,6 @@ class RunConfig:
     model: ModelConfig = None
     train: TrainConfig = None
     synth: SynthConfig = None
-    baseline: BaselineConfig = None
     interpret: InterpretConfig = None
     tasks: list = None
 
@@ -48,7 +47,6 @@ _SECTIONS = {
     "model": ModelConfig,
     "train": TrainConfig,
     "synth": SynthConfig,
-    "baseline": BaselineConfig,
     "interpret": InterpretConfig,
 }
 
@@ -81,7 +79,7 @@ def load_config(path: str | None, seed_override: int | None = None) -> RunConfig
             if name == "interpret" and section.get("targets") is not None:
                 section["targets"] = tuple(Target(**t) for t in section["targets"])
             # stage seeds follow the run seed unless pinned explicitly
-            if name in ("train", "synth", "baseline", "interpret") and "seed" not in section:
+            if name in ("train", "synth", "interpret") and "seed" not in section:
                 section["seed"] = seed
             setattr(cfg, name, cls(**section))
         except (TypeError, ValueError) as e:

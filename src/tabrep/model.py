@@ -29,11 +29,11 @@ from .encode import (Batch, BranchLayout, augmented_summary, encode_customer,
 from .errors import (AllTermsDisabledError, ConfigError, NoLabeledCustomersError,
                      TableIOError, UnknownTaskError)
 from .numeric import Parameter, Tensor
-from .prep import FeatureSchema
+from .prep import FeatureSchema, read_json
 from .table import BigTable
 
 MODEL_FORMAT = "tabrep-model"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 EVAL_BATCH = 256
 
 
@@ -188,14 +188,13 @@ class CustomerEncoder:
                     numeric.zeros_param((config.recon_dim,), f"recon{i}.b")))
 
         self.task_heads: dict[str, tuple[Parameter, Parameter, Parameter, Parameter]] = {}
-        self.class_weights: dict[str, np.ndarray] = {}
+        self.class_weights: dict[str, np.ndarray] = {}     # set by each `fit`
         for task, n_classes in self.tasks.items():
             self.task_heads[task] = (
                 numeric.glorot_uniform((config.rep_width, config.head_hidden), rng, f"task.{task}.w1"),
                 numeric.zeros_param((config.head_hidden,), f"task.{task}.b1"),
                 numeric.glorot_uniform((config.head_hidden, n_classes), rng, f"task.{task}.w2"),
                 numeric.zeros_param((n_classes,), f"task.{task}.b2"))
-            self.class_weights[task] = np.ones(n_classes)
 
     # ---- parameters and persistence -------------------------------------
 
@@ -223,27 +222,23 @@ class CustomerEncoder:
         return list(self.named_parameters().values())
 
     def save(self, path) -> None:
+        """Write the constructor's arguments plus every learned parameter as
+        `{shape, data}` with row-major values; the rest is rebuilt on load."""
         payload = {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "seed": self.seed,
             "config": asdict(self.config),
             "tasks": self.tasks,
-            "class_weights": {t: w.tolist() for t, w in self.class_weights.items()},
             "schema": self.schema.to_dict(),
-            "recon_projections": [g.tolist() for g in self.recon_projections],
-            "params": numeric.params_to_dict(self.named_parameters()),
+            "params": {name: {"shape": list(p.data.shape), "data": p.data.ravel().tolist()}
+                       for name, p in self.named_parameters().items()},
         }
         Path(path).write_text(json.dumps(payload, sort_keys=True))
 
     @classmethod
     def load(cls, path) -> "CustomerEncoder":
-        try:
-            payload = json.loads(Path(path).read_text())
-        except OSError as e:
-            raise TableIOError(str(e)) from e
-        except ValueError as e:     # invalid JSON or UTF-8
-            raise TableIOError(f"not a model checkpoint: {e}") from e
+        payload = read_json(path, "model checkpoint")
         fmt = payload.get("format") if isinstance(payload, dict) else type(payload).__name__
         if fmt != MODEL_FORMAT:
             raise TableIOError(f"not a model checkpoint: format={fmt!r}")
@@ -254,11 +249,8 @@ class CustomerEncoder:
             model = cls(schema, ModelConfig(**payload["config"]),
                         tasks={t: int(n) for t, n in payload["tasks"].items()},
                         seed=int(payload["seed"]))
-            arrays = numeric.dict_to_arrays(payload["params"])
-            recon_projections = [np.asarray(g, dtype=np.float64)
-                                 for g in payload["recon_projections"]]
-            class_weights = {t: np.asarray(w, dtype=np.float64)
-                             for t, w in payload["class_weights"].items()}
+            arrays = {name: np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
+                      for name, rec in payload["params"].items()}
         except (KeyError, TypeError, ValueError, AttributeError) as e:
             raise TableIOError(f"malformed model checkpoint: {type(e).__name__}: {e}") from e
         named = model.named_parameters()
@@ -268,9 +260,9 @@ class CustomerEncoder:
             if arr.shape != named[name].data.shape:
                 raise TableIOError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
                                    f"expected {named[name].data.shape}")
+            if not np.isfinite(arr).all():
+                raise TableIOError(f"checkpoint tensor {name!r} holds a non-finite value")
             named[name].data = arr
-        model.recon_projections = recon_projections
-        model.class_weights = class_weights
         return model
 
     # ---- forward --------------------------------------------------------
@@ -426,17 +418,16 @@ class CustomerEncoder:
             raise ConfigError("validation split leaves no training customers")
 
         recon_on = config.recon_weight > 0 and bool(self.recon_heads)
-        any_labeled = False
+        # balanced weights over this split's training customers; a class
+        # with no training customer weighs 0 and adds no term
         for task in self.tasks:
-            mask = labels[task][train_idx] >= 0
-            counts = np.bincount(labels[task][train_idx][mask], minlength=self.tasks[task])
-            labeled = int(mask.sum())
-            if labeled:
-                any_labeled = True
-                w = np.zeros(self.tasks[task])
-                present = counts > 0
-                w[present] = labeled / (present.sum() * counts[present])
-                self.class_weights[task] = w
+            lab = labels[task][train_idx]
+            counts = np.bincount(lab[lab >= 0], minlength=self.tasks[task])
+            present = counts > 0
+            w = np.zeros(self.tasks[task])
+            w[present] = counts.sum() / (present.sum() * counts[present])
+            self.class_weights[task] = w
+        any_labeled = any(w.any() for w in self.class_weights.values())
         if not recon_on and not any_labeled:
             if self.tasks:
                 raise NoLabeledCustomersError(

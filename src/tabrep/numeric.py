@@ -12,10 +12,7 @@ import zlib
 
 import numpy as np
 
-from .errors import NonFiniteGradientError, NonScalarLossError, ShapeMismatchError, TableIOError
-
-CHECKPOINT_FORMAT = "tabrep-params"
-CHECKPOINT_VERSION = 1
+from .errors import NonFiniteGradientError, NonScalarLossError, ShapeMismatchError
 
 LAYER_NORM_EPS = 1e-5
 DEFAULT_DROPOUT = 0.1
@@ -140,33 +137,35 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _broadcast_check(op: str, a: Tensor, b: Tensor) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeMismatchError(op, a.shape, b.shape) from None
-
-
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _broadcast_check("add", a, b)
-    return _node(a.data + b.data,
+    try:
+        data = a.data + b.data
+    except ValueError:
+        raise ShapeMismatchError("add", a.shape, b.shape) from None
+    return _node(data,
                  (a, lambda g: _unbroadcast(g, a.shape)),
                  (b, lambda g: _unbroadcast(g, b.shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _broadcast_check("sub", a, b)
-    return _node(a.data - b.data,
+    try:
+        data = a.data - b.data
+    except ValueError:
+        raise ShapeMismatchError("sub", a.shape, b.shape) from None
+    return _node(data,
                  (a, lambda g: _unbroadcast(g, a.shape)),
                  (b, lambda g: _unbroadcast(-g, b.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _broadcast_check("mul", a, b)
-    return _node(a.data * b.data,
+    try:
+        data = a.data * b.data
+    except ValueError:
+        raise ShapeMismatchError("mul", a.shape, b.shape) from None
+    return _node(data,
                  (a, lambda g: _unbroadcast(g * b.data, a.shape)),
                  (b, lambda g: _unbroadcast(g * a.data, b.shape)))
 
@@ -180,10 +179,10 @@ def matmul(a, b) -> Tensor:
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError("matmul", a.shape, b.shape)
     try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        data = np.matmul(a.data, b.data)
     except ValueError:
         raise ShapeMismatchError("matmul", a.shape, b.shape) from None
-    return _node(np.matmul(a.data, b.data),
+    return _node(data,
                  (a, lambda g: _unbroadcast(np.matmul(g, _swap_last(b.data)), a.shape)),
                  (b, lambda g: _unbroadcast(np.matmul(_swap_last(a.data), g), b.shape)))
 
@@ -450,31 +449,3 @@ class Adam:
         for i, p, m, v, data in updates:
             self._m[i], self._v[i], p.data = m, v, data
 
-
-# ---------------------------------------------------------------------------
-# Checkpoint format: versioned JSON map name -> shape + row-major values
-# ---------------------------------------------------------------------------
-
-
-def params_to_dict(params: dict[str, Tensor]) -> dict:
-    return {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "tensors": {
-            name: {"shape": list(t.data.shape), "data": t.data.ravel().tolist()}
-            for name, t in params.items()
-        },
-    }
-
-
-def dict_to_arrays(payload: dict) -> dict[str, np.ndarray]:
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise TableIOError(f"not a parameter checkpoint: format={payload.get('format')!r}")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise TableIOError(f"unsupported checkpoint version {payload.get('version')!r}")
-    out = {}
-    for name, rec in payload["tensors"].items():
-        out[name] = np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
-        if not np.isfinite(out[name]).all():
-            raise TableIOError(f"checkpoint tensor {name!r} holds a non-finite value")
-    return out

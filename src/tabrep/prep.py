@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -263,9 +263,6 @@ class DynamicsMatrix:
     features: list[str]
     values: np.ndarray
 
-    def column(self, feature: str) -> np.ndarray:
-        return self.values[:, self.features.index(feature)]
-
 
 def dynamics_matrix(table: BigTable, nc_kinds: dict[str, str], config: RecognizerConfig) -> DynamicsMatrix:
     feats = [f for f in table.features if nc_kinds.get(f) in ("numerical", "categorical")]
@@ -341,12 +338,7 @@ class FeatureSchema:
             "vocabularies": {f: v.token_to_id for f, v in self.vocabularies.items()},
             "numeric_stats": {f: list(s) for f, s in self.numeric_stats.items()},
             "dynamics_summary": self.dynamics_summary,
-            "config": {
-                "integer_unique_threshold": self.config.integer_unique_threshold,
-                "pair_threshold_categorical": self.config.pair_threshold_categorical,
-                "pair_threshold_numerical": self.config.pair_threshold_numerical,
-                "feature_threshold": self.config.feature_threshold,
-            },
+            "config": asdict(self.config),
         }
 
     @classmethod
@@ -368,13 +360,18 @@ class FeatureSchema:
 
     @classmethod
     def load(cls, path) -> "FeatureSchema":
-        try:
-            payload = json.loads(Path(path).read_text())
-        except OSError as e:
-            raise TableIOError(str(e)) from e
-        except ValueError as e:     # invalid JSON or UTF-8
-            raise TableIOError(f"not a feature schema: {e}") from e
-        return cls.from_dict(payload)
+        return cls.from_dict(read_json(path, "feature schema"))
+
+
+def read_json(path, kind: str):
+    """The decoded JSON file at `path`, which should hold a `kind`; an
+    unreadable file or bytes that are not JSON end in `TableIOError`."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as e:
+        raise TableIOError(str(e)) from e
+    except ValueError as e:     # invalid JSON or UTF-8
+        raise TableIOError(f"not a {kind}: {e}") from e
 
 
 def build_schema(table: BigTable, config: RecognizerConfig = RecognizerConfig(),

@@ -253,7 +253,7 @@ def overflowing_range(payload):
 
 def first_weight(value):
     def edit(payload):
-        next(iter(payload["params"]["tensors"].values()))["data"][0] = value
+        next(iter(payload["params"].values()))["data"][0] = value
     return edit
 
 
@@ -272,6 +272,7 @@ MALFORMED = [
     ("target-unknown-kind", "interpret",
      {"interpret": {"targets": [{"kind": "gradient"}]}}, {}, "config-error"),
     ("section-not-an-object", "interpret", {"interpret": "fast"}, {}, "config-error"),
+    ("baseline-section", "profile", {"baseline": {"epochs": 10}}, {}, "config-error"),
     ("table-not-utf8", "profile", {},
      {"t.csv": "customer_id,date,f\nc1,2020-01-01,caf\xe9\n".encode("latin-1")}, "io-error"),
     ("table-range-overflows", "profile", {},
@@ -290,6 +291,8 @@ MALFORMED = [
      {"m.json": checkpoint_file(lambda c: c.update(version=1))}, "io-error"),
     ("checkpoint-version-2", "embed", {},
      {"m.json": checkpoint_file(as_version_2)}, "io-error"),
+    ("checkpoint-version-3", "embed", {},
+     {"m.json": checkpoint_file(lambda c: c.update(version=3))}, "io-error"),
     ("checkpoint-nan-weight", "embed", {},
      {"m.json": checkpoint_file(first_weight(float("nan")))}, "io-error"),
     ("checkpoint-inf-weight", "embed", {},

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -347,6 +348,23 @@ def test_validation_class_unseen_in_training_adds_no_term(recon_weight):
         assert rec["skipped_batches"] == unlabeled + 1     # plus the validation chunk
 
 
+def test_task_without_training_labels_adds_no_validation_term():
+    """Labels only on validation customers: the head gets class weights 0
+    from this fit's own split, so both losses equal, bit for bit, those of
+    the same seed without the head."""
+    table = synth_generate(SynthConfig(n_customers=200, seed=3))
+    config = TrainConfig(epochs=2, batch_size=16, validation_fraction=0.3, seed=3)
+    val_idx = numeric.substream(config.seed, "split").permutation(200)[:60]
+    table.labels["churn"] = {table.customers[i]: table.labels["churn"][table.customers[i]]
+                             for i in val_idx}
+    schema = build_schema(table, RecognizerConfig())
+    logs = [CustomerEncoder(schema, small_model_config(dropout=0.1), tasks, seed=3)
+            .fit(table, config) for tasks in ({"churn": 2}, {})]
+    for with_head, without in zip(*logs):
+        assert with_head["train_loss"] == without["train_loss"]
+        assert with_head["val_loss"] == without["val_loss"]
+
+
 def test_fit_encodes_once_and_forwards_validation_once_per_epoch(schema, monkeypatch):
     table = fixture_table()
     encoded = []
@@ -446,6 +464,35 @@ def test_checkpoint_round_trip_bit_identical(schema, tmp_path):
     _, pa = model.predict_proba(table, "churn")
     _, pb = loaded.predict_proba(table, "churn")
     assert pa.tobytes() == pb.tobytes()
+
+
+def test_checkpoint_round_trip_keeps_extreme_magnitudes(schema, tmp_path):
+    model = CustomerEncoder(schema, small_model_config(), tasks={"churn": 2}, seed=2)
+    rng = np.random.default_rng(11)
+    named = model.named_parameters()
+    for i, p in enumerate(named.values()):
+        p.data = rng.standard_normal(p.data.shape) * (1e-7 if i % 2 else 1e9)
+    w = next(iter(named.values())).data.reshape(-1)
+    w[:2] = [5e-324, -0.0]                  # a subnormal and a signed zero
+    path = tmp_path / "model.json"
+    model.save(path)
+    loaded = CustomerEncoder.load(path).named_parameters()
+    for name, p in named.items():
+        assert loaded[name].data.shape == p.data.shape
+        assert loaded[name].data.tobytes() == p.data.tobytes()
+
+
+def test_checkpoint_holds_constructor_arguments_and_parameters(schema, tmp_path):
+    model = CustomerEncoder(schema, small_model_config(), tasks={"churn": 2}, seed=4)
+    model.fit(fixture_table(n=12), TrainConfig(epochs=1, batch_size=6, seed=4))
+    path = tmp_path / "model.json"
+    model.save(path)
+    payload = json.loads(path.read_text())
+    assert set(payload) == {"format", "version", "seed", "config", "tasks", "schema", "params"}
+    assert payload["version"] == model_module.MODEL_VERSION == 4
+    assert set(payload["params"]) == set(model.named_parameters())
+    for rec in payload["params"].values():
+        assert set(rec) == {"shape", "data"}
 
 
 def test_checkpoint_rejects_foreign_payload(tmp_path):

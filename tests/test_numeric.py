@@ -1,11 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from tabrep import numeric
 from tabrep.errors import (NonFiniteGradientError, NonScalarLossError,
-                           ShapeMismatchError, TableIOError)
+                           ShapeMismatchError)
 from tabrep.numeric import Parameter, Tensor
 
 from gradcheck import assert_gradients_match, scalarize
@@ -50,6 +48,24 @@ def test_matmul_shape_mismatch_reports_both_shapes():
     with pytest.raises(ShapeMismatchError) as exc:
         numeric.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     assert "(2, 3)" in str(exc.value)
+
+
+@pytest.mark.parametrize("op,a_shape,b_shape", [
+    ("add", (2, 3), (4,)),
+    ("add", (2, 3), (3, 3)),
+    ("sub", (5,), (4,)),
+    ("sub", (2, 1, 3), (4, 2)),
+    ("mul", (3, 4), (3,)),
+    ("mul", (2, 2, 4), (3, 1, 4)),
+    ("matmul", (2, 3, 4), (3, 4, 5)),
+    ("matmul", (2, 1, 3, 4), (3, 3, 4, 2)),
+])
+def test_broadcast_mismatch_reports_op_and_both_shapes(op, a_shape, b_shape):
+    fn = getattr(numeric, op)
+    with pytest.raises(ShapeMismatchError) as exc:
+        fn(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
+    assert str(exc.value) == f"{op}: incompatible shapes {a_shape} vs {b_shape}"
+    assert exc.value.shapes == (a_shape, b_shape)
 
 
 def test_dropout_eval_mode_is_identity():
@@ -271,29 +287,7 @@ def test_adam_rejects_non_finite_gradient_and_names_parameter():
     assert all(not m.any() for m in opt._m + opt._v)
 
 
-# ---- checkpoints and substreams -----------------------------------------
-
-def test_checkpoint_round_trip_is_bit_exact():
-    rng = np.random.default_rng(11)
-    params = {
-        "a": Parameter(rng.standard_normal((3, 4)) * 1e-7, name="a"),
-        "b": Parameter(rng.standard_normal(5) * 1e9, name="b"),
-    }
-    text = json.dumps(numeric.params_to_dict(params), sort_keys=True)
-    loaded = numeric.dict_to_arrays(json.loads(text))
-    for name, p in params.items():
-        assert loaded[name].shape == p.data.shape
-        assert np.array_equal(loaded[name], p.data)  # bitwise, no tolerance
-
-
-def test_checkpoint_is_versioned():
-    payload = numeric.params_to_dict({"a": Parameter(np.zeros(1), name="a")})
-    assert payload["format"] == numeric.CHECKPOINT_FORMAT
-    assert payload["version"] == numeric.CHECKPOINT_VERSION
-    for key, bad in (("format", "other"), ("version", numeric.CHECKPOINT_VERSION + 1)):
-        with pytest.raises(TableIOError):
-            numeric.dict_to_arrays({**payload, key: bad})
-
+# ---- substreams ---------------------------------------------------------
 
 def test_substreams_are_deterministic_and_distinct():
     a1 = numeric.substream(5, "init").standard_normal(4)
