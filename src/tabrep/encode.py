@@ -103,7 +103,7 @@ def encode_rows(rows: list[Row], schema: FeatureSchema,
     cs_ids, cs_any = _static_categorical(
         [latest_non_missing(rows, index[f]) for f in layout.cs_features], schema, layout)
     ns_vals, ns_any = _static_numerical(
-        [latest_non_missing(rows, index[f]) for f in layout.sn_features], schema, layout)
+        layout.sn_features, [latest_non_missing(rows, index[f]) for f in layout.sn_features], schema)
 
     window = rows[-n_s:]
     seq_valid = np.zeros(n_s, dtype=bool)
@@ -161,12 +161,12 @@ def _static_categorical(cells: list, schema: FeatureSchema,
     return ids, any(cell is not MISSING for cell in cells)
 
 
-def _static_numerical(cells: list, schema: FeatureSchema,
-                      layout: BranchLayout) -> tuple[np.ndarray, bool]:
-    """Normalized values and presence of the static numerical branch, given
-    each feature's latest non-missing cell; a non-number encodes as 0.0."""
-    vals = np.zeros(len(layout.sn_features))
-    for i, (f, cell) in enumerate(zip(layout.sn_features, cells)):
+def _static_numerical(features, cells: list,
+                      schema: FeatureSchema) -> tuple[np.ndarray, bool]:
+    """Normalized values and presence of the static numerical `features`,
+    given each one's latest non-missing cell; a non-number encodes as 0.0."""
+    vals = np.zeros(len(features))
+    for i, (f, cell) in enumerate(zip(features, cells)):
         if isinstance(cell, Number):
             vals[i] = uniform_normalize(cell.value, schema.numeric_stats[f])
     return vals, any(isinstance(cell, Number) for cell in cells)
@@ -217,7 +217,7 @@ def masked_encoding(rows: list[Row], encoded: EncodedCustomer, feature_index: in
             presence[0] = float(cs_any)
             edited = replace(encoded, cs_ids=cs_ids, presence=presence)
         else:
-            ns_vals, ns_any = _static_numerical(latest(layout.sn_features), schema, layout)
+            ns_vals, ns_any = _static_numerical(layout.sn_features, latest(layout.sn_features), schema)
             presence[1] = float(ns_any)
             edited = replace(encoded, ns_vals=ns_vals, presence=presence)
     else:
@@ -240,15 +240,13 @@ def augmented_summary(table: BigTable, customer: str, schema: FeatureSchema) -> 
     """
     rows = table.records[customer]
     branch = schema.branch_features()
-    out: list[float] = []
-    for f in branch["SN"]:
-        cell = latest_non_missing(rows, table.feature_index(f))
-        out.append(uniform_normalize(cell.value, schema.numeric_stats[f])
-                   if isinstance(cell, Number) else 0.0)
-    out += [normalized_mean(rows, table.feature_index(f), schema.numeric_stats[f])
-            for f in branch["DN"]]
-    out += [change_rate(rows, table.feature_index(f)) for f in branch["DC"]]
-    return np.array(out)
+    index = table.feature_index
+    sn_vals, _ = _static_numerical(
+        branch["SN"], [latest_non_missing(rows, index(f)) for f in branch["SN"]], schema)
+    return np.concatenate([
+        sn_vals,
+        [normalized_mean(rows, index(f), schema.numeric_stats[f]) for f in branch["DN"]],
+        [change_rate(rows, index(f)) for f in branch["DC"]]])
 
 
 def summary_width(schema: FeatureSchema) -> int:

@@ -36,19 +36,11 @@ def roc_auc(scores, labels) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise SingleClassError("auc needs both classes present")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    ranks[order] = np.arange(1, len(scores) + 1)
-    # average ranks over tied score groups
-    sorted_scores = scores[order]
-    lo = 0
-    while lo < len(scores):
-        hi = lo
-        while hi + 1 < len(scores) and sorted_scores[hi + 1] == sorted_scores[lo]:
-            hi += 1
-        if hi > lo:
-            ranks[order[lo:hi + 1]] = 0.5 * (lo + 1 + hi + 1)
-        lo = hi + 1
+    # a tied group at sorted positions s..s+c-1 shares their mean rank
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True,
+                                     equal_nan=False)
+    starts = np.cumsum(counts) - counts
+    ranks = 0.5 * (2 * starts + counts + 1)[group]
     rank_sum = ranks[labels == 1].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -343,6 +335,30 @@ def task_labels(table: BigTable, task: str) -> tuple[list[str], np.ndarray]:
     return customers, np.array([int(got[c]) for c in customers], dtype=np.int64)
 
 
+# ---- held-out split and class balance, shared with model.fit ------------
+
+def holdout_split(n: int, fraction: float, seed: int, stream: str,
+                  empty_message: str) -> tuple[np.ndarray, np.ndarray]:
+    """(validation, training) indices: the first round(fraction * n) of a
+    permutation of range(n) drawn from the named substream, then the rest.
+    An empty training part raises `ConfigError(empty_message)`."""
+    perm = numeric.substream(seed, stream).permutation(n)
+    n_val = int(round(fraction * n))
+    if n_val == n:
+        raise ConfigError(empty_message)
+    return perm[:n_val], perm[n_val:]
+
+
+def balanced_class_weights(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """n / (k * n_c) for each of the k classes present among the `n`
+    non-negative `labels`; 0 for a class with no label."""
+    counts = np.bincount(labels, minlength=n_classes)
+    present = counts > 0
+    weights = np.zeros(n_classes)
+    weights[present] = counts.sum() / (present.sum() * counts[present])
+    return weights
+
+
 # ---- reference linear baseline ------------------------------------------
 
 @dataclass(frozen=True)
@@ -380,13 +396,10 @@ def baseline_linear(x: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or len(x) != len(labels):
         raise ValueError(f"bad baseline input shapes {x.shape} vs {labels.shape}")
-    n = len(labels)
-    rng = numeric.substream(config.seed, "baseline-split")
-    perm = rng.permutation(n)
-    n_val = int(round(config.validation_fraction * n))
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-    if len(train_idx) == 0:
-        raise ConfigError("baseline split leaves no training rows")
+    if not np.isin(labels, (0, 1)).all():
+        raise ConfigError("baseline needs labels in {0, 1}")
+    val_idx, train_idx = holdout_split(len(labels), config.validation_fraction, config.seed,
+                                       "baseline-split", "baseline split leaves no training rows")
     y_tr = labels[train_idx]
     if len(np.unique(y_tr)) < 2:
         raise SingleClassError("baseline training labels contain one class")
@@ -396,9 +409,7 @@ def baseline_linear(x: np.ndarray, labels: np.ndarray,
     std[std == 0] = 1.0
     z = (x - mean) / std
 
-    n_pos = int((y_tr == 1).sum())
-    n_neg = len(y_tr) - n_pos
-    class_w = np.array([len(y_tr) / (2.0 * n_neg), len(y_tr) / (2.0 * n_pos)])
+    class_w = balanced_class_weights(y_tr, 2)
 
     w = numeric.zeros_param((x.shape[1], 1), "baseline.w")
     b = numeric.zeros_param((1,), "baseline.b")

@@ -26,6 +26,7 @@ from .dynamics import TransformerConfig, TransformerParams, act_run, dynamic_emb
 from .embed import EmbeddingBank, categorical_embed, max_concat, positional_numeric_embed
 from .encode import (Batch, BranchLayout, augmented_summary, encode_customer,
                      stack_encoded, check_schema, summary_width)
+from .eval import balanced_class_weights, holdout_split
 from .errors import (AllTermsDisabledError, ConfigError, NoLabeledCustomersError,
                      TableIOError, UnknownTaskError)
 from .numeric import Parameter, Tensor
@@ -251,7 +252,7 @@ class CustomerEncoder:
                         seed=int(payload["seed"]))
             arrays = {name: np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
                       for name, rec in payload["params"].items()}
-        except (KeyError, TypeError, ValueError, AttributeError) as e:
+        except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as e:
             raise TableIOError(f"malformed model checkpoint: {type(e).__name__}: {e}") from e
         named = model.named_parameters()
         if set(arrays) != set(named):
@@ -410,23 +411,15 @@ class CustomerEncoder:
             if bad:
                 raise ConfigError(f"task {task!r} has labels outside [0, {self.tasks[task]})")
 
-        split_rng = numeric.substream(config.seed, "split")
-        perm = split_rng.permutation(n)
-        n_val = int(round(config.validation_fraction * n))
-        val_idx, train_idx = perm[:n_val], perm[n_val:]
-        if len(train_idx) == 0:
-            raise ConfigError("validation split leaves no training customers")
+        val_idx, train_idx = holdout_split(n, config.validation_fraction, config.seed, "split",
+                                           "validation split leaves no training customers")
 
         recon_on = config.recon_weight > 0 and bool(self.recon_heads)
         # balanced weights over this split's training customers; a class
         # with no training customer weighs 0 and adds no term
         for task in self.tasks:
             lab = labels[task][train_idx]
-            counts = np.bincount(lab[lab >= 0], minlength=self.tasks[task])
-            present = counts > 0
-            w = np.zeros(self.tasks[task])
-            w[present] = counts.sum() / (present.sum() * counts[present])
-            self.class_weights[task] = w
+            self.class_weights[task] = balanced_class_weights(lab[lab >= 0], self.tasks[task])
         any_labeled = any(w.any() for w in self.class_weights.values())
         if not recon_on and not any_labeled:
             if self.tasks:

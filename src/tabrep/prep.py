@@ -32,13 +32,18 @@ class FeatureKind(str, Enum):
     DYNAMIC_CATEGORICAL = "DC"
     DATE_INDEX = "DATE"
 
-    @property
-    def is_numerical(self) -> bool:
-        return self in (FeatureKind.STATIC_NUMERICAL, FeatureKind.DYNAMIC_NUMERICAL)
 
-    @property
-    def is_categorical(self) -> bool:
-        return self in (FeatureKind.STATIC_CATEGORICAL, FeatureKind.DYNAMIC_CATEGORICAL)
+# The one map from recognizer outcomes, (NC kind, dynamic flag), to a kind;
+# a date feature is never dynamic. `NC_KIND` maps a kind back to its NC kind.
+KIND_TABLE = {
+    ("numerical", False): FeatureKind.STATIC_NUMERICAL,
+    ("numerical", True): FeatureKind.DYNAMIC_NUMERICAL,
+    ("categorical", False): FeatureKind.STATIC_CATEGORICAL,
+    ("categorical", True): FeatureKind.DYNAMIC_CATEGORICAL,
+    ("date", False): FeatureKind.DATE_INDEX,
+}
+NC_KIND = {kind: nc for (nc, _), kind in KIND_TABLE.items()}
+BRANCH_KINDS = tuple(k for k in FeatureKind if k is not FeatureKind.DATE_INDEX)   # SN, DN, SC, DC
 
 
 @dataclass(frozen=True)
@@ -145,8 +150,8 @@ def numeric_range(table: BigTable, feature: str) -> tuple[float, float]:
     return (lo, hi)
 
 
-def uniform_normalize(x, stats: tuple[float, float]):
-    """Scale into [0, 1] via (x - min) / (max - min), clamped.
+def uniform_normalize(x: float, stats: tuple[float, float]) -> float:
+    """Scale one value into [0, 1] via (x - min) / (max - min), clamped.
 
     A degenerate constant feature (max == min) maps every value to 0.5 so a
     present value stays distinguishable from the 0.0 used for missing.
@@ -155,10 +160,8 @@ def uniform_normalize(x, stats: tuple[float, float]):
     if hi < lo:
         raise ValueError(f"max < min in normalization stats: {stats}")
     if hi == lo:
-        return np.full_like(np.asarray(x, dtype=np.float64), 0.5) if np.ndim(x) else 0.5
-    scaled = (np.asarray(x, dtype=np.float64) - lo) / (hi - lo)
-    clipped = np.clip(scaled, 0.0, 1.0)
-    return clipped if np.ndim(x) else float(clipped)
+        return 0.5
+    return min(max((x - lo) / (hi - lo), 0.0), 1.0)
 
 
 @dataclass
@@ -171,6 +174,16 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.token_to_id) + 2
 
+    @classmethod
+    def fit(cls, cells) -> "Vocabulary":
+        """Ids from 2 for the tokens of the non-missing `cells`, in
+        first-seen order."""
+        token_to_id: dict[str, int] = {}
+        for cell in cells:
+            if cell is not MISSING:
+                token_to_id.setdefault(_canonical_token(cell), 2 + len(token_to_id))
+        return cls(token_to_id)
+
     def encode(self, cell) -> int:
         if cell is MISSING:
             return MISSING_TOKEN_ID
@@ -180,19 +193,13 @@ class Vocabulary:
 def tokenize(values, vocab: Vocabulary | None = None) -> tuple[list[int], Vocabulary]:
     """Map cell values to token ids.
 
-    With no vocabulary (train mode) observed tokens are assigned ids from 2
-    in first-seen order. With a vocabulary (apply mode) unseen tokens map to
-    the OOV id and missing cells to id 0.
+    With no vocabulary (train mode) one is fitted by `Vocabulary.fit`. With
+    a vocabulary (apply mode) unseen tokens map to the OOV id and missing
+    cells to id 0.
     """
     if vocab is None:
-        vocab = Vocabulary()
-        for cell in values:
-            if cell is MISSING:
-                continue
-            token = _canonical_token(cell)
-            if token not in vocab.token_to_id:
-                vocab.token_to_id[token] = 2 + len(vocab.token_to_id)
         values = list(values)
+        vocab = Vocabulary.fit(values)
     return [vocab.encode(cell) for cell in values], vocab
 
 
@@ -317,19 +324,14 @@ class FeatureSchema:
         return [f for f in self.feature_order if self.kinds[f] is kind]
 
     def branch_features(self) -> dict[str, list[str]]:
-        return {k.value: self.features_of_kind(k) for k in
-                (FeatureKind.STATIC_NUMERICAL, FeatureKind.DYNAMIC_NUMERICAL,
-                 FeatureKind.STATIC_CATEGORICAL, FeatureKind.DYNAMIC_CATEGORICAL)}
+        return {k.value: self.features_of_kind(k) for k in BRANCH_KINDS}
 
     def kind_ratios(self) -> dict[str, float]:
         counted = [f for f in self.feature_order if self.kinds[f] is not FeatureKind.DATE_INDEX]
         if not counted:
             return {}
-        return {
-            kind.value: sum(1 for f in counted if self.kinds[f] is kind) / len(counted)
-            for kind in (FeatureKind.STATIC_NUMERICAL, FeatureKind.DYNAMIC_NUMERICAL,
-                         FeatureKind.STATIC_CATEGORICAL, FeatureKind.DYNAMIC_CATEGORICAL)
-        }
+        return {kind.value: sum(1 for f in counted if self.kinds[f] is kind) / len(counted)
+                for kind in BRANCH_KINDS}
 
     def to_dict(self) -> dict:
         return {
@@ -388,39 +390,16 @@ def build_schema(table: BigTable, config: RecognizerConfig = RecognizerConfig(),
     for feature, kind in overrides.items():
         if feature not in table.features:
             raise SchemaError(f"override for unknown feature {feature!r}")
-        nc_kinds[feature] = {
-            FeatureKind.STATIC_NUMERICAL: "numerical",
-            FeatureKind.DYNAMIC_NUMERICAL: "numerical",
-            FeatureKind.STATIC_CATEGORICAL: "categorical",
-            FeatureKind.DYNAMIC_CATEGORICAL: "categorical",
-            FeatureKind.DATE_INDEX: "date",
-        }[kind]
+        nc_kinds[feature] = NC_KIND[kind]
 
-    matrix = dynamics_matrix(table, {f: k for f, k in nc_kinds.items() if k != "date"}, config)
+    matrix = dynamics_matrix(table, nc_kinds, config)
     dynamic_flags = sd_recognize(matrix, nc_kinds, config)
-    counts = dynamic_customer_counts(matrix, nc_kinds, config)
-
-    kinds: dict[str, FeatureKind] = {}
-    for feature in table.features:
-        if feature in overrides:
-            kinds[feature] = overrides[feature]
-        elif nc_kinds[feature] == "date":
-            kinds[feature] = FeatureKind.DATE_INDEX
-        elif nc_kinds[feature] == "numerical":
-            kinds[feature] = FeatureKind.DYNAMIC_NUMERICAL if dynamic_flags[feature] else FeatureKind.STATIC_NUMERICAL
-        else:
-            kinds[feature] = FeatureKind.DYNAMIC_CATEGORICAL if dynamic_flags[feature] else FeatureKind.STATIC_CATEGORICAL
-
-    vocabularies: dict[str, Vocabulary] = {}
-    numeric_stats: dict[str, tuple[float, float]] = {}
-    for feature in table.features:
-        kind = kinds[feature]
-        if kind.is_categorical:
-            _, vocab = tokenize(list(table.column(feature)))
-            vocabularies[feature] = vocab
-        elif kind.is_numerical:
-            numeric_stats[feature] = numeric_range(table, feature)
-
-    return FeatureSchema(feature_order=list(table.features), kinds=kinds,
-                         vocabularies=vocabularies, numeric_stats=numeric_stats,
-                         dynamics_summary=counts, config=config)
+    kinds = {f: overrides[f] if f in overrides
+             else KIND_TABLE[nc_kinds[f], dynamic_flags.get(f, False)] for f in table.features}
+    return FeatureSchema(
+        feature_order=list(table.features), kinds=kinds,
+        vocabularies={f: Vocabulary.fit(table.column(f))
+                      for f in table.features if nc_kinds[f] == "categorical"},
+        numeric_stats={f: numeric_range(table, f)
+                       for f in table.features if nc_kinds[f] == "numerical"},
+        dynamics_summary=dynamic_customer_counts(matrix, nc_kinds, config), config=config)

@@ -11,11 +11,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import EmptyTableError, MissingDateIndexError, SchemaError, TableIOError
+from .errors import EmptyTableError, MissingDateIndexError, ParseError, SchemaError, TableIOError
 
 MISSING_STRINGS = {"", "na", "nan", "null"}
 
@@ -208,7 +208,6 @@ def load_table(path, fmt: TableFormat = TableFormat()) -> BigTable:
     customers: list[str] = []
     records: dict[str, list[Row]] = {}
     labels: dict[str, dict[str, int]] = {col: {} for col in fmt.label_columns}
-    from .errors import ParseError
 
     for line_no, raw in enumerate(reader, start=2):
         if not raw:
@@ -305,13 +304,7 @@ class TableStats:
         return ratio / (1.0 + ratio)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "label_ratio": self.label_ratio,
-            "feature_missing_ratio": self.feature_missing_ratio,
-            "structural_missing_ratio": self.structural_missing_ratio,
-            "kind_ratios": self.kind_ratios,
-            "records_per_customer": self.records_per_customer,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def compute_stats(table: BigTable, schema) -> TableStats:
@@ -345,8 +338,6 @@ def compute_stats(table: BigTable, schema) -> TableStats:
         neg = sum(1 for v in labels.values() if v == 0)
         label_ratio[task] = (pos / neg) if neg else None
 
-    kind_ratios = schema.kind_ratios() if schema is not None else {}
-
     counts = [len(table.records[c]) for c in active]
     records_per_customer = {
         "min": float(min(counts)),
@@ -356,5 +347,5 @@ def compute_stats(table: BigTable, schema) -> TableStats:
     return TableStats(label_ratio=label_ratio,
                       feature_missing_ratio=feature_missing_ratio,
                       structural_missing_ratio=structural_missing_ratio,
-                      kind_ratios=kind_ratios,
+                      kind_ratios=schema.kind_ratios(),
                       records_per_customer=records_per_customer)

@@ -39,6 +39,20 @@ def _norm(v: float, lo: float, hi: float) -> float:
     return min(1.0, max(0.0, (v - lo) / (hi - lo)))
 
 
+def numpy_uniform_normalize(x, stats: tuple[float, float]):
+    """The earlier numpy form of `prep.uniform_normalize`, which also took
+    arrays; the scalar form must match it bit for bit."""
+    lo, hi = stats
+    if hi < lo:
+        raise ValueError(f"max < min in normalization stats: {stats}")
+    if hi == lo:
+        return np.full_like(np.asarray(x, dtype=np.float64), 0.5) if np.ndim(x) else 0.5
+    with np.errstate(over="ignore"):
+        scaled = (np.asarray(x, dtype=np.float64) - lo) / (hi - lo)
+    clipped = np.clip(scaled, 0.0, 1.0)
+    return clipped if np.ndim(x) else float(clipped)
+
+
 def reference_change_statistic(rows_cells, kind: str, lo: float = 0.0,
                                hi: float = 0.0) -> float:
     """Per-customer change statistic over one already-ordered cell sequence."""

@@ -293,6 +293,8 @@ MALFORMED = [
      {"m.json": checkpoint_file(as_version_2)}, "io-error"),
     ("checkpoint-version-3", "embed", {},
      {"m.json": checkpoint_file(lambda c: c.update(version=3))}, "io-error"),
+    ("checkpoint-task-one-class", "embed", {},
+     {"m.json": checkpoint_file(lambda c: c.update(tasks={"churn": 1}))}, "io-error"),
     ("checkpoint-nan-weight", "embed", {},
      {"m.json": checkpoint_file(first_weight(float("nan")))}, "io-error"),
     ("checkpoint-inf-weight", "embed", {},

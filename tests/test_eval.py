@@ -246,6 +246,15 @@ def test_single_class_training_labels_rejected():
         baseline_linear(x, np.ones(10, dtype=int), BaselineConfig(seed=0))
 
 
+def test_baseline_rejects_labels_outside_binary():
+    x = np.random.default_rng(0).normal(size=(40, 3))
+    for bad in (2, -1):
+        labels = (x[:, 0] > 0).astype(int)
+        labels[:3] = bad
+        with pytest.raises(ConfigError, match="baseline needs labels"):
+            baseline_linear(x, labels, BaselineConfig(epochs=5))
+
+
 def test_flatten_features_shapes_and_labels():
     table = synth_generate(small_synth(n_customers=60, seed=7))
     schema = build_schema(table, RecognizerConfig())

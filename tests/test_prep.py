@@ -1,14 +1,16 @@
+import struct
+
 import numpy as np
 import pytest
 
-from tabrep.errors import MixedKindFeatureError
+from tabrep.errors import MixedKindFeatureError, SchemaError
 from tabrep.prep import (FeatureKind, RecognizerConfig, Vocabulary, build_schema,
                          dynamics_matrix, dynamics_statistic,
                          nc_recognize, sd_recognize, tokenize, uniform_normalize,
                          FeatureSchema, MISSING_TOKEN_ID, OOV_TOKEN_ID)
 from tabrep.table import MISSING, BigTable, Date, Number, Row, Token
 
-from oracles import (random_table, reference_change_statistic,
+from oracles import (numpy_uniform_normalize, random_table, reference_change_statistic,
                      reference_feature_kind)
 
 
@@ -65,6 +67,25 @@ def test_tokenize_training_stream_first_seen_order():
     assert vocab.size == 4
 
 
+def test_vocabulary_fit_is_tokenize_train_mode():
+    cells = [MISSING, Token("b"), Number(3.0), Date(86400), MISSING, Token("b"),
+             Number(2.5), Token("3"), Date(0), Number(3.0), MISSING]
+    vocab = Vocabulary.fit(cells)
+    assert vocab.token_to_id == {"b": 2, "3": 3, "86400": 4, "2.5": 5, "0": 6}
+    ids, train_vocab = tokenize(cells)
+    assert train_vocab == vocab
+    assert ids == [0, 2, 3, 4, 0, 2, 5, 3, 6, 3, 0]
+    # a one-shot iterable is read once, for the fit and the ids alike
+    assert tokenize(iter(cells)) == (ids, vocab)
+
+
+def test_schema_vocabulary_is_the_shared_fit():
+    table = build_mixed_table()
+    schema = build_schema(table, overrides={"dn": FeatureKind.DYNAMIC_CATEGORICAL})
+    for f, vocab in schema.vocabularies.items():
+        assert vocab == Vocabulary.fit(table.column(f)) == tokenize(list(table.column(f)))[1]
+
+
 def test_tokenize_missing_and_oov():
     _, vocab = tokenize([Token("red")])
     ids, _ = tokenize([MISSING, Token("green"), Token("red")], vocab)
@@ -86,6 +107,24 @@ def test_normalize_clamps_out_of_range():
 
 def test_normalize_degenerate_stats_give_half():
     assert uniform_normalize(7.0, (7.0, 7.0)) == 0.5
+
+
+def test_normalize_is_scalar_and_bit_equal_to_numpy_version():
+    rng = np.random.default_rng(11)
+    cases = [(float(v), (float(lo), float(lo + w)))
+             for v, lo, w in zip(rng.normal(0, 50, 500), rng.normal(0, 20, 500),
+                                 rng.exponential(10, 500))]
+    cases += [(-0.0, (0.0, 1.0)), (0.0, (-0.0, 1.0)), (-0.0, (-0.0, 2.0)),
+              (-0.0, (-1.0, 0.0)), (0.0, (0.0, 10.0)), (10.0, (0.0, 10.0)),
+              (-3.0, (0.0, 10.0)), (42.0, (0.0, 10.0)), (1e300, (-1e300, 1e300)),
+              (7.0, (7.0, 7.0)), (-0.0, (0.0, 0.0)), (3.0, (-5e-324, 5e-324))]
+    for x, stats in cases:
+        got = uniform_normalize(x, stats)
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", numpy_uniform_normalize(x, stats)), \
+            (x, stats)
+    with pytest.raises(ValueError, match="max < min"):
+        uniform_normalize(0.0, (1.0, 0.0))
 
 
 # ---- change statistics ---------------------------------------------------
@@ -232,11 +271,55 @@ def test_schema_round_trip(tmp_path):
         {f: v.token_to_id for f, v in schema.vocabularies.items()}
 
 
+K = FeatureKind
+RECOGNIZED = {"sc": K.STATIC_CATEGORICAL, "sn": K.STATIC_NUMERICAL,
+              "dc": K.DYNAMIC_CATEGORICAL, "dn": K.DYNAMIC_NUMERICAL, "ts": K.DATE_INDEX}
+SUMMARY = {"sc": 0, "sn": 0, "dc": 24, "dn": 30}
+
+# (overrides, vocabulary keys, numeric_stats keys, dynamics_summary) on
+# `build_mixed_table`; every other feature keeps its recognized kind
+OVERRIDE_CASES = [
+    ({"dc": K.STATIC_CATEGORICAL}, {"sc", "dc"}, {"sn", "dn"}, SUMMARY),
+    ({"sc": K.DYNAMIC_CATEGORICAL}, {"sc", "dc"}, {"sn", "dn"}, SUMMARY),
+    ({"dn": K.STATIC_NUMERICAL}, {"sc", "dc"}, {"sn", "dn"}, SUMMARY),
+    ({"sn": K.DYNAMIC_NUMERICAL}, {"sc", "dc"}, {"sn", "dn"}, SUMMARY),
+    ({"ts": K.DATE_INDEX}, {"sc", "dc"}, {"sn", "dn"}, SUMMARY),
+    # a token feature pinned numerical: no number, range (0, 0), no change
+    ({"sc": K.STATIC_NUMERICAL}, {"dc"}, {"sc", "sn", "dn"}, SUMMARY),
+    # a number feature pinned categorical: its values become tokens
+    ({"dn": K.DYNAMIC_CATEGORICAL}, {"sc", "dc", "dn"}, {"sn"}, SUMMARY),
+    # the date index moved to another feature; the dates become tokens
+    ({"ts": K.STATIC_CATEGORICAL, "sn": K.DATE_INDEX}, {"sc", "dc", "ts"}, {"dn"},
+     {"sc": 0, "dc": 24, "dn": 30, "ts": 30}),
+]
+
+
 def test_schema_overrides_pin_kinds():
     table = build_mixed_table()
-    schema = build_schema(table, RecognizerConfig(),
-                          overrides={"dc": FeatureKind.STATIC_CATEGORICAL})
-    assert schema.kinds["dc"] is FeatureKind.STATIC_CATEGORICAL
+    for overrides, vocab_keys, stats_keys, summary in OVERRIDE_CASES:
+        schema = build_schema(table, RecognizerConfig(), overrides=overrides)
+        assert schema.kinds == {**RECOGNIZED, **overrides}, overrides
+        assert set(schema.vocabularies) == vocab_keys, overrides
+        assert set(schema.numeric_stats) == stats_keys, overrides
+        assert schema.dynamics_summary == summary, overrides
+    assert {kind for case in OVERRIDE_CASES for kind in case[0].values()} == set(FeatureKind)
+
+
+def test_pinned_token_feature_has_empty_range():
+    schema = build_schema(build_mixed_table(), overrides={"sc": K.STATIC_NUMERICAL})
+    assert schema.numeric_stats["sc"] == (0.0, 0.0)
+    schema = build_schema(build_mixed_table(), overrides={"dn": K.DYNAMIC_CATEGORICAL})
+    assert schema.vocabularies["dn"].size == 30 * 3 + 2
+
+
+def test_unknown_override_raises_after_recognition():
+    table = seq_table({"u": [(Token("x"), Number(1.0))]}, features=("a", "b"))
+    # nc_recognize runs first, so the mixed-kind error wins over the unknown name
+    mixed = seq_table({"u": [Token("x"), Number(1.0)]})
+    with pytest.raises(MixedKindFeatureError):
+        build_schema(mixed, overrides={"nope": K.STATIC_CATEGORICAL})
+    with pytest.raises(SchemaError, match="override for unknown feature 'nope'"):
+        build_schema(table, overrides={"nope": K.STATIC_CATEGORICAL})
 
 
 def test_kind_ratios_exclude_date_features():
