@@ -99,8 +99,7 @@ def _write_rows(path: Path, header: list, names, rows) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for cid, row in zip(names, rows):
-            writer.writerow([cid] + [repr(float(v)) for v in row])
+        writer.writerows([cid, *map(repr, row)] for cid, row in zip(names, rows.tolist()))
 
 
 def _load_ordered(args, cfg: RunConfig) -> BigTable:

@@ -9,6 +9,7 @@ is a pure function of (table, schema); no learned state.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -43,9 +44,23 @@ class BranchLayout:
             cd_vocab_sizes=tuple(schema.vocabularies[f].size for f in branch["DC"]),
         )
 
-    @staticmethod
-    def offsets(sizes: tuple[int, ...]) -> np.ndarray:
-        return np.concatenate([[0], np.cumsum(sizes)[:-1]]) if sizes else np.zeros(0, dtype=np.int64)
+    @cached_property
+    def cs_offsets(self) -> np.ndarray:
+        """Start of each static categorical feature's ids in the shared table."""
+        return _offsets(self.cs_vocab_sizes)
+
+    @cached_property
+    def cd_offsets(self) -> np.ndarray:
+        """Start of each dynamic categorical feature's ids in the shared table."""
+        return _offsets(self.cd_vocab_sizes)
+
+
+def _offsets(sizes: tuple[int, ...]) -> np.ndarray:
+    """Exclusive prefix sums of `sizes`, as a read-only int64 array."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    offsets = np.cumsum(sizes) - sizes
+    offsets.flags.writeable = False
+    return offsets
 
 
 @dataclass
@@ -117,7 +132,7 @@ def encode_rows(rows: list[Row], schema: FeatureSchema,
         j = index[f]
         for t, row in enumerate(window):
             cd_ids[t, i] = vocab.encode(row.cells[j])
-    cd_ids += BranchLayout.offsets(layout.cd_vocab_sizes).astype(np.int64)[None, :]
+    cd_ids += layout.cd_offsets
 
     nd_vals = np.zeros((n_s, len(layout.dn_features)))
     for i, f in enumerate(layout.dn_features):
@@ -157,7 +172,7 @@ def _static_categorical(cells: list, schema: FeatureSchema,
     ids = np.zeros(len(layout.cs_features), dtype=np.int64)
     for i, (f, cell) in enumerate(zip(layout.cs_features, cells)):
         ids[i] = schema.vocabularies[f].encode(cell)
-    ids += BranchLayout.offsets(layout.cs_vocab_sizes).astype(np.int64)
+    ids += layout.cs_offsets
     return ids, any(cell is not MISSING for cell in cells)
 
 
@@ -195,7 +210,7 @@ def masked_encoding(rows: list[Row], encoded: EncodedCustomer, feature_index: in
         if f in layout.cd_features:
             i = layout.cd_features.index(f)
             cd_ids = encoded.cd_ids.copy()
-            cd_ids[t, i] = BranchLayout.offsets(layout.cd_vocab_sizes)[i] + MISSING_TOKEN_ID
+            cd_ids[t, i] = layout.cd_offsets[i] + MISSING_TOKEN_ID
             edited = replace(encoded, cd_ids=cd_ids)
         else:
             nd_vals = encoded.nd_vals.copy()

@@ -252,12 +252,16 @@ def dynamics_statistic(table: BigTable, feature: str, kind: str) -> np.ndarray:
         if kind == "categorical":
             column[i] = change_count(rows, j)
             continue
-        total = 0.0
-        for prev, cur in zip(rows[:-1], rows[1:]):
-            a, b = prev.cells[j], cur.cells[j]
-            if a is MISSING or b is MISSING:
-                continue
-            total += abs(uniform_normalize(b.value, stats) - uniform_normalize(a.value, stats))
+        # each cell of a counted pair is normalized once, and carried to the next pair
+        total, prev, prev_value = 0.0, MISSING, None
+        for row in rows:
+            cell, value = row.cells[j], None
+            if cell is not MISSING and prev is not MISSING:
+                if prev_value is None:
+                    prev_value = uniform_normalize(prev.value, stats)
+                value = uniform_normalize(cell.value, stats)
+                total += abs(value - prev_value)
+            prev, prev_value = cell, value
         column[i] = total
     return column
 
@@ -289,12 +293,17 @@ def dynamic_customer_counts(matrix: DynamicsMatrix, nc_kinds: dict[str, str], co
     return counts
 
 
+def dynamic_flags(counts: dict[str, int], n_customers: int, config: RecognizerConfig) -> dict[str, bool]:
+    """Per-feature dynamic flag from `dynamic_customer_counts`: dynamic iff
+    the count exceeds the feature threshold. Equality resolves to static."""
+    t_f = config.resolved_feature_threshold(n_customers)
+    return {f: d_f > t_f for f, d_f in counts.items()}
+
+
 def sd_recognize(matrix: DynamicsMatrix, nc_kinds: dict[str, str], config: RecognizerConfig) -> dict[str, bool]:
     """Per-feature dynamic flag: dynamic iff the number of customers whose
-    change statistic clears the pair threshold exceeds the feature threshold.
-    Equality resolves to static."""
-    t_f = config.resolved_feature_threshold(len(matrix.customers))
-    return {f: d_f > t_f for f, d_f in dynamic_customer_counts(matrix, nc_kinds, config).items()}
+    change statistic clears the pair threshold exceeds the feature threshold."""
+    return dynamic_flags(dynamic_customer_counts(matrix, nc_kinds, config), len(matrix.customers), config)
 
 
 @dataclass
@@ -314,6 +323,14 @@ class FeatureSchema:
     config: RecognizerConfig
 
     def __post_init__(self):
+        stray = set(self.kinds) ^ set(self.feature_order)
+        if stray:
+            raise SchemaError(f"kinds and feature_order differ on {sorted(stray)}")
+        for feature, kind in self.kinds.items():
+            if NC_KIND[kind] == "categorical" and feature not in self.vocabularies:
+                raise SchemaError(f"categorical feature {feature!r} has no vocabulary")
+            if NC_KIND[kind] == "numerical" and feature not in self.numeric_stats:
+                raise SchemaError(f"numerical feature {feature!r} has no range")
         for feature, (lo, hi) in self.numeric_stats.items():
             check_range(feature, lo, hi)
         dates = [f for f, k in self.kinds.items() if k is FeatureKind.DATE_INDEX]
@@ -392,14 +409,14 @@ def build_schema(table: BigTable, config: RecognizerConfig = RecognizerConfig(),
             raise SchemaError(f"override for unknown feature {feature!r}")
         nc_kinds[feature] = NC_KIND[kind]
 
-    matrix = dynamics_matrix(table, nc_kinds, config)
-    dynamic_flags = sd_recognize(matrix, nc_kinds, config)
+    counts = dynamic_customer_counts(dynamics_matrix(table, nc_kinds, config), nc_kinds, config)
+    dynamic = dynamic_flags(counts, table.n_customers, config)
     kinds = {f: overrides[f] if f in overrides
-             else KIND_TABLE[nc_kinds[f], dynamic_flags.get(f, False)] for f in table.features}
+             else KIND_TABLE[nc_kinds[f], dynamic.get(f, False)] for f in table.features}
     return FeatureSchema(
         feature_order=list(table.features), kinds=kinds,
         vocabularies={f: Vocabulary.fit(table.column(f))
                       for f in table.features if nc_kinds[f] == "categorical"},
         numeric_stats={f: numeric_range(table, f)
                        for f in table.features if nc_kinds[f] == "numerical"},
-        dynamics_summary=dynamic_customer_counts(matrix, nc_kinds, config), config=config)
+        dynamics_summary=counts, config=config)

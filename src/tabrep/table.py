@@ -85,6 +85,18 @@ def parse_cell(text: str) -> CellValue:
     return Token(text)
 
 
+class _ParsedCells(dict):
+    """Raw cell text -> `parse_cell` of it, parsed on first lookup only.
+
+    Keyed on the exact unstripped text, so texts that parse to equal but
+    distinguishable cells ("-0.0" and "0.0") never share an entry.
+    """
+
+    def __missing__(self, text: str) -> CellValue:
+        cell = self[text] = parse_cell(text)
+        return cell
+
+
 def _parse_date(text: str) -> int | None:
     candidate = text[:-1] + "+00:00" if text.endswith("Z") else text
     try:
@@ -174,7 +186,8 @@ def load_table(path, fmt: TableFormat = TableFormat()) -> BigTable:
 
     Cell content never fails the load: anything unparseable is Missing.
     Structural problems (duplicate headers, absent id column, ragged rows)
-    raise SchemaError/ParseError.
+    raise SchemaError/ParseError. Each distinct raw text is parsed once, and
+    every equal text of the file shares that one immutable cell.
     """
     path = Path(path)
     try:
@@ -208,6 +221,7 @@ def load_table(path, fmt: TableFormat = TableFormat()) -> BigTable:
     customers: list[str] = []
     records: dict[str, list[Row]] = {}
     labels: dict[str, dict[str, int]] = {col: {} for col in fmt.label_columns}
+    parsed = _ParsedCells()
 
     for line_no, raw in enumerate(reader, start=2):
         if not raw:
@@ -222,15 +236,15 @@ def load_table(path, fmt: TableFormat = TableFormat()) -> BigTable:
             records[cust] = []
         date = None
         if date_pos is not None:
-            cell = parse_cell(raw[date_pos])
+            cell = parsed[raw[date_pos]]
             if isinstance(cell, Date):
                 date = cell.epoch
             elif isinstance(cell, Number):
                 date = int(cell.value)
-        cells = tuple(parse_cell(raw[i]) for i in feature_pos)
+        cells = tuple([parsed[raw[i]] for i in feature_pos])
         records[cust].append(Row(cells=cells, date=date))
         for col, pos in label_pos.items():
-            cell = parse_cell(raw[pos])
+            cell = parsed[raw[pos]]
             if isinstance(cell, Number) and cust not in labels[col]:
                 labels[col][cust] = int(cell.value)
 

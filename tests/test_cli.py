@@ -251,6 +251,13 @@ def overflowing_range(payload):
     payload["numeric_stats"][feature] = [-1.5e308, 1.5e308]
 
 
+def drop_first(section):
+    """Schema edit: remove the first feature's entry from `section`."""
+    def edit(payload):
+        del payload[section][next(iter(payload[section]))]
+    return edit
+
+
 def first_weight(value):
     def edit(payload):
         next(iter(payload["params"].values()))["data"][0] = value
@@ -280,6 +287,12 @@ MALFORMED = [
                b"c1,2020-01-02,0.5,0\nc2,2020-01-01,-1.5e308,1\n"}, "schema-error"),
     ("schema-range-overflows", "train", {},
      {"schema.json": schema_file(overflowing_range)}, "schema-error"),
+    ("schema-kind-without-vocabulary", "train", {},
+     {"schema.json": schema_file(drop_first("vocabularies"))}, "schema-error"),
+    ("schema-kind-without-range", "train", {},
+     {"schema.json": schema_file(drop_first("numeric_stats"))}, "schema-error"),
+    ("schema-kind-outside-feature-order", "train", {},
+     {"schema.json": schema_file(lambda s: s["kinds"].update(extra="SC"))}, "schema-error"),
     ("schema-corrupt-json", "train", {}, {"schema.json": b'{"feature_order": ['}, "io-error"),
     ("schema-missing-keys", "train", {},
      {"schema.json": schema_file(lambda s: s.pop("kinds"))}, "io-error"),

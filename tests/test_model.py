@@ -7,8 +7,8 @@ import pytest
 
 from tabrep import model as model_module
 from tabrep import numeric
-from tabrep.encode import (augmented_summary, encode_customer, stack_encoded,
-                           summary_width)
+from tabrep.encode import (BranchLayout, augmented_summary, encode_customer,
+                           stack_encoded, summary_width)
 from tabrep.errors import (AllTermsDisabledError, ConfigError, TableIOError,
                            UnknownTaskError)
 from tabrep.eval import SynthConfig, synth_generate
@@ -68,6 +68,16 @@ def test_encoded_shapes_and_presence(schema):
     assert enc.nd_vals.shape == (4, 1)
     assert enc.seq_valid.tolist() == [True, True, True, False]
     assert enc.presence.tolist() == [1.0, 1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("sizes", [(), (5,), (7, 3, 12)])
+def test_layout_offsets_are_the_exclusive_cumsum(sizes):
+    layout = BranchLayout(n_s=2, cs_features=(), sn_features=(), cd_features=(), dn_features=(),
+                          cs_vocab_sizes=sizes, cd_vocab_sizes=sizes[::-1])
+    for got, sizes in ((layout.cs_offsets, sizes), (layout.cd_offsets, sizes[::-1])):
+        want = (np.concatenate([[0], np.cumsum(sizes)[:-1]]) if sizes
+                else np.zeros(0, dtype=np.int64)).astype(np.int64)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def test_static_value_is_latest_non_missing(schema):

@@ -1,5 +1,11 @@
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabrep import table as tb
 from tabrep.errors import (EmptyTableError, MissingDateIndexError, ParseError,
@@ -122,6 +128,58 @@ def test_order_records_requires_date_index():
     rows = {"u": [Row(cells=(Token("a"),), date=None)]}
     with pytest.raises(MissingDateIndexError):
         order_records(make_table(rows, dated=False))
+
+
+# Random CSV text through `load_table`: every feature, date and label cell
+# it reads is `parse_cell` of that cell's raw text, although equal texts
+# share one parsed cell. Cells compare by repr, so a shared cell for "0.0"
+# and "-0.0" would show.
+RAW_CELLS = ["", "  ", "na", " NA ", "NaN", "null", "nan", "inf", "-inf", "1e999",
+             "0.0", "-0.0", " -0.0", "0", "1", "1.0", " 1 ", "-2.5", "2020-01-01",
+             " 2020-01-01 ", "2020-01-01T10:00:00Z", "2020-02-30", "a", " a", "a ",
+             '"', '""', '"a,b"', 'x"y']
+raw_cells = st.one_of(st.sampled_from(RAW_CELLS), st.text(
+    st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), max_size=5))
+csv_rows = st.lists(st.tuples(st.sampled_from(["c1", " c2 ", "c3"]), raw_cells,
+                              raw_cells, raw_cells, raw_cells), min_size=1, max_size=12)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(rows=csv_rows)
+def test_loaded_cells_equal_parse_cell_of_their_raw_text(tmp_path_factory, rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["customer_id", "date", "f", "g", "churn"])
+    writer.writerows(rows)
+    path = tmp_path_factory.mktemp("load") / "t.csv"
+    path.write_text(buffer.getvalue(), encoding="utf-8")
+    t = load_table(path, TableFormat(date_column="date", label_columns=("churn",)))
+
+    want_records, want_labels = {}, {}
+    for cust, date, f, g, label in rows:
+        date_cell, label_cell = parse_cell(date), parse_cell(label)
+        epoch = (date_cell.epoch if isinstance(date_cell, Date)
+                 else int(date_cell.value) if isinstance(date_cell, Number) else None)
+        want_records.setdefault(cust.strip(), []).append(
+            (epoch, repr(parse_cell(f)), repr(parse_cell(g))))
+        if isinstance(label_cell, Number):
+            want_labels.setdefault(cust.strip(), int(label_cell.value))
+    assert t.customers == list(want_records)
+    assert {cust: [(row.date, *map(repr, row.cells)) for row in records]
+            for cust, records in t.records.items()} == want_records
+    assert t.labels == ({"churn": want_labels} if want_labels else {})
+
+
+def test_equal_texts_in_one_load_share_one_cell(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("customer_id,f,g\nc1,gold,1.5\nc2,gold,1.5\nc2,1.5,-0.0\nc3, gold,0.0\n")
+    t = load_table(path)
+    first, second, third = (row.cells for row in t.records["c1"] + t.records["c2"])
+    assert first[0] is second[0] and first[1] is second[1] is third[0]
+    # distinct texts get their own cells, even when the cells compare equal
+    spaced, zero = t.records["c3"][0].cells
+    assert spaced == first[0] and spaced is not first[0]
+    assert math.copysign(1.0, third[1].value) == -1.0 and math.copysign(1.0, zero.value) == 1.0
 
 
 # ---- round trip ----------------------------------------------------------
