@@ -74,8 +74,8 @@ def test_encoded_shapes_and_presence(schema):
 def test_layout_offsets_are_the_exclusive_cumsum(sizes):
     layout = BranchLayout(n_s=2, cs_features=(), sn_features=(), cd_features=(), dn_features=(),
                           cs_vocab_sizes=sizes, cd_vocab_sizes=sizes[::-1])
-    for got, sizes in ((layout.cs_offsets, sizes), (layout.cd_offsets, sizes[::-1])):
-        want = (np.concatenate([[0], np.cumsum(sizes)[:-1]]) if sizes
+    for got, branch_sizes in ((layout.cs_offsets, sizes), (layout.cd_offsets, sizes[::-1])):
+        want = (np.concatenate([[0], np.cumsum(branch_sizes)[:-1]]) if branch_sizes
                 else np.zeros(0, dtype=np.int64)).astype(np.int64)
         assert got.dtype == np.int64 and np.array_equal(got, want)
 
