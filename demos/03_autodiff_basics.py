@@ -3,7 +3,10 @@ to inspect.
 
 Part one differentiates a tiny expression and confirms the gradients
 against central finite differences. Part two fits a two-parameter linear
-regression with the same Adam optimizer the encoder trains with.
+regression with the same Adam optimizer the encoder trains with. Only ops
+run inside `numeric.recording()` go on the tape that `numeric.backward`
+sweeps; the finite-difference evaluations run outside it and build no
+graph.
 """
 
 import numpy as np
@@ -21,9 +24,10 @@ def loss_value():
     return numeric.tensor_sum(numeric.sigmoid(hidden) * hidden)
 
 
-loss = loss_value()
-w.zero_grad()
-numeric.backward(loss)
+with numeric.recording():
+    loss = loss_value()
+    w.zero_grad()
+    numeric.backward(loss)
 print(f"loss          {float(loss.data):.6f}")
 print(f"dloss/dw      {np.round(w.grad, 6)}")
 
@@ -51,11 +55,12 @@ bias = numeric.zeros_param((1,), "bias")
 opt = numeric.Adam([slope, bias], lr=0.05)
 data = Tensor(xs)
 for step in range(200):
-    pred = numeric.matmul(data, slope) + bias
-    err = pred - Tensor(ys)
-    mse = numeric.tensor_mean(err * err)
-    opt.zero_grad()
-    numeric.backward(mse)
+    with numeric.recording():
+        pred = numeric.matmul(data, slope) + bias
+        err = pred - Tensor(ys)
+        mse = numeric.tensor_mean(err * err)
+        opt.zero_grad()
+        numeric.backward(mse)
     opt.step()
     if step % 50 == 0 or step == 199:
         print(f"  step {step:3d}: mse {float(mse.data):.5f} "

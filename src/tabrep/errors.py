@@ -52,6 +52,10 @@ class NonScalarLossError(TabrepError):
     code = "non-scalar-loss"
 
 
+class NotRecordingError(TabrepError):
+    code = "not-recording"
+
+
 class NonFiniteGradientError(TabrepError):
     code = "non-finite-gradient"
 

@@ -419,15 +419,16 @@ def baseline_linear(x: np.ndarray, labels: np.ndarray,
     sign = np.where(y_tr == 1, 1.0, -1.0)
 
     for _ in range(config.epochs):
-        logit = numeric.reshape(numeric.matmul(zt, w), (len(train_idx),)) + b
-        # weighted logistic loss via -log sigmoid(sign * logit)
-        margins = logit * Tensor(sign)
-        losses = numeric.log(1.0 + numeric.exp(-margins))
-        loss = numeric.tensor_sum(losses * Tensor(sample_w)) * (1.0 / sample_w.sum())
-        if config.l2 > 0:
-            loss = loss + config.l2 * numeric.tensor_sum(w * w)
-        opt.zero_grad()
-        numeric.backward(loss)
+        with numeric.recording():
+            logit = numeric.reshape(numeric.matmul(zt, w), (len(train_idx),)) + b
+            # weighted logistic loss via -log sigmoid(sign * logit)
+            margins = logit * Tensor(sign)
+            losses = numeric.log(1.0 + numeric.exp(-margins))
+            loss = numeric.tensor_sum(losses * Tensor(sample_w)) * (1.0 / sample_w.sum())
+            if config.l2 > 0:
+                loss = loss + config.l2 * numeric.tensor_sum(w * w)
+            opt.zero_grad()
+            numeric.backward(loss)
         opt.step()
 
     model = LinearModel(weights=w.data[:, 0].copy(), bias=float(b.data[0]),

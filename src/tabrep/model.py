@@ -343,16 +343,14 @@ class CustomerEncoder:
 
         No chunk holds a single row unless the input does: BLAS computes a
         one-row product on its matrix-vector path, which rounds differently
-        from the same row inside a larger batch. `rep` and `ponder` are leaf
-        tensors, so a result kept by the caller keeps no graph alive.
+        from the same row inside a larger batch.
         """
         pending: list = []
 
         def flush(n: int) -> ForwardResult:
             out = self.forward(stack_encoded(*zip(*pending[:n])), train=False)
             del pending[:n]
-            return ForwardResult(rep=Tensor(out.rep.data),
-                                 ponder=None if out.ponder is None else Tensor(out.ponder.data))
+            return out
 
         for item in pairs:
             pending.append(item)
@@ -457,11 +455,11 @@ class CustomerEncoder:
                               config.ponder_weight, config.task_weights)
 
         def train_step(idx: np.ndarray) -> float:
-            # the step's graph is released when this returns, before the next forward
             batch = stack_encoded([customers[i] for i in idx], [encoded[i] for i in idx])
-            loss = loss_of(self.forward(batch, train=True, rng=drop_rng), idx)
-            opt.zero_grad()
-            numeric.backward(loss)
+            with numeric.recording():
+                loss = loss_of(self.forward(batch, train=True, rng=drop_rng), idx)
+                opt.zero_grad()
+                numeric.backward(loss)
             opt.step()
             return float(loss.data)
 

@@ -1,18 +1,20 @@
 """Dense-tensor engine with reverse-mode differentiation.
 
-All learned layers in the package are expressed through the ops below. The
-graph is eager and rebuilt on every forward pass, which keeps input-dependent
-depth (adaptive halting) trivial to support. Everything runs in float64 so
-gradients can be verified against central finite differences with headroom.
+All learned layers in the package are expressed through the ops below. Ops
+run eagerly; only inside `recording()` do they go on a tape, which keeps
+input-dependent depth (adaptive halting) trivial to support. Everything runs
+in float64 so gradients can be verified against central finite differences.
 """
 
 from __future__ import annotations
 
 import zlib
+from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import NonFiniteGradientError, NonScalarLossError, ShapeMismatchError
+from .errors import (NonFiniteGradientError, NonScalarLossError, NotRecordingError,
+                     ShapeMismatchError)
 
 LAYER_NORM_EPS = 1e-5
 DEFAULT_DROPOUT = 0.1
@@ -20,6 +22,8 @@ DEFAULT_DROPOUT = 0.1
 # Large finite stand-in for -inf in masked softmax scores; exp() of the
 # shifted value underflows to exactly 0.0, so masked entries cannot leak.
 NEG_MASK_VALUE = 1e30
+
+_tape: list | None = None  # nodes since the last `backward`; None outside `recording()`
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
@@ -31,16 +35,15 @@ def substream(seed: int, name: str) -> np.random.Generator:
 class Tensor:
     """N-dimensional float64 array node in the differentiation graph.
 
-    Ops record their nodes through `_node`; a tensor built directly is a
-    leaf, with no parents and no backward function."""
+    Ops build their nodes through `_node`; a tensor built directly is a
+    leaf, with no backward function."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward_fn", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents = ()
         self._backward_fn = None
         self.name = name
 
@@ -54,8 +57,12 @@ class Tensor:
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy in this tensor's memory layout, which keeps the later
+            # BLAS calls and their rounding; `g` may be a read-only view
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -94,7 +101,7 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Named learnable tensor; always participates in the gradient graph."""
+    """Named learnable tensor; ops over it are taped inside `recording()`."""
 
     def __init__(self, data, name: str):
         super().__init__(data, requires_grad=True, name=name)
@@ -104,17 +111,30 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+@contextmanager
+def recording():
+    """Record the block's ops on a fresh tape for `backward`."""
+    global _tape
+    outer, _tape = _tape, []
+    try:
+        yield
+    finally:
+        _tape = outer
+
+
 def _node(data, *edges) -> Tensor:
-    """Record one op: its value `data` and one edge `(parent, share)` per
-    parent, where `share(g)` is that parent's part of the output gradient
-    `g`. Only parents that require a gradient are linked, and the backward
-    function exists only when one does: a node computed from constants
-    alone is a plain leaf."""
+    """One op: its value `data` and one edge `(parent, share)` per parent,
+    where `share(g)` is that parent's part of the output gradient `g`. Only
+    inside `recording()`, and only if a parent requires a gradient, does the
+    node get a backward function over those parents and go on the tape;
+    otherwise it is a plain leaf."""
     out = Tensor(data)
+    if _tape is None:
+        return out
     live = [edge for edge in edges if edge[0].requires_grad]
     if live:
         out.requires_grad = True
-        out._parents = tuple([parent for parent, _ in live])
+        _tape.append(out)
 
         def backward_fn(g):
             for parent, share in live:
@@ -363,28 +383,16 @@ def degenerate_rows(mask: np.ndarray, axis: int) -> np.ndarray:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss; accumulates into `.grad`."""
+    """Sweep the tape in reverse creation order from a scalar loss into `.grad`."""
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise NonScalarLossError(f"loss has shape {loss.shape}; expected a scalar")
-    topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in visited:
-                stack.append((parent, False))
+    if _tape is None:
+        raise NotRecordingError("backward needs the loss computed inside numeric.recording()")
     loss.accumulate(np.ones_like(loss.data))
-    for node in reversed(topo):
-        if node._backward_fn is not None and node.grad is not None:
+    for node in reversed(_tape):
+        if node.grad is not None:
             node._backward_fn(node.grad)
+    _tape.clear()
 
 
 # ---------------------------------------------------------------------------

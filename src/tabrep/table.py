@@ -185,16 +185,25 @@ def load_table(path, fmt: TableFormat = TableFormat()) -> BigTable:
     """Read a delimited file with a header row into a BigTable.
 
     Cell content never fails the load: anything unparseable is Missing.
-    Structural problems (duplicate headers, absent id column, ragged rows)
-    raise SchemaError/ParseError. Each distinct raw text is parsed once, and
-    every equal text of the file shares that one immutable cell.
+    Structural problems (duplicate headers, absent id column, ragged rows,
+    malformed CSV) raise SchemaError/ParseError. The file is streamed
+    through the CSV reader, so a quoted cell may hold line breaks, and a
+    leading byte-order mark is dropped. Each distinct raw text is parsed
+    once, and every equal text of the file shares that one immutable cell.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh, delimiter=fmt.delimiter)
+            try:
+                return _read_table(path, reader, fmt)
+            except csv.Error as e:
+                raise ParseError(f"{path}:{reader.line_num}: {e}") from None
     except (OSError, UnicodeDecodeError) as e:
         raise TableIOError(f"cannot read {path}: {e}") from e
-    reader = csv.reader(text.splitlines(), delimiter=fmt.delimiter)
+
+
+def _read_table(path: Path, reader, fmt: TableFormat) -> BigTable:
     try:
         header = next(reader)
     except StopIteration:
@@ -223,14 +232,15 @@ def load_table(path, fmt: TableFormat = TableFormat()) -> BigTable:
     labels: dict[str, dict[str, int]] = {col: {} for col in fmt.label_columns}
     parsed = _ParsedCells()
 
-    for line_no, raw in enumerate(reader, start=2):
+    for raw in reader:
         if not raw:
             continue
         if len(raw) != len(header):
-            raise ParseError(f"{path}:{line_no}: expected {len(header)} fields, got {len(raw)}")
+            raise ParseError(f"{path}:{reader.line_num}: expected {len(header)} fields, "
+                             f"got {len(raw)}")
         cust = raw[id_pos].strip()
         if not cust:
-            raise ParseError(f"{path}:{line_no}: empty customer id")
+            raise ParseError(f"{path}:{reader.line_num}: empty customer id")
         if cust not in records:
             customers.append(cust)
             records[cust] = []
@@ -262,8 +272,15 @@ def save_table(table: BigTable, path, fmt: TableFormat = TableFormat()) -> None:
     header.extend(table.features)
     header.extend(fmt.label_columns)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=fmt.delimiter, lineterminator="\n")
-        writer.writerow(header)
+        plain = csv.writer(fh, delimiter=fmt.delimiter, lineterminator="\n")
+        # `plain` quotes a field holding "\n" but not one holding only "\r"
+        quoted = csv.writer(fh, delimiter=fmt.delimiter, lineterminator="\n",
+                            quoting=csv.QUOTE_ALL)
+
+        def write(row):
+            (quoted if "\r" in "".join(row) else plain).writerow(row)
+
+        write(header)
         for cust in table.customers:
             for row in table.records[cust]:
                 out = [cust]
@@ -273,7 +290,7 @@ def save_table(table: BigTable, path, fmt: TableFormat = TableFormat()) -> None:
                 for col in fmt.label_columns:
                     value = table.labels.get(col, {}).get(cust)
                     out.append("" if value is None else str(value))
-                writer.writerow(out)
+                write(out)
 
 
 def order_records(table: BigTable) -> BigTable:

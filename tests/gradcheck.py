@@ -1,7 +1,9 @@
 """Central finite-difference gradient checking shared across test modules.
 
 `fn` must rebuild its graph from the given tensors on every call, because
-the checker perturbs tensor data in place between evaluations.
+the checker perturbs tensor data in place between evaluations. Only the
+analytic pass is recorded; the finite-difference evaluations run as plain
+forwards.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ def max_relative_error(fn, tensors, h: float = 1e-5, sample: int | None = None,
     With `sample`, only that many coordinates per tensor are probed (seeded
     through `rng`); otherwise every coordinate is checked.
     """
-    loss = fn()
-    for t in tensors:
-        t.zero_grad()
-    numeric.backward(loss)
+    with numeric.recording():
+        loss = fn()
+        for t in tensors:
+            t.zero_grad()
+        numeric.backward(loss)
     analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
                 for t in tensors]
 

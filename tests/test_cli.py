@@ -282,6 +282,9 @@ MALFORMED = [
     ("baseline-section", "profile", {"baseline": {"epochs": 10}}, {}, "config-error"),
     ("table-not-utf8", "profile", {},
      {"t.csv": "customer_id,date,f\nc1,2020-01-01,caf\xe9\n".encode("latin-1")}, "io-error"),
+    ("table-cell-over-csv-field-limit", "profile", {},
+     {"t.csv": b"customer_id,date,f,churn\nc1,2020-01-01," + b"x" * (2 ** 17 + 1) + b",0\n"},
+     "parse-error"),
     ("table-range-overflows", "profile", {},
      {"t.csv": b"customer_id,date,f,churn\nc1,2020-01-01,1.5e308,0\n"
                b"c1,2020-01-02,0.5,0\nc2,2020-01-01,-1.5e308,1\n"}, "schema-error"),

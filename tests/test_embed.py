@@ -46,8 +46,8 @@ def test_id_out_of_range():
 
 def test_lookup_gradient_accumulates_repeated_rows():
     table = Parameter(np.array([[1.0, 2.0], [3.0, 4.0]]), name="t")
-    out = categorical_embed(np.array([1, 1, 0]), table)
-    numeric.backward(numeric.tensor_sum(out))
+    with numeric.recording():
+        numeric.backward(numeric.tensor_sum(categorical_embed(np.array([1, 1, 0]), table)))
     # row 1 picked twice, row 0 once
     assert np.array_equal(table.grad, [[1.0, 1.0], [2.0, 2.0]])
 
@@ -145,7 +145,8 @@ def test_output_dominates_rows_and_comes_from_rows():
 
 def test_tie_gradient_routes_to_first_row():
     e = Parameter(np.array([[2.0, 1.0], [2.0, 3.0]]), name="e")
-    numeric.backward(numeric.tensor_sum(max_concat(e)))
+    with numeric.recording():
+        numeric.backward(numeric.tensor_sum(max_concat(e)))
     # column 0 ties at 2.0: gradient goes to row 0 only
     assert np.array_equal(e.grad, [[1.0, 0.0], [0.0, 1.0]])
 

@@ -210,6 +210,17 @@ def test_forward_bit_identical_across_passes(schema):
     assert a.tobytes() == b.tobytes()
 
 
+def test_forwards_outside_recording_return_leaves(schema):
+    model = CustomerEncoder(schema, small_model_config(), tasks={"churn": 2})
+    names, encoded = model.encode_table(fixture_table(n=6))
+    batch = stack_encoded(names, encoded)
+    outs = [model.forward(batch), model.forward(batch, train=True, rng=np.random.default_rng(0)),
+            *model.forward_chunks(zip(names, encoded))]
+    for out in outs:
+        for t in (out.rep, out.ponder):
+            assert t._backward_fn is None and not t.requires_grad
+
+
 def test_same_seed_same_initial_parameters(schema):
     a = CustomerEncoder(schema, small_model_config(), tasks={"churn": 2}, seed=5)
     b = CustomerEncoder(schema, small_model_config(), tasks={"churn": 2}, seed=5)

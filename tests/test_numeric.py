@@ -3,7 +3,7 @@ import pytest
 
 from tabrep import numeric
 from tabrep.errors import (NonFiniteGradientError, NonScalarLossError,
-                           ShapeMismatchError)
+                           NotRecordingError, ShapeMismatchError)
 from tabrep.numeric import Parameter, Tensor
 
 from gradcheck import assert_gradients_match, scalarize
@@ -85,17 +85,18 @@ def test_dropout_train_mode_masks_and_rescales():
 
 def test_max_first_argmax_tie_break():
     x = Tensor(np.array([[2.0, 2.0, 1.0]]), requires_grad=True)
-    out = numeric.tensor_max(x, axis=1)
-    numeric.backward(numeric.tensor_sum(out))
+    with numeric.recording():
+        numeric.backward(numeric.tensor_sum(numeric.tensor_max(x, axis=1)))
     assert x.grad.tolist() == [[1.0, 0.0, 0.0]]
 
 
 def test_masked_max_degenerate_slice_is_zero_without_gradient():
     x = Tensor(np.array([[1.0, 5.0], [3.0, 2.0]]), requires_grad=True)
     mask = np.array([False, False])
-    out = numeric.masked_max(x, mask, axis=0)
-    assert out.data.tolist() == [0.0, 0.0]
-    numeric.backward(numeric.tensor_sum(out))
+    with numeric.recording():
+        out = numeric.masked_max(x, mask, axis=0)
+        assert out.data.tolist() == [0.0, 0.0]
+        numeric.backward(numeric.tensor_sum(out))
     assert np.array_equal(x.grad, np.zeros((2, 2)))
     assert numeric.degenerate_rows(mask, axis=0)
 
@@ -104,13 +105,15 @@ def test_masked_max_degenerate_slice_is_zero_without_gradient():
 
 def test_backward_square():
     x = Tensor(np.array(3.0), requires_grad=True)
-    numeric.backward(x * x)
+    with numeric.recording():
+        numeric.backward(x * x)
     assert x.grad == pytest.approx(6.0)
 
 
 def test_backward_relu_subgradient():
     x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
-    numeric.backward(numeric.tensor_sum(numeric.relu(x)))
+    with numeric.recording():
+        numeric.backward(numeric.tensor_sum(numeric.relu(x)))
     assert x.grad.tolist() == [0.0, 1.0]
 
 
@@ -205,21 +208,46 @@ def test_every_op_matches_finite_differences():
             assert err < 1e-3, f"{name} trial {trial}: {err}"
 
 
-def test_nodes_link_only_parents_that_need_a_gradient():
-    # an op over constants alone is a plain leaf
+def test_only_recorded_ops_over_a_live_operand_get_a_backward_function():
     c1, c2 = Tensor(np.ones((2, 2))), Tensor(np.full((2, 2), 3.0))
-    for out in (c1 + c2, numeric.matmul(c1, c2), numeric.relu(c1),
-                numeric.concat([c1, c2], axis=0), numeric.tensor_max(c1, axis=0)):
-        assert not out.requires_grad
-        assert out._parents == () and out._backward_fn is None
-    # with one grad-requiring operand, only that operand is linked
     x = Tensor(np.ones((2, 2)), requires_grad=True)
-    for out in (c1 + x, x * c2, numeric.matmul(c1, x), numeric.concat([c1, x, c2], axis=1)):
-        assert out.requires_grad
-        assert out._parents == (x,) and out._backward_fn is not None
-        x.zero_grad()
-        numeric.backward(numeric.tensor_sum(out))
-        assert x.grad is not None and c1.grad is None and c2.grad is None
+    constant_ops = (lambda: c1 + c2, lambda: numeric.matmul(c1, c2), lambda: numeric.relu(c1),
+                    lambda: numeric.concat([c1, c2], axis=0),
+                    lambda: numeric.tensor_max(c1, axis=0))
+    live_ops = (lambda: c1 + x, lambda: x * c2, lambda: numeric.matmul(c1, x),
+                lambda: numeric.concat([c1, x, c2], axis=1))
+    # outside recording() every op is a plain leaf
+    for op in constant_ops + live_ops:
+        out = op()
+        assert not out.requires_grad and out._backward_fn is None
+    with numeric.recording():
+        # an op over constants alone is a plain leaf
+        for op in constant_ops:
+            out = op()
+            assert not out.requires_grad and out._backward_fn is None
+        # with one grad-requiring operand, only that operand gets a gradient
+        for op in live_ops:
+            out = op()
+            assert out.requires_grad and out._backward_fn is not None
+            x.zero_grad()
+            numeric.backward(numeric.tensor_sum(out))
+            assert x.grad is not None and c1.grad is None and c2.grad is None
+            assert not numeric._tape
+
+
+def test_tensor_consumed_by_three_ops_gets_the_summed_gradient():
+    # dyadic values: every partial sum is exact in any order
+    x = Tensor(np.array([1.5, -2.0, 0.25]), requires_grad=True)
+    with numeric.recording():
+        numeric.backward(numeric.tensor_sum(x * 3.0 + x * x + numeric.relu(x)))
+    assert x.grad.tolist() == [7.0, -1.0, 4.5]
+
+
+def test_backward_outside_recording_raises():
+    x = Tensor(np.array(3.0), requires_grad=True)
+    with pytest.raises(NotRecordingError, match=r"numeric\.recording\(\)"):
+        numeric.backward(x * x)
+    assert x.grad is None
 
 
 def test_dropout_gradient_with_pinned_mask():
@@ -258,8 +286,9 @@ def test_adam_quadratic_bowl_converges():
     opt = numeric.Adam([w], lr=0.1)
     for _ in range(200):
         w.zero_grad()
-        loss = (w - 2.0) * (w - 2.0)
-        numeric.backward(numeric.tensor_sum(loss))
+        with numeric.recording():
+            loss = (w - 2.0) * (w - 2.0)
+            numeric.backward(numeric.tensor_sum(loss))
         opt.step()
     assert abs(w.data[0] - 2.0) < 1e-2
 

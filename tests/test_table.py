@@ -11,8 +11,8 @@ from tabrep import table as tb
 from tabrep.errors import (EmptyTableError, MissingDateIndexError, ParseError,
                            SchemaError)
 from tabrep.table import (MISSING, BigTable, Date, Number, Row, TableFormat,
-                          Token, compute_stats, load_table, order_records,
-                          parse_cell, save_table)
+                          Token, compute_stats, format_cell, load_table,
+                          order_records, parse_cell, save_table)
 
 
 def make_table(records, features=("f",), labels=None, dated=True):
@@ -83,6 +83,21 @@ def test_ragged_row_rejected(tmp_path):
     p.write_text("customer_id,x,y\nc1,1\n")
     with pytest.raises(ParseError):
         load_table(p)
+
+
+def test_byte_order_mark_is_not_part_of_the_first_header(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes("customer_id,f\nc1,1.5\n".encode("utf-8-sig"))
+    t = load_table(path)
+    assert t.customers == ["c1"] and t.features == ["f"]
+    assert t.records["c1"] == [Row(cells=(Number(1.5),))]
+
+
+def test_ragged_row_error_names_the_line_it_ends_on(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text('customer_id,f\nc1,"a\nb"\nc2,x,y\n')
+    with pytest.raises(ParseError, match=r"t\.csv:4: expected 2 fields, got 3"):
+        load_table(path)
 
 
 def test_label_column_loads_first_value_per_customer(tmp_path):
@@ -193,6 +208,46 @@ def test_save_load_round_trip(tmp_path, fixture_csv):
     assert again.customers == t.customers
     assert again.features == t.features
     assert again.records == t.records
+
+
+# Tables through `save_table` and back through `load_table`: every cell,
+# date and label survives, also in ids and tokens that hold the delimiter,
+# quotes or line breaks. Only cells that `parse_cell` maps back onto
+# themselves are drawn.
+trip_text = st.text(st.sampled_from(list("ab7 ,;\t\"'\r\n\x85\u2028")), min_size=1, max_size=6)
+trip_cells = st.one_of(
+    st.just(MISSING),
+    st.floats(allow_nan=False, allow_infinity=False).map(Number),
+    st.integers(-2 ** 34, 2 ** 34).map(Date),
+    trip_text.filter(str.strip).map(Token),
+).filter(lambda cell: parse_cell(format_cell(cell)) == cell)
+
+
+@st.composite
+def trip_tables(draw):
+    ids = st.lists(trip_text.filter(lambda c: c.strip() == c), min_size=1, max_size=4,
+                   unique=True)
+    customers = draw(ids)
+    rows = st.lists(st.builds(Row, cells=st.tuples(trip_cells, trip_cells),
+                              date=st.none() | st.integers(-2 ** 34, 2 ** 34)),
+                    min_size=1, max_size=3)
+    labels = draw(st.dictionaries(st.sampled_from(customers), st.integers(-3, 3)))
+    return BigTable(customers=customers, features=["f", "g"],
+                    records={c: draw(rows) for c in customers},
+                    labels={"churn": labels} if labels else {}, has_date_index=True)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(table=trip_tables(), delimiter=st.sampled_from([",", ";", "\t"]))
+def test_save_load_round_trip_keeps_every_cell(tmp_path_factory, table, delimiter):
+    fmt = TableFormat(delimiter=delimiter, date_column="date", label_columns=("churn",))
+    path = tmp_path_factory.mktemp("trip") / "t.csv"
+    save_table(table, path, fmt)
+    again = load_table(path, fmt)
+    assert again.customers == table.customers
+    assert again.features == table.features
+    assert again.records == table.records
+    assert again.labels == table.labels
 
 
 # ---- stats ---------------------------------------------------------------
