@@ -3,10 +3,12 @@ to inspect.
 
 Part one differentiates a tiny expression and confirms the gradients
 against central finite differences. Part two fits a two-parameter linear
-regression with the same Adam optimizer the encoder trains with. Only ops
-run inside `numeric.recording()` go on the tape that `numeric.backward`
-sweeps; the finite-difference evaluations run outside it and build no
-graph.
+regression with the same Adam optimizer the encoder trains with. Part
+three runs the two-layer ReLU network both as the fused `numeric.mlp` op
+and as the five ops it replaces: one tape node against five, with the same
+output and gradients. Only ops run inside `numeric.recording()` go on the
+tape that `numeric.backward` sweeps; the finite-difference evaluations run
+outside it and build no graph.
 """
 
 import numpy as np
@@ -66,3 +68,27 @@ for step in range(200):
         print(f"  step {step:3d}: mse {float(mse.data):.5f} "
               f"slope {float(slope.data[0, 0]):+.3f} bias {float(bias.data[0]):+.3f}")
 print("target slope +3.000, bias -1.000")
+
+print("\n=== part 3: a fused op is one tape node ===")
+rng = numeric.substream(0, "demo-fused")
+inputs = Tensor(rng.normal(size=(4, 3)))
+params = [Parameter(rng.normal(size=shape), name=name)
+          for name, shape in (("w1", (3, 5)), ("b1", (5,)), ("w2", (5, 2)), ("b2", (2,)))]
+
+
+def run(build):
+    for p in params:
+        p.zero_grad()
+    with numeric.recording():
+        out = build(*params)
+        nodes = len(numeric._tape)
+        numeric.backward(numeric.tensor_sum(out))
+    return out.data, nodes, [p.grad for p in params]
+
+
+fused = run(lambda w1, b1, w2, b2: numeric.mlp(inputs, w1, b1, w2, b2))
+composed = run(lambda w1, b1, w2, b2:
+               numeric.matmul(numeric.relu(numeric.matmul(inputs, w1) + b1), w2) + b2)
+print(f"tape nodes    fused {fused[1]}, composed {composed[1]}")
+print(f"same output   {np.array_equal(fused[0], composed[0])}")
+print(f"max grad gap  {max(np.abs(a - b).max() for a, b in zip(fused[2], composed[2])):.1e}")

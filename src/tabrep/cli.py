@@ -19,7 +19,7 @@ from pathlib import Path
 from .errors import ConfigError, TabrepError
 from .eval import MetricSet, SynthConfig, synth_generate
 from .interpret import InterpretConfig, Target, genome_report
-from .model import CustomerEncoder, ModelConfig, TrainConfig
+from .model import EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig
 from .prep import FeatureSchema, RecognizerConfig, build_schema
 from .table import BigTable, TableFormat, compute_stats, load_table, order_records, save_table
 
@@ -95,11 +95,15 @@ def _out_dir(args) -> Path:
 
 
 def _write_rows(path: Path, header: list, names, rows) -> None:
-    """One CSV row per customer: its id, then `repr(float)` of each value."""
+    """One CSV row per customer: its id, then `repr(float)` of each value.
+    Rows become Python floats one `EVAL_BATCH` block at a time, so a large
+    table's values never all exist as objects at once."""
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([cid, *map(repr, row)] for cid, row in zip(names, rows.tolist()))
+        for lo in range(0, len(names), EVAL_BATCH):
+            block = zip(names[lo:lo + EVAL_BATCH], rows[lo:lo + EVAL_BATCH].tolist())
+            writer.writerows([cid, *map(repr, row)] for cid, row in block)
 
 
 def _load_ordered(args, cfg: RunConfig) -> BigTable:

@@ -9,14 +9,13 @@ state takes, per position, a snapshot at that position's halting step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numeric
 from .errors import AllMaskedError, ShapeMismatchError
-from .numeric import NEG_MASK_VALUE, Parameter, Tensor
+from .numeric import Parameter, Tensor
 
 
 @dataclass(frozen=True)
@@ -39,10 +38,6 @@ class TransformerConfig:
     @property
     def head_dim(self) -> int:
         return self.n_e // self.k
-
-    @property
-    def score_scale(self) -> float:
-        return math.sqrt(self.head_dim)
 
 
 @dataclass
@@ -116,32 +111,20 @@ def _sinusoid(positions: np.ndarray, width: int) -> np.ndarray:
     return code
 
 
-def _attention(e: Tensor, params: TransformerParams, config: TransformerConfig,
-               mask: np.ndarray | None) -> tuple[Tensor, Tensor]:
-    """Softmax weights [b, k, n_s, n_s] and split values [b, k, n_s, hd] of
-    `e` [b, n_s, n_e]. Masked keys get a large negative score."""
+def _check_attention(e: Tensor, config: TransformerConfig,
+                     mask: np.ndarray | None) -> np.ndarray | None:
+    """The [b, n_s] mask of `e` [b, n_s, n_e] as booleans, after checking
+    both shapes and that every sequence has a valid position."""
     if e.ndim != 3 or e.shape[-1] != config.n_e:
         raise ShapeMismatchError("mhsa", e.shape, (None, None, config.n_e))
-    b, n_s, _ = e.shape
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (b, n_s):
-            raise ShapeMismatchError("mhsa mask", mask.shape, (b, n_s))
-        if not mask.any(axis=1).all():
-            raise AllMaskedError("a sequence in the batch has no valid position")
-
-    def split(x):
-        x = numeric.reshape(x, (b, n_s, config.k, config.head_dim))
-        return numeric.transpose(x, (0, 2, 1, 3))              # [b, k, n_s, hd]
-
-    q = split(numeric.matmul(e, params.wq))
-    k = split(numeric.matmul(e, params.wk))
-    v = split(numeric.matmul(e, params.wv))
-    scores = numeric.matmul(q, numeric.transpose(k, (0, 1, 3, 2))) * (1.0 / config.score_scale)
-    if mask is not None:
-        key_mask = mask[:, None, None, :].astype(np.float64)   # [b, 1, 1, n_s]
-        scores = scores * key_mask + (-NEG_MASK_VALUE) * (1.0 - key_mask)
-    return numeric.softmax(scores, axis=-1), v
+    if mask is None:
+        return None
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != e.shape[:2]:
+        raise ShapeMismatchError("mhsa mask", mask.shape, e.shape[:2])
+    if not mask.any(axis=1).all():
+        raise AllMaskedError("a sequence in the batch has no valid position")
+    return mask
 
 
 def mhsa(e: Tensor, params: TransformerParams, config: TransformerConfig,
@@ -151,21 +134,19 @@ def mhsa(e: Tensor, params: TransformerParams, config: TransformerConfig,
 
     Masked (padded) key positions receive a large negative score so their
     softmax weight underflows to exactly zero; attention rows over valid
-    keys sum to 1.
+    keys sum to 1. One fused op (`numeric.self_attention`).
     """
-    weights, v = _attention(e, params, config, mask)
-    b, _, n_s, _ = v.shape
-    mixed = numeric.matmul(weights, v)                         # [b, k, n_s, hd]
-    mixed = numeric.transpose(mixed, (0, 2, 1, 3))
-    mixed = numeric.reshape(mixed, (b, n_s, config.n_e))
-    return numeric.matmul(mixed, params.wo)
+    mask = _check_attention(e, config, mask)
+    return numeric.self_attention(e, params.wq, params.wk, params.wv, params.wo,
+                                  config.k, mask)
 
 
 def attention_weights(e: Tensor, params: TransformerParams, config: TransformerConfig,
                       mask: np.ndarray | None = None) -> np.ndarray:
     """The attention matrix [b, k, n_s, n_s] that `mhsa` mixes its values
     with, for inspection."""
-    return _attention(e, params, config, mask)[0].data
+    mask = _check_attention(e, config, mask)
+    return numeric.attention_softmax(e, params.wq, params.wk, params.wv, config.k, mask)
 
 
 def transformer_step(e: Tensor, step: int, params: TransformerParams, config: TransformerConfig,
@@ -176,10 +157,9 @@ def transformer_step(e: Tensor, step: int, params: TransformerParams, config: Tr
     coords = Tensor(coordinate_embedding(step, e.shape[-2], e.shape[-1]))
     x = e + coords
     attended = numeric.dropout(mhsa(x, params, config, mask), config.dropout, train, rng)
-    a = numeric.layer_norm(x + attended, axis=-1)
-    hidden = numeric.relu(numeric.matmul(a, params.ts_w1) + params.ts_b1)
-    ts = numeric.dropout(numeric.matmul(hidden, params.ts_w2) + params.ts_b2, config.dropout, train, rng)
-    return numeric.layer_norm(a + ts, axis=-1)
+    a = numeric.layer_norm(x, residual=attended)
+    ts = numeric.mlp(a, params.ts_w1, params.ts_b1, params.ts_w2, params.ts_b2)
+    return numeric.layer_norm(a, residual=numeric.dropout(ts, config.dropout, train, rng))
 
 
 @dataclass
@@ -221,34 +201,28 @@ def act_run(e0: Tensor, params: TransformerParams, config: TransformerConfig,
     halt_steps = np.zeros((b, n_s), dtype=np.int64)
     e_t = e0
     final = Tensor(np.zeros((b, n_s, n_e)))
-    acc_graph: Tensor | None = None
-    remainder_terms: list[Tensor] = []
+    probs: list[Tensor] = []              # [b, n_s, 1] halting probability per step
 
     for step in range(1, config.t_max + 1):
         e_t = transformer_step(e_t, step, params, config, mask=valid, train=train, rng=rng)
-        logits = numeric.matmul(e_t, params.halt_w) + params.halt_b
-        p = numeric.reshape(numeric.sigmoid(logits), (b, n_s))
+        p = numeric.sigmoid(numeric.matmul(e_t, params.halt_w) + params.halt_b)
+        probs.append(p)
+        p_data = p.data[..., 0]
 
-        crossing = (~halted) & ((acc + p.data >= threshold) | (step == config.t_max))
-        select = crossing.astype(np.float64)
-        final = final + numeric.reshape(Tensor(select), (b, n_s, 1)) * e_t
-        # remainder per the halting construction: 1 - mass accumulated before the halt step
-        mass_before = acc_graph if acc_graph is not None else Tensor(np.zeros((b, n_s)))
-        remainder_terms.append(Tensor(select) * (1.0 - mass_before))
-
-        acc_graph = p if acc_graph is None else acc_graph + p
-        acc = acc + np.where(valid, p.data, 0.0)
+        crossing = (~halted) & ((acc + p_data >= threshold) | (step == config.t_max))
+        final = final + Tensor(crossing[..., None].astype(np.float64)) * e_t
+        acc = acc + np.where(valid, p_data, 0.0)
         halt_steps[crossing] = step
         halted |= crossing
         if halted.all():
             break
 
     n_valid = int(valid.sum())
-    weight = valid.astype(np.float64) / n_valid
-    remainder_sum = remainder_terms[0]
-    for term in remainder_terms[1:]:
-        remainder_sum = remainder_sum + term
-    mean_remainder = numeric.tensor_sum(remainder_sum * Tensor(weight))
+    # remainder per the halting construction: 1 - the mass accumulated before
+    # the halt step, i.e. over the steps after which the position still ran
+    running = halt_steps[..., None] > np.arange(1, len(probs) + 1)     # [b, n_s, steps]
+    mass_before = numeric.tensor_sum(numeric.concat(probs, axis=-1) * Tensor(running / n_valid))
+    mean_remainder = 1.0 - mass_before
     mean_steps = float((halt_steps * valid).sum() / n_valid)
     stats = PonderStats(halt_steps=halt_steps, mean_steps=mean_steps,
                         mean_remainder=float(mean_remainder.data), accumulated=acc)

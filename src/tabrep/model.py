@@ -80,12 +80,6 @@ class TrainConfig:
             raise ConfigError("loss weights must be non-negative")
 
 
-def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    shift = Tensor(np.max(logits.data, axis=axis, keepdims=True))
-    shifted = logits - shift
-    return shifted - numeric.log(numeric.tensor_sum(numeric.exp(shifted), axis=axis, keepdims=True))
-
-
 def cross_entropy(logits: Tensor, labels: np.ndarray, class_weights: np.ndarray) -> Tensor:
     """Class-weighted mean negative log-likelihood.
 
@@ -93,12 +87,10 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, class_weights: np.ndarray)
     regardless of the weighting.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    picked = log_softmax(logits)[np.arange(len(labels)), labels]
     w = np.asarray(class_weights, dtype=np.float64)[labels]
-    total = w.sum()
-    if total <= 0:
+    if w.sum() <= 0:
         raise ConfigError("no positive class weight among the batch labels")
-    return numeric.tensor_sum(picked * Tensor(-w)) * (1.0 / total)
+    return numeric.softmax_cross_entropy(logits, labels, w)
 
 
 def mean_squared_error(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -324,8 +316,7 @@ class CustomerEncoder:
     def task_logits(self, rep: Tensor, task: str) -> Tensor:
         if task not in self.task_heads:
             raise UnknownTaskError(f"unknown task {task!r}; model has {sorted(self.task_heads)}")
-        w1, b1, w2, b2 = self.task_heads[task]
-        return numeric.matmul(numeric.relu(numeric.matmul(rep, w1) + b1), w2) + b2
+        return numeric.mlp(rep, *self.task_heads[task])
 
     def reconstruction_outputs(self, rep: Tensor) -> list[Tensor]:
         return [numeric.matmul(rep, w) + b for w, b in self.recon_heads]

@@ -8,6 +8,7 @@ in float64 so gradients can be verified against central finite differences.
 
 from __future__ import annotations
 
+import math
 import zlib
 from contextlib import contextmanager
 
@@ -122,23 +123,26 @@ def recording():
         _tape = outer
 
 
-def _node(data, *edges) -> Tensor:
-    """One op: its value `data` and one edge `(parent, share)` per parent,
-    where `share(g)` is that parent's part of the output gradient `g`. Only
-    inside `recording()`, and only if a parent requires a gradient, does the
-    node get a backward function over those parents and go on the tape;
+def _node(data, parents, grads) -> Tensor:
+    """One op: its value `data`, its operands `parents` and `grads(g, live)`,
+    which maps the output gradient `g` to one share per parent, in order.
+    `live[i]` is true when parent i requires a gradient; `grads` computes
+    what the shares have in common once and gives a parent that is not live
+    no work and None. Only inside `recording()`, and only if a parent is
+    live, does the node get a backward function and go on the tape;
     otherwise it is a plain leaf."""
     out = Tensor(data)
     if _tape is None:
         return out
-    live = [edge for edge in edges if edge[0].requires_grad]
-    if live:
+    live = tuple(p.requires_grad for p in parents)
+    if any(live):
         out.requires_grad = True
         _tape.append(out)
 
         def backward_fn(g):
-            for parent, share in live:
-                parent.accumulate(share(g))
+            for parent, share in zip(parents, grads(g, live)):
+                if share is not None:
+                    parent.accumulate(share)
 
         out._backward_fn = backward_fn
     return out
@@ -163,9 +167,9 @@ def add(a, b) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise ShapeMismatchError("add", a.shape, b.shape) from None
-    return _node(data,
-                 (a, lambda g: _unbroadcast(g, a.shape)),
-                 (b, lambda g: _unbroadcast(g, b.shape)))
+    return _node(data, (a, b), lambda g, live: (
+        _unbroadcast(g, a.shape) if live[0] else None,
+        _unbroadcast(g, b.shape) if live[1] else None))
 
 
 def sub(a, b) -> Tensor:
@@ -174,9 +178,9 @@ def sub(a, b) -> Tensor:
         data = a.data - b.data
     except ValueError:
         raise ShapeMismatchError("sub", a.shape, b.shape) from None
-    return _node(data,
-                 (a, lambda g: _unbroadcast(g, a.shape)),
-                 (b, lambda g: _unbroadcast(-g, b.shape)))
+    return _node(data, (a, b), lambda g, live: (
+        _unbroadcast(g, a.shape) if live[0] else None,
+        _unbroadcast(-g, b.shape) if live[1] else None))
 
 
 def mul(a, b) -> Tensor:
@@ -185,26 +189,44 @@ def mul(a, b) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise ShapeMismatchError("mul", a.shape, b.shape) from None
-    return _node(data,
-                 (a, lambda g: _unbroadcast(g * b.data, a.shape)),
-                 (b, lambda g: _unbroadcast(g * a.data, b.shape)))
+    return _node(data, (a, b), lambda g, live: (
+        _unbroadcast(g * b.data, a.shape) if live[0] else None,
+        _unbroadcast(g * a.data, b.shape) if live[1] else None))
 
 
 def _swap_last(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2)
 
 
+def _rows(x: np.ndarray) -> np.ndarray:
+    """`x` [..., k] as one [N, k] matrix, for a flat GEMM."""
+    return x.reshape(-1, x.shape[-1])
+
+
 def matmul(a, b) -> Tensor:
+    """Product over the last two axes. An [..., k] operand times a 2-D
+    [k, m] weight runs as one flat [N, k] @ [k, m] GEMM, and the weight's
+    gradient is one [N, k]ᵀ @ [N, m] GEMM."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError("matmul", a.shape, b.shape)
+    if b.ndim == 2:
+        a2 = _rows(a.data)
+        data = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+
+        def grads(g, live):
+            g2 = _rows(g)
+            return ((g2 @ b.data.T).reshape(a.shape) if live[0] else None,
+                    a2.T @ g2 if live[1] else None)
+
+        return _node(data, (a, b), grads)
     try:
         data = np.matmul(a.data, b.data)
     except ValueError:
         raise ShapeMismatchError("matmul", a.shape, b.shape) from None
-    return _node(data,
-                 (a, lambda g: _unbroadcast(np.matmul(g, _swap_last(b.data)), a.shape)),
-                 (b, lambda g: _unbroadcast(np.matmul(_swap_last(a.data), g), b.shape)))
+    return _node(data, (a, b), lambda g, live: (
+        _unbroadcast(np.matmul(g, _swap_last(b.data)), a.shape) if live[0] else None,
+        _unbroadcast(np.matmul(_swap_last(a.data), g), b.shape) if live[1] else None))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -213,84 +235,203 @@ def concat(tensors, axis: int = 0) -> Tensor:
         data = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError:
         raise ShapeMismatchError("concat", *[t.shape for t in tensors]) from None
-    edges, lo = [], 0
+    keys, lo = [], 0
     for t in tensors:
         index = [slice(None)] * data.ndim
         index[axis] = slice(lo, lo + t.shape[axis])
-        edges.append((t, lambda g, key=tuple(index): g[key]))
+        keys.append(tuple(index))
         lo += t.shape[axis]
-    return _node(data, *edges)
+    return _node(data, tensors, lambda g, live: [g[key] if need else None
+                                                 for key, need in zip(keys, live)])
 
 
 def take(a, key) -> Tensor:
     """Slicing / advanced indexing; gradients scatter-add back into `a`."""
     a = as_tensor(a)
 
-    def scatter(g):
+    def scatter(g, _live):
         share = np.zeros_like(a.data)
         np.add.at(share, key, g)
-        return share
+        return (share,)
 
-    return _node(a.data[key], (a, scatter))
+    return _node(a.data[key], (a,), scatter)
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    return _node(a.data.reshape(shape), (a, lambda g: g.reshape(a.shape)))
+    return _node(a.data.reshape(shape), (a,), lambda g, _: (g.reshape(a.shape),))
 
 
 def transpose(a, axes=None) -> Tensor:
     a = as_tensor(a)
     inverse = None if axes is None else np.argsort(axes)
-    return _node(np.transpose(a.data, axes), (a, lambda g: np.transpose(g, inverse)))
+    return _node(np.transpose(a.data, axes), (a,), lambda g, _: (np.transpose(g, inverse),))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    return _node(np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0)))
+    return _node(np.maximum(a.data, 0.0), (a,), lambda g, _: (g * (a.data > 0),))
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     with np.errstate(over="ignore"):
         y = 1.0 / (1.0 + np.exp(-a.data))
-    return _node(y, (a, lambda g: g * y * (1.0 - y)))
+    return _node(y, (a,), lambda g, _: (g * y * (1.0 - y),))
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     y = np.exp(a.data)
-    return _node(y, (a, lambda g: g * y))
+    return _node(y, (a,), lambda g, _: (g * y,))
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    return _node(np.log(a.data), (a, lambda g: g / a.data))
+    return _node(np.log(a.data), (a,), lambda g, _: (g / a.data,))
+
+
+def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    return _node(y, (a, lambda g: y * (g - (g * y).sum(axis=axis, keepdims=True))))
+    y = _softmax(a.data, axis)
+    return _node(y, (a,), lambda g, _: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
 
 
-def layer_norm(a, axis: int = -1, epsilon: float = LAYER_NORM_EPS) -> Tensor:
-    """Normalize to zero mean / unit variance along `axis` (no affine)."""
-    a = as_tensor(a)
-    mean_ = a.data.mean(axis=axis, keepdims=True)
-    centered = a.data - mean_
+def layer_norm(a, axis: int = -1, epsilon: float = LAYER_NORM_EPS, residual=None) -> Tensor:
+    """Normalize to zero mean / unit variance along `axis` (no affine). With
+    an equal-shape `residual`, normalize `a + residual` as one op; both
+    operands get the gradient of the sum."""
+    parents = (as_tensor(a),) if residual is None else (as_tensor(a), as_tensor(residual))
+    if parents[0].shape != parents[-1].shape:
+        raise ShapeMismatchError("layer_norm", *(p.shape for p in parents))
+    z = parents[0].data if residual is None else parents[0].data + parents[1].data
+    centered = z - z.mean(axis=axis, keepdims=True)
     var = (centered * centered).mean(axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + epsilon)
     y = centered * inv
 
-    def share(g):
+    def grads(g, live):
         gm = g.mean(axis=axis, keepdims=True)
         gy = (g * y).mean(axis=axis, keepdims=True)
-        return inv * (g - gm - y * gy)
+        share = inv * (g - gm - y * gy)
+        return [share if need else None for need in live]
 
-    return _node(y, (a, share))
+    return _node(y, parents, grads)
+
+
+def mlp(x, w1, b1, w2, b2) -> Tensor:
+    """Two-layer ReLU network `relu(x @ w1 + b1) @ w2 + b2` over the last
+    axis of `x` [..., k], as one op on flat GEMMs."""
+    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
+    x2 = _rows(x.data)
+    try:
+        hidden = x2 @ w1.data
+        hidden += b1.data
+        np.maximum(hidden, 0.0, out=hidden)
+        out = hidden @ w2.data
+        out += b2.data
+    except ValueError:
+        raise ShapeMismatchError("mlp", x.shape, w1.shape, w2.shape) from None
+
+    def grads(g, live):
+        g2 = _rows(g)
+        d_w2 = hidden.T @ g2 if live[3] else None
+        d_b2 = g2.sum(axis=0) if live[4] else None
+        if not any(live[:3]):
+            return None, None, None, d_w2, d_b2
+        d_pre = g2 @ w2.data.T
+        d_pre *= hidden > 0
+        return ((d_pre @ w1.data.T).reshape(x.shape) if live[0] else None,
+                x2.T @ d_pre if live[1] else None,
+                d_pre.sum(axis=0) if live[2] else None,
+                d_w2, d_b2)
+
+    return _node(out.reshape(x.shape[:-1] + out.shape[1:]), (x, w1, b1, w2, b2), grads)
+
+
+def _heads(m: np.ndarray, b: int, n: int, heads: int) -> np.ndarray:
+    """[b*n, heads*hd] rows as a [b, heads, n, hd] view."""
+    return m.reshape(b, n, heads, -1).transpose(0, 2, 1, 3)
+
+
+def _attention_kernel(x: np.ndarray, w_qkv: np.ndarray, heads: int,
+                      mask: np.ndarray | None):
+    """Forward of `self_attention` up to its softmax: the flat input, the
+    per-head Q, K and V of one [b*n, e] @ [e, 3e] GEMM, the score scale and
+    the softmax weights [b, heads, n, n]. Masked keys get a large negative
+    score."""
+    b, n, e = x.shape
+    x2 = _rows(x)
+    qkv = x2 @ w_qkv
+    q, k, v = (_heads(qkv[:, i * e:(i + 1) * e], b, n, heads) for i in range(3))
+    scale = 1.0 / math.sqrt(e // heads)
+    scores = np.matmul(q, _swap_last(k)) * scale
+    if mask is not None:
+        scores = np.where(mask[:, None, None, :], scores, -NEG_MASK_VALUE)
+    return x2, q, k, v, scale, _softmax(scores)
+
+
+def attention_softmax(x, wq, wk, wv, heads: int, mask: np.ndarray | None = None) -> np.ndarray:
+    """The softmax weights [b, heads, n, n] that `self_attention` mixes its
+    values with; a plain array, never a node."""
+    w_qkv = np.concatenate([as_tensor(w).data for w in (wq, wk, wv)], axis=1)
+    return _attention_kernel(as_tensor(x).data, w_qkv, heads, mask)[-1]
+
+
+def self_attention(x, wq, wk, wv, wo, heads: int, mask: np.ndarray | None = None) -> Tensor:
+    """Masked multi-head dot-product self-attention over the position axis
+    of `x` [b, n, e], as one op. Head h owns columns h*hd:(h+1)*hd of the
+    [e, e] projections `wq`, `wk` and `wv`; `wo` mixes the joined heads.
+    Keys where the [b, n] `mask` is false get a softmax weight of exactly 0."""
+    x, wq, wk, wv, wo = (as_tensor(t) for t in (x, wq, wk, wv, wo))
+    b, n, e = x.shape
+    w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+    x2, q, k, v, scale, weights = _attention_kernel(x.data, w_qkv, heads, mask)
+    mixed = np.matmul(weights, v).transpose(0, 2, 1, 3).reshape(b * n, e)
+
+    def grads(g, live):
+        g2 = _rows(g)
+        d_wo = mixed.T @ g2 if live[4] else None
+        if not any(live[:4]):
+            return None, None, None, None, d_wo
+        d_mixed = _heads(g2 @ wo.data.T, b, n, heads)
+        d_weights = np.matmul(d_mixed, _swap_last(v))
+        d_scores = weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True)) * scale
+        d_qkv = np.stack([np.matmul(d_scores, k), np.matmul(_swap_last(d_scores), q),
+                          np.matmul(_swap_last(weights), d_mixed)])
+        d_qkv = d_qkv.transpose(1, 3, 0, 2, 4).reshape(b * n, 3 * e)
+        d_w = x2.T @ d_qkv if any(live[1:4]) else None
+        return ((d_qkv @ w_qkv.T).reshape(b, n, e) if live[0] else None,
+                *(d_w[:, i * e:(i + 1) * e] if live[1 + i] else None for i in range(3)),
+                d_wo)
+
+    return _node((mixed @ wo.data).reshape(b, n, e), (x, wq, wk, wv, wo), grads)
+
+
+def softmax_cross_entropy(logits, labels: np.ndarray, weights: np.ndarray) -> Tensor:
+    """Weighted mean negative log-likelihood of `labels` under the row-wise
+    softmax of `logits` [n, C], as one op: -sum_i w_i log p_i[labels_i] /
+    sum_i w_i, with one weight per row."""
+    logits = as_tensor(logits)
+    rows = np.arange(len(labels))
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    picked = (shifted - np.log(total))[rows, labels]
+    scale = 1.0 / weights.sum()
+
+    def grads(g, _live):
+        d_picked = g * scale * -weights
+        share = e * (-d_picked[:, None] / total)
+        share[rows, labels] += d_picked
+        return (share,)
+
+    return _node(np.sum(picked * -weights) * scale, (logits,), grads)
 
 
 def dropout(a, rate: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -301,7 +442,7 @@ def dropout(a, rate: float, train: bool, rng: np.random.Generator | None = None)
     if rng is None:
         raise ValueError("dropout in training mode needs a generator")
     mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    return _node(a.data * mask, (a, lambda g: g * mask))
+    return _node(a.data * mask, (a,), lambda g, _: (g * mask,))
 
 
 def _norm_axes(axis, ndim: int):
@@ -320,16 +461,16 @@ def _spread(g: np.ndarray, a: Tensor, axes, keepdims: bool) -> np.ndarray:
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     axes = _norm_axes(axis, a.ndim)
-    return _node(a.data.sum(axis=axis, keepdims=keepdims),
-                 (a, lambda g: _spread(g, a, axes, keepdims)))
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,),
+                 lambda g, _: (_spread(g, a, axes, keepdims),))
 
 
 def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     axes = _norm_axes(axis, a.ndim)
     count = int(np.prod([a.shape[ax] for ax in axes]))
-    return _node(a.data.mean(axis=axis, keepdims=keepdims),
-                 (a, lambda g: _spread(g, a, axes, keepdims) / count))
+    return _node(a.data.mean(axis=axis, keepdims=keepdims), (a,),
+                 lambda g, _: (_spread(g, a, axes, keepdims) / count,))
 
 
 def _argmax_node(a: Tensor, values: np.ndarray, axis: int, keepdims: bool,
@@ -342,16 +483,16 @@ def _argmax_node(a: Tensor, values: np.ndarray, axis: int, keepdims: bool,
     if valid is not None:
         y = np.where(valid, y, 0.0)
 
-    def route(g):
+    def route(g, _live):
         if not keepdims:
             g = np.expand_dims(g, axis)
         if valid is not None:
             g = np.where(valid, g, 0.0)
         share = np.zeros_like(a.data)
         np.put_along_axis(share, idx, g, axis=axis)
-        return share
+        return (share,)
 
-    return _node(y if keepdims else np.squeeze(y, axis=axis), (a, route))
+    return _node(y if keepdims else np.squeeze(y, axis=axis), (a,), route)
 
 
 def tensor_max(a, axis: int, keepdims: bool = False) -> Tensor:

@@ -264,7 +264,13 @@ def _read_table(path: Path, reader, fmt: TableFormat) -> BigTable:
 
 
 def save_table(table: BigTable, path, fmt: TableFormat = TableFormat()) -> None:
-    """Write a BigTable back to CSV in the `load_table` layout."""
+    """Write a BigTable back to CSV in the `load_table` layout.
+
+    A customer is known to that layout only through its rows, so a customer
+    with no records raises `TableIOError` before anything is written."""
+    empty = next((c for c in table.customers if not table.records.get(c)), None)
+    if empty is not None:
+        raise TableIOError(f"customer {empty!r} has no records; a saved table cannot hold it")
     path = Path(path)
     header = [fmt.id_column]
     if fmt.date_column is not None:

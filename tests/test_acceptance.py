@@ -7,8 +7,11 @@ structural invariants, the planted-signal learning task, representation
 uplift, interpretation recovery, determinism, and synth/profile closure.
 """
 
+import ast
+import inspect
 import json
 import math
+import re
 import time
 from contextlib import contextmanager
 
@@ -107,6 +110,9 @@ def gradient_cases():
     w235 = rng.normal(size=(2, 3, 5))
     cases.append(("matmul batched", lambda: scalarize(numeric.matmul(mb, m2), w235),
                   [mb, m2]))
+    ms = Parameter(rng.normal(size=(2, 4, 5)), name="ms")
+    cases.append(("matmul stacked", lambda: scalarize(numeric.matmul(mb, ms), w235),
+                  [mb, ms]))
 
     c1 = Parameter(rng.normal(size=(3, 2)), name="c1")
     c2 = Parameter(rng.normal(size=(3, 3)), name="c2")
@@ -175,28 +181,60 @@ def gradient_cases():
     cases.append(("max_concat", lambda: scalarize(max_concat(mc, mask=mcm, axis=-2), w5),
                   [mc]))
 
+    # the fused ops, each one node with a hand-written backward
+    sx = Parameter(rng.normal(size=(2, 3, 8)), name="sx")
+    sw = [Parameter(rng.normal(size=(8, 8)) * 0.5, name=f"sw{i}") for i in range(4)]
+    smask = np.array([[True, True, False], [True, True, True]])
+    w238 = rng.normal(size=(2, 3, 8))
+    cases.append(("self_attention",
+                  lambda: scalarize(numeric.self_attention(sx, *sw, 2, mask=smask), w238),
+                  [sx, *sw]))
+    lx = Parameter(rng.normal(size=(2, 3, 5)), name="lx")
+    ly = Parameter(rng.normal(size=(2, 3, 5)), name="ly")
+    w235l = rng.normal(size=(2, 3, 5))
+    cases.append(("layer_norm residual",
+                  lambda: scalarize(numeric.layer_norm(lx, residual=ly), w235l), [lx, ly]))
+    fx = Parameter(rng.normal(size=(2, 3, 4)), name="fx")
+    fw = [Parameter(rng.normal(size=shape), name=f"fw{i}")
+          for i, shape in enumerate([(4, 6), (6,), (6, 3), (3,)])]
+    w233 = rng.normal(size=(2, 3, 3))
+    cases.append(("mlp", lambda: scalarize(numeric.mlp(fx, *fw), w233), [fx, *fw]))
+    ce = Parameter(rng.normal(size=(5, 3)) * 2.0, name="ce")
+    ce_labels = np.array([0, 2, 1, 1, 2])
+    ce_weights = np.array([1.0, 0.5, 2.0, 0.0, 1.5])
+    cases.append(("softmax_cross_entropy",
+                  lambda: numeric.softmax_cross_entropy(ce, ce_labels, ce_weights), [ce]))
+
+    # the refinement block on a batch of two whose rows have different masks,
+    # checking every parameter each function reads
     tcfg = TransformerConfig(n_s=3, n_e=8, k=2, t_max=3, dropout=0.0)
     tparams = TransformerParams.init(tcfg, np.random.default_rng(11), "t")
-    te = Parameter(rng.normal(size=(1, 3, 8)), name="te")
-    tmask = np.array([[True, True, False]])
-    w38 = rng.normal(size=(1, 3, 8))
+    te = Parameter(rng.normal(size=(2, 3, 8)), name="te")
+    tmask = np.array([[True, True, False], [True, True, True]])
+    w38 = rng.normal(size=(2, 3, 8))
+    attention_params = [tparams.wq, tparams.wk, tparams.wv, tparams.wo]
+    step_params = attention_params + [tparams.ts_w1, tparams.ts_b1, tparams.ts_w2, tparams.ts_b2]
     cases.append(("mhsa", lambda: scalarize(mhsa(te, tparams, tcfg, mask=tmask), w38),
-                  [te, tparams.wq, tparams.wk, tparams.wv, tparams.wo]))
+                  [te, *attention_params]))
     cases.append(("transformer_step",
-                  lambda: scalarize(transformer_step(te, 1, tparams, tcfg), w38),
-                  [te, tparams.ts_w1, tparams.ts_b1, tparams.ts_w2]))
+                  lambda: scalarize(transformer_step(te, 1, tparams, tcfg, mask=tmask), w38),
+                  [te, *step_params]))
+    dcfg = TransformerConfig(n_s=3, n_e=8, k=2, t_max=3, dropout=0.3)
+    cases.append(("transformer_step dropout",
+                  lambda: scalarize(transformer_step(te, 2, tparams, dcfg, mask=tmask, train=True,
+                                                     rng=np.random.default_rng(41)), w38),
+                  [te, *step_params]))
 
     aparams = TransformerParams.init(tcfg, np.random.default_rng(35), "t")
     aparams.halt_b.data[:] = -1.0       # keep refinement running a few steps
-    ae = Parameter(rng.normal(size=(1, 3, 8)), name="ae")
+    ae = Parameter(rng.normal(size=(2, 3, 8)), name="ae")
 
     def act_fn():
         final, ponder, _ = act_run(ae, aparams, tcfg, mask=tmask)
         return scalarize(final, w38) + 0.01 * ponder
 
-    cases.append(("act_run", act_fn,
-                  [ae, aparams.wq, aparams.wv, aparams.ts_w1,
-                   aparams.halt_w, aparams.halt_b, aparams.wo]))
+    # every block parameter but `wd`, which `dynamic_embed` reads
+    cases.append(("act_run", act_fn, [ae, *aparams.parameters()[:-1]]))
 
     wd = Parameter(rng.normal(size=(24, 4)), name="wd")
     de = Parameter(rng.normal(size=(1, 3, 8)), name="de")
@@ -249,6 +287,29 @@ def test_criterion_1_gradient_suite():
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"gradient suite took {elapsed:.1f}s"
         info["detail"] = f"max rel err {worst:.2e} across ops and full forward"
+
+
+def node_builders(module) -> set[str]:
+    """Public top-level functions of `module` that build an autodiff node,
+    through `_node` itself or through a private helper that calls it."""
+    tree = ast.parse(inspect.getsource(module))
+    calls = {f.name: {n.func.id for n in ast.walk(f)
+                      if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+             for f in tree.body if isinstance(f, ast.FunctionDef)}
+    builders = {"_node"}
+    while True:
+        more = {name for name, called in calls.items() if called & builders} - builders
+        if not more:
+            return {name for name in builders if not name.startswith("_")}
+        builders |= more
+
+
+def test_every_node_building_numeric_op_has_a_criterion_1_case():
+    builders = node_builders(numeric)
+    assert {"matmul", "layer_norm", "tensor_max", "self_attention"} <= builders
+    covered = {word for name, *_ in gradient_cases() for word in re.split(r"[/ ]", name)}
+    missing = sorted(builders - covered)
+    assert not missing, f"numeric ops without a criterion-1 gradient case: {missing}"
 
 
 # ---- criterion 2: recognizer oracle --------------------------------------

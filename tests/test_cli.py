@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import subprocess
@@ -9,15 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tabrep.cli import EXIT_CODES, load_config, main
+from tabrep.cli import EXIT_CODES, _write_rows, load_config, main
 from tabrep.errors import ConfigError
 from tabrep.eval import SynthConfig, synth_generate
 from tabrep.model import CustomerEncoder, ModelConfig
-from tabrep.prep import build_schema
-from tabrep.table import TableFormat, save_table
+from tabrep.prep import FeatureSchema, build_schema
+from tabrep.table import TableFormat, load_table, order_records, save_table
 
 
 def run_cli(argv, capsys=None):
@@ -130,6 +131,47 @@ def test_full_pipeline_round_trip(workdir, capsys):
     for v in metrics.values():
         assert 0.0 <= v <= 1.0
     capsys.readouterr()
+
+
+def read_values(path: Path) -> tuple[list[str], np.ndarray]:
+    """Ids and float values of an `embed` / `predict` CSV."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return [r[0] for r in rows], np.array([[float(v) for v in r[1:]] for r in rows])
+
+
+def test_embeddings_and_predictions_parse_back_bit_equal(workdir, capsys):
+    config = str(workdir / "config.json")
+    out = workdir / "run"
+    table = str(out / "synth.csv")
+    assert run_cli(["synth", "--config", config, "--out", str(out)]) == 0
+    assert run_cli(["train", "--config", config, "--table", table, "--out", str(out)]) == 0
+    checkpoint = str(out / "checkpoint.json")
+    for stage in ("embed", "predict"):
+        assert run_cli([stage, "--config", config, "--table", table,
+                        "--checkpoint", checkpoint, "--out", str(out)]) == 0
+    capsys.readouterr()
+    model = CustomerEncoder.load(checkpoint)
+    loaded = order_records(load_table(table, TABLE_FORMAT))
+    for name, (names, want) in (("embeddings.csv", model.represent(loaded)),
+                                ("predictions.csv", model.predict_proba(loaded, "churn"))):
+        got_names, got = read_values(out / name)
+        assert got_names == names
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                              min_size=3, max_size=3), min_size=1, max_size=4))
+def test_written_values_parse_back_bit_equal(rows):
+    # every finite double, -0.0, subnormals and the extremes included
+    values = np.array(rows, dtype=np.float64)
+    names = [f"c{i}" for i in range(len(rows))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.csv"
+        _write_rows(path, ["customer_id", "a", "b", "c"], names, values)
+        got_names, got = read_values(path)
+    assert got_names == names and got.tobytes() == values.tobytes()
 
 
 def test_pipeline_is_deterministic(workdir, capsys):
@@ -394,3 +436,22 @@ def test_random_tables_end_in_exit_zero_or_error_json(rows):
                 assert code == EXIT_CODES[stage]
                 assert json.loads(err.getvalue())["error"]["code"]
                 break
+
+
+# `schema.json` of random small tables: written, read and written again, it
+# is the same bytes.
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(rows=table_rows)
+def test_schema_json_rewrites_byte_for_byte(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        lines = ["customer_id,date,f,g,churn"] + [",".join(row) for row in rows]
+        (tmp / "t.csv").write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogatepass"))
+        (tmp / "c.json").write_text(json.dumps({"format": FORMAT}))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(["profile", "--config", str(tmp / "c.json"), "--table", str(tmp / "t.csv"),
+                         "--out", str(tmp)])
+        assume(code == 0)
+        first = (tmp / "schema.json").read_bytes()
+        FeatureSchema.load(tmp / "schema.json").save(tmp / "again.json")
+        assert (tmp / "again.json").read_bytes() == first

@@ -45,7 +45,7 @@ def test_projections_are_per_head_blocks_drawn_in_order():
 
 
 UNBATCHED_CALLS = {
-    "_attention": lambda e, params, config, mask: dynamics._attention(e, params, config, mask),
+    "_check_attention": lambda e, params, config, mask: dynamics._check_attention(e, config, mask),
     "mhsa": lambda e, params, config, mask: mhsa(e, params, config, mask=mask),
     "attention_weights": lambda e, params, config, mask: attention_weights(e, params, config,
                                                                            mask=mask),

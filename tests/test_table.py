@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tabrep import table as tb
 from tabrep.errors import (EmptyTableError, MissingDateIndexError, ParseError,
-                           SchemaError)
+                           SchemaError, TableIOError)
 from tabrep.table import (MISSING, BigTable, Date, Number, Row, TableFormat,
                           Token, compute_stats, format_cell, load_table,
                           order_records, parse_cell, save_table)
@@ -208,6 +208,16 @@ def test_save_load_round_trip(tmp_path, fixture_csv):
     assert again.customers == t.customers
     assert again.features == t.features
     assert again.records == t.records
+
+
+def test_save_refuses_a_customer_without_records_before_writing(tmp_path):
+    table = BigTable(customers=["a", "b"], features=["f"],
+                     records={"a": [Row(cells=(Number(1.0),), date=0)], "b": []},
+                     labels={"churn": {"a": 1, "b": 0}}, has_date_index=True)
+    path = tmp_path / "t.csv"
+    with pytest.raises(TableIOError, match="'b'"):
+        save_table(table, path, TableFormat(date_column="date", label_columns=("churn",)))
+    assert not path.exists()
 
 
 # Tables through `save_table` and back through `load_table`: every cell,
