@@ -3,7 +3,9 @@
 The four branches consume: one token id per static categorical feature, one
 normalized value per static numerical feature, and per-time-step ids/values
 for the dynamic features over a fixed-length recent window. Everything here
-is a pure function of (table, schema); no learned state.
+is a pure function of (table, schema); no learned state. A whole table is
+encoded in one pass of array operations over its columns; one customer's
+records are encoded, and masked, by the same code on that customer alone.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .errors import SchemaMismatchError
 from .prep import (MISSING_TOKEN_ID, FeatureSchema, change_rate, latest_non_missing,
                    normalized_mean, uniform_normalize)
-from .table import MISSING, BigTable, Number, Row
+from .table import KIND_NUMBER, MISSING_CODE, BigTable, Columns, Row
 
 
 @dataclass(frozen=True)
@@ -94,63 +96,82 @@ def check_schema(table: BigTable, schema: FeatureSchema) -> None:
             f"table features {table.features} differ from schema {schema.feature_order}")
 
 
-def encode_customer(table: BigTable, customer: str, schema: FeatureSchema,
-                    layout: BranchLayout) -> EncodedCustomer:
-    rows = table.records.get(customer)
-    if rows is None:
-        raise SchemaMismatchError(f"unknown customer {customer!r}")
-    return encode_rows(rows, schema, layout)
-
-
-def encode_rows(rows: list[Row], schema: FeatureSchema,
-                layout: BranchLayout) -> EncodedCustomer:
-    """Encode one customer's records; they must already be in time order.
+def encode_table(table: BigTable, schema: FeatureSchema, layout: BranchLayout,
+                 customers=None) -> list[EncodedCustomer]:
+    """Encode every customer of `table`, or `customers` in that order, in
+    one pass over the columns; records must already be in time order.
 
     Static values are the most recent non-missing cell over all records;
     dynamic sequences keep the most recent `n_s` records, right-padded. A
     customer with no records gets one all-missing anchor step so attention
     stays well-defined; its dynamic branches are flagged absent and zeroed
-    downstream.
+    downstream. Each encoding's arrays are views into shared batch arrays.
     """
+    try:
+        cols = table.select(table.customers if customers is None else customers)
+    except KeyError as e:
+        raise SchemaMismatchError(f"unknown customer {e.args[0]!r}") from None
+    return _split(_encode(cols, schema, layout))
+
+
+def encode_customer(table: BigTable, customer: str, schema: FeatureSchema,
+                    layout: BranchLayout) -> EncodedCustomer:
+    return encode_table(table, schema, layout, [customer])[0]
+
+
+def encode_rows(rows: list[Row], schema: FeatureSchema,
+                layout: BranchLayout) -> EncodedCustomer:
+    """Encode one customer's records, given as `Row`s in time order."""
+    return _split(_encode(_history(rows, schema), schema, layout))[0]
+
+
+def _history(records, schema: FeatureSchema) -> Columns:
+    """One customer's records as `Columns`, from `Columns` or `Row`s."""
+    if isinstance(records, Columns):
+        return records
+    return Columns.from_rows([records], len(schema.feature_order))
+
+
+def _split(arrays) -> list[EncodedCustomer]:
+    return [EncodedCustomer(*rows) for rows in zip(*map(list, arrays))]
+
+
+def _encode(cols: Columns, schema: FeatureSchema, layout: BranchLayout) -> tuple:
+    """The `EncodedCustomer` fields of every customer of `cols`, stacked."""
     index = {f: i for i, f in enumerate(schema.feature_order)}
-    n_s = layout.n_s
+    n, n_s = cols.n_customers, layout.n_s
+    pool = cols.pool
 
-    cs_ids, cs_any = _static_categorical(
-        [latest_non_missing(rows, index[f]) for f in layout.cs_features], schema, layout)
-    ns_vals, ns_any = _static_numerical(
-        layout.sn_features, [latest_non_missing(rows, index[f]) for f in layout.sn_features], schema)
+    cs_ids, cs_any = _static_categorical(cols, schema, layout)
+    ns_vals, ns_any = _static_numerical(cols, [index[f] for f in layout.sn_features],
+                                        layout.sn_features, schema)
 
-    window = rows[-n_s:]
-    seq_valid = np.zeros(n_s, dtype=bool)
-    seq_valid[: len(window)] = True
-    if not window:
-        seq_valid[0] = True   # anchor step, content all-missing
+    # each customer's last n_s records, at window positions t = 0, 1, ...
+    lengths = cols.lengths
+    first = np.maximum(cols.offsets[:-1], cols.offsets[1:] - n_s)
+    rows = np.flatnonzero(np.arange(len(cols.codes)) >= first[cols.segments])
+    who = cols.segments[rows]
+    t = rows - first[who]
+    seq_valid = np.zeros((n, n_s), dtype=bool)
+    seq_valid[who, t] = True
+    seq_valid[lengths == 0, 0] = True       # anchor step, content all-missing
 
-    cd_ids = np.zeros((n_s, len(layout.cd_features)), dtype=np.int64)
+    cd_ids = np.zeros((n, n_s, len(layout.cd_features)), dtype=np.int64)
     for i, f in enumerate(layout.cd_features):
-        vocab = schema.vocabularies[f]
-        j = index[f]
-        for t, row in enumerate(window):
-            cd_ids[t, i] = vocab.encode(row.cells[j])
+        cd_ids[who, t, i] = schema.vocabularies[f].ids(pool, cols.codes[rows, index[f]])
     cd_ids += layout.cd_offsets
 
-    nd_vals = np.zeros((n_s, len(layout.dn_features)))
+    nd_vals = np.zeros((n, n_s, len(layout.dn_features)))
     for i, f in enumerate(layout.dn_features):
-        stats = schema.numeric_stats[f]
-        j = index[f]
-        for t, row in enumerate(window):
-            cell = row.cells[j]
-            if isinstance(cell, Number):
-                nd_vals[t, i] = uniform_normalize(cell.value, stats)
+        codes = cols.codes[rows, index[f]]
+        num = pool.kinds[codes] == KIND_NUMBER
+        nd_vals[who[num], t[num], i] = uniform_normalize(pool.values[codes[num]],
+                                                         schema.numeric_stats[f])
 
-    presence = np.array([
-        float(cs_any),
-        float(ns_any),
-        float(bool(window) and len(layout.cd_features) > 0),
-        float(bool(window) and len(layout.dn_features) > 0),
-    ])
-    return EncodedCustomer(cs_ids=cs_ids, ns_vals=ns_vals, cd_ids=cd_ids,
-                           nd_vals=nd_vals, seq_valid=seq_valid, presence=presence)
+    some = lengths > 0
+    presence = np.stack([cs_any, ns_any, some & bool(layout.cd_features),
+                         some & bool(layout.dn_features)], axis=1).astype(np.float64)
+    return cs_ids, ns_vals, cd_ids, nd_vals, seq_valid, presence
 
 
 def stack_encoded(customers: list[str], encoded: list[EncodedCustomer]) -> Batch:
@@ -165,46 +186,55 @@ def stack_encoded(customers: list[str], encoded: list[EncodedCustomer]) -> Batch
     )
 
 
-def _static_categorical(cells: list, schema: FeatureSchema,
-                        layout: BranchLayout) -> tuple[np.ndarray, bool]:
-    """Offset ids and presence of the static categorical branch, given each
-    feature's latest non-missing cell."""
-    ids = np.zeros(len(layout.cs_features), dtype=np.int64)
-    for i, (f, cell) in enumerate(zip(layout.cs_features, cells)):
-        ids[i] = schema.vocabularies[f].encode(cell)
+def _static_categorical(cols: Columns, schema: FeatureSchema,
+                        layout: BranchLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Per customer, the static categorical branch's offset ids (of each
+    feature's latest non-missing cell) and presence."""
+    index = {f: i for i, f in enumerate(schema.feature_order)}
+    ids = np.zeros((cols.n_customers, len(layout.cs_features)), dtype=np.int64)
+    present = np.zeros(cols.n_customers, dtype=bool)
+    for i, f in enumerate(layout.cs_features):
+        latest = latest_non_missing(cols, index[f])
+        ids[:, i] = schema.vocabularies[f].ids(cols.pool, latest)
+        present |= latest != MISSING_CODE
     ids += layout.cs_offsets
-    return ids, any(cell is not MISSING for cell in cells)
+    return ids, present
 
 
-def _static_numerical(features, cells: list,
-                      schema: FeatureSchema) -> tuple[np.ndarray, bool]:
-    """Normalized values and presence of the static numerical `features`,
-    given each one's latest non-missing cell; a non-number encodes as 0.0."""
-    vals = np.zeros(len(features))
-    for i, (f, cell) in enumerate(zip(features, cells)):
-        if isinstance(cell, Number):
-            vals[i] = uniform_normalize(cell.value, schema.numeric_stats[f])
-    return vals, any(isinstance(cell, Number) for cell in cells)
+def _static_numerical(cols: Columns, positions: list[int], features,
+                      schema: FeatureSchema) -> tuple[np.ndarray, np.ndarray]:
+    """Per customer, the normalized latest non-missing value of each of
+    `features` (at `positions`) and presence; a non-number encodes as 0.0."""
+    vals = np.zeros((cols.n_customers, len(features)))
+    present = np.zeros(cols.n_customers, dtype=bool)
+    for i, (j, f) in enumerate(zip(positions, features)):
+        latest = latest_non_missing(cols, j)
+        num = cols.pool.kinds[latest] == KIND_NUMBER
+        vals[num, i] = uniform_normalize(cols.pool.values[latest[num]], schema.numeric_stats[f])
+        present |= num
+    return vals, present
 
 
-def masked_encoding(rows: list[Row], encoded: EncodedCustomer, feature_index: int,
+def masked_encoding(records, encoded: EncodedCustomer, feature_index: int,
                     record_index: int, schema: FeatureSchema,
                     layout: BranchLayout) -> EncodedCustomer | None:
-    """Encoding of `rows` with one cell set to Missing, made by editing
-    `encoded`, which must be `encode_rows(rows, schema, layout)`.
+    """Encoding of one customer's `records` (`Row`s, or `Columns` of that
+    customer alone) with one cell set to Missing, made by editing
+    `encoded`, which must be the encoding of `records`.
 
     Returns None when the masked encoding is bitwise equal to `encoded`:
     the cell is already missing, it is a dynamic cell before the last-`n_s`
     window, a static cell that is not its feature's latest non-missing
-    cell, or its replacement encodes to the same bits. Neither `rows` nor
-    `encoded` is modified; unedited arrays are shared with `encoded`.
+    cell, or its replacement encodes to the same bits. Neither `records`
+    nor `encoded` is modified; unedited arrays are shared with `encoded`.
     """
+    cols = _history(records, schema)
     j = feature_index
-    if rows[record_index].cells[j] is MISSING:
+    if cols.codes[record_index, j] == MISSING_CODE:
         return None
     f = schema.feature_order[j]
     if f in layout.cd_features or f in layout.dn_features:
-        t = record_index - max(0, len(rows) - layout.n_s)    # position in the window
+        t = record_index - max(0, len(cols.codes) - layout.n_s)    # position in the window
         if t < 0:
             return None
         if f in layout.cd_features:
@@ -217,24 +247,23 @@ def masked_encoding(rows: list[Row], encoded: EncodedCustomer, feature_index: in
             nd_vals[t, layout.dn_features.index(f)] = 0.0
             edited = replace(encoded, nd_vals=nd_vals)
     elif f in layout.cs_features or f in layout.sn_features:
-        if any(row.cells[j] is not MISSING for row in rows[record_index + 1:]):
+        if (cols.codes[record_index + 1:, j] != MISSING_CODE).any():
             return None
-        index = {g: i for i, g in enumerate(schema.feature_order)}
-
-        def latest(features):
-            # the masked feature falls back to its next-latest non-missing cell
-            return [latest_non_missing(rows[:record_index], j) if g == f
-                    else latest_non_missing(rows, index[g]) for g in features]
-
+        # the masked feature falls back to its next-latest non-missing cell
+        codes = cols.codes.copy()
+        codes[record_index, j] = MISSING_CODE
+        masked = replace(cols, codes=codes)
         presence = encoded.presence.copy()
         if f in layout.cs_features:
-            cs_ids, cs_any = _static_categorical(latest(layout.cs_features), schema, layout)
-            presence[0] = float(cs_any)
-            edited = replace(encoded, cs_ids=cs_ids, presence=presence)
+            cs_ids, cs_any = _static_categorical(masked, schema, layout)
+            presence[0] = float(cs_any[0])
+            edited = replace(encoded, cs_ids=cs_ids[0], presence=presence)
         else:
-            ns_vals, ns_any = _static_numerical(layout.sn_features, latest(layout.sn_features), schema)
-            presence[1] = float(ns_any)
-            edited = replace(encoded, ns_vals=ns_vals, presence=presence)
+            index = {g: i for i, g in enumerate(schema.feature_order)}
+            ns_vals, ns_any = _static_numerical(masked, [index[g] for g in layout.sn_features],
+                                                layout.sn_features, schema)
+            presence[1] = float(ns_any[0])
+            edited = replace(encoded, ns_vals=ns_vals[0], presence=presence)
     else:
         return None         # the date index is not encoded
     return None if same_encoding(edited, encoded) else edited
@@ -246,22 +275,27 @@ def same_encoding(a: EncodedCustomer, b: EncodedCustomer) -> bool:
                for fld in fields(EncodedCustomer))
 
 
-def augmented_summary(table: BigTable, customer: str, schema: FeatureSchema) -> np.ndarray:
-    """Fixed model-free customer summary used as reconstruction input.
+def augmented_summaries(table: BigTable, schema: FeatureSchema, customers=None) -> np.ndarray:
+    """Fixed model-free customer summaries used as reconstruction input,
+    one row per customer of `table` (or of `customers`, in that order).
 
     Static numerical values (normalized, imputed), then per-feature time
     means of normalized dynamic numerical values, then per-feature change
     rates of dynamic categorical values (missing counts as its own value).
     """
-    rows = table.records[customer]
+    cols = table.select(table.customers if customers is None else customers)
     branch = schema.branch_features()
     index = table.feature_index
-    sn_vals, _ = _static_numerical(
-        branch["SN"], [latest_non_missing(rows, index(f)) for f in branch["SN"]], schema)
-    return np.concatenate([
+    sn_vals, _ = _static_numerical(cols, [index(f) for f in branch["SN"]], branch["SN"], schema)
+    return np.column_stack([
         sn_vals,
-        [normalized_mean(rows, index(f), schema.numeric_stats[f]) for f in branch["DN"]],
-        [change_rate(rows, index(f)) for f in branch["DC"]]])
+        *[normalized_mean(cols, index(f), schema.numeric_stats[f]) for f in branch["DN"]],
+        *[change_rate(cols, index(f)) for f in branch["DC"]]])
+
+
+def augmented_summary(table: BigTable, customer: str, schema: FeatureSchema) -> np.ndarray:
+    """`augmented_summaries` of one customer."""
+    return augmented_summaries(table, schema, [customer])[0]
 
 
 def summary_width(schema: FeatureSchema) -> int:

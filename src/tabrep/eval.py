@@ -13,9 +13,9 @@ import numpy as np
 from . import numeric
 from .errors import ConfigError, InfeasibleConfigError, SingleClassError
 from .numeric import Tensor
-from .encode import augmented_summary, summary_width
+from .encode import augmented_summaries
 from .prep import FeatureSchema, latest_non_missing
-from .table import MISSING, BigTable, Number, Row, Token
+from .table import MISSING, MISSING_CODE, BigTable, Columns, Number, Token
 
 
 # ---- metrics -------------------------------------------------------------
@@ -221,8 +221,23 @@ def synth_generate(config: SynthConfig) -> BigTable:
     rng = numeric.substream(config.seed, "synth")
     background = [f"tok{i}" for i in range(config.vocab_size)]
     m = config.signal_min_count
-    records: dict[str, list[Row]] = {}
     labels: dict[str, int] = {}
+    # the table's columns: a cell pool, each feature's codes, each record's date
+    cells: list = [MISSING]
+    token_codes: dict[str, int] = {}
+    feature_codes: list[list[int]] = [[] for _ in features]
+    dates_all: list[int] = []
+    lengths: list[int] = []
+
+    def token_code(text: str) -> int:
+        if text not in token_codes:
+            token_codes[text] = len(cells)
+            cells.append(Token(text))
+        return token_codes[text]
+
+    def number_code(value: float) -> int:
+        cells.append(Number(value))
+        return len(cells) - 1
 
     for i in range(config.n_customers):
         cid = f"c{i:05d}"
@@ -276,21 +291,17 @@ def synth_generate(config: SynthConfig) -> BigTable:
                     h[t] = False
             hidden[f] = h
 
-        rows = []
-        for t in range(k):
-            cells = []
-            for f in features:
-                if hidden[f][t]:
-                    cells.append(MISSING)
-                elif isinstance(values[f][t], str):
-                    cells.append(Token(values[f][t]))
-                else:
-                    cells.append(Number(values[f][t]))
-            rows.append(Row(cells=tuple(cells), date=dates[t]))
-        records[cid] = rows
+        for f, codes in zip(features, feature_codes):
+            code_of = token_code if isinstance(values[f][0], str) else number_code
+            codes.extend([MISSING_CODE if h else code_of(v)
+                          for v, h in zip(values[f], hidden[f].tolist())])
+        dates_all.extend(dates)
+        lengths.append(k)
         labels[cid] = label
 
-    return BigTable(customers=list(records), features=features, records=records,
+    columns = Columns.build(cells, np.array(feature_codes, dtype=np.int32).T, len(features),
+                            lengths, dates_all)
+    return BigTable(customers=list(labels), features=features, records=columns,
                     labels={config.task: labels}, has_date_index=True)
 
 
@@ -308,18 +319,16 @@ def flatten_features(table: BigTable, schema: FeatureSchema,
     """
     branch = schema.branch_features()
     n, n_sn = table.n_customers, len(branch["SN"])
-    summary = np.zeros((n, summary_width(schema)))
-    for i, c in enumerate(table.customers):
-        summary[i] = augmented_summary(table, c, schema)
+    summary = augmented_summaries(table, schema)
 
     names = list(branch["SN"])
     columns = [summary[:, :n_sn]]
     for f in branch["SC"]:
-        j = table.feature_index(f)
         vocab = schema.vocabularies[f]
-        ids = [vocab.encode(latest_non_missing(table.records[c], j)) for c in table.customers]
+        ids = vocab.ids(table.columns.pool,
+                        latest_non_missing(table.columns, table.feature_index(f)))
         block = np.zeros((n, vocab.size))
-        block[np.arange(n), np.array(ids, dtype=np.int64)] = 1.0
+        block[np.arange(n), ids] = 1.0
         names += [f"{f}[{slot}]" for slot in range(vocab.size)]
         columns.append(block)
     if include_dynamic:

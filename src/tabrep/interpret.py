@@ -7,9 +7,10 @@ the features whose mean absolute effect clears a threshold. The output
 bundles population-level rankings and per-customer contribution lists.
 
 Masking edits a customer's encoding instead of re-encoding its records
-(`encode.masked_encoding`). A masked variant whose encoding is unchanged
-scores a delta of exactly 0.0 without a forward pass; the others are
-forwarded once, across every customer and target of a report.
+(`encode.masked_encoding`, on that customer's columns). A masked variant
+whose encoding is unchanged scores a delta of exactly 0.0 without a
+forward pass; the others are forwarded once, across every customer and
+target of a report.
 """
 
 from __future__ import annotations
@@ -274,11 +275,11 @@ def genome_report(model: CustomerEncoder, table: BigTable,
         chosen = _top_k(values, config.k)
         draws = {}
         for cid in chosen:
-            rows = table.records[cid]
-            if not rows or not feats:
+            n_records = table.n_records(cid)
+            if not n_records or not feats:
                 continue
             rng = numeric.substream(config.seed, f"interpret/{target.key()}/{cid}")
-            draws[cid] = [(int(rng.integers(len(rows))), int(rng.integers(len(feats))))
+            draws[cid] = [(int(rng.integers(n_records)), int(rng.integers(len(feats))))
                           for _ in range(config.mask_samples)]
         plans.append((target, threshold, chosen, draws))
 
@@ -289,11 +290,12 @@ def genome_report(model: CustomerEncoder, table: BigTable,
                           for cid, cid_draws in draws.items() for t, fi in cid_draws)
     base_row = {cid: i for i, cid in enumerate(bases)}
     masked_row: dict[tuple, int] = {}     # only cells whose masking changes the encoding
+    histories = {cid: table.select([cid]) for cid in bases}
 
     def rows_to_forward():
         yield from bases.items()
         for cid, t, fi in cells:
-            masked = masked_encoding(table.records[cid], bases[cid], columns[fi], t,
+            masked = masked_encoding(histories[cid], bases[cid], columns[fi], t,
                                      model.schema, model.layout)
             if masked is not None:
                 masked_row[cid, t, fi] = len(bases) + len(masked_row)
@@ -313,12 +315,11 @@ def genome_report(model: CustomerEncoder, table: BigTable,
                 trials.append((cid, feats[fi], t, delta))
 
         ranked = sensitive_features(trials, threshold)
+        by_customer: dict[str, dict[str, list[float]]] = {cid: {} for cid in chosen}
+        for cid, feat, _t, delta in trials:
+            by_customer[cid].setdefault(feat, []).append(delta)
         per_customer: dict[str, list[dict]] = {}
-        for cid in chosen:
-            per_feat: dict[str, list[float]] = {}
-            for c, feat, _t, delta in trials:
-                if c == cid:
-                    per_feat.setdefault(feat, []).append(delta)
+        for cid, per_feat in by_customer.items():
             contribs = [{"feature": feat, "contribution": float(np.mean(vals))}
                         for feat, vals in per_feat.items()]
             contribs.sort(key=lambda rec: (-abs(rec["contribution"]), rec["feature"]))

@@ -24,8 +24,9 @@ import numpy as np
 from . import numeric
 from .dynamics import TransformerConfig, TransformerParams, act_run, dynamic_embed
 from .embed import EmbeddingBank, categorical_embed, max_concat, positional_numeric_embed
-from .encode import (Batch, BranchLayout, augmented_summary, encode_customer,
-                     stack_encoded, check_schema, summary_width)
+from .encode import (Batch, BranchLayout, augmented_summaries, check_schema, encode_table,
+                     stack_encoded, summary_width)
+from .encode import augmented_summary, encode_customer  # noqa: F401 (perfbench wraps them)
 from .eval import balanced_class_weights, holdout_split
 from .errors import (AllTermsDisabledError, ConfigError, NoLabeledCustomersError,
                      TableIOError, UnknownTaskError)
@@ -263,8 +264,7 @@ class CustomerEncoder:
     def encode_table(self, table: BigTable, customers=None):
         check_schema(table, self.schema)
         customers = list(customers) if customers is not None else list(table.customers)
-        return customers, [encode_customer(table, c, self.schema, self.layout)
-                           for c in customers]
+        return customers, encode_table(table, self.schema, self.layout, customers)
 
     def forward(self, batch: Batch, train: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardResult:
@@ -389,7 +389,7 @@ class CustomerEncoder:
         if n == 0:
             raise ConfigError("cannot train on a table with no customers")
 
-        summaries = (np.stack([augmented_summary(table, c, self.schema) for c in customers])
+        summaries = (augmented_summaries(table, self.schema, customers)
                      if self.summary_dim else np.zeros((n, 0)))
         targets = self.reconstruction_targets(summaries) if self.recon_heads else []
         labels = {task: np.array([table.labels.get(task, {}).get(c, -1) for c in customers],

@@ -23,6 +23,7 @@ DEFAULT_DROPOUT = 0.1
 # Large finite stand-in for -inf in masked softmax scores; exp() of the
 # shifted value underflows to exactly 0.0, so masked entries cannot leak.
 NEG_MASK_VALUE = 1e30
+ROW_MAX_CHAIN = 16       # `row_max` chains np.maximum over rows up to this long
 
 _tape: list | None = None  # nodes since the last `backward`; None outside `recording()`
 
@@ -291,8 +292,22 @@ def log(a) -> Tensor:
     return _node(np.log(a.data), (a,), lambda g, _: (g / a.data,))
 
 
+def row_max(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """`x.max(axis=axis, keepdims=True)`. Over short rows it is taken as a
+    chain of `np.maximum` over the slices along `axis`, because numpy's
+    reduction is slow there; a max is the same whichever way it is taken."""
+    axis %= x.ndim
+    if not 0 < x.shape[axis] <= ROW_MAX_CHAIN:
+        return x.max(axis=axis, keepdims=True)
+    at = (slice(None),) * axis
+    out = x[at + (slice(0, 1),)].copy()
+    for i in range(1, x.shape[axis]):
+        np.maximum(out, x[at + (slice(i, i + 1),)], out=out)
+    return out
+
+
 def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    e = np.exp(x - row_max(x, axis))
     return e / e.sum(axis=axis, keepdims=True)
 
 
@@ -419,7 +434,7 @@ def softmax_cross_entropy(logits, labels: np.ndarray, weights: np.ndarray) -> Te
     sum_i w_i, with one weight per row."""
     logits = as_tensor(logits)
     rows = np.arange(len(labels))
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    shifted = logits.data - row_max(logits.data)
     e = np.exp(shifted)
     total = e.sum(axis=-1, keepdims=True)
     picked = (shifted - np.log(total))[rows, labels]

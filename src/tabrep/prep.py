@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MixedKindFeatureError, SchemaError, TableIOError
-from .table import MISSING, BigTable, Date, Number, Row, Token
+from .table import (KIND_DATE, KIND_NUMBER, KIND_TOKEN, MISSING_CODE, BigTable, CellPool, Column,
+                    Columns)
 
 MISSING_TOKEN_ID = 0
 OOV_TOKEN_ID = 1
@@ -78,6 +79,9 @@ class RecognizerConfig:
         return max(1, math.ceil(0.05 * n_customers))
 
 
+_KIND_NAMES = {KIND_TOKEN: "token", KIND_NUMBER: "number", KIND_DATE: "date"}
+
+
 def nc_recognize(table: BigTable, config: RecognizerConfig, ignore=()) -> dict[str, str]:
     """Classify each feature as 'numerical', 'categorical' or 'date'.
 
@@ -89,46 +93,29 @@ def nc_recognize(table: BigTable, config: RecognizerConfig, ignore=()) -> dict[s
     """
     if not table.customers:
         raise SchemaError("cannot recognize features of an empty table")
+    pool = table.columns.pool
     kinds: dict[str, str] = {}
     for feature in table.features:
         if feature in ignore:
             continue
-        seen: set[str] = set()
-        values: list[float] = []
-        for cell in table.column(feature):
-            if cell is MISSING:
-                continue
-            if isinstance(cell, Token):
-                seen.add("token")
-            elif isinstance(cell, Number):
-                seen.add("number")
-                values.append(cell.value)
-            elif isinstance(cell, Date):
-                seen.add("date")
+        present = np.flatnonzero(np.bincount(table.column(feature).codes,
+                                             minlength=len(pool.cells)))   # entries in use
+        present_kinds = pool.kinds[present]
+        seen = {name for kind, name in _KIND_NAMES.items() if (present_kinds == kind).any()}
         if len(seen) > 1:
             raise MixedKindFeatureError(feature, seen)
+        values = pool.values[present[present_kinds == KIND_NUMBER]]
         if seen == {"token"} or not seen:
             kinds[feature] = "categorical"
         elif seen == {"date"}:
             kinds[feature] = "date"
-        elif any(not float(v).is_integer() for v in values):
+        elif (values != np.floor(values)).any():
             kinds[feature] = "numerical"
         else:
-            distinct = len(set(values))
+            distinct = len(set(values.tolist()))        # 0.0 and -0.0 count once
             kinds[feature] = "numerical" if distinct > config.integer_unique_threshold else "categorical"
     return kinds
 
-
-def _canonical_token(cell) -> str:
-    """Stable string form used when a non-token cell is treated as a category."""
-    if isinstance(cell, Token):
-        return cell.value
-    if isinstance(cell, Number):
-        v = cell.value
-        return str(int(v)) if float(v).is_integer() else repr(v)
-    if isinstance(cell, Date):
-        return str(cell.epoch)
-    raise TypeError(f"cannot tokenize {cell!r}")
 
 
 def check_range(feature: str, lo: float, hi: float) -> None:
@@ -141,27 +128,43 @@ def check_range(feature: str, lo: float, hi: float) -> None:
 
 def numeric_range(table: BigTable, feature: str) -> tuple[float, float]:
     """(min, max) over the feature's non-missing numeric cells; (0, 0) if none.
-    Raises `SchemaError` when max - min overflows."""
-    values = [c.value for c in table.column(feature) if isinstance(c, Number)]
-    if not values:
+    Raises `SchemaError` when max - min overflows.
+
+    Of equal extremes (0.0 and -0.0) the first in table order is kept, as
+    Python's `min` and `max` keep it."""
+    column = table.column(feature)
+    pool = column.pool
+    codes = column.codes[pool.kinds[column.codes] == KIND_NUMBER]
+    if not len(codes):
         return (0.0, 0.0)
-    lo, hi = min(values), max(values)
+    values = pool.values[codes]
+    lo = pool.cells[codes[np.argmin(values)]].value
+    hi = pool.cells[codes[np.argmax(values)]].value
     check_range(feature, lo, hi)
     return (lo, hi)
 
 
-def uniform_normalize(x: float, stats: tuple[float, float]) -> float:
-    """Scale one value into [0, 1] via (x - min) / (max - min), clamped.
+def uniform_normalize(x, stats: tuple[float, float]):
+    """Scale values into [0, 1] via (x - min) / (max - min), clamped.
 
-    A degenerate constant feature (max == min) maps every value to 0.5 so a
-    present value stays distinguishable from the 0.0 used for missing.
+    Takes one number (and returns one float) or an array (and returns one
+    of the same shape). A degenerate constant feature (max == min) maps
+    every value to 0.5 so a present value stays distinguishable from the
+    0.0 used for missing. The clamp is Python's `min(max(v, 0.0), 1.0)`
+    elementwise, -0.0 kept.
     """
     lo, hi = stats
     if hi < lo:
         raise ValueError(f"max < min in normalization stats: {stats}")
+    x = np.asarray(x, dtype=np.float64)
     if hi == lo:
-        return 0.5
-    return min(max((x - lo) / (hi - lo), 0.0), 1.0)
+        out = np.full(x.shape, 0.5)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (x - lo) / (hi - lo)
+        out = np.where(0.0 > out, 0.0, out)
+        out = np.where(1.0 < out, 1.0, out)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -176,18 +179,27 @@ class Vocabulary:
 
     @classmethod
     def fit(cls, cells) -> "Vocabulary":
-        """Ids from 2 for the tokens of the non-missing `cells`, in
-        first-seen order."""
-        token_to_id: dict[str, int] = {}
-        for cell in cells:
-            if cell is not MISSING:
-                token_to_id.setdefault(_canonical_token(cell), 2 + len(token_to_id))
-        return cls(token_to_id)
+        """Ids from 2 for the tokens of the non-missing `cells` (a table
+        `Column` or any cells), in first-seen order."""
+        column = cells if isinstance(cells, Column) else Column.of(cells)
+        tokens = column.pool.tokens(column.codes)
+        tokens = tokens[tokens >= 0]
+        distinct, first = np.unique(tokens, return_index=True)
+        texts = column.pool.token_texts
+        return cls({texts[t]: 2 + i for i, t in enumerate(distinct[np.argsort(first)].tolist())})
 
     def encode(self, cell) -> int:
-        if cell is MISSING:
-            return MISSING_TOKEN_ID
-        return self.token_to_id.get(_canonical_token(cell), OOV_TOKEN_ID)
+        return tokenize([cell], self)[0][0]
+
+    def ids(self, pool: CellPool, codes: np.ndarray) -> np.ndarray:
+        """`encode` of the cells `codes` (any shape) of `pool`, as an int64
+        array of that shape; each distinct token is looked up once."""
+        tokens = pool.tokens(codes)
+        distinct, inverse = np.unique(tokens, return_inverse=True)
+        texts, get = pool.token_texts, self.token_to_id.get
+        lookup = np.array([MISSING_TOKEN_ID if t < 0 else get(texts[t], OOV_TOKEN_ID)
+                           for t in distinct.tolist()], dtype=np.int64)
+        return lookup[inverse].reshape(np.shape(codes))
 
 
 def tokenize(values, vocab: Vocabulary | None = None) -> tuple[list[int], Vocabulary]:
@@ -197,43 +209,59 @@ def tokenize(values, vocab: Vocabulary | None = None) -> tuple[list[int], Vocabu
     a vocabulary (apply mode) unseen tokens map to the OOV id and missing
     cells to id 0.
     """
+    column = values if isinstance(values, Column) else Column.of(values)
     if vocab is None:
-        values = list(values)
-        vocab = Vocabulary.fit(values)
-    return [vocab.encode(cell) for cell in values], vocab
+        vocab = Vocabulary.fit(column)
+    return vocab.ids(column.pool, column.codes).tolist(), vocab
 
 
 # ---- per-customer reductions over time-ordered records --------------------
+#
+# Each takes the `Columns` of a sequence of customers and one feature
+# position, and returns one value per customer. Float sums run in record
+# order (`np.bincount` adds its weights sequentially), so every result is
+# bitwise what a left-to-right Python loop over one customer's records gives.
 
-def _cat_value(cell):
-    return None if cell is MISSING else _canonical_token(cell)
+def latest_non_missing(cols: Columns, j: int) -> np.ndarray:
+    """Per customer, the code of the most recent non-missing cell of
+    feature `j`, or MISSING_CODE."""
+    codes = np.append(cols.codes[:, j], MISSING_CODE)        # row -1 reads MISSING
+    present = np.where(codes != MISSING_CODE, np.arange(len(codes)), -1)
+    # the latest present row before each customer's end, if it is the customer's
+    latest = np.maximum.accumulate(np.append(-1, present))[cols.offsets[1:]]
+    return np.where(latest >= cols.offsets[:-1], codes[latest], MISSING_CODE)
 
 
-def latest_non_missing(rows: list[Row], j: int):
-    """The most recent non-missing cell of feature `j`, or Missing."""
-    for row in reversed(rows):
-        if row.cells[j] is not MISSING:
-            return row.cells[j]
-    return MISSING
-
-
-def normalized_mean(rows: list[Row], j: int, stats: tuple[float, float]) -> float:
+def normalized_mean(cols: Columns, j: int, stats: tuple[float, float]) -> np.ndarray:
     """Time mean of feature `j`'s normalized numbers; 0.0 when none is observed."""
-    vals = [uniform_normalize(c.value, stats)
-            for c in (row.cells[j] for row in rows) if isinstance(c, Number)]
-    return sum(vals) / len(vals) if vals else 0.0
+    codes = cols.codes[:, j]
+    rows = np.flatnonzero(cols.pool.kinds[codes] == KIND_NUMBER)
+    owner = cols.segments[rows]
+    total = np.bincount(owner, weights=uniform_normalize(cols.pool.values[codes[rows]], stats),
+                        minlength=cols.n_customers)
+    count = np.bincount(owner, minlength=cols.n_customers)
+    return np.where(count > 0, total / np.maximum(count, 1), 0.0)
 
 
-def change_count(rows: list[Row], j: int) -> int:
+def _successive_pairs(cols: Columns) -> np.ndarray:
+    """Rows r whose next row r + 1 belongs to the same customer."""
+    seg = cols.segments
+    return np.flatnonzero(seg[1:] == seg[:-1])
+
+
+def change_count(cols: Columns, j: int) -> np.ndarray:
     """Successive record pairs whose feature-`j` values differ, missing
     counted as its own value."""
-    values = [_cat_value(row.cells[j]) for row in rows]
-    return sum(a != b for a, b in zip(values, values[1:]))
+    tokens = cols.pool.tokens(cols.codes[:, j])
+    pairs = _successive_pairs(cols)
+    changed = pairs[tokens[pairs] != tokens[pairs + 1]]
+    return np.bincount(cols.segments[changed], minlength=cols.n_customers)
 
 
-def change_rate(rows: list[Row], j: int) -> float:
+def change_rate(cols: Columns, j: int) -> np.ndarray:
     """`change_count` per successive pair; 0.0 below two records."""
-    return change_count(rows, j) / (len(rows) - 1) if len(rows) > 1 else 0.0
+    pairs = cols.lengths - 1
+    return np.where(pairs > 0, change_count(cols, j) / np.maximum(pairs, 1), 0.0)
 
 
 def dynamics_statistic(table: BigTable, feature: str, kind: str) -> np.ndarray:
@@ -245,25 +273,16 @@ def dynamics_statistic(table: BigTable, feature: str, kind: str) -> np.ndarray:
     Customers with fewer than two records score 0.
     """
     j = table.feature_index(feature)
-    column = np.zeros(table.n_customers)
-    stats = numeric_range(table, feature) if kind == "numerical" else None
-    for i, cust in enumerate(table.customers):
-        rows = table.records[cust]
-        if kind == "categorical":
-            column[i] = change_count(rows, j)
-            continue
-        # each cell of a counted pair is normalized once, and carried to the next pair
-        total, prev, prev_value = 0.0, MISSING, None
-        for row in rows:
-            cell, value = row.cells[j], None
-            if cell is not MISSING and prev is not MISSING:
-                if prev_value is None:
-                    prev_value = uniform_normalize(prev.value, stats)
-                value = uniform_normalize(cell.value, stats)
-                total += abs(value - prev_value)
-            prev, prev_value = cell, value
-        column[i] = total
-    return column
+    cols = table.columns
+    if kind == "categorical":
+        return change_count(cols, j).astype(np.float64)
+    stats = numeric_range(table, feature)
+    codes = cols.codes[:, j]
+    normalized = uniform_normalize(cols.pool.values[codes], stats)
+    pairs = _successive_pairs(cols)
+    pairs = pairs[(codes[pairs] != MISSING_CODE) & (codes[pairs + 1] != MISSING_CODE)]
+    return np.bincount(cols.segments[pairs], minlength=cols.n_customers,
+                       weights=np.abs(normalized[pairs + 1] - normalized[pairs]))
 
 
 @dataclass

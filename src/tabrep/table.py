@@ -4,6 +4,13 @@ A table holds, per customer, an ordered list of records; a record is one
 cell per feature plus an optional date index. Cells are tagged values:
 missing, number, token or date. Tables are treated as immutable once built;
 transforming operations return new instances.
+
+Storage is columnar (`Columns`): one integer code per (record, feature)
+into a pool of distinct cells, the records of each customer contiguous
+and located by customer offsets, plus one int64 date per record with a
+mask of the dated ones. Whole-table passes are array operations over the
+codes; `BigTable.records` shows the same data as `Row`s, built per
+customer on first access.
 """
 
 from __future__ import annotations
@@ -11,9 +18,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .errors import EmptyTableError, MissingDateIndexError, ParseError, SchemaError, TableIOError
 
@@ -62,6 +73,11 @@ class Date:
 
 CellValue = Missing | Number | Token | Date
 
+# Cell kind codes of `CellPool.kinds`.
+KIND_MISSING, KIND_NUMBER, KIND_TOKEN, KIND_DATE = 0, 1, 2, 3
+_KIND_OF = {Missing: KIND_MISSING, Number: KIND_NUMBER, Token: KIND_TOKEN, Date: KIND_DATE}
+MISSING_CODE = 0        # every pool holds MISSING, and only there
+
 
 def parse_cell(text: str) -> CellValue:
     """Parse one raw cell; unparseable content never raises, it degrades.
@@ -85,18 +101,6 @@ def parse_cell(text: str) -> CellValue:
     return Token(text)
 
 
-class _ParsedCells(dict):
-    """Raw cell text -> `parse_cell` of it, parsed on first lookup only.
-
-    Keyed on the exact unstripped text, so texts that parse to equal but
-    distinguishable cells ("-0.0" and "0.0") never share an entry.
-    """
-
-    def __missing__(self, text: str) -> CellValue:
-        cell = self[text] = parse_cell(text)
-        return cell
-
-
 def _parse_date(text: str) -> int | None:
     candidate = text[:-1] + "+00:00" if text.endswith("Z") else text
     try:
@@ -116,8 +120,24 @@ def format_cell(cell: CellValue) -> str:
     if isinstance(cell, Token):
         return cell.value
     if isinstance(cell, Date):
-        return datetime.fromtimestamp(cell.epoch, tz=timezone.utc).isoformat()
+        return _format_date(cell.epoch)
     raise TypeError(f"not a cell value: {cell!r}")
+
+
+def _format_date(epoch: int) -> str:
+    return datetime.fromtimestamp(epoch, tz=timezone.utc).isoformat()
+
+
+def canonical_token(cell) -> str:
+    """Stable string form used when a non-token cell is treated as a category."""
+    if isinstance(cell, Token):
+        return cell.value
+    if isinstance(cell, Number):
+        v = cell.value
+        return str(int(v)) if float(v).is_integer() else repr(v)
+    if isinstance(cell, Date):
+        return str(cell.epoch)
+    raise TypeError(f"cannot tokenize {cell!r}")
 
 
 @dataclass(frozen=True)
@@ -126,24 +146,254 @@ class Row:
     date: int | None = None
 
 
+# ---- columnar storage ------------------------------------------------------
+
+class CellPool:
+    """The distinct cells of a table, addressed by integer code.
+
+    Code 0 is MISSING, and no other code is. Facts about the cells are
+    computed once per entry, on first use, as arrays indexed by code, so a
+    whole-table pass gathers them by code instead of visiting cells.
+    """
+
+    def __init__(self, cells: list):
+        self.cells = cells
+        self._tokens = None                         # see `tokens`
+        self._token_ids: dict[str, int] = {}
+        self.token_texts: list[str] = []            # the tokens made so far, by id
+
+    @cached_property
+    def kinds(self) -> np.ndarray:
+        return np.array([_KIND_OF[c.__class__] for c in self.cells], dtype=np.int8)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """A number's value; NaN for every other cell."""
+        return np.array([c.value if c.__class__ is Number else math.nan for c in self.cells],
+                        dtype=np.float64)
+
+    def tokens(self, codes: np.ndarray) -> np.ndarray:
+        """Per code (any shape), the id of its cell's `canonical_token` in
+        `token_texts`; -1 for MISSING. Each entry's token is made once, on
+        the first request that holds its code."""
+        if self._tokens is None:
+            self._tokens = np.full(len(self.cells), -2, dtype=np.int64)
+            self._tokens[MISSING_CODE] = -1
+        ids = self._token_ids
+        for code in dict.fromkeys(codes[self._tokens[codes] == -2].tolist()):
+            text = canonical_token(self.cells[code])
+            if text not in ids:
+                ids[text] = len(self.token_texts)
+                self.token_texts.append(text)
+            self._tokens[code] = ids[text]
+        return self._tokens[codes]
+
+
+class _CellIndex(dict):
+    """Key -> code of its cell in `cells`, adding each new cell once."""
+
+    def __init__(self):
+        super().__init__()
+        self.cells = [MISSING]
+
+    def _add(self, key, cell) -> int:
+        code = MISSING_CODE if cell is MISSING else len(self.cells)
+        if code:
+            self.cells.append(cell)
+        self[key] = code
+        return code
+
+
+class _ParsedCells(_CellIndex):
+    """Raw cell text -> code of `parse_cell` of it, parsed on first lookup only.
+
+    Keyed on the exact unstripped text, so texts that parse to equal but
+    distinguishable cells ("-0.0" and "0.0") never share an entry.
+    """
+
+    def __missing__(self, text: str) -> int:
+        return self._add(text, parse_cell(text))
+
+
+class _CellCodes(_CellIndex):
+    """Cell -> code; equal cells share one entry. Number(0.0) and
+    Number(-0.0) compare equal but are kept apart."""
+
+    def __init__(self):
+        super().__init__()
+        self[MISSING] = MISSING_CODE
+
+    def __missing__(self, cell) -> int:
+        if cell.__class__ not in _KIND_OF:
+            raise SchemaError(f"not a cell value: {cell!r}")
+        if cell.__class__ is Number and cell.value == 0:
+            key = ("zero", math.copysign(1.0, cell.value))
+            return self[key] if key in self else self._add(key, cell)
+        return self._add(cell, cell)
+
+
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """Records of a sequence of customers, stored column-wise.
+
+    Customer `i` owns rows `offsets[i]:offsets[i + 1]` of `codes`, `dates`
+    and `dated`, in record order.
+    """
+
+    pool: CellPool
+    codes: np.ndarray       # [n_records, n_features] int32 codes into `pool`
+    offsets: np.ndarray     # [n_customers + 1] int64
+    dates: np.ndarray       # [n_records] int64, 0 where undated
+    dated: np.ndarray       # [n_records] bool
+
+    @property
+    def n_customers(self) -> int:
+        return len(self.offsets) - 1
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """Records per customer."""
+        return np.diff(self.offsets)
+
+    @cached_property
+    def segments(self) -> np.ndarray:
+        """Customer index of each record."""
+        return np.repeat(np.arange(self.n_customers), self.lengths)
+
+    @classmethod
+    def from_rows(cls, histories, width: int, names=None) -> "Columns":
+        """Columns of one `Row` list per customer; `names` label the
+        customers in the error for a row of the wrong width."""
+        pool = _CellCodes()
+        codes, dates, lengths = [], [], []
+        for i, rows in enumerate(histories):
+            for row in rows:
+                if len(row.cells) != width:
+                    who = names[i] if names is not None else i
+                    raise SchemaError(f"customer {who!r}: row has {len(row.cells)} cells, "
+                                      f"expected {width}")
+                codes.extend(map(pool.__getitem__, row.cells))
+                dates.append(row.date)
+            lengths.append(len(rows))
+        return cls.build(pool.cells, codes, width, lengths, dates)
+
+    @classmethod
+    def build(cls, cells: list, codes: list, width: int, lengths, dates: list) -> "Columns":
+        """Columns from flat row-major `codes` of `width` features, the
+        records per customer and one date (or None) per record."""
+        dated = np.array([d is not None for d in dates], dtype=bool)
+        try:
+            date_arr = np.array([0 if d is None else d for d in dates], dtype=np.int64)
+        except OverflowError:
+            raise SchemaError("a record date is outside the 64-bit epoch range") from None
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        return cls(pool=CellPool(cells),
+                   codes=np.array(codes, dtype=np.int32).reshape(len(dates), width),
+                   offsets=offsets, dates=date_arr, dated=dated)
+
+    def take(self, idx) -> "Columns":
+        """The customers `idx` (positions), in that order."""
+        idx = np.asarray(idx, dtype=np.int64)
+        lengths = self.lengths[idx]
+        offsets = np.zeros(len(idx) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        rows = np.repeat(self.offsets[idx] - offsets[:-1], lengths) + np.arange(offsets[-1])
+        return Columns(pool=self.pool, codes=self.codes[rows], offsets=offsets,
+                       dates=self.dates[rows], dated=self.dated[rows])
+
+    def reordered(self, rows: np.ndarray) -> "Columns":
+        """Same customers, records permuted within each customer by `rows`."""
+        return replace(self, codes=self.codes[rows], dates=self.dates[rows],
+                       dated=self.dated[rows])
+
+    def rows(self, i: int) -> list[Row]:
+        """Customer `i`'s records as `Row`s of pool cells."""
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        cells = self.pool.cells
+        return [Row(cells=tuple(map(cells.__getitem__, codes)), date=date if dated else None)
+                for codes, date, dated in zip(self.codes[lo:hi].tolist(),
+                                              self.dates[lo:hi].tolist(),
+                                              self.dated[lo:hi].tolist())]
+
+
+class Column:
+    """One feature's cells, as codes into a pool; iterates as cells."""
+
+    def __init__(self, pool: CellPool, codes: np.ndarray):
+        self.pool = pool
+        self.codes = codes
+
+    @classmethod
+    def of(cls, cells) -> "Column":
+        pool = _CellCodes()
+        codes = np.array(list(map(pool.__getitem__, cells)), dtype=np.int64)
+        return cls(CellPool(pool.cells), codes)
+
+    def __iter__(self):
+        return map(self.pool.cells.__getitem__, self.codes.tolist())
+
+
+class RecordsView(Mapping):
+    """Customer -> list of `Row`s, built from the columns on first access
+    and cached per customer."""
+
+    def __init__(self, customers: list[str], columns: Columns):
+        self.customers = customers
+        self.columns = columns
+        self.index = {c: i for i, c in enumerate(customers)}    # customer -> position
+        self._rows: dict[str, list[Row]] = {}
+
+    def __getitem__(self, customer: str) -> list[Row]:
+        rows = self._rows.get(customer)
+        if rows is None:
+            rows = self._rows[customer] = self.columns.rows(self.index[customer])
+        return rows
+
+    def __contains__(self, customer) -> bool:
+        return customer in self.index
+
+    def __iter__(self):
+        return iter(self.customers)
+
+    def __len__(self) -> int:
+        return len(self.customers)
+
+
 @dataclass
 class BigTable:
-    """Customers x features table with per-customer record sequences."""
+    """Customers x features table with per-customer record sequences.
+
+    `records` may be a mapping of customer -> `Row` list (a customer it
+    does not name has no records), another table's `records` view over the
+    same customers, or a `Columns` instance. After construction `records`
+    is always a `RecordsView` over `columns`.
+    """
 
     customers: list[str]
     features: list[str]
-    records: dict[str, list[Row]]
+    records: Mapping[str, list[Row]] | Columns
     labels: dict[str, dict[str, int]] = field(default_factory=dict)
     has_date_index: bool = False
+    columns: Columns = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.customers)) != len(self.customers):
             raise SchemaError("duplicate customer ids")
-        width = len(self.features)
-        for cust, rows in self.records.items():
-            for row in rows:
-                if len(row.cells) != width:
-                    raise SchemaError(f"customer {cust!r}: row has {len(row.cells)} cells, expected {width}")
+        records, width = self.records, len(self.features)
+        if isinstance(records, Columns):
+            columns = records
+        elif isinstance(records, RecordsView) and records.customers == self.customers \
+                and records.columns.codes.shape[1] == width:
+            columns = records.columns
+        else:
+            unknown = set(records) - set(self.customers)
+            if unknown:
+                raise SchemaError(f"records of unknown customers: {sorted(unknown)[:3]}")
+            columns = Columns.from_rows([records.get(c, ()) for c in self.customers],
+                                        width, self.customers)
+        self.columns = columns
+        self.records = RecordsView(self.customers, columns)
         for task, labels in self.labels.items():
             unknown = set(labels) - set(self.customers)
             if unknown:
@@ -163,12 +413,21 @@ class BigTable:
         except ValueError:
             raise SchemaError(f"unknown feature {feature!r}") from None
 
-    def column(self, feature: str):
+    def column(self, feature: str) -> Column:
         """All cells of one feature in customer-then-record order."""
-        j = self.feature_index(feature)
-        for cust in self.customers:
-            for row in self.records[cust]:
-                yield row.cells[j]
+        return Column(self.columns.pool, self.columns.codes[:, self.feature_index(feature)])
+
+    def n_records(self, customer: str) -> int:
+        return int(self.columns.lengths[self.records.index[customer]])
+
+    def select(self, customers) -> Columns:
+        """Columns of `customers`, in that order; KeyError names an
+        unknown one."""
+        customers = list(customers)
+        if customers == self.customers:
+            return self.columns
+        index = self.records.index
+        return self.columns.take([index[c] for c in customers])
 
 
 @dataclass(frozen=True)
@@ -227,10 +486,14 @@ def _read_table(path: Path, reader, fmt: TableFormat) -> BigTable:
     features = [h for i, h in enumerate(header) if i not in special]
     feature_pos = [i for i in range(len(header)) if i not in special]
 
-    customers: list[str] = []
-    records: dict[str, list[Row]] = {}
+    customer_of: dict[str, int] = {}        # id -> position in `customers`, first-seen order
+    owners: list[int] = []                  # customer position of each record
+    codes: list[int] = []                   # feature codes, row-major
+    dates: list[int | None] = []
     labels: dict[str, dict[str, int]] = {col: {} for col in fmt.label_columns}
     parsed = _ParsedCells()
+    cells = parsed.cells
+    date_of: dict[int, int | None] = {}     # code of a date text -> its epoch
 
     for raw in reader:
         if not raw:
@@ -241,26 +504,41 @@ def _read_table(path: Path, reader, fmt: TableFormat) -> BigTable:
         cust = raw[id_pos].strip()
         if not cust:
             raise ParseError(f"{path}:{reader.line_num}: empty customer id")
-        if cust not in records:
-            customers.append(cust)
-            records[cust] = []
-        date = None
-        if date_pos is not None:
-            cell = parsed[raw[date_pos]]
-            if isinstance(cell, Date):
-                date = cell.epoch
-            elif isinstance(cell, Number):
-                date = int(cell.value)
-        cells = tuple([parsed[raw[i]] for i in feature_pos])
-        records[cust].append(Row(cells=cells, date=date))
+        owners.append(customer_of.setdefault(cust, len(customer_of)))
+        codes.extend([parsed[raw[i]] for i in feature_pos])
+        if date_pos is None:
+            dates.append(None)
+        else:
+            code = parsed[raw[date_pos]]
+            if code not in date_of:
+                date_of[code] = _record_date(cells[code], path, reader.line_num)
+            dates.append(date_of[code])
         for col, pos in label_pos.items():
-            cell = parsed[raw[pos]]
+            cell = cells[parsed[raw[pos]]]
             if isinstance(cell, Number) and cust not in labels[col]:
                 labels[col][cust] = int(cell.value)
 
+    owners = np.array(owners, dtype=np.int64)
+    columns = Columns.build(cells, codes, len(features),
+                            np.bincount(owners, minlength=len(customer_of)), dates)
+    if (owners[1:] < owners[:-1]).any():
+        # a customer's records are interleaved with others': group them, in file order
+        columns = columns.reordered(np.argsort(owners, kind="stable"))
     labels = {task: vals for task, vals in labels.items() if vals}
-    return BigTable(customers=customers, features=features, records=records,
+    return BigTable(customers=list(customer_of), features=features, records=columns,
                     labels=labels, has_date_index=fmt.date_column is not None)
+
+
+def _record_date(cell: CellValue, path: Path, line: int) -> int | None:
+    if isinstance(cell, Date):
+        date = cell.epoch
+    elif isinstance(cell, Number):
+        date = int(cell.value)
+    else:
+        return None
+    if not -2 ** 63 <= date < 2 ** 63:
+        raise ParseError(f"{path}:{line}: date {date} is outside the 64-bit epoch range")
+    return date
 
 
 def save_table(table: BigTable, path, fmt: TableFormat = TableFormat()) -> None:
@@ -268,15 +546,19 @@ def save_table(table: BigTable, path, fmt: TableFormat = TableFormat()) -> None:
 
     A customer is known to that layout only through its rows, so a customer
     with no records raises `TableIOError` before anything is written."""
-    empty = next((c for c in table.customers if not table.records.get(c)), None)
-    if empty is not None:
-        raise TableIOError(f"customer {empty!r} has no records; a saved table cannot hold it")
+    cols = table.columns
+    empty = np.flatnonzero(cols.lengths == 0)
+    if len(empty):
+        raise TableIOError(f"customer {table.customers[empty[0]]!r} has no records; "
+                           f"a saved table cannot hold it")
     path = Path(path)
     header = [fmt.id_column]
     if fmt.date_column is not None:
         header.append(fmt.date_column)
     header.extend(table.features)
     header.extend(fmt.label_columns)
+    texts = [format_cell(c) for c in cols.pool.cells]
+    date_texts: dict[int, str] = {}
     with path.open("w", newline="", encoding="utf-8") as fh:
         plain = csv.writer(fh, delimiter=fmt.delimiter, lineterminator="\n")
         # `plain` quotes a field holding "\n" but not one holding only "\r"
@@ -287,16 +569,23 @@ def save_table(table: BigTable, path, fmt: TableFormat = TableFormat()) -> None:
             (quoted if "\r" in "".join(row) else plain).writerow(row)
 
         write(header)
-        for cust in table.customers:
-            for row in table.records[cust]:
-                out = [cust]
-                if fmt.date_column is not None:
-                    out.append("" if row.date is None else datetime.fromtimestamp(row.date, tz=timezone.utc).isoformat())
-                out.extend(format_cell(c) for c in row.cells)
-                for col in fmt.label_columns:
-                    value = table.labels.get(col, {}).get(cust)
-                    out.append("" if value is None else str(value))
-                write(out)
+        records = zip(cols.segments.tolist(), cols.codes.tolist(), cols.dates.tolist(),
+                      cols.dated.tolist())
+        for i, codes, date, dated in records:
+            cust = table.customers[i]
+            out = [cust]
+            if fmt.date_column is not None:
+                if not dated:
+                    out.append("")
+                else:
+                    if date not in date_texts:
+                        date_texts[date] = _format_date(date)
+                    out.append(date_texts[date])
+            out.extend([texts[c] for c in codes])
+            for col in fmt.label_columns:
+                value = table.labels.get(col, {}).get(cust)
+                out.append("" if value is None else str(value))
+            write(out)
 
 
 def order_records(table: BigTable) -> BigTable:
@@ -307,10 +596,8 @@ def order_records(table: BigTable) -> BigTable:
     """
     if not table.has_date_index:
         raise MissingDateIndexError("table was loaded without a date column")
-    ordered = {
-        cust: sorted(rows, key=lambda r: (-math.inf if r.date is None else r.date))
-        for cust, rows in table.records.items()
-    }
+    cols = table.columns
+    ordered = cols.reordered(np.lexsort((cols.dates, cols.dated, cols.segments)))
     return BigTable(customers=list(table.customers), features=list(table.features),
                     records=ordered, labels=table.labels, has_date_index=True)
 
@@ -351,23 +638,24 @@ def compute_stats(table: BigTable, schema) -> TableStats:
     customers, then over features; the structural ratio counts
     customer-feature pairs whose every record is missing.
     """
-    active = [c for c in table.customers if table.records[c]]
-    if not active or not table.features:
+    cols = table.columns
+    counts = cols.lengths
+    active = counts > 0
+    if not active.any() or not table.features:
         raise EmptyTableError("no records to profile")
 
     n_feat = table.n_features
-    per_feature_missing = [0.0] * n_feat
-    structural_pairs = 0
-    for cust in active:
-        rows = table.records[cust]
-        for j in range(n_feat):
-            missing = sum(1 for row in rows if row.cells[j] is MISSING)
-            per_feature_missing[j] += missing / len(rows)
-            if missing == len(rows):
-                structural_pairs += 1
-    per_feature_missing = [m / len(active) for m in per_feature_missing]
+    n_active = int(active.sum())
+    counts = counts[active]
+    running = np.zeros((len(cols.codes) + 1, n_feat), dtype=np.int64)
+    np.cumsum(cols.codes == MISSING_CODE, axis=0, out=running[1:])
+    missing = (running[cols.offsets[1:]] - running[cols.offsets[:-1]])[active]   # per customer
+    # customer-level ratios, summed over customers in table order
+    per_feature_missing = np.cumsum(missing / counts[:, None], axis=0)[-1]
+    per_feature_missing = [m / n_active for m in per_feature_missing.tolist()]
     feature_missing_ratio = sum(per_feature_missing) / n_feat
-    structural_missing_ratio = structural_pairs / (len(active) * n_feat)
+    structural_pairs = int((missing == counts[:, None]).sum())
+    structural_missing_ratio = structural_pairs / (n_active * n_feat)
 
     label_ratio: dict[str, float | None] = {}
     for task, labels in table.labels.items():
@@ -375,11 +663,10 @@ def compute_stats(table: BigTable, schema) -> TableStats:
         neg = sum(1 for v in labels.values() if v == 0)
         label_ratio[task] = (pos / neg) if neg else None
 
-    counts = [len(table.records[c]) for c in active]
     records_per_customer = {
-        "min": float(min(counts)),
-        "mean": sum(counts) / len(counts),
-        "max": float(max(counts)),
+        "min": float(counts.min()),
+        "mean": int(counts.sum()) / n_active,
+        "max": float(counts.max()),
     }
     return TableStats(label_ratio=label_ratio,
                       feature_missing_ratio=feature_missing_ratio,

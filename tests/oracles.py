@@ -8,10 +8,12 @@ for every masked cell, which is what the package's edit path must match.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from tabrep import numeric
-from tabrep.encode import encode_rows, stack_encoded
+from tabrep.encode import EncodedCustomer, encode_rows, stack_encoded
 from tabrep.interpret import (GenomeReport, InterpretConfig, TargetGenome, _top_k,
                               maskable_features, position_target, sensitive_features)
 from tabrep.table import MISSING, BigTable, Date, Number, Row, Token
@@ -99,6 +101,137 @@ def reference_dynamics(table: BigTable, feature: str, kind: str,
         if reference_change_statistic(cells, kind, lo, hi) > pair_threshold:
             count += 1
     return "dynamic" if count > feature_threshold else "static"
+
+
+# ---- row oracles of the columnar table paths ------------------------------
+#
+# Straight-line loops over `Row` lists, written as the row-storage code was
+# before the tables became columnar. The columnar passes must match them
+# bit for bit.
+
+def python_normalize(x: float, stats: tuple[float, float]) -> float:
+    """Python's `min(max((x - lo) / (hi - lo), 0.0), 1.0)`; 0.5 for a
+    constant range. Keeps a -0.0 that `max(v, 0.0)` keeps."""
+    lo, hi = stats
+    if hi == lo:
+        return 0.5
+    return min(max((x - lo) / (hi - lo), 0.0), 1.0)
+
+
+def reference_order(rows: list[Row]) -> list[Row]:
+    return sorted(rows, key=lambda r: float("-inf") if r.date is None else r.date)
+
+
+def reference_vocabulary(cells) -> dict[str, int]:
+    """Token -> id from 2, in first-seen order of the non-missing cells."""
+    out: dict[str, int] = {}
+    for cell in cells:
+        if cell is not MISSING:
+            out.setdefault(_token_key(cell), 2 + len(out))
+    return out
+
+
+def reference_range(cells) -> tuple[float, float]:
+    values = [c.value for c in cells if isinstance(c, Number)]
+    return (min(values), max(values)) if values else (0.0, 0.0)
+
+
+def reference_stats_json(customers, n_features: int, records: dict, labels: dict,
+                         kind_ratios: dict) -> str:
+    """`stats.json` by per-customer, per-feature loops."""
+    active = [c for c in customers if records.get(c)]
+    per_feature = [0.0] * n_features
+    structural = 0
+    for cust in active:
+        rows = records[cust]
+        for j in range(n_features):
+            missing = sum(1 for row in rows if row.cells[j] is MISSING)
+            per_feature[j] += missing / len(rows)
+            structural += missing == len(rows)
+    per_feature = [m / len(active) for m in per_feature]
+    label_ratio = {}
+    for task, got in labels.items():
+        pos = sum(1 for v in got.values() if v == 1)
+        neg = sum(1 for v in got.values() if v == 0)
+        label_ratio[task] = (pos / neg) if neg else None
+    counts = [len(records[c]) for c in active]
+    return json.dumps({
+        "label_ratio": label_ratio,
+        "feature_missing_ratio": sum(per_feature) / n_features,
+        "structural_missing_ratio": structural / (len(active) * n_features),
+        "kind_ratios": kind_ratios,
+        "records_per_customer": {"min": float(min(counts)), "mean": sum(counts) / len(counts),
+                                 "max": float(max(counts))},
+    }, sort_keys=True)
+
+
+def _latest(rows: list[Row], j: int):
+    for row in reversed(rows):
+        if row.cells[j] is not MISSING:
+            return row.cells[j]
+    return MISSING
+
+
+def _vocab_id(schema, feature: str, cell) -> int:
+    if cell is MISSING:
+        return 0
+    return schema.vocabularies[feature].token_to_id.get(_token_key(cell), 1)
+
+
+def reference_encoding(rows: list[Row], schema, layout) -> EncodedCustomer:
+    """One customer's encoding by loops over its `Row`s."""
+    index = {f: i for i, f in enumerate(schema.feature_order)}
+    n_s = layout.n_s
+    window = rows[-n_s:]
+    cs_latest = [_latest(rows, index[f]) for f in layout.cs_features]
+    sn_latest = [_latest(rows, index[f]) for f in layout.sn_features]
+    cs_ids = [_vocab_id(schema, f, c) + int(off)
+              for f, c, off in zip(layout.cs_features, cs_latest, layout.cs_offsets)]
+    ns_vals = [python_normalize(c.value, schema.numeric_stats[f]) if isinstance(c, Number)
+               else 0.0 for f, c in zip(layout.sn_features, sn_latest)]
+    seq_valid = [t < len(window) for t in range(n_s)]
+    if not window:
+        seq_valid[0] = True
+    cd_ids = np.zeros((n_s, len(layout.cd_features)), dtype=np.int64)
+    nd_vals = np.zeros((n_s, len(layout.dn_features)))
+    for t in range(n_s):
+        for i, f in enumerate(layout.cd_features):
+            cell = window[t].cells[index[f]] if t < len(window) else MISSING
+            cd_ids[t, i] = _vocab_id(schema, f, cell) + int(layout.cd_offsets[i])
+        for i, f in enumerate(layout.dn_features):
+            cell = window[t].cells[index[f]] if t < len(window) else MISSING
+            if isinstance(cell, Number):
+                nd_vals[t, i] = python_normalize(cell.value, schema.numeric_stats[f])
+    presence = [float(any(c is not MISSING for c in cs_latest)),
+                float(any(isinstance(c, Number) for c in sn_latest)),
+                float(bool(window) and len(layout.cd_features) > 0),
+                float(bool(window) and len(layout.dn_features) > 0)]
+    return EncodedCustomer(cs_ids=np.array(cs_ids, dtype=np.int64).reshape(-1),
+                           ns_vals=np.array(ns_vals, dtype=np.float64).reshape(-1),
+                           cd_ids=cd_ids, nd_vals=nd_vals,
+                           seq_valid=np.array(seq_valid, dtype=bool),
+                           presence=np.array(presence))
+
+
+def reference_summary(rows: list[Row], schema, features: list[str]) -> np.ndarray:
+    """The augmented summary of one customer by loops over its `Row`s."""
+    branch = schema.branch_features()
+    index = {f: i for i, f in enumerate(features)}
+    out = []
+    for f in branch["SN"]:
+        cell = _latest(rows, index[f])
+        out.append(python_normalize(cell.value, schema.numeric_stats[f])
+                   if isinstance(cell, Number) else 0.0)
+    for f in branch["DN"]:
+        vals = [python_normalize(row.cells[index[f]].value, schema.numeric_stats[f])
+                for row in rows if isinstance(row.cells[index[f]], Number)]
+        out.append(sum(vals) / len(vals) if vals else 0.0)
+    for f in branch["DC"]:
+        keys = [None if row.cells[index[f]] is MISSING else _token_key(row.cells[index[f]])
+                for row in rows]
+        changes = sum(a != b for a, b in zip(keys, keys[1:]))
+        out.append(changes / (len(rows) - 1) if len(rows) > 1 else 0.0)
+    return np.array(out, dtype=np.float64)
 
 
 def random_table(rng: np.random.Generator) -> BigTable:

@@ -7,7 +7,7 @@ import pytest
 
 from tabrep import model as model_module
 from tabrep import numeric
-from tabrep.encode import (BranchLayout, augmented_summary, encode_customer,
+from tabrep.encode import (BranchLayout, augmented_summary, encode_customer, encode_table,
                            stack_encoded, summary_width)
 from tabrep.errors import (AllTermsDisabledError, ConfigError, TableIOError,
                            UnknownTaskError)
@@ -426,8 +426,8 @@ def test_task_without_training_labels_adds_no_validation_term():
 def test_fit_encodes_once_and_forwards_validation_once_per_epoch(schema, monkeypatch):
     table = fixture_table()
     encoded = []
-    monkeypatch.setattr(model_module, "encode_customer",
-                        lambda t, c, *a: encoded.append(c) or encode_customer(t, c, *a))
+    monkeypatch.setattr(model_module, "encode_table",
+                        lambda t, s, lay, c: encoded.append(list(c)) or encode_table(t, s, lay, c))
     evaluated = []
     forward = CustomerEncoder.forward
 
@@ -440,7 +440,7 @@ def test_fit_encodes_once_and_forwards_validation_once_per_epoch(schema, monkeyp
     model = CustomerEncoder(schema, small_model_config(), tasks={"churn": 2}, seed=3)
     log = model.fit(table, TrainConfig(epochs=3, batch_size=16, validation_fraction=0.25,
                                        seed=3))
-    assert sorted(encoded) == sorted(table.customers)
+    assert len(encoded) == 1 and sorted(encoded[0]) == sorted(table.customers)
     assert len(evaluated) == 3 * 10
     assert Counter(evaluated) == Counter({c: 3 for c in set(evaluated)})
     assert all(rec["val_auc"]["churn"] is not None for rec in log)

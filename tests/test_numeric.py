@@ -326,3 +326,19 @@ def test_substreams_are_deterministic_and_distinct():
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
     assert not np.array_equal(a1, c)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 8, numeric.ROW_MAX_CHAIN, numeric.ROW_MAX_CHAIN + 1])
+def test_row_max_is_bitwise_numpy_max(width):
+    """Masked entries, signed zeros and ties among them, in every order."""
+    rng = np.random.default_rng(width)
+    pool = np.array([-numeric.NEG_MASK_VALUE, 0.0, -0.0, 1.5, -1.5, 1.5, -2.0])
+    x = rng.choice(pool, size=(64, 4, 8, width))
+    x[0] = -0.0
+    x[1] = -numeric.NEG_MASK_VALUE
+    x[2, ..., ::2] = 0.0
+    x[2, ..., 1::2] = -0.0
+    for axis in (-1, 1):
+        want = x.max(axis=axis, keepdims=True)
+        got = numeric.row_max(x, axis)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
