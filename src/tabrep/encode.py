@@ -247,23 +247,34 @@ def masked_encoding(records, encoded: EncodedCustomer, feature_index: int,
             nd_vals[t, layout.dn_features.index(f)] = 0.0
             edited = replace(encoded, nd_vals=nd_vals)
     elif f in layout.cs_features or f in layout.sn_features:
-        if (cols.codes[record_index + 1:, j] != MISSING_CODE).any():
+        column = cols.codes[:, j]
+        if (column[record_index + 1:] != MISSING_CODE).any():
             return None
         # the masked feature falls back to its next-latest non-missing cell
-        codes = cols.codes.copy()
-        codes[record_index, j] = MISSING_CODE
-        masked = replace(cols, codes=codes)
+        earlier = np.flatnonzero(column[:record_index] != MISSING_CODE)
+        code = column[earlier[-1]] if len(earlier) else MISSING_CODE
         presence = encoded.presence.copy()
         if f in layout.cs_features:
-            cs_ids, cs_any = _static_categorical(masked, schema, layout)
-            presence[0] = float(cs_any[0])
-            edited = replace(encoded, cs_ids=cs_ids[0], presence=presence)
+            i = layout.cs_features.index(f)
+            cs_ids = encoded.cs_ids.copy()
+            cs_ids[i] = layout.cs_offsets[i] + schema.vocabularies[f].ids(cols.pool,
+                                                                         np.array([code]))[0]
+            # present while any static categorical cell is left
+            others = [schema.feature_order.index(g) for g in layout.cs_features if g != f]
+            presence[0] = float(code != MISSING_CODE
+                                or (cols.codes[:, others] != MISSING_CODE).any())
+            edited = replace(encoded, cs_ids=cs_ids, presence=presence)
         else:
-            index = {g: i for i, g in enumerate(schema.feature_order)}
-            ns_vals, ns_any = _static_numerical(masked, [index[g] for g in layout.sn_features],
-                                                layout.sn_features, schema)
-            presence[1] = float(ns_any[0])
-            edited = replace(encoded, ns_vals=ns_vals[0], presence=presence)
+            i = layout.sn_features.index(f)
+            ns_vals = encoded.ns_vals.copy()
+            number = cols.pool.kinds[code] == KIND_NUMBER
+            ns_vals[i] = uniform_normalize(cols.pool.values[code], schema.numeric_stats[f]) \
+                if number else 0.0
+            # present while the latest cell of some static numerical feature is a number
+            presence[1] = float(number or any(
+                cols.pool.kinds[latest_non_missing(cols, schema.feature_order.index(g))[0]]
+                == KIND_NUMBER for g in layout.sn_features if g != f))
+            edited = replace(encoded, ns_vals=ns_vals, presence=presence)
     else:
         return None         # the date index is not encoded
     return None if same_encoding(edited, encoded) else edited

@@ -15,7 +15,7 @@ from .errors import ConfigError, InfeasibleConfigError, SingleClassError
 from .numeric import Tensor
 from .encode import augmented_summaries
 from .prep import FeatureSchema, latest_non_missing
-from .table import MISSING, MISSING_CODE, BigTable, Columns, Number, Token
+from .table import MISSING_CODE, BigTable, Columns, Number, Token, _CellCodes
 
 
 # ---- metrics -------------------------------------------------------------
@@ -223,21 +223,10 @@ def synth_generate(config: SynthConfig) -> BigTable:
     m = config.signal_min_count
     labels: dict[str, int] = {}
     # the table's columns: a cell pool, each feature's codes, each record's date
-    cells: list = [MISSING]
-    token_codes: dict[str, int] = {}
+    pool = _CellCodes()
     feature_codes: list[list[int]] = [[] for _ in features]
     dates_all: list[int] = []
     lengths: list[int] = []
-
-    def token_code(text: str) -> int:
-        if text not in token_codes:
-            token_codes[text] = len(cells)
-            cells.append(Token(text))
-        return token_codes[text]
-
-    def number_code(value: float) -> int:
-        cells.append(Number(value))
-        return len(cells) - 1
 
     for i in range(config.n_customers):
         cid = f"c{i:05d}"
@@ -292,14 +281,14 @@ def synth_generate(config: SynthConfig) -> BigTable:
             hidden[f] = h
 
         for f, codes in zip(features, feature_codes):
-            code_of = token_code if isinstance(values[f][0], str) else number_code
-            codes.extend([MISSING_CODE if h else code_of(v)
+            cell = Token if isinstance(values[f][0], str) else Number
+            codes.extend([MISSING_CODE if h else pool[cell(v)]
                           for v, h in zip(values[f], hidden[f].tolist())])
         dates_all.extend(dates)
         lengths.append(k)
         labels[cid] = label
 
-    columns = Columns.build(cells, np.array(feature_codes, dtype=np.int32).T, len(features),
+    columns = Columns.build(pool.cells, np.array(feature_codes, dtype=np.int32).T, len(features),
                             lengths, dates_all)
     return BigTable(customers=list(labels), features=features, records=columns,
                     labels={config.task: labels}, has_date_index=True)

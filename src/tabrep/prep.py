@@ -269,7 +269,8 @@ def dynamics_statistic(table: BigTable, feature: str, kind: str) -> np.ndarray:
 
     Categorical: count of successive pairs whose values differ, missing
     treated as its own value. Numerical: sum of absolute successive
-    differences of normalized values, pairs touching a missing cell skipped.
+    differences of normalized values, pairs touching a cell that is not a
+    number (missing, or a token or date in an overridden feature) skipped.
     Customers with fewer than two records score 0.
     """
     j = table.feature_index(feature)
@@ -279,8 +280,9 @@ def dynamics_statistic(table: BigTable, feature: str, kind: str) -> np.ndarray:
     stats = numeric_range(table, feature)
     codes = cols.codes[:, j]
     normalized = uniform_normalize(cols.pool.values[codes], stats)
+    number = cols.pool.kinds[codes] == KIND_NUMBER
     pairs = _successive_pairs(cols)
-    pairs = pairs[(codes[pairs] != MISSING_CODE) & (codes[pairs + 1] != MISSING_CODE)]
+    pairs = pairs[number[pairs] & number[pairs + 1]]
     return np.bincount(cols.segments[pairs], minlength=cols.n_customers,
                        weights=np.abs(normalized[pairs + 1] - normalized[pairs]))
 

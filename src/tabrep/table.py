@@ -365,9 +365,8 @@ class BigTable:
     """Customers x features table with per-customer record sequences.
 
     `records` may be a mapping of customer -> `Row` list (a customer it
-    does not name has no records), another table's `records` view over the
-    same customers, or a `Columns` instance. After construction `records`
-    is always a `RecordsView` over `columns`.
+    does not name has no records) or a `Columns` instance. After
+    construction `records` is always a `RecordsView` over `columns`.
     """
 
     customers: list[str]
@@ -383,9 +382,6 @@ class BigTable:
         records, width = self.records, len(self.features)
         if isinstance(records, Columns):
             columns = records
-        elif isinstance(records, RecordsView) and records.customers == self.customers \
-                and records.columns.codes.shape[1] == width:
-            columns = records.columns
         else:
             unknown = set(records) - set(self.customers)
             if unknown:

@@ -68,7 +68,7 @@ def reference_change_statistic(rows_cells, kind: str, lo: float = 0.0,
             if ka != kb:
                 total += 1.0
         else:
-            if a is MISSING or b is MISSING:
+            if not (isinstance(a, Number) and isinstance(b, Number)):
                 continue
             total += abs(_norm(b.value, lo, hi) - _norm(a.value, lo, hi))
     return total

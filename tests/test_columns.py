@@ -26,7 +26,8 @@ from tabrep.table import MISSING, BigTable, Date, Number, Row, Token, compute_st
 # a fractional value is drawn, and its sums depend on their order. Up to
 # 10 records per customer, so numpy's pairwise summation (from 8 terms)
 # would show. "mix" puts the token "1" next to the number
-# 1 and is pinned to a kind by an override.
+# 1 and is pinned to categorical by an override; "mixnum" mixes all three
+# kinds and is pinned to numerical, where a token or date acts as missing.
 STYLES = {
     "tok": [Token("a"), Token("b"), Token("1")],
     "num": [Number(-0.0), Number(0.0), Number(0.1), Number(1.0), Number(2.0), Number(-3.25),
@@ -34,9 +35,10 @@ STYLES = {
     "int": [Number(-0.0), Number(0.0), Number(1.0), Number(2.0), Number(3.0)],
     "day": [Date(0), Date(86_400), Date(172_800)],
     "mix": [Token("1"), Number(1.0), Number(2.0)],
+    "mixnum": [Token("1"), Number(1.0), Number(2.5), Date(86_400)],
 }
 FEATURES = list(STYLES)
-OVERRIDES = {"mix": FeatureKind.DYNAMIC_CATEGORICAL}
+OVERRIDES = {"mix": FeatureKind.DYNAMIC_CATEGORICAL, "mixnum": FeatureKind.DYNAMIC_NUMERICAL}
 DYNAMIC = (FeatureKind.DYNAMIC_NUMERICAL, FeatureKind.DYNAMIC_CATEGORICAL)
 N_S = 3
 
@@ -156,12 +158,12 @@ def test_negative_zero_keeps_its_own_pool_entry():
     assert [repr(c.value) for c in cells] == ["0.0", "-0.0"]
 
 
-def test_replace_reuses_the_columns():
+def test_replace_keeps_the_records():
     from dataclasses import replace
     table = BigTable(customers=["a"], features=["f"],
                      records={"a": [Row(cells=(Token("x"),))]})
     again = replace(table, labels={"churn": {"a": 1}})
-    assert again.columns is table.columns and again.records == table.records
+    assert again.records == table.records and again.labels == {"churn": {"a": 1}}
 
 
 def test_summary_of_a_customer_without_records_is_zeros():
