@@ -5,19 +5,19 @@ normalized value per static numerical feature, and per-time-step ids/values
 for the dynamic features over a fixed-length recent window. Everything here
 is a pure function of (table, schema); no learned state. A whole table is
 encoded in one pass of array operations over its columns; one customer's
-records are encoded, and masked, by the same code on that customer alone.
+records, and masked variants of customers, are encoded by the same pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import SchemaMismatchError
-from .prep import (MISSING_TOKEN_ID, FeatureSchema, change_rate, latest_non_missing,
-                   normalized_mean, uniform_normalize)
+from .prep import (FeatureSchema, change_rate, latest_non_missing, normalized_mean,
+                   uniform_normalize)
 from .table import KIND_NUMBER, MISSING_CODE, BigTable, Columns, Row
 
 
@@ -122,14 +122,31 @@ def encode_customer(table: BigTable, customer: str, schema: FeatureSchema,
 def encode_rows(rows: list[Row], schema: FeatureSchema,
                 layout: BranchLayout) -> EncodedCustomer:
     """Encode one customer's records, given as `Row`s in time order."""
-    return _split(_encode(_history(rows, schema), schema, layout))[0]
+    cols = Columns.from_rows([rows], len(schema.feature_order))
+    return _split(_encode(cols, schema, layout))[0]
 
 
-def _history(records, schema: FeatureSchema) -> Columns:
-    """One customer's records as `Columns`, from `Columns` or `Row`s."""
-    if isinstance(records, Columns):
-        return records
-    return Columns.from_rows([records], len(schema.feature_order))
+def masked_encodings(cols: Columns, who, records, features, schema: FeatureSchema,
+                     layout: BranchLayout) -> tuple[list[int], list[EncodedCustomer]]:
+    """Encodings of masked variants, by one encode of all of them.
+
+    Variant `i` is customer `who[i]` (a position in `cols`) with the cell of
+    its record `records[i]` (below that customer's record count) and
+    feature column `features[i]` set to Missing; `cols` is not modified.
+    Returns the positions of the variants whose encoding differs in any bit
+    from their customer's unmasked one, and those encodings, in order.
+    """
+    customers, base_of = np.unique(who, return_inverse=True)
+    variants = cols.take(who)               # holds its own copy of the codes
+    rows = variants.offsets[:-1] + np.asarray(records, dtype=np.int64)
+    variants.codes[rows, features] = MISSING_CODE
+    masked = _encode(variants, schema, layout)
+    bases = _encode(cols.take(customers), schema, layout)
+    changed = np.zeros(len(who), dtype=bool)
+    for got, base in zip(masked, bases):
+        differs = got.view(np.uint8) != base[base_of].view(np.uint8)
+        changed |= differs.any(axis=tuple(range(1, differs.ndim)))
+    return np.flatnonzero(changed).tolist(), _split(a[changed] for a in masked)
 
 
 def _split(arrays) -> list[EncodedCustomer]:
@@ -213,77 +230,6 @@ def _static_numerical(cols: Columns, positions: list[int], features,
         vals[num, i] = uniform_normalize(cols.pool.values[latest[num]], schema.numeric_stats[f])
         present |= num
     return vals, present
-
-
-def masked_encoding(records, encoded: EncodedCustomer, feature_index: int,
-                    record_index: int, schema: FeatureSchema,
-                    layout: BranchLayout) -> EncodedCustomer | None:
-    """Encoding of one customer's `records` (`Row`s, or `Columns` of that
-    customer alone) with one cell set to Missing, made by editing
-    `encoded`, which must be the encoding of `records`.
-
-    Returns None when the masked encoding is bitwise equal to `encoded`:
-    the cell is already missing, it is a dynamic cell before the last-`n_s`
-    window, a static cell that is not its feature's latest non-missing
-    cell, or its replacement encodes to the same bits. Neither `records`
-    nor `encoded` is modified; unedited arrays are shared with `encoded`.
-    """
-    cols = _history(records, schema)
-    j = feature_index
-    if cols.codes[record_index, j] == MISSING_CODE:
-        return None
-    f = schema.feature_order[j]
-    if f in layout.cd_features or f in layout.dn_features:
-        t = record_index - max(0, len(cols.codes) - layout.n_s)    # position in the window
-        if t < 0:
-            return None
-        if f in layout.cd_features:
-            i = layout.cd_features.index(f)
-            cd_ids = encoded.cd_ids.copy()
-            cd_ids[t, i] = layout.cd_offsets[i] + MISSING_TOKEN_ID
-            edited = replace(encoded, cd_ids=cd_ids)
-        else:
-            nd_vals = encoded.nd_vals.copy()
-            nd_vals[t, layout.dn_features.index(f)] = 0.0
-            edited = replace(encoded, nd_vals=nd_vals)
-    elif f in layout.cs_features or f in layout.sn_features:
-        column = cols.codes[:, j]
-        if (column[record_index + 1:] != MISSING_CODE).any():
-            return None
-        # the masked feature falls back to its next-latest non-missing cell
-        earlier = np.flatnonzero(column[:record_index] != MISSING_CODE)
-        code = column[earlier[-1]] if len(earlier) else MISSING_CODE
-        presence = encoded.presence.copy()
-        if f in layout.cs_features:
-            i = layout.cs_features.index(f)
-            cs_ids = encoded.cs_ids.copy()
-            cs_ids[i] = layout.cs_offsets[i] + schema.vocabularies[f].ids(cols.pool,
-                                                                         np.array([code]))[0]
-            # present while any static categorical cell is left
-            others = [schema.feature_order.index(g) for g in layout.cs_features if g != f]
-            presence[0] = float(code != MISSING_CODE
-                                or (cols.codes[:, others] != MISSING_CODE).any())
-            edited = replace(encoded, cs_ids=cs_ids, presence=presence)
-        else:
-            i = layout.sn_features.index(f)
-            ns_vals = encoded.ns_vals.copy()
-            number = cols.pool.kinds[code] == KIND_NUMBER
-            ns_vals[i] = uniform_normalize(cols.pool.values[code], schema.numeric_stats[f]) \
-                if number else 0.0
-            # present while the latest cell of some static numerical feature is a number
-            presence[1] = float(number or any(
-                cols.pool.kinds[latest_non_missing(cols, schema.feature_order.index(g))[0]]
-                == KIND_NUMBER for g in layout.sn_features if g != f))
-            edited = replace(encoded, ns_vals=ns_vals, presence=presence)
-    else:
-        return None         # the date index is not encoded
-    return None if same_encoding(edited, encoded) else edited
-
-
-def same_encoding(a: EncodedCustomer, b: EncodedCustomer) -> bool:
-    """Bitwise equality of two encodings (0.0 and -0.0 differ)."""
-    return all(getattr(a, fld.name).tobytes() == getattr(b, fld.name).tobytes()
-               for fld in fields(EncodedCustomer))
 
 
 def augmented_summaries(table: BigTable, schema: FeatureSchema, customers=None) -> np.ndarray:

@@ -67,7 +67,7 @@ def weighted_accuracy(predicted, labels, frequency_weighted: bool = False) -> fl
     """
     predicted = np.asarray(predicted, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
-    classes = np.unique(labels)
+    classes, _ = np.unique(labels, return_counts=True)   # the plain form imports numpy.ma
     if len(classes) < 2:
         raise SingleClassError("weighted accuracy needs at least two label classes")
     recalls = np.array([(predicted[labels == c] == c).mean() for c in classes])
@@ -399,7 +399,7 @@ def baseline_linear(x: np.ndarray, labels: np.ndarray,
     val_idx, train_idx = holdout_split(len(labels), config.validation_fraction, config.seed,
                                        "baseline-split", "baseline split leaves no training rows")
     y_tr = labels[train_idx]
-    if len(np.unique(y_tr)) < 2:
+    if len(np.unique(y_tr, return_counts=True)[0]) < 2:     # see weighted_accuracy
         raise SingleClassError("baseline training labels contain one class")
 
     mean = x[train_idx].mean(axis=0)

@@ -6,11 +6,11 @@ mask random (feature, time) cells of each and re-run the model, then keep
 the features whose mean absolute effect clears a threshold. The output
 bundles population-level rankings and per-customer contribution lists.
 
-Masking edits a customer's encoding instead of re-encoding its records
-(`encode.masked_encoding`, on that customer's columns). A masked variant
-whose encoding is unchanged scores a delta of exactly 0.0 without a
-forward pass; the others are forwarded once, across every customer and
-target of a report.
+Masked variants are re-encoded by the whole-table encoder, a slice of
+cells at a time (`encode.masked_encodings`). A variant whose encoding is
+bitwise unchanged scores a delta of exactly 0.0 without a forward pass;
+the others are forwarded once, across every customer and target of a
+report.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numeric
-from .encode import encode_rows, masked_encoding, check_schema
+from .encode import check_schema, encode_customer, masked_encodings
+from .encode import encode_rows  # noqa: F401 (perfbench wraps it)
 from .errors import (ConfigError, InvalidCellCoordinatesError, PositionOutOfRangeError,
                      UnknownTaskError)
-from .model import CustomerEncoder, ForwardResult
+from .model import EVAL_BATCH, CustomerEncoder, ForwardResult
 from .prep import FeatureKind
 from .table import BigTable
 
@@ -148,25 +149,26 @@ def mask_and_delta(model: CustomerEncoder, table: BigTable, customer: str,
                    feature: str, time_index: int, target: Target) -> float:
     """target(cell masked to Missing) − target(original), evaluation mode.
 
-    The table is never modified; masking edits the customer's encoding,
-    and a cell whose masking leaves the encoding unchanged scores 0.0.
+    The table is never modified; the customer is re-encoded with the cell
+    masked, and a cell whose masking leaves the encoding unchanged scores 0.0.
     """
     check_schema(table, model.schema)
     _check_target(model, target)
-    rows = table.records.get(customer)
-    if rows is None:
+    if customer not in table.records:
         raise InvalidCellCoordinatesError(f"unknown customer {customer!r}")
     if feature not in maskable_features(model):
         raise InvalidCellCoordinatesError(f"feature {feature!r} is not maskable")
-    if not 0 <= time_index < len(rows):
+    n_records = table.n_records(customer)
+    if not 0 <= time_index < n_records:
         raise InvalidCellCoordinatesError(
-            f"record index {time_index} outside [0, {len(rows)}) for {customer!r}")
-    base = encode_rows(rows, model.schema, model.layout)
-    masked = masked_encoding(rows, base, model.schema.feature_order.index(feature),
-                             time_index, model.schema, model.layout)
-    if masked is None:
+            f"record index {time_index} outside [0, {n_records}) for {customer!r}")
+    _, masked = masked_encodings(table.select([customer]), [0], [time_index],
+                                 [model.schema.feature_order.index(feature)],
+                                 model.schema, model.layout)
+    if not masked:
         return 0.0
-    pairs = [(customer, base), (customer, masked)]
+    base = encode_customer(table, customer, model.schema, model.layout)
+    pairs = [(customer, base), (customer, masked[0])]
     values = _target_column(model, list(model.forward_chunks(pairs)), target)
     return float(values[1] - values[0])
 
@@ -286,20 +288,23 @@ def genome_report(model: CustomerEncoder, table: BigTable,
     # step two: forward each customer once, then each distinct changed variant once
     encoding = dict(zip(names, encoded))
     bases = {cid: encoding[cid] for _, _, _, draws in plans for cid in draws}
-    cells = dict.fromkeys((cid, t, fi) for _, _, _, draws in plans
-                          for cid, cid_draws in draws.items() for t, fi in cid_draws)
+    cells = list(dict.fromkeys((cid, t, fi) for _, _, _, draws in plans
+                               for cid, cid_draws in draws.items() for t, fi in cid_draws))
     base_row = {cid: i for i, cid in enumerate(bases)}
     masked_row: dict[tuple, int] = {}     # only cells whose masking changes the encoding
-    histories = {cid: table.select([cid]) for cid in bases}
+    customer_index = table.records.index
 
     def rows_to_forward():
         yield from bases.items()
-        for cid, t, fi in cells:
-            masked = masked_encoding(histories[cid], bases[cid], columns[fi], t,
-                                     model.schema, model.layout)
-            if masked is not None:
-                masked_row[cid, t, fi] = len(bases) + len(masked_row)
-                yield cid, masked
+        for lo in range(0, len(cells), EVAL_BATCH):
+            part = cells[lo:lo + EVAL_BATCH]
+            changed, masked = masked_encodings(
+                table.columns, [customer_index[cid] for cid, _, _ in part],
+                [t for _, t, _ in part], [columns[fi] for _, _, fi in part],
+                model.schema, model.layout)
+            for i, enc in zip(changed, masked):
+                masked_row[part[i]] = len(bases) + len(masked_row)
+                yield part[i][0], enc
 
     forwarded = list(model.forward_chunks(rows_to_forward()))
 

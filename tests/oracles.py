@@ -3,12 +3,13 @@
 Everything here is deliberately naive: plain loops over cells, no
 vectorization, no config plumbing. The table and metric oracles share no
 code with the package. The masking oracles re-encode a copied record list
-for every masked cell, which is what the package's edit path must match.
+for every masked cell, which is what the package's batched masking must match.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 
@@ -211,6 +212,12 @@ def reference_encoding(rows: list[Row], schema, layout) -> EncodedCustomer:
                            cd_ids=cd_ids, nd_vals=nd_vals,
                            seq_valid=np.array(seq_valid, dtype=bool),
                            presence=np.array(presence))
+
+
+def same_encoding(a: EncodedCustomer, b: EncodedCustomer) -> bool:
+    """Bitwise equality of two encodings (0.0 and -0.0 differ)."""
+    return all(getattr(a, fld.name).tobytes() == getattr(b, fld.name).tobytes()
+               for fld in fields(EncodedCustomer))
 
 
 def reference_summary(rows: list[Row], schema, features: list[str]) -> np.ndarray:

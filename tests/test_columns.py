@@ -2,8 +2,8 @@
 
 Random `Row` tables go into `BigTable`; every whole-table pass (ordering,
 recognition, vocabularies, ranges, dynamics counts, statistics, encoding,
-summaries) and every per-customer edit (masking) must give, bit for bit,
-what straight-line loops over the same `Row`s give.
+summaries, masked re-encoding) must give, bit for bit, what straight-line
+loops over the same `Row`s give.
 """
 
 import struct
@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from oracles import (masked_rows, reference_encoding, reference_feature_kind,
                      reference_change_statistic, reference_order, reference_range,
-                     reference_stats_json, reference_summary, reference_vocabulary)
+                     reference_stats_json, reference_summary, reference_vocabulary,
+                     same_encoding)
 from tabrep.encode import (BranchLayout, augmented_summaries, augmented_summary,
-                           encode_table, masked_encoding, same_encoding, summary_width)
+                           encode_table, masked_encodings, summary_width)
 from tabrep.errors import EmptyTableError, MixedKindFeatureError
 from tabrep.prep import NC_KIND, FeatureKind, RecognizerConfig, build_schema, nc_recognize
 from tabrep.table import MISSING, BigTable, Date, Number, Row, Token, compute_stats, order_records
@@ -127,16 +128,18 @@ def test_columnar_paths_equal_row_oracles(drawn):
         assert augmented_summary(table, cid, schema).tobytes() == want
         assert summaries[i].tobytes() == want
 
-    for cid, enc in zip(customers, encoded):
-        history = table.select([cid])
-        for t in range(len(ordered[cid])):
-            for j in range(len(FEATURES)):
-                want = reference_encoding(masked_rows(ordered[cid], j, t), schema, layout)
-                got = masked_encoding(history, enc, j, t, schema, layout)
-                if got is None:
-                    assert same_encoding(want, enc), (cid, t, j)
-                else:
-                    assert same_encoding(got, want) and not same_encoding(want, enc), (cid, t, j)
+    cells = [(i, t, j) for i, cid in enumerate(customers)
+             for t in range(len(ordered[cid])) for j in range(len(FEATURES))]
+    who, at, features = (list(x) for x in zip(*cells)) if cells else ([], [], [])
+    changed, masked = masked_encodings(table.columns, who, at, features, schema, layout)
+    got = dict(zip(changed, masked))
+    for k, (i, t, j) in enumerate(cells):
+        cid, enc = customers[i], encoded[i]
+        want = reference_encoding(masked_rows(ordered[cid], j, t), schema, layout)
+        if k not in got:
+            assert same_encoding(want, enc), (cid, t, j)
+        else:
+            assert same_encoding(got[k], want) and not same_encoding(want, enc), (cid, t, j)
 
 
 def test_row_view_is_built_once_per_customer_and_shares_pool_cells():

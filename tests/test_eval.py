@@ -1,5 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import tabrep
 
 from tabrep.errors import ConfigError, InfeasibleConfigError, SingleClassError
 from tabrep.eval import (BaselineConfig, MetricSet, SynthConfig, baseline_linear,
@@ -269,3 +277,39 @@ def test_flatten_features_shapes_and_labels():
     x_static, names_static = flatten_features(table, schema, include_dynamic=False)
     assert x_static.shape[1] < x.shape[1]
     assert all(not n.startswith(("dc", "dn")) for n in names_static)
+
+
+def test_evaluate_and_baseline_do_not_import_numpy_ma(tmp_path):
+    """`np.unique` without an optional output calls `np.ma.is_masked`, which
+    imports `numpy.ma` on first use; nothing else of tabrep needs it."""
+    from tabrep.model import CustomerEncoder, ModelConfig
+    table = synth_generate(small_synth(n_customers=30, seed=3))
+    save_table(table, tmp_path / "t.csv", TableFormat(date_column="date",
+                                                      label_columns=("churn",)))
+    CustomerEncoder(build_schema(table), ModelConfig(embed_dim=4, n_s=3, heads=1, t_max=1,
+                                                     rep_width=4, fusion_hidden=4,
+                                                     head_hidden=4, recon_count=1,
+                                                     recon_dim=2),
+                    tasks={"churn": 2}, seed=0).save(tmp_path / "m.json")
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"format": {"date_column": "date", "label_columns": ["churn"]}}))
+    argv = ["evaluate", "--config", str(tmp_path / "run.json"), "--table",
+            str(tmp_path / "t.csv"), "--checkpoint", str(tmp_path / "m.json"),
+            "--out", str(tmp_path)]
+    script = f"""
+import sys
+import numpy as np
+from tabrep.cli import main
+from tabrep.eval import BaselineConfig, baseline_linear
+assert main({argv!r}) == 0
+x = np.random.default_rng(0).normal(size=(40, 3))
+baseline_linear(x, (x[:, 0] > 0).astype(int), BaselineConfig(epochs=5))
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(tabrep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

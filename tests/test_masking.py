@@ -1,10 +1,11 @@
-"""The edit-based masking path against the re-encoding oracles.
+"""Batched masking against the re-encoding oracles.
 
-`encode.masked_encoding` must produce, bitwise, what re-encoding a copied
-record list with one cell set to Missing produces, and must report "no
-change" exactly when that re-encoding equals the unmasked encoding. The
-genome report built on it must match the per-customer re-encode loop:
-byte for byte on position targets, to rounding on class targets.
+`encode.masked_encodings` must produce, bitwise, what re-encoding a copied
+record list with one cell set to Missing produces, and must report a
+variant as changed exactly when that re-encoding differs from the unmasked
+encoding. The genome report built on it must match the per-customer
+re-encode loop: byte for byte on position targets, to rounding on class
+targets.
 """
 
 import json
@@ -12,9 +13,9 @@ import json
 import numpy as np
 import pytest
 
-from oracles import masked_rows, reference_genome_report
-from tabrep import numeric
-from tabrep.encode import BranchLayout, encode_rows, masked_encoding, same_encoding
+from oracles import masked_rows, reference_genome_report, same_encoding
+from tabrep import interpret, numeric
+from tabrep.encode import BranchLayout, encode_rows, encode_table, masked_encodings
 from tabrep.eval import SynthConfig, synth_generate
 from tabrep.interpret import (InterpretConfig, class_target, genome_report,
                               mask_and_delta, maskable_features, position_target)
@@ -41,8 +42,10 @@ def _with_extra_customers(table: BigTable, extra: dict) -> BigTable:
 
 def _hand_made_customers(table: BigTable, schema) -> dict:
     """Customers with unseen tokens; with a single static cell whose
-    masking clears its branch's presence bit; and with a static value
-    repeated, so masking the latest cell re-encodes to the same bits."""
+    masking clears its branch's presence bit (for the range's minimum,
+    which normalizes to 0.0, the presence bit is all that changes); and
+    with a static value repeated, so masking the latest cell re-encodes
+    to the same bits."""
     kinds = {f: schema.kinds[f].value for f in table.features}
 
     def row(date, **cells):
@@ -57,42 +60,49 @@ def _hand_made_customers(table: BigTable, schema) -> dict:
         "oov": [row(t, **unseen, **{sn[0]: Number(1.0)}) for t in range(6)],
         "lone_static": [row(0, **{sc[0]: Token("unseen")}), row(1), row(2)],
         "lone_number": [row(0), row(1, **{sn[0]: Number(2.0)})],
+        "lone_minimum": [row(0, **{sn[0]: Number(schema.numeric_stats[sn[0]][0])})],
         "repeated_number": [row(0, **{sn[0]: Number(2.0)}), row(1, **{sn[0]: Number(2.0)})],
     }
 
 
-def test_edited_encoding_matches_reencoding_on_every_cell():
+def test_masked_encodings_match_reencoding_on_every_cell():
     base_table = synth_generate(SynthConfig(n_customers=40, records_min=2, records_max=9,
                                             seed=4))
     schema = build_schema(base_table)
     table = _with_extra_customers(base_table, _hand_made_customers(base_table, schema))
     layout = BranchLayout.from_schema(schema, n_s=4)
     vocabs = schema.vocabularies
+    codes = table.columns.codes.copy()
+
+    # every (customer, record, feature) cell, masked in one call
+    cells = [(i, t, j) for i, cid in enumerate(table.customers)
+             for t in range(table.n_records(cid)) for j in range(len(schema.feature_order))]
+    changed, masked = masked_encodings(table.columns, *map(list, zip(*cells)), schema, layout)
+    got = dict(zip(changed, masked))
+    assert table.columns.codes.tobytes() == codes.tobytes()
 
     seen = {"long_history": 0, "missing": 0, "oov": 0, "presence_flip": 0,
             "skipped": 0, "edited": 0}
+    bases = dict(zip(table.customers, encode_table(table, schema, layout)))
     for cid in table.customers:
-        rows = table.records[cid]
-        base = encode_rows(rows, schema, layout)
-        untouched = encode_rows(rows, schema, layout)
-        seen["long_history"] += len(rows) > layout.n_s
-        for t, record in enumerate(rows):
-            for j, f in enumerate(schema.feature_order):
-                cell = record.cells[j]
-                seen["missing"] += cell is MISSING
-                seen["oov"] += f in vocabs and cell is not MISSING \
-                    and vocabs[f].encode(cell) == OOV_TOKEN_ID
-                want = encode_rows(masked_rows(rows, j, t), schema, layout)
-                got = masked_encoding(rows, base, j, t, schema, layout)
-                if got is None:
-                    seen["skipped"] += 1
-                    assert same_encoding(want, base), (cid, t, f)
-                else:
-                    seen["edited"] += 1
-                    assert same_encoding(got, want), (cid, t, f)
-                    assert not same_encoding(want, base), (cid, t, f)
-                    seen["presence_flip"] += not np.array_equal(got.presence, base.presence)
-        assert same_encoding(base, untouched), cid
+        seen["long_history"] += table.n_records(cid) > layout.n_s
+        assert same_encoding(bases[cid], encode_rows(table.records[cid], schema, layout)), cid
+    for k, (i, t, j) in enumerate(cells):
+        cid, f = table.customers[i], schema.feature_order[j]
+        rows, base = table.records[cid], bases[cid]
+        cell = rows[t].cells[j]
+        seen["missing"] += cell is MISSING
+        seen["oov"] += f in vocabs and cell is not MISSING \
+            and vocabs[f].encode(cell) == OOV_TOKEN_ID
+        want = encode_rows(masked_rows(rows, j, t), schema, layout)
+        if k not in got:
+            seen["skipped"] += 1
+            assert same_encoding(want, base), (cid, t, f)
+        else:
+            seen["edited"] += 1
+            assert same_encoding(got[k], want), (cid, t, f)
+            assert not same_encoding(want, base), (cid, t, f)
+            seen["presence_flip"] += not np.array_equal(got[k].presence, base.presence)
     assert all(seen.values()), seen
 
 
@@ -152,9 +162,17 @@ def _assert_close_genomes(got: dict, want: dict) -> None:
 
 @pytest.mark.parametrize("config", [MIXED, InterpretConfig(k=6, mask_samples=9, seed=2)],
                          ids=["mixed-targets", "all-positions-default-threshold"])
-def test_report_equals_reencoding_reference(trained, config):
+def test_report_equals_reencoding_reference(trained, config, monkeypatch):
     model, table = trained
+    slices = []
+
+    def spy(cols, who, *args):
+        slices.append(len(who))
+        return masked_encodings(cols, who, *args)
+
+    monkeypatch.setattr(interpret, "masked_encodings", spy)
     got = genome_report(model, table, config).to_dict()
+    assert max(slices) <= EVAL_BATCH
     want = reference_genome_report(model, table, config).to_dict()
     assert [g["target"] for g in got["targets"]] == [w["target"] for w in want["targets"]]
     for g, w in zip(got["targets"], want["targets"]):
@@ -164,6 +182,7 @@ def test_report_equals_reencoding_reference(trained, config):
             _assert_close_genomes(g, w)
     if config is MIXED:
         assert all(g["per_customer"]["nobody"] == [] for g in got["targets"])
+        assert sum(slices) > EVAL_BATCH         # distinct masked cells span two slices
 
 
 def test_mask_and_delta_equals_report_delta(trained):
