@@ -56,13 +56,13 @@ print("  missing -> 0.0 (imputed after scaling)")
 
 layout = BranchLayout.from_schema(schema, n_s=4)
 print("\n=== encoded branches for customer 'ada' ===")
-enc = encode_customer(table, "ada", schema, layout)
-print(f"  static categorical ids {enc.cs_ids}   (latest non-missing value)")
-print(f"  static numerical vals  {np.round(enc.ns_vals, 3)}")
-print(f"  dynamic categorical ids per record:\n{enc.cd_ids}")
-print(f"  dynamic numerical vals per record:\n{np.round(enc.nd_vals, 3)}")
-print(f"  valid record slots     {enc.seq_valid}")
-print(f"  branch presence        {enc.presence}")
+batch = encode_customer(table, "ada", schema, layout)     # a one-row Batch
+print(f"  static categorical ids {batch.cs_ids[0]}   (latest non-missing value)")
+print(f"  static numerical vals  {np.round(batch.ns_vals[0], 3)}")
+print(f"  dynamic categorical ids per record:\n{batch.cd_ids[0]}")
+print(f"  dynamic numerical vals per record:\n{np.round(batch.nd_vals[0], 3)}")
+print(f"  valid record slots     {batch.seq_valid[0]}")
+print(f"  branch presence        {batch.presence[0]}")
 
 print("\n=== model-free summary row (reconstruction target source) ===")
 print(f"  {np.round(augmented_summary(table, 'ada', schema), 3)}")

@@ -66,28 +66,32 @@ def _offsets(sizes: tuple[int, ...]) -> np.ndarray:
 
 
 @dataclass
-class EncodedCustomer:
-    cs_ids: np.ndarray      # [n_cs] ids offset into the static categorical table
-    ns_vals: np.ndarray     # [n_sn] normalized-imputed values
-    cd_ids: np.ndarray      # [n_s, n_cd] offset ids, missing id on padding
-    nd_vals: np.ndarray     # [n_s, n_dn]
-    seq_valid: np.ndarray   # [n_s] bool
-    presence: np.ndarray    # [4] bits for (CS, NS, CD, ND)
-
-
-@dataclass
 class Batch:
+    """Encoded customers, one row of each array per name in `customers`."""
+
     customers: list[str]
-    cs_ids: np.ndarray      # [b, n_cs]
-    ns_vals: np.ndarray     # [b, n_sn]
-    cd_ids: np.ndarray      # [b, n_s, n_cd]
+    cs_ids: np.ndarray      # [b, n_cs] ids offset into the static categorical table
+    ns_vals: np.ndarray     # [b, n_sn] normalized-imputed values
+    cd_ids: np.ndarray      # [b, n_s, n_cd] offset ids, missing id on padding
     nd_vals: np.ndarray     # [b, n_s, n_dn]
-    seq_valid: np.ndarray   # [b, n_s]
-    presence: np.ndarray    # [b, 4]
+    seq_valid: np.ndarray   # [b, n_s] bool
+    presence: np.ndarray    # [b, 4] bits for (CS, NS, CD, ND)
 
     @property
     def size(self) -> int:
         return len(self.customers)
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        return (self.cs_ids, self.ns_vals, self.cd_ids, self.nd_vals, self.seq_valid,
+                self.presence)
+
+    def __getitem__(self, rows) -> "Batch":
+        """The rows `rows`: a slice (views of these arrays) or a sequence of
+        positions (a copy), in that order."""
+        names = (self.customers[rows] if isinstance(rows, slice)
+                 else [self.customers[i] for i in rows])
+        return Batch(names, *(a[rows] for a in self.arrays))
 
 
 def check_schema(table: BigTable, schema: FeatureSchema) -> None:
@@ -97,7 +101,7 @@ def check_schema(table: BigTable, schema: FeatureSchema) -> None:
 
 
 def encode_table(table: BigTable, schema: FeatureSchema, layout: BranchLayout,
-                 customers=None) -> list[EncodedCustomer]:
+                 customers=None) -> Batch:
     """Encode every customer of `table`, or `customers` in that order, in
     one pass over the columns; records must already be in time order.
 
@@ -105,39 +109,43 @@ def encode_table(table: BigTable, schema: FeatureSchema, layout: BranchLayout,
     dynamic sequences keep the most recent `n_s` records, right-padded. A
     customer with no records gets one all-missing anchor step so attention
     stays well-defined; its dynamic branches are flagged absent and zeroed
-    downstream. Each encoding's arrays are views into shared batch arrays.
+    downstream. Each customer's row depends on that customer alone.
     """
+    customers = list(table.customers if customers is None else customers)
     try:
-        cols = table.select(table.customers if customers is None else customers)
+        cols = table.select(customers)
     except KeyError as e:
         raise SchemaMismatchError(f"unknown customer {e.args[0]!r}") from None
-    return _split(_encode(cols, schema, layout))
+    return Batch(customers, *_encode(cols, schema, layout))
 
 
 def encode_customer(table: BigTable, customer: str, schema: FeatureSchema,
-                    layout: BranchLayout) -> EncodedCustomer:
-    return encode_table(table, schema, layout, [customer])[0]
+                    layout: BranchLayout) -> Batch:
+    """`encode_table` of one customer: a one-row `Batch`."""
+    return encode_table(table, schema, layout, [customer])
 
 
-def encode_rows(rows: list[Row], schema: FeatureSchema,
-                layout: BranchLayout) -> EncodedCustomer:
-    """Encode one customer's records, given as `Row`s in time order."""
+def encode_rows(rows: list[Row], schema: FeatureSchema, layout: BranchLayout) -> Batch:
+    """Encode one customer's records, given as `Row`s in time order, as a
+    one-row `Batch` of an unnamed ("") customer."""
     cols = Columns.from_rows([rows], len(schema.feature_order))
-    return _split(_encode(cols, schema, layout))[0]
+    return Batch([""], *_encode(cols, schema, layout))
 
 
-def masked_encodings(cols: Columns, who, records, features, schema: FeatureSchema,
-                     layout: BranchLayout) -> tuple[list[int], list[EncodedCustomer]]:
+def masked_encodings(table: BigTable, who, records, features, schema: FeatureSchema,
+                     layout: BranchLayout) -> tuple[list[int], Batch]:
     """Encodings of masked variants, by one encode of all of them.
 
-    Variant `i` is customer `who[i]` (a position in `cols`) with the cell of
-    its record `records[i]` (below that customer's record count) and
-    feature column `features[i]` set to Missing; `cols` is not modified.
-    Returns the positions of the variants whose encoding differs in any bit
-    from their customer's unmasked one, and those encodings, in order.
+    Variant `i` is customer `who[i]` with the cell of its record
+    `records[i]` (below that customer's record count) and feature column
+    `features[i]` set to Missing; `table` is not modified. Returns the
+    positions of the variants whose encoding differs in any bit from their
+    customer's unmasked one, and the `Batch` of those variants, in order.
     """
-    customers, base_of = np.unique(who, return_inverse=True)
-    variants = cols.take(who)               # holds its own copy of the codes
+    cols = table.columns
+    positions = [table.records.index[c] for c in who]
+    customers, base_of = np.unique(positions, return_inverse=True)
+    variants = cols.take(positions)         # holds its own copy of the codes
     rows = variants.offsets[:-1] + np.asarray(records, dtype=np.int64)
     variants.codes[rows, features] = MISSING_CODE
     masked = _encode(variants, schema, layout)
@@ -146,15 +154,12 @@ def masked_encodings(cols: Columns, who, records, features, schema: FeatureSchem
     for got, base in zip(masked, bases):
         differs = got.view(np.uint8) != base[base_of].view(np.uint8)
         changed |= differs.any(axis=tuple(range(1, differs.ndim)))
-    return np.flatnonzero(changed).tolist(), _split(a[changed] for a in masked)
-
-
-def _split(arrays) -> list[EncodedCustomer]:
-    return [EncodedCustomer(*rows) for rows in zip(*map(list, arrays))]
+    keep = np.flatnonzero(changed).tolist()
+    return keep, Batch([who[i] for i in keep], *(a[changed] for a in masked))
 
 
 def _encode(cols: Columns, schema: FeatureSchema, layout: BranchLayout) -> tuple:
-    """The `EncodedCustomer` fields of every customer of `cols`, stacked."""
+    """The `Batch` arrays of every customer of `cols`."""
     index = {f: i for i, f in enumerate(schema.feature_order)}
     n, n_s = cols.n_customers, layout.n_s
     pool = cols.pool
@@ -191,16 +196,11 @@ def _encode(cols: Columns, schema: FeatureSchema, layout: BranchLayout) -> tuple
     return cs_ids, ns_vals, cd_ids, nd_vals, seq_valid, presence
 
 
-def stack_encoded(customers: list[str], encoded: list[EncodedCustomer]) -> Batch:
-    return Batch(
-        customers=list(customers),
-        cs_ids=np.stack([e.cs_ids for e in encoded]),
-        ns_vals=np.stack([e.ns_vals for e in encoded]),
-        cd_ids=np.stack([e.cd_ids for e in encoded]),
-        nd_vals=np.stack([e.nd_vals for e in encoded]),
-        seq_valid=np.stack([e.seq_valid for e in encoded]),
-        presence=np.stack([e.presence for e in encoded]),
-    )
+def stack_encoded(batches) -> Batch:
+    """The rows of `batches`, in order, as one `Batch`."""
+    batches = list(batches)
+    return Batch([c for b in batches for c in b.customers],
+                 *map(np.concatenate, zip(*(b.arrays for b in batches))))
 
 
 def _static_categorical(cols: Columns, schema: FeatureSchema,

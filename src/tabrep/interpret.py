@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numeric
-from .encode import check_schema, encode_customer, masked_encodings
+from .encode import check_schema, encode_customer, masked_encodings, stack_encoded
 from .encode import encode_rows  # noqa: F401 (perfbench wraps it)
 from .errors import (ConfigError, InvalidCellCoordinatesError, PositionOutOfRangeError,
                      UnknownTaskError)
@@ -162,14 +162,13 @@ def mask_and_delta(model: CustomerEncoder, table: BigTable, customer: str,
     if not 0 <= time_index < n_records:
         raise InvalidCellCoordinatesError(
             f"record index {time_index} outside [0, {n_records}) for {customer!r}")
-    _, masked = masked_encodings(table.select([customer]), [0], [time_index],
+    _, masked = masked_encodings(table, [customer], [time_index],
                                  [model.schema.feature_order.index(feature)],
                                  model.schema, model.layout)
-    if not masked:
+    if not masked.size:
         return 0.0
-    base = encode_customer(table, customer, model.schema, model.layout)
-    pairs = [(customer, base), (customer, masked[0])]
-    values = _target_column(model, list(model.forward_chunks(pairs)), target)
+    pair = stack_encoded([encode_customer(table, customer, model.schema, model.layout), masked])
+    values = _target_column(model, list(model.forward_chunks(pair)), target)
     return float(values[1] - values[0])
 
 
@@ -256,8 +255,9 @@ def genome_report(model: CustomerEncoder, table: BigTable,
     reproducible and customers can be processed in any order. Each masked
     cell is scored once for all targets that drew it.
     """
-    names, encoded = model.encode_table(table)
-    population = list(model.forward_chunks(zip(names, encoded)))
+    encoded = model.encode_table(table)
+    names = encoded.customers
+    population = list(model.forward_chunks(encoded))
     feats = maskable_features(model)
     columns = [model.schema.feature_order.index(f) for f in feats]
     if config.targets is not None:
@@ -286,27 +286,22 @@ def genome_report(model: CustomerEncoder, table: BigTable,
         plans.append((target, threshold, chosen, draws))
 
     # step two: forward each customer once, then each distinct changed variant once
-    encoding = dict(zip(names, encoded))
-    bases = {cid: encoding[cid] for _, _, _, draws in plans for cid in draws}
+    base_row = {cid: i for i, cid in enumerate(dict.fromkeys(
+        cid for _, _, _, draws in plans for cid in draws))}
     cells = list(dict.fromkeys((cid, t, fi) for _, _, _, draws in plans
                                for cid, cid_draws in draws.items() for t, fi in cid_draws))
-    base_row = {cid: i for i, cid in enumerate(bases)}
+    parts = [encoded[[table.records.index[cid] for cid in base_row]]]
     masked_row: dict[tuple, int] = {}     # only cells whose masking changes the encoding
-    customer_index = table.records.index
+    for lo in range(0, len(cells), EVAL_BATCH):
+        part = cells[lo:lo + EVAL_BATCH]
+        changed, masked = masked_encodings(
+            table, [cid for cid, _, _ in part], [t for _, t, _ in part],
+            [columns[fi] for _, _, fi in part], model.schema, model.layout)
+        for i in changed:
+            masked_row[part[i]] = len(base_row) + len(masked_row)
+        parts.append(masked)
 
-    def rows_to_forward():
-        yield from bases.items()
-        for lo in range(0, len(cells), EVAL_BATCH):
-            part = cells[lo:lo + EVAL_BATCH]
-            changed, masked = masked_encodings(
-                table.columns, [customer_index[cid] for cid, _, _ in part],
-                [t for _, t, _ in part], [columns[fi] for _, _, fi in part],
-                model.schema, model.layout)
-            for i, enc in zip(changed, masked):
-                masked_row[part[i]] = len(bases) + len(masked_row)
-                yield part[i][0], enc
-
-    forwarded = list(model.forward_chunks(rows_to_forward()))
+    forwarded = list(model.forward_chunks(stack_encoded(parts)))
 
     genomes = []
     for target, threshold, chosen, draws in plans:

@@ -25,8 +25,9 @@ from . import numeric
 from .dynamics import TransformerConfig, TransformerParams, act_run, dynamic_embed
 from .embed import EmbeddingBank, categorical_embed, max_concat, positional_numeric_embed
 from .encode import (Batch, BranchLayout, augmented_summaries, check_schema, encode_table,
-                     stack_encoded, summary_width)
+                     summary_width)
 from .encode import augmented_summary, encode_customer  # noqa: F401 (perfbench wraps them)
+from .encode import stack_encoded  # noqa: F401 (perfbench wraps it)
 from .eval import balanced_class_weights, holdout_split
 from .errors import (AllTermsDisabledError, ConfigError, NoLabeledCustomersError,
                      TableIOError, UnknownTaskError)
@@ -128,6 +129,20 @@ class ForwardResult:
     rep: Tensor                    # [b, rep_width]
     ponder: Tensor | None          # raw (unit-cost) ponder, summed over branches
     branch_stats: dict = field(default_factory=dict)
+
+
+def eval_chunks(n: int) -> list[slice]:
+    """Consecutive slices of at most EVAL_BATCH of `n` rows, as evaluation
+    forwards them.
+
+    No slice holds a single row unless `n` is 1: BLAS computes a one-row
+    product on its matrix-vector path, which rounds differently from the
+    same row inside a larger batch.
+    """
+    starts = list(range(0, n, EVAL_BATCH))
+    if n > 1 and n % EVAL_BATCH == 1:
+        starts[-1] -= 1
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
 
 
 class CustomerEncoder:
@@ -261,10 +276,9 @@ class CustomerEncoder:
 
     # ---- forward --------------------------------------------------------
 
-    def encode_table(self, table: BigTable, customers=None):
+    def encode_table(self, table: BigTable, customers=None) -> Batch:
         check_schema(table, self.schema)
-        customers = list(customers) if customers is not None else list(table.customers)
-        return customers, encode_table(table, self.schema, self.layout, customers)
+        return encode_table(table, self.schema, self.layout, customers)
 
     def forward(self, batch: Batch, train: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardResult:
@@ -328,29 +342,11 @@ class CustomerEncoder:
 
     # ---- inference ------------------------------------------------------
 
-    def forward_chunks(self, pairs) -> Iterator[ForwardResult]:
-        """Evaluation-mode forward of (customer, encoding) pairs: one result
-        per chunk of at most EVAL_BATCH rows, in input order.
-
-        No chunk holds a single row unless the input does: BLAS computes a
-        one-row product on its matrix-vector path, which rounds differently
-        from the same row inside a larger batch.
-        """
-        pending: list = []
-
-        def flush(n: int) -> ForwardResult:
-            out = self.forward(stack_encoded(*zip(*pending[:n])), train=False)
-            del pending[:n]
-            return out
-
-        for item in pairs:
-            pending.append(item)
-            if len(pending) == EVAL_BATCH + 2:
-                yield flush(EVAL_BATCH)
-        if len(pending) > EVAL_BATCH:
-            yield flush(len(pending) - 2)
-        if pending:
-            yield flush(len(pending))
+    def forward_chunks(self, batch: Batch) -> Iterator[ForwardResult]:
+        """Evaluation-mode forward of `batch`: one result per `eval_chunks`
+        slice of its rows, in order."""
+        for rows in eval_chunks(batch.size):
+            yield self.forward(batch[rows], train=False)
 
     def class_proba(self, rep: Tensor, task: str) -> np.ndarray:
         """Class probabilities of `task` for the rows of one forwarded chunk."""
@@ -358,18 +354,30 @@ class CustomerEncoder:
 
     def represent(self, table: BigTable, customers=None) -> tuple[list[str], np.ndarray]:
         """Deterministic evaluation-mode representations, one row per customer."""
-        names, encoded = self.encode_table(table, customers)
-        chunks = [out.rep.data for out in self.forward_chunks(zip(names, encoded))]
-        return names, np.concatenate([np.zeros((0, self.config.rep_width)), *chunks])
+        return self._score(table, customers, self.config.rep_width, lambda rep: rep.data)
 
     def predict_proba(self, table: BigTable, task: str,
                       customers=None) -> tuple[list[str], np.ndarray]:
         if task not in self.task_heads:
             raise UnknownTaskError(f"unknown task {task!r}; model has {sorted(self.task_heads)}")
-        names, encoded = self.encode_table(table, customers)
-        chunks = [self.class_proba(out.rep, task)
-                  for out in self.forward_chunks(zip(names, encoded))]
-        return names, np.concatenate([np.zeros((0, self.tasks[task])), *chunks])
+        return self._score(table, customers, self.tasks[task],
+                           lambda rep: self.class_proba(rep, task))
+
+    def _score(self, table: BigTable, customers, width: int, head) -> tuple[list[str], np.ndarray]:
+        """`head` of the evaluation-mode representations, one row per customer.
+
+        Each `eval_chunks` slice of the customers is encoded and forwarded on
+        its own, so beyond the table and the result only one chunk's inputs
+        and activations are alive; a row depends on its customer alone, so it
+        equals that customer's row of a whole-table encoding.
+        """
+        check_schema(table, self.schema)
+        names = list(table.customers if customers is None else customers)
+        out = np.zeros((len(names), width))
+        for rows in eval_chunks(len(names)):
+            batch = encode_table(table, self.schema, self.layout, names[rows])
+            out[rows] = head(self.forward(batch, train=False).rep)
+        return names, out
 
     # ---- training -------------------------------------------------------
 
@@ -384,8 +392,8 @@ class CustomerEncoder:
         validation chunks without a trainable term are skipped and counted in
         `skipped_batches`.
         """
-        customers, encoded = self.encode_table(table)
-        n = len(customers)
+        encoded = self.encode_table(table)
+        customers, n = encoded.customers, encoded.size
         if n == 0:
             raise ConfigError("cannot train on a table with no customers")
 
@@ -446,14 +454,14 @@ class CustomerEncoder:
                               config.ponder_weight, config.task_weights)
 
         def train_step(idx: np.ndarray) -> float:
-            batch = stack_encoded([customers[i] for i in idx], [encoded[i] for i in idx])
             with numeric.recording():
-                loss = loss_of(self.forward(batch, train=True, rng=drop_rng), idx)
+                loss = loss_of(self.forward(encoded[idx], train=True, rng=drop_rng), idx)
                 opt.zero_grad()
                 numeric.backward(loss)
             opt.step()
             return float(loss.data)
 
+        validation = encoded[val_idx]
         for epoch in range(config.epochs):
             order = train_idx[batch_rng.permutation(len(train_idx))]
             epoch_total, seen, skipped = 0.0, 0, 0
@@ -467,7 +475,7 @@ class CustomerEncoder:
             record = {"epoch": epoch, "train_loss": epoch_total / seen,
                       "val_loss": None, "val_auc": {}, "skipped_batches": skipped}
             if len(val_idx):
-                chunks = list(self.forward_chunks((customers[i], encoded[i]) for i in val_idx))
+                chunks = list(self.forward_chunks(validation))
                 total, count, lo = 0.0, 0, 0
                 for out in chunks:
                     idx = val_idx[lo:lo + out.rep.shape[0]]

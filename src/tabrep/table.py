@@ -48,7 +48,7 @@ class Missing:
 MISSING = Missing()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Number:
     value: float
 
@@ -57,7 +57,7 @@ class Number:
             raise ValueError(f"non-finite number cell: {self.value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     value: str
 
@@ -66,7 +66,7 @@ class Token:
             raise ValueError("empty token cell")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Date:
     epoch: int
 

@@ -9,12 +9,11 @@ for every masked cell, which is what the package's batched masking must match.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 
 import numpy as np
 
 from tabrep import numeric
-from tabrep.encode import EncodedCustomer, encode_rows, stack_encoded
+from tabrep.encode import Batch, encode_rows, stack_encoded
 from tabrep.interpret import (GenomeReport, InterpretConfig, TargetGenome, _top_k,
                               maskable_features, position_target, sensitive_features)
 from tabrep.table import MISSING, BigTable, Date, Number, Row, Token
@@ -179,8 +178,8 @@ def _vocab_id(schema, feature: str, cell) -> int:
     return schema.vocabularies[feature].token_to_id.get(_token_key(cell), 1)
 
 
-def reference_encoding(rows: list[Row], schema, layout) -> EncodedCustomer:
-    """One customer's encoding by loops over its `Row`s."""
+def reference_encoding(rows: list[Row], schema, layout) -> Batch:
+    """One customer's encoding, a one-row `Batch`, by loops over its `Row`s."""
     index = {f: i for i, f in enumerate(schema.feature_order)}
     n_s = layout.n_s
     window = rows[-n_s:]
@@ -207,17 +206,19 @@ def reference_encoding(rows: list[Row], schema, layout) -> EncodedCustomer:
                 float(any(isinstance(c, Number) for c in sn_latest)),
                 float(bool(window) and len(layout.cd_features) > 0),
                 float(bool(window) and len(layout.dn_features) > 0)]
-    return EncodedCustomer(cs_ids=np.array(cs_ids, dtype=np.int64).reshape(-1),
-                           ns_vals=np.array(ns_vals, dtype=np.float64).reshape(-1),
-                           cd_ids=cd_ids, nd_vals=nd_vals,
-                           seq_valid=np.array(seq_valid, dtype=bool),
-                           presence=np.array(presence))
+    return Batch(customers=[""],
+                 cs_ids=np.array(cs_ids, dtype=np.int64).reshape(1, -1),
+                 ns_vals=np.array(ns_vals, dtype=np.float64).reshape(1, -1),
+                 cd_ids=cd_ids[None], nd_vals=nd_vals[None],
+                 seq_valid=np.array([seq_valid], dtype=bool),
+                 presence=np.array([presence]))
 
 
-def same_encoding(a: EncodedCustomer, b: EncodedCustomer) -> bool:
-    """Bitwise equality of two encodings (0.0 and -0.0 differ)."""
-    return all(getattr(a, fld.name).tobytes() == getattr(b, fld.name).tobytes()
-               for fld in fields(EncodedCustomer))
+def same_encoding(a: Batch, b: Batch) -> bool:
+    """Bitwise equality of two batches' arrays, shapes and dtypes (0.0 and
+    -0.0 differ); customer names are not compared."""
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in zip(a.arrays, b.arrays))
 
 
 def reference_summary(rows: list[Row], schema, features: list[str]) -> np.ndarray:
@@ -371,8 +372,7 @@ def reference_genome_report(model, table: BigTable,
             for t, fi in draws:
                 j = model.schema.feature_order.index(feats[fi])
                 variants.append(encode_rows(masked_rows(rows, j, t), model.schema, model.layout))
-            vals = _reference_target_values(
-                model, stack_encoded([cid] * len(variants), variants), target)
+            vals = _reference_target_values(model, stack_encoded(variants), target)
             for (t, fi), v in zip(draws, vals[1:]):
                 trials.append((cid, feats[fi], t, float(v - vals[0])))
         per_customer = {}

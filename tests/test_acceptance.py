@@ -24,7 +24,7 @@ from tabrep.dynamics import (TransformerConfig, TransformerParams, act_run,
                              attention_weights, dynamic_embed, mhsa,
                              transformer_step)
 from tabrep.embed import categorical_embed, max_concat, positional_numeric_embed
-from tabrep.encode import augmented_summary, stack_encoded
+from tabrep.encode import augmented_summary
 from tabrep.errors import SingleClassError
 from tabrep.eval import (BaselineConfig, SynthConfig, baseline_linear,
                          f_score, flatten_features, roc_auc, synth_generate,
@@ -255,8 +255,7 @@ def full_forward_check(rng):
                                         head_hidden=8, recon_count=1,
                                         recon_dim=6, dropout=0.0),
                             tasks={"churn": 2}, seed=3)
-    customers, encoded = model.encode_table(table, pair)
-    batch = stack_encoded(customers, encoded)
+    batch = model.encode_table(table, pair)
     targets = model.reconstruction_targets(
         np.stack([augmented_summary(table, c, schema) for c in pair]))
     labels = np.array([0, 1])

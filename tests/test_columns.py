@@ -115,12 +115,12 @@ def test_columnar_paths_equal_row_oracles(drawn):
 
     layout = BranchLayout.from_schema(schema, n_s=N_S)
     encoded = encode_table(table, schema, layout)
-    shuffled = customers[::-1]
-    for cid, enc, again in zip(customers, encoded,
-                               reversed(encode_table(table, schema, layout, shuffled))):
+    shuffled = encode_table(table, schema, layout, customers[::-1])
+    assert encoded.customers == customers and shuffled.customers == customers[::-1]
+    for i, cid in enumerate(customers):
         want = reference_encoding(ordered[cid], schema, layout)
-        assert same_encoding(enc, want), cid
-        assert same_encoding(again, want), cid
+        assert same_encoding(encoded[i:i + 1], want), cid
+        assert same_encoding(shuffled[[len(customers) - 1 - i]], want), cid
 
     summaries = augmented_summaries(table, schema)
     for i, cid in enumerate(customers):
@@ -131,10 +131,12 @@ def test_columnar_paths_equal_row_oracles(drawn):
     cells = [(i, t, j) for i, cid in enumerate(customers)
              for t in range(len(ordered[cid])) for j in range(len(FEATURES))]
     who, at, features = (list(x) for x in zip(*cells)) if cells else ([], [], [])
-    changed, masked = masked_encodings(table.columns, who, at, features, schema, layout)
-    got = dict(zip(changed, masked))
+    changed, masked = masked_encodings(table, [customers[i] for i in who], at, features,
+                                       schema, layout)
+    assert masked.customers == [customers[who[k]] for k in changed]
+    got = {k: masked[[row]] for row, k in enumerate(changed)}
     for k, (i, t, j) in enumerate(cells):
-        cid, enc = customers[i], encoded[i]
+        cid, enc = customers[i], encoded[[i]]
         want = reference_encoding(masked_rows(ordered[cid], j, t), schema, layout)
         if k not in got:
             assert same_encoding(want, enc), (cid, t, j)

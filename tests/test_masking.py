@@ -77,13 +77,16 @@ def test_masked_encodings_match_reencoding_on_every_cell():
     # every (customer, record, feature) cell, masked in one call
     cells = [(i, t, j) for i, cid in enumerate(table.customers)
              for t in range(table.n_records(cid)) for j in range(len(schema.feature_order))]
-    changed, masked = masked_encodings(table.columns, *map(list, zip(*cells)), schema, layout)
-    got = dict(zip(changed, masked))
+    who, records, features = map(list, zip(*cells))
+    changed, masked = masked_encodings(table, [table.customers[i] for i in who], records,
+                                       features, schema, layout)
+    got = {k: masked[[row]] for row, k in enumerate(changed)}
     assert table.columns.codes.tobytes() == codes.tobytes()
 
     seen = {"long_history": 0, "missing": 0, "oov": 0, "presence_flip": 0,
             "skipped": 0, "edited": 0}
-    bases = dict(zip(table.customers, encode_table(table, schema, layout)))
+    encoded = encode_table(table, schema, layout)
+    bases = {cid: encoded[[i]] for i, cid in enumerate(table.customers)}
     for cid in table.customers:
         seen["long_history"] += table.n_records(cid) > layout.n_s
         assert same_encoding(bases[cid], encode_rows(table.records[cid], schema, layout)), cid
@@ -166,9 +169,9 @@ def test_report_equals_reencoding_reference(trained, config, monkeypatch):
     model, table = trained
     slices = []
 
-    def spy(cols, who, *args):
+    def spy(source, who, *args):
         slices.append(len(who))
-        return masked_encodings(cols, who, *args)
+        return masked_encodings(source, who, *args)
 
     monkeypatch.setattr(interpret, "masked_encodings", spy)
     got = genome_report(model, table, config).to_dict()
@@ -215,8 +218,7 @@ def test_forwarded_rows_do_not_depend_on_chunking(trained):
     """A lone trailing row would take BLAS's matrix-vector path and round
     differently from the same row inside a batch."""
     model, table = trained
-    cid = table.customers[0]
-    enc = encode_rows(table.records[cid], model.schema, model.layout)
-    chunks = model.forward_chunks([(cid, enc)] * (EVAL_BATCH + 1))
+    enc = encode_rows(table.records[table.customers[0]], model.schema, model.layout)
+    chunks = model.forward_chunks(enc[[0] * (EVAL_BATCH + 1)])
     rows = np.concatenate([out.rep.data for out in chunks])
     assert all(row.tobytes() == rows[0].tobytes() for row in rows)

@@ -8,7 +8,7 @@ import pytest
 from tabrep import model as model_module
 from tabrep import numeric
 from tabrep.encode import (BranchLayout, augmented_summary, encode_customer, encode_table,
-                           stack_encoded, summary_width)
+                           summary_width)
 from tabrep.errors import (AllTermsDisabledError, ConfigError, TableIOError,
                            UnknownTaskError)
 from tabrep.eval import SynthConfig, synth_generate
@@ -62,12 +62,13 @@ def test_encoded_shapes_and_presence(schema):
     table = fixture_table()
     model = CustomerEncoder(schema, small_model_config(), tasks={"churn": 2})
     enc = encode_customer(table, "u000", schema, model.layout)
-    assert enc.cs_ids.shape == (1,)
-    assert enc.ns_vals.shape == (1,)
-    assert enc.cd_ids.shape == (4, 1)
-    assert enc.nd_vals.shape == (4, 1)
-    assert enc.seq_valid.tolist() == [True, True, True, False]
-    assert enc.presence.tolist() == [1.0, 1.0, 1.0, 1.0]
+    assert enc.customers == ["u000"]
+    assert enc.cs_ids.shape == (1, 1)
+    assert enc.ns_vals.shape == (1, 1)
+    assert enc.cd_ids.shape == (1, 4, 1)
+    assert enc.nd_vals.shape == (1, 4, 1)
+    assert enc.seq_valid.tolist() == [[True, True, True, False]]
+    assert enc.presence.tolist() == [[1.0, 1.0, 1.0, 1.0]]
 
 
 @pytest.mark.parametrize("sizes", [(), (5,), (7, 3, 12)])
@@ -88,9 +89,9 @@ def test_static_value_is_latest_non_missing(schema):
     model = CustomerEncoder(schema, small_model_config())
     enc = encode_customer(table, "a", schema, model.layout)
     # the later Missing does not shadow the earlier token
-    assert enc.cs_ids[0] == schema.vocabularies["sc"].encode(Token("t0"))
+    assert enc.cs_ids[0, 0] == schema.vocabularies["sc"].encode(Token("t0"))
     lo, hi = schema.numeric_stats["sn"]
-    assert enc.ns_vals[0] == pytest.approx((7.0 - lo) / (hi - lo))
+    assert enc.ns_vals[0, 0] == pytest.approx((7.0 - lo) / (hi - lo))
 
 
 def test_window_keeps_most_recent_records(schema):
@@ -103,7 +104,7 @@ def test_window_keeps_most_recent_records(schema):
     assert enc.seq_valid.all()
     vocab = schema.vocabularies["dc"]
     want = [vocab.encode(Token(f"v{t % 3}")) for t in range(5, 9)]
-    assert enc.cd_ids[:, 0].tolist() == want
+    assert enc.cd_ids[0, :, 0].tolist() == want
 
 
 def test_zero_record_customer_gets_anchor_step(schema):
@@ -111,9 +112,9 @@ def test_zero_record_customer_gets_anchor_step(schema):
                      records={"a": []}, labels={}, has_date_index=True)
     model = CustomerEncoder(schema, small_model_config())
     enc = encode_customer(table, "a", schema, model.layout)
-    assert enc.seq_valid.tolist() == [True, False, False, False]
-    assert enc.presence.tolist() == [0.0, 0.0, 0.0, 0.0]
-    out = model.forward(stack_encoded(["a"], [enc]))
+    assert enc.seq_valid.tolist() == [[True, False, False, False]]
+    assert enc.presence.tolist() == [[0.0, 0.0, 0.0, 0.0]]
+    out = model.forward(enc)
     assert np.all(np.isfinite(out.rep.data))
 
 
@@ -212,10 +213,9 @@ def test_forward_bit_identical_across_passes(schema):
 
 def test_forwards_outside_recording_return_leaves(schema):
     model = CustomerEncoder(schema, small_model_config(), tasks={"churn": 2})
-    names, encoded = model.encode_table(fixture_table(n=6))
-    batch = stack_encoded(names, encoded)
+    batch = model.encode_table(fixture_table(n=6))
     outs = [model.forward(batch), model.forward(batch, train=True, rng=np.random.default_rng(0)),
-            *model.forward_chunks(zip(names, encoded))]
+            *model.forward_chunks(batch)]
     for out in outs:
         for t in (out.rep, out.ponder):
             assert t._backward_fn is None and not t.requires_grad
@@ -236,8 +236,8 @@ def test_training_step_tape_is_bounded_and_each_fused_op_adds_one_node(schema, m
 
     model = CustomerEncoder(schema, small_model_config(dropout=0.1), tasks={"churn": 2}, seed=2)
     table = fixture_table(n=8)
-    names, encoded = model.encode_table(table)
-    batch = stack_encoded(names, encoded)
+    batch = model.encode_table(table)
+    names = batch.customers
     targets = model.reconstruction_targets(
         np.stack([augmented_summary(table, c, schema) for c in names]))
     labels = np.array([table.labels["churn"][c] for c in names])
@@ -334,8 +334,7 @@ def test_unsupervised_regime_reduces_reconstruction_error(schema):
     model = CustomerEncoder(schema, small_model_config(), tasks=None, seed=13)
 
     def recon_mse():
-        customers, _ = model.encode_table(table)
-        summaries = np.stack([augmented_summary(table, c, schema) for c in customers])
+        summaries = np.stack([augmented_summary(table, c, schema) for c in table.customers])
         targets = model.reconstruction_targets(summaries)
         _, reps = model.represent(table)
         total = 0.0
@@ -427,7 +426,7 @@ def test_fit_encodes_once_and_forwards_validation_once_per_epoch(schema, monkeyp
     table = fixture_table()
     encoded = []
     monkeypatch.setattr(model_module, "encode_table",
-                        lambda t, s, lay, c: encoded.append(list(c)) or encode_table(t, s, lay, c))
+                        lambda t, s, lay, c: encoded.append(c) or encode_table(t, s, lay, c))
     evaluated = []
     forward = CustomerEncoder.forward
 
@@ -440,7 +439,7 @@ def test_fit_encodes_once_and_forwards_validation_once_per_epoch(schema, monkeyp
     model = CustomerEncoder(schema, small_model_config(), tasks={"churn": 2}, seed=3)
     log = model.fit(table, TrainConfig(epochs=3, batch_size=16, validation_fraction=0.25,
                                        seed=3))
-    assert len(encoded) == 1 and sorted(encoded[0]) == sorted(table.customers)
+    assert encoded == [None]            # the whole table, once
     assert len(evaluated) == 3 * 10
     assert Counter(evaluated) == Counter({c: 3 for c in set(evaluated)})
     assert all(rec["val_auc"]["churn"] is not None for rec in log)

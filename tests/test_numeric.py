@@ -342,3 +342,44 @@ def test_row_max_is_bitwise_numpy_max(width):
         want = x.max(axis=axis, keepdims=True)
         got = numeric.row_max(x, axis)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_max_and_its_index_are_bitwise_argmax_and_take_along_axis():
+    """Ties, signed zeros, infinities and NaN, on axes either side of the
+    chain cut-off: the max's bits, its index and the slot its gradient
+    reaches are those of argmax + take_along_axis, for tensor_max and
+    masked_max."""
+    rng = np.random.default_rng(0)
+    pool = np.array([-1.0, -0.0, 0.0, 1.0, 2.5, np.nan, -np.inf, np.inf])
+    for _ in range(300):
+        shape = list(rng.integers(1, 5, size=rng.integers(1, 5)))
+        axis = int(rng.integers(len(shape)))
+        shape[axis] = int(rng.integers(1, numeric.ARGMAX_CHAIN + 3))
+        x = rng.choice(pool, size=shape)
+        idx = np.expand_dims(np.argmax(x, axis=axis), axis)
+        want = np.take_along_axis(x, idx, axis=axis)
+        got, got_idx = numeric._first_max(x, axis)
+        assert got.tobytes() == want.tobytes() and np.array_equal(got_idx, idx)
+
+        g = rng.standard_normal(want.shape)
+        routed = np.zeros(x.shape)
+        np.put_along_axis(routed, idx, g, axis=axis)
+        t = Tensor(x.copy(), requires_grad=True)
+        with numeric.recording(), np.errstate(invalid="ignore"):    # inf - inf in the sum
+            out = numeric.tensor_max(t, axis=axis, keepdims=True)
+            numeric.backward(numeric.tensor_sum(out * Tensor(g)))
+        assert out.data.tobytes() == want.tobytes() and np.array_equal(t.grad, routed)
+
+        mask = rng.random(shape[:axis + 1]) < 0.7
+        full = np.broadcast_to(mask.reshape(mask.shape + (1,) * (x.ndim - mask.ndim)), x.shape)
+        masked = np.where(full, x, -np.inf)
+        idx = np.expand_dims(np.argmax(masked, axis=axis), axis)
+        valid = full.any(axis=axis, keepdims=True)
+        want = np.where(valid, np.take_along_axis(masked, idx, axis=axis), 0.0)
+        routed = np.zeros(x.shape)
+        np.put_along_axis(routed, idx, np.where(valid, g, 0.0), axis=axis)
+        t = Tensor(x.copy(), requires_grad=True)
+        with numeric.recording(), np.errstate(invalid="ignore"):
+            out = numeric.masked_max(t, mask, axis=axis, keepdims=True)
+            numeric.backward(numeric.tensor_sum(out * Tensor(g)))
+        assert out.data.tobytes() == want.tobytes() and np.array_equal(t.grad, routed)
