@@ -290,18 +290,22 @@ def genome_report(model: CustomerEncoder, table: BigTable,
         cid for _, _, _, draws in plans for cid in draws))}
     cells = list(dict.fromkeys((cid, t, fi) for _, _, _, draws in plans
                                for cid, cid_draws in draws.items() for t, fi in cid_draws))
-    parts = [encoded[[table.records.index[cid] for cid in base_row]]]
     masked_row: dict[tuple, int] = {}     # only cells whose masking changes the encoding
-    for lo in range(0, len(cells), EVAL_BATCH):
-        part = cells[lo:lo + EVAL_BATCH]
-        changed, masked = masked_encodings(
-            table, [cid for cid, _, _ in part], [t for _, t, _ in part],
-            [columns[fi] for _, _, fi in part], model.schema, model.layout)
-        for i in changed:
-            masked_row[part[i]] = len(base_row) + len(masked_row)
-        parts.append(masked)
 
-    forwarded = list(model.forward_chunks(stack_encoded(parts)))
+    def variants():
+        bases = [table.records.index[cid] for cid in base_row]
+        for lo in range(0, len(bases), EVAL_BATCH):
+            yield encoded[bases[lo:lo + EVAL_BATCH]]
+        for lo in range(0, len(cells), EVAL_BATCH):
+            part = cells[lo:lo + EVAL_BATCH]
+            changed, masked = masked_encodings(
+                table, [cid for cid, _, _ in part], [t for _, t, _ in part],
+                [columns[fi] for _, _, fi in part], model.schema, model.layout)
+            for i in changed:
+                masked_row[part[i]] = len(base_row) + len(masked_row)
+            yield masked
+
+    forwarded = list(model.forward_stream(variants()))
 
     genomes = []
     for target, threshold, chosen, draws in plans:

@@ -15,7 +15,7 @@ penalty on the adaptive depth.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -27,7 +27,7 @@ from .embed import EmbeddingBank, categorical_embed, max_concat, positional_nume
 from .encode import (Batch, BranchLayout, augmented_summaries, check_schema, encode_table,
                      summary_width)
 from .encode import augmented_summary, encode_customer  # noqa: F401 (perfbench wraps them)
-from .encode import stack_encoded  # noqa: F401 (perfbench wraps it)
+from .encode import stack_encoded
 from .eval import balanced_class_weights, holdout_split
 from .errors import (AllTermsDisabledError, ConfigError, NoLabeledCustomersError,
                      TableIOError, UnknownTaskError)
@@ -347,6 +347,24 @@ class CustomerEncoder:
         slice of its rows, in order."""
         for rows in eval_chunks(batch.size):
             yield self.forward(batch[rows], train=False)
+
+    def forward_stream(self, batches: Iterable[Batch]) -> Iterator[ForwardResult]:
+        """`forward_chunks` of the rows of `batches` in order, taking each
+        batch as it comes: the same chunks, with at most EVAL_BATCH + 1 rows
+        held back between batches."""
+        pending: list[Batch] = []
+        count = 0
+        for batch in batches:
+            pending.append(batch)
+            count += batch.size
+            if count >= EVAL_BATCH + 2:
+                rows = stack_encoded(pending)
+                cut = (count - 2) // EVAL_BATCH * EVAL_BATCH    # keeps 2 to EVAL_BATCH + 1 rows
+                for lo in range(0, cut, EVAL_BATCH):
+                    yield self.forward(rows[lo:lo + EVAL_BATCH], train=False)
+                pending, count = [rows[cut:]], count - cut
+        if count:
+            yield from self.forward_chunks(stack_encoded(pending))
 
     def class_proba(self, rep: Tensor, task: str) -> np.ndarray:
         """Class probabilities of `task` for the rows of one forwarded chunk."""

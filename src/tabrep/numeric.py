@@ -28,11 +28,6 @@ NEG_MASK_VALUE = 1e30
 # 0.03-1.0x its time on rows of 2 to 16, 0.36-1.4x on rows of 24 and
 # 2.1-4.3x on rows of 64; on 64 rows it broke even at 4 (a few µs either way).
 ROW_MAX_CHAIN = 16
-# `_first_max` chains a strict-greater comparison over axes up to this long.
-# Timed against argmax + take_along_axis on [256, 8, L, 32], [256, L, 32] and
-# [2048, L, 32] (same VM), the chain took 0.01-0.03x its time at L = 1,
-# 0.4-0.7x at 2, 0.8-0.95x at 3, 1.0-1.2x at 4 and 1.3-1.4x at 8.
-ARGMAX_CHAIN = 3
 
 _tape: list | None = None  # nodes since the last `backward`; None outside `recording()`
 
@@ -502,7 +497,8 @@ def _argmax_node(a: Tensor, values: np.ndarray, axis: int, keepdims: bool,
     """Max of `values` (`a`'s data or a masked copy) along `axis`; each
     slice's gradient routes to its first argmax. Slices where `valid` is
     false read exactly 0.0 and route no gradient."""
-    y, idx = _first_max(values, axis)
+    idx = np.expand_dims(np.argmax(values, axis=axis), axis)
+    y = np.take_along_axis(values, idx, axis=axis)
     if valid is not None:
         y = np.where(valid, y, 0.0)
 
@@ -516,27 +512,6 @@ def _argmax_node(a: Tensor, values: np.ndarray, axis: int, keepdims: bool,
         return (share,)
 
     return _node(y if keepdims else np.squeeze(y, axis=axis), (a,), route)
-
-
-def _first_max(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """The max of `values` along `axis` and the index of its first
-    occurrence, both with `axis` kept, bit for bit as `np.argmax` and
-    `np.take_along_axis` give them: a NaN counts as the max, and of equal
-    values (0.0 and -0.0 among them) the first wins. Over short axes it is
-    a strict-greater chain over the slices, because the reduction is slow
-    there; `np.maximum` would return the second of two equal zeros."""
-    if not 0 < values.shape[axis] <= ARGMAX_CHAIN:
-        idx = np.expand_dims(np.argmax(values, axis=axis), axis)
-        return np.take_along_axis(values, idx, axis=axis), idx
-    at = (slice(None),) * axis
-    y = values[at + (slice(0, 1),)].copy()
-    idx = np.zeros(y.shape, dtype=np.intp)
-    for i in range(1, values.shape[axis]):
-        x = values[at + (slice(i, i + 1),)]
-        later = ~(x <= y) & (y == y)        # x > y, or x is a NaN after none
-        y = np.where(later, x, y)
-        np.copyto(idx, i, where=later)
-    return y, idx
 
 
 def tensor_max(a, axis: int, keepdims: bool = False) -> Tensor:

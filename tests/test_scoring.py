@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import same_encoding
 from tabrep.encode import encode_table
 from tabrep.eval import SynthConfig, synth_generate
 from tabrep.model import EVAL_BATCH, CustomerEncoder, ModelConfig, eval_chunks
@@ -38,19 +39,27 @@ def scored():
     return CustomerEncoder(schema, MODEL, tasks={"churn": 2}, seed=4), table
 
 
-def _same_batch(a, b) -> bool:
-    return a.customers == b.customers and all(
-        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-        for x, y in zip(a.arrays, b.arrays))
-
-
 def test_each_chunk_encodes_as_its_rows_of_the_whole_table(scored):
     model, table = scored
     whole = encode_table(table, model.schema, model.layout)
     names = list(table.customers)
     for rows in eval_chunks(len(names)):
-        assert _same_batch(encode_table(table, model.schema, model.layout, names[rows]),
-                           whole[rows])
+        chunk = encode_table(table, model.schema, model.layout, names[rows])
+        assert chunk.customers == whole[rows].customers
+        assert same_encoding(chunk, whole[rows])
+
+
+@pytest.mark.parametrize("sizes", [
+    [], [0], [1], [EVAL_BATCH + 1], [1, EVAL_BATCH, 0, 3],
+    [EVAL_BATCH - 1, 2, EVAL_BATCH + 1, 1], [2 * EVAL_BATCH + 1]])
+def test_forward_stream_forwards_the_chunks_of_the_concatenated_rows(scored, sizes):
+    model, table = scored
+    whole = encode_table(table, model.schema, model.layout)[:sum(sizes)]
+    starts = np.cumsum([0] + sizes)
+    got = list(model.forward_stream(whole[lo:hi] for lo, hi in zip(starts, starts[1:])))
+    want = list(model.forward_chunks(whole))
+    assert [out.rep.shape for out in got] == [out.rep.shape for out in want]
+    assert all(a.rep.data.tobytes() == b.rep.data.tobytes() for a, b in zip(got, want))
 
 
 def test_represent_of_shuffled_customers_is_the_reordered_whole_table(scored):
