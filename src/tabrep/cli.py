@@ -66,10 +66,15 @@ def load_config(path: str | None, seed_override: int | None = None) -> RunConfig
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
-    seed = int(raw.get("seed", 0))
+    seed = raw.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    tasks = raw.get("tasks", [])
+    if not isinstance(tasks, list) or not all(isinstance(t, str) for t in tasks):
+        raise ConfigError(f"tasks must be a list of strings, got {tasks!r}")
     if seed_override is not None:
         seed = seed_override
-    cfg = RunConfig(seed=seed, tasks=list(raw.get("tasks", [])))
+    cfg = RunConfig(seed=seed, tasks=list(tasks))
 
     for name, cls in _SECTIONS.items():
         try:

@@ -243,7 +243,8 @@ class CustomerEncoder:
             "params": {name: {"shape": list(p.data.shape), "data": p.data.ravel().tolist()}
                        for name, p in self.named_parameters().items()},
         }
-        Path(path).write_text(json.dumps(payload, sort_keys=True))
+        with Path(path).open("w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True)
 
     @classmethod
     def load(cls, path) -> "CustomerEncoder":
@@ -254,10 +255,12 @@ class CustomerEncoder:
         if payload.get("version") != MODEL_VERSION:
             raise TableIOError(f"unsupported model version {payload.get('version')!r}")
         try:
+            seed = payload["seed"]
+            if not isinstance(seed, int) or isinstance(seed, bool):
+                raise TypeError(f"seed must be an integer, got {seed!r}")
             schema = FeatureSchema.from_dict(payload["schema"])
             model = cls(schema, ModelConfig(**payload["config"]),
-                        tasks={t: int(n) for t, n in payload["tasks"].items()},
-                        seed=int(payload["seed"]))
+                        tasks={t: int(n) for t, n in payload["tasks"].items()}, seed=seed)
             arrays = {name: np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
                       for name, rec in payload["params"].items()}
         except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as e:
@@ -428,6 +431,10 @@ class CustomerEncoder:
 
         val_idx, train_idx = holdout_split(n, config.validation_fraction, config.seed, "split",
                                            "validation split leaves no training customers")
+        val_labels = {task: arr[val_idx] for task, arr in labels.items()}
+        # binary tasks with both classes among the validation labels get an AUC
+        auc_tasks = [task for task, lab in val_labels.items()
+                     if self.tasks[task] == 2 and len(set(lab[lab >= 0])) == 2]
 
         recon_on = config.recon_weight > 0 and bool(self.recon_heads)
         # balanced weights over this split's training customers; a class
@@ -493,18 +500,20 @@ class CustomerEncoder:
             record = {"epoch": epoch, "train_loss": epoch_total / seen,
                       "val_loss": None, "val_auc": {}, "skipped_batches": skipped}
             if len(val_idx):
-                chunks = list(self.forward_chunks(validation))
-                total, count, lo = 0.0, 0, 0
-                for out in chunks:
-                    idx = val_idx[lo:lo + out.rep.shape[0]]
-                    lo += len(idx)
+                # only each chunk's loss and class probabilities outlive it
+                total, count = 0.0, 0
+                probas: dict[str, list[np.ndarray]] = {task: [] for task in auc_tasks}
+                for rows in eval_chunks(len(val_idx)):
+                    out, idx = self.forward(validation[rows], train=False), val_idx[rows]
                     if has_term(idx):
                         total += float(loss_of(out, idx).data) * len(idx)
                         count += len(idx)
                     else:
                         record["skipped_batches"] += 1
+                    for task in auc_tasks:
+                        probas[task].append(self.class_proba(out.rep, task))
                 record["val_loss"] = total / count if count else None
-                record["val_auc"] = self._val_auc(chunks, labels, val_idx)
+                record["val_auc"] = self._val_auc(probas, val_labels)
             log.append(record)
             selector = record["train_loss"] if record["val_loss"] is None else record["val_loss"]
             if selector < best_loss:
@@ -515,16 +524,18 @@ class CustomerEncoder:
                 p.data = best_params[name]
         return log
 
-    def _val_auc(self, chunks: list[ForwardResult], labels: dict[str, np.ndarray],
-                 val_idx: np.ndarray) -> dict:
+    def _val_auc(self, probas: dict[str, list[np.ndarray]],
+                 val_labels: dict[str, np.ndarray]) -> dict:
+        """Each task's validation ROC AUC from its class probabilities, one
+        array per validation chunk; None for a task absent from `probas`."""
         from .eval import roc_auc
         out = {}
         for task in self.tasks:
-            lab = labels[task][val_idx]
-            known = lab >= 0
-            if self.tasks[task] != 2 or len(set(lab[known])) < 2:
+            if task not in probas:
                 out[task] = None
                 continue
-            proba = np.concatenate([self.class_proba(c.rep, task) for c in chunks])
+            lab = val_labels[task]
+            known = lab >= 0
+            proba = np.concatenate(probas[task])
             out[task] = roc_auc(proba[known, 1], lab[known])
         return out

@@ -4,6 +4,8 @@ All learned layers in the package are expressed through the ops below. Ops
 run eagerly; only inside `recording()` do they go on a tape, which keeps
 input-dependent depth (adaptive halting) trivial to support. Everything runs
 in float64 so gradients can be verified against central finite differences.
+`backward` frees each node's gradient and saved arrays as it passes them, so
+only leaves keep `.grad` and training memory peaks at one step's forward tape.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ class Tensor:
     """N-dimensional float64 array node in the differentiation graph.
 
     Ops build their nodes through `_node`; a tensor built directly is a
-    leaf, with no backward function."""
+    leaf, with no backward function. `grad` is the gradient `backward`
+    accumulated into a leaf (a parameter or a tensor built directly); the
+    sweep clears it on every node it passes, so a node keeps none."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward_fn", "name")
 
@@ -460,8 +464,9 @@ def dropout(a, rate: float, train: bool, rng: np.random.Generator | None = None)
         return a
     if rng is None:
         raise ValueError("dropout in training mode needs a generator")
-    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    return _node(a.data * mask, (a,), lambda g, _: (g * mask,))
+    keep = rng.random(a.shape) >= rate     # scaled to the float mask only while in use
+    scale = 1.0 - rate
+    return _node(a.data * (keep / scale), (a,), lambda g, _: (g * (keep / scale),))
 
 
 def _norm_axes(axis, ndim: int):
@@ -543,16 +548,21 @@ def degenerate_rows(mask: np.ndarray, axis: int) -> np.ndarray:
 
 
 def backward(loss: Tensor) -> None:
-    """Sweep the tape in reverse creation order from a scalar loss into `.grad`."""
+    """Sweep the tape in reverse creation order from a scalar loss into the
+    leaves' `.grad`, emptying the tape as it goes."""
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise NonScalarLossError(f"loss has shape {loss.shape}; expected a scalar")
     if _tape is None:
         raise NotRecordingError("backward needs the loss computed inside numeric.recording()")
     loss.accumulate(np.ones_like(loss.data))
-    for node in reversed(_tape):
-        if node.grad is not None:
-            node._backward_fn(node.grad)
-    _tape.clear()
+    while _tape:
+        # off the tape and out of the node before the call, so the node's
+        # gradient and the arrays its backward function saved die with it
+        node = _tape.pop()
+        g, fn = node.grad, node._backward_fn
+        node.grad = node._backward_fn = None
+        if g is not None:
+            fn(g)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ for every masked cell, which is what the package's batched masking must match.
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 
@@ -17,6 +18,33 @@ from tabrep.encode import Batch, encode_rows, stack_encoded
 from tabrep.interpret import (GenomeReport, InterpretConfig, TargetGenome, _top_k,
                               maskable_features, position_target, sensitive_features)
 from tabrep.table import MISSING, BigTable, Date, Number, Row, Token
+
+
+def traced_peak(fn):
+    """`fn()`'s result and the peak of tracemalloc's traced memory while it
+    ran, above the traced memory at its start. Tracing starts for the call
+    and stops after it, unless it is already on: a call nested in a traced
+    one also counts what it frees of memory the outer call allocated."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def reference_backward(loss, tape) -> None:
+    """The reverse sweep that frees nothing: every node of `tape` keeps its
+    gradient and backward function, which `numeric.backward` must match."""
+    loss.accumulate(np.ones_like(loss.data))
+    for node in reversed(tape):
+        if node.grad is not None:
+            node._backward_fn(node.grad)
 
 
 def reference_feature_kind(cells, integer_unique_threshold: int) -> str:

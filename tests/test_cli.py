@@ -58,6 +58,16 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("raw,field", [
+    ('{"seed": "abc"}', "seed"), ('{"seed": 1.5}', "seed"), ('{"seed": true}', "seed"),
+    ('{"tasks": "churn"}', "tasks"), ('{"tasks": ["churn", 1]}', "tasks")])
+def test_config_rejects_bad_top_level_values(tmp_path, raw, field):
+    path = tmp_path / "c.json"
+    path.write_text(raw)
+    with pytest.raises(ConfigError, match=f"^{field} "):
+        load_config(str(path))
+
+
 def test_config_seed_flows_into_stages(tmp_path):
     path = tmp_path / "c.json"
     path.write_text('{"seed": 9}')
@@ -322,6 +332,10 @@ MALFORMED = [
      {"interpret": {"targets": [{"kind": "gradient"}]}}, {}, "config-error"),
     ("section-not-an-object", "interpret", {"interpret": "fast"}, {}, "config-error"),
     ("baseline-section", "profile", {"baseline": {"epochs": 10}}, {}, "config-error"),
+    ("seed-string", "train", {"seed": "abc"}, {"schema.json": schema_file()}, "config-error"),
+    ("seed-fraction", "train", {"seed": 1.5}, {"schema.json": schema_file()}, "config-error"),
+    ("tasks-string", "train", {"tasks": "churn"}, {"schema.json": schema_file()},
+     "config-error"),
     ("table-not-utf8", "profile", {},
      {"t.csv": "customer_id,date,f\nc1,2020-01-01,caf\xe9\n".encode("latin-1")}, "io-error"),
     ("table-cell-over-csv-field-limit", "profile", {},
@@ -353,6 +367,10 @@ MALFORMED = [
      {"m.json": checkpoint_file(lambda c: c.update(version=3))}, "io-error"),
     ("checkpoint-task-one-class", "embed", {},
      {"m.json": checkpoint_file(lambda c: c.update(tasks={"churn": 1}))}, "io-error"),
+    ("checkpoint-seed-fraction", "embed", {},
+     {"m.json": checkpoint_file(lambda c: c.update(seed=1.5))}, "io-error"),
+    ("checkpoint-seed-bool", "embed", {},
+     {"m.json": checkpoint_file(lambda c: c.update(seed=True))}, "io-error"),
     ("checkpoint-nan-weight", "embed", {},
      {"m.json": checkpoint_file(first_weight(float("nan")))}, "io-error"),
     ("checkpoint-inf-weight", "embed", {},

@@ -6,12 +6,10 @@ memory scoring needs beyond its result must not grow with the number of
 customers.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from oracles import same_encoding
+from oracles import same_encoding, traced_peak
 from tabrep.encode import encode_table
 from tabrep.eval import SynthConfig, synth_generate
 from tabrep.model import EVAL_BATCH, CustomerEncoder, ModelConfig, eval_chunks
@@ -89,14 +87,8 @@ def test_scoring_memory_does_not_grow_with_the_customer_count():
     few = table.customers[:2 * EVAL_BATCH]
     model.represent(table)                  # lazily built table state, before measuring
     peaks = []
-    tracemalloc.start()
-    try:
-        for customers in (few, None):
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            _, reps = model.represent(table, customers)
-            peaks.append(tracemalloc.get_traced_memory()[1] - before - reps.nbytes)
-            del reps
-    finally:
-        tracemalloc.stop()
+    for customers in (few, None):
+        (_, reps), peak = traced_peak(lambda: model.represent(table, customers))
+        peaks.append(peak - reps.nbytes)
+        del reps
     assert peaks[1] - peaks[0] < PEAK_MARGIN, peaks
