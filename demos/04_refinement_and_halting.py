@@ -9,12 +9,13 @@ padded positions are skipped entirely.
 
 import numpy as np
 
+from tabrep import numeric
 from tabrep.dynamics import (TransformerConfig, TransformerParams, act_run,
                              attention_weights, coordinate_embedding)
 from tabrep.numeric import Tensor
 
 config = TransformerConfig(n_s=5, n_e=8, k=2, t_max=6, dropout=0.0)
-params = TransformerParams.init(config, np.random.default_rng(3), "demo")
+params = TransformerParams.init(config, numeric.drawing(np.random.default_rng(3)), "demo")
 rng = np.random.default_rng(4)
 e0 = Tensor(rng.normal(size=(1, config.n_s, config.n_e)))      # [b, n_s, n_e]
 mask = np.array([[True, True, True, True, False]])   # last slot is padding

@@ -19,7 +19,7 @@ from pathlib import Path
 from .errors import ConfigError, TabrepError
 from .eval import MetricSet, SynthConfig, synth_generate
 from .interpret import InterpretConfig, Target, genome_report
-from .model import EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig
+from .model import CustomerEncoder, ModelConfig, TrainConfig
 from .prep import FeatureSchema, RecognizerConfig, build_schema
 from .table import BigTable, TableFormat, compute_stats, load_table, order_records, save_table
 
@@ -99,16 +99,18 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_rows(path: Path, header: list, names, rows) -> None:
+def _write_rows(path: Path, header: list, chunks) -> int:
     """One CSV row per customer: its id, then `repr(float)` of each value.
-    Rows become Python floats one `EVAL_BATCH` block at a time, so a large
-    table's values never all exist as objects at once."""
+    `chunks` yields `(names, rows)` pairs, and each is written as it comes,
+    so no more than one chunk's values exist at once. Returns the row count."""
+    count = 0
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for lo in range(0, len(names), EVAL_BATCH):
-            block = zip(names[lo:lo + EVAL_BATCH], rows[lo:lo + EVAL_BATCH].tolist())
-            writer.writerows([cid, *map(repr, row)] for cid, row in block)
+        for names, rows in chunks:
+            writer.writerows([cid, *map(repr, row)] for cid, row in zip(names, rows.tolist()))
+            count += len(names)
+    return count
 
 
 def _load_ordered(args, cfg: RunConfig) -> BigTable:
@@ -178,11 +180,11 @@ def cmd_train(args, cfg: RunConfig) -> int:
 def cmd_embed(args, cfg: RunConfig) -> int:
     table = _load_ordered(args, cfg)
     model = CustomerEncoder.load(args.checkpoint)
-    names, reps = model.represent(table)
+    chunks = model.score_chunks(table)
+    header = [cfg.format.id_column] + [f"r{i:03d}" for i in range(model.config.rep_width)]
     out = _out_dir(args) / "embeddings.csv"
-    _write_rows(out, [cfg.format.id_column] + [f"r{i:03d}" for i in range(reps.shape[1])],
-                names, reps)
-    print(f"wrote {len(names)} representation rows to {out}")
+    count = _write_rows(out, header, chunks)
+    print(f"wrote {count} representation rows to {out}")
     return 0
 
 
@@ -192,11 +194,11 @@ def cmd_predict(args, cfg: RunConfig) -> int:
     task = args.task or next(iter(model.tasks), None)
     if task is None:
         raise ConfigError("model has no task heads; nothing to predict")
-    names, proba = model.predict_proba(table, task)
+    chunks = model.score_chunks(table, task=task)
+    header = [cfg.format.id_column] + [f"p_{task}_{c}" for c in range(model.tasks[task])]
     out = _out_dir(args) / "predictions.csv"
-    _write_rows(out, [cfg.format.id_column] + [f"p_{task}_{c}" for c in range(proba.shape[1])],
-                names, proba)
-    print(f"wrote {len(names)} prediction rows to {out}")
+    count = _write_rows(out, header, chunks)
+    print(f"wrote {count} prediction rows to {out}")
     return 0
 
 

@@ -61,27 +61,28 @@ class TransformerParams:
     wd: Parameter
 
     @classmethod
-    def init(cls, config: TransformerConfig, rng: np.random.Generator,
-             name: str) -> "TransformerParams":
+    def init(cls, config: TransformerConfig, param, name: str) -> "TransformerParams":
+        """The weights, each made by `param(name, shape, init)` (see
+        `numeric.drawing`) in field order."""
         n_e, hd = config.n_e, config.head_dim
         hidden = 2 * n_e
+        glorot, zeros = numeric.glorot_init, numeric.zeros_init
 
-        def per_head(key):
-            blocks = [numeric.glorot_uniform((n_e, hd), rng, key).data for _ in range(config.k)]
-            return Parameter(np.concatenate(blocks, axis=1), f"{name}.{key}")
+        def per_head(rng, shape):
+            return np.concatenate([glorot(rng, (n_e, hd)) for _ in range(config.k)], axis=1)
 
         return cls(
-            wq=per_head("wq"),
-            wk=per_head("wk"),
-            wv=per_head("wv"),
-            wo=numeric.glorot_uniform((n_e, n_e), rng, f"{name}.wo"),
-            ts_w1=numeric.glorot_uniform((n_e, hidden), rng, f"{name}.ts_w1"),
-            ts_b1=numeric.zeros_param((hidden,), f"{name}.ts_b1"),
-            ts_w2=numeric.glorot_uniform((hidden, n_e), rng, f"{name}.ts_w2"),
-            ts_b2=numeric.zeros_param((n_e,), f"{name}.ts_b2"),
-            halt_w=numeric.glorot_uniform((n_e, 1), rng, f"{name}.halt_w"),
-            halt_b=numeric.zeros_param((1,), f"{name}.halt_b"),
-            wd=numeric.glorot_uniform((config.n_s * n_e, n_e), rng, f"{name}.wd"),
+            wq=param(f"{name}.wq", (n_e, n_e), per_head),
+            wk=param(f"{name}.wk", (n_e, n_e), per_head),
+            wv=param(f"{name}.wv", (n_e, n_e), per_head),
+            wo=param(f"{name}.wo", (n_e, n_e), glorot),
+            ts_w1=param(f"{name}.ts_w1", (n_e, hidden), glorot),
+            ts_b1=param(f"{name}.ts_b1", (hidden,), zeros),
+            ts_w2=param(f"{name}.ts_w2", (hidden, n_e), glorot),
+            ts_b2=param(f"{name}.ts_b2", (n_e,), zeros),
+            halt_w=param(f"{name}.halt_w", (n_e, 1), glorot),
+            halt_b=param(f"{name}.halt_b", (1,), zeros),
+            wd=param(f"{name}.wd", (config.n_s * n_e, n_e), glorot),
         )
 
     def parameters(self) -> list[Parameter]:

@@ -31,11 +31,12 @@ class EmbeddingBank:
     num_matrix: Parameter | None
 
     @classmethod
-    def build(cls, dim: int, cat_rows: int, num_rows: int,
-              rng: np.random.Generator, name: str) -> "EmbeddingBank":
-        cat_table = numeric.embedding_init((cat_rows, dim), rng, f"{name}.cat") if cat_rows else None
-        num_matrix = numeric.embedding_init((num_rows, dim), rng, f"{name}.num") if num_rows else None
-        return cls(cat_table=cat_table, num_matrix=num_matrix)
+    def build(cls, dim: int, cat_rows: int, num_rows: int, param, name: str) -> "EmbeddingBank":
+        """The bank's parameters, made by `param(name, shape, init)` (see
+        `numeric.drawing`)."""
+        init = numeric.embedding_init
+        return cls(cat_table=param(f"{name}.cat", (cat_rows, dim), init) if cat_rows else None,
+                   num_matrix=param(f"{name}.num", (num_rows, dim), init) if num_rows else None)
 
     def parameters(self) -> list[Parameter]:
         return [p for p in (self.cat_table, self.num_matrix) if p is not None]

@@ -281,8 +281,9 @@ def genome_report(model: CustomerEncoder, table: BigTable,
             if not n_records or not feats:
                 continue
             rng = numeric.substream(config.seed, f"interpret/{target.key()}/{cid}")
-            draws[cid] = [(int(rng.integers(n_records)), int(rng.integers(len(feats))))
-                          for _ in range(config.mask_samples)]
+            # one call draws the same (record, feature) pairs as two scalar calls a pair
+            bounds = np.tile([n_records, len(feats)], config.mask_samples)
+            draws[cid] = rng.integers(bounds).reshape(-1, 2).tolist()
         plans.append((target, threshold, chosen, draws))
 
     # step two: forward each customer once, then each distinct changed variant once

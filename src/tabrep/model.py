@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from .table import BigTable
 MODEL_FORMAT = "tabrep-model"
 MODEL_VERSION = 4
 EVAL_BATCH = 256
+SAVE_BLOCK = 1024       # parameter values `save` converts to Python floats at once
 
 
 @dataclass(frozen=True)
@@ -145,6 +147,62 @@ def eval_chunks(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
 
 
+def _write_json(fh, value) -> None:
+    """Write `json.dumps(value, sort_keys=True)` to `fh`, where `value` is
+    JSON data with string keys whose lists may be flat float arrays. Objects
+    are written a member at a time and arrays SAVE_BLOCK values at a time,
+    all through the C encoder, so no more than a block's values exist as
+    Python floats at once."""
+    if isinstance(value, dict):
+        fh.write("{")
+        for i, key in enumerate(sorted(value)):
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            _write_json(fh, value[key])
+        fh.write("}")
+    elif isinstance(value, np.ndarray):
+        fh.write("[")
+        for lo in range(0, value.size, SAVE_BLOCK):
+            fh.write((", " if lo else "") + json.dumps(value[lo:lo + SAVE_BLOCK].tolist())[1:-1])
+        fh.write("]")
+    else:
+        fh.write(json.dumps(value, sort_keys=True))
+
+
+_JSON_NUMBER = {int, float}     # json.loads makes every JSON number one of these
+
+
+def _checkpoint_param(records: dict):
+    """The parameter maker of `CustomerEncoder.load` (see `numeric.drawing`):
+    parameter `name` is its record in the checkpoint, which it takes out of
+    `records`, after checking that the record's data is a flat list of JSON
+    numbers, of the expected shape, all finite."""
+    def make(name, shape, _init) -> Parameter:
+        if name not in records:
+            raise TableIOError("checkpoint parameters do not match the model architecture")
+        record = records.pop(name)
+        data = record["data"]
+        if not isinstance(data, list) or not all(map(_JSON_NUMBER.__contains__, map(type, data))):
+            raise TableIOError(f"checkpoint tensor {name!r} data is not a flat list of numbers")
+        arr = np.array(data, dtype=np.float64).reshape(record["shape"])
+        if arr.shape != shape:
+            raise TableIOError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
+                               f"expected {shape}")
+        if not np.isfinite(arr).all():
+            raise TableIOError(f"checkpoint tensor {name!r} holds a non-finite value")
+        return Parameter(arr, name)
+    return make
+
+
+def _joined(chunks: Iterable[tuple[list[str], np.ndarray]],
+            width: int) -> tuple[list[str], np.ndarray]:
+    """The names and the [n, width] rows of `CustomerEncoder.score_chunks`."""
+    names, rows = [], [np.zeros((0, width))]
+    for chunk_names, chunk_rows in chunks:
+        names += chunk_names
+        rows.append(chunk_rows)
+    return names, np.concatenate(rows)
+
+
 class CustomerEncoder:
     """The representation model over one schema.
 
@@ -155,7 +213,7 @@ class CustomerEncoder:
     """
 
     def __init__(self, schema: FeatureSchema, config: ModelConfig = ModelConfig(),
-                 tasks: dict[str, int] | None = None, seed: int = 0):
+                 tasks: dict[str, int] | None = None, seed: int = 0, *, _param=None):
         self.schema = schema
         self.config = config
         self.tasks = dict(tasks or {})
@@ -167,43 +225,49 @@ class CustomerEncoder:
         self.layout = BranchLayout.from_schema(schema, config.n_s)
         self.tconfig = config.transformer()
         d = config.embed_dim
-        rng = numeric.substream(self.seed, "init")
+        # `load` passes a maker that reads each parameter from the checkpoint
+        param = _param or numeric.drawing(numeric.substream(self.seed, "init"))
+        glorot, zeros = numeric.glorot_init, numeric.zeros_init
 
         self.static_bank = EmbeddingBank.build(
-            d, sum(self.layout.cs_vocab_sizes), len(self.layout.sn_features), rng, "static")
+            d, sum(self.layout.cs_vocab_sizes), len(self.layout.sn_features), param, "static")
         self.dynamic_bank = EmbeddingBank.build(
-            d, sum(self.layout.cd_vocab_sizes), len(self.layout.dn_features), rng, "dynamic")
-        self.cd_params = (TransformerParams.init(self.tconfig, rng, "cd")
+            d, sum(self.layout.cd_vocab_sizes), len(self.layout.dn_features), param, "dynamic")
+        self.cd_params = (TransformerParams.init(self.tconfig, param, "cd")
                           if self.layout.cd_features else None)
-        self.nd_params = (TransformerParams.init(self.tconfig, rng, "nd")
+        self.nd_params = (TransformerParams.init(self.tconfig, param, "nd")
                           if self.layout.dn_features else None)
 
-        fusion_in = 4 * d + 4
-        self.fusion_w1 = numeric.glorot_uniform((fusion_in, config.fusion_hidden), rng, "fusion.w1")
-        self.fusion_b1 = numeric.zeros_param((config.fusion_hidden,), "fusion.b1")
-        self.fusion_w2 = numeric.glorot_uniform((config.fusion_hidden, config.rep_width), rng, "fusion.w2")
-        self.fusion_b2 = numeric.zeros_param((config.rep_width,), "fusion.b2")
+        hidden, width = config.fusion_hidden, config.rep_width
+        self.fusion_w1 = param("fusion.w1", (4 * d + 4, hidden), glorot)
+        self.fusion_b1 = param("fusion.b1", (hidden,), zeros)
+        self.fusion_w2 = param("fusion.w2", (hidden, width), glorot)
+        self.fusion_b2 = param("fusion.b2", (width,), zeros)
 
         self.summary_dim = summary_width(schema)
-        recon_rng = numeric.substream(self.seed, "recon-projections")
-        self.recon_projections: list[np.ndarray] = []
-        self.recon_heads: list[tuple[Parameter, Parameter]] = []
-        if self.summary_dim:
-            for i in range(config.recon_count):
-                self.recon_projections.append(
-                    recon_rng.standard_normal((self.summary_dim, config.recon_dim)))
-                self.recon_heads.append((
-                    numeric.glorot_uniform((config.rep_width, config.recon_dim), rng, f"recon{i}.w"),
-                    numeric.zeros_param((config.recon_dim,), f"recon{i}.b")))
+        self.recon_heads: list[tuple[Parameter, Parameter]] = [
+            (param(f"recon{i}.w", (width, config.recon_dim), glorot),
+             param(f"recon{i}.b", (config.recon_dim,), zeros))
+            for i in range(config.recon_count if self.summary_dim else 0)]
 
         self.task_heads: dict[str, tuple[Parameter, Parameter, Parameter, Parameter]] = {}
         self.class_weights: dict[str, np.ndarray] = {}     # set by each `fit`
         for task, n_classes in self.tasks.items():
             self.task_heads[task] = (
-                numeric.glorot_uniform((config.rep_width, config.head_hidden), rng, f"task.{task}.w1"),
-                numeric.zeros_param((config.head_hidden,), f"task.{task}.b1"),
-                numeric.glorot_uniform((config.head_hidden, n_classes), rng, f"task.{task}.w2"),
-                numeric.zeros_param((n_classes,), f"task.{task}.b2"))
+                param(f"task.{task}.w1", (width, config.head_hidden), glorot),
+                param(f"task.{task}.b1", (config.head_hidden,), zeros),
+                param(f"task.{task}.w2", (config.head_hidden, n_classes), glorot),
+                param(f"task.{task}.b2", (n_classes,), zeros))
+
+    @cached_property
+    def recon_projections(self) -> list[np.ndarray]:
+        """One frozen [summary_dim, recon_dim] random projection per
+        reconstruction head, drawn on first use from their own substream:
+        a fresh and a loaded model hold the same ones, and scoring never
+        draws them."""
+        rng = numeric.substream(self.seed, "recon-projections")
+        return [rng.standard_normal((self.summary_dim, self.config.recon_dim))
+                for _ in self.recon_heads]
 
     # ---- parameters and persistence -------------------------------------
 
@@ -232,7 +296,9 @@ class CustomerEncoder:
 
     def save(self, path) -> None:
         """Write the constructor's arguments plus every learned parameter as
-        `{shape, data}` with row-major values; the rest is rebuilt on load."""
+        `{shape, data}` with row-major values; the rest is rebuilt on load.
+        The file is `json.dumps(payload, sort_keys=True)`, streamed so that
+        its values never all exist as Python floats at once."""
         payload = {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
@@ -240,14 +306,16 @@ class CustomerEncoder:
             "config": asdict(self.config),
             "tasks": self.tasks,
             "schema": self.schema.to_dict(),
-            "params": {name: {"shape": list(p.data.shape), "data": p.data.ravel().tolist()}
+            "params": {name: {"shape": list(p.data.shape), "data": p.data.ravel()}
                        for name, p in self.named_parameters().items()},
         }
         with Path(path).open("w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            _write_json(fh, payload)
 
     @classmethod
     def load(cls, path) -> "CustomerEncoder":
+        """The model `save` wrote. Each parameter is read straight into the
+        architecture, so a load draws nothing."""
         payload = read_json(path, "model checkpoint")
         fmt = payload.get("format") if isinstance(payload, dict) else type(payload).__name__
         if fmt != MODEL_FORMAT:
@@ -259,22 +327,14 @@ class CustomerEncoder:
             if not isinstance(seed, int) or isinstance(seed, bool):
                 raise TypeError(f"seed must be an integer, got {seed!r}")
             schema = FeatureSchema.from_dict(payload["schema"])
+            records = payload["params"]
             model = cls(schema, ModelConfig(**payload["config"]),
-                        tasks={t: int(n) for t, n in payload["tasks"].items()}, seed=seed)
-            arrays = {name: np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
-                      for name, rec in payload["params"].items()}
-        except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as e:
+                        tasks={t: int(n) for t, n in payload["tasks"].items()}, seed=seed,
+                        _param=_checkpoint_param(records))
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError, ConfigError) as e:
             raise TableIOError(f"malformed model checkpoint: {type(e).__name__}: {e}") from e
-        named = model.named_parameters()
-        if set(arrays) != set(named):
+        if records:
             raise TableIOError("checkpoint parameters do not match the model architecture")
-        for name, arr in arrays.items():
-            if arr.shape != named[name].data.shape:
-                raise TableIOError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
-                                   f"expected {named[name].data.shape}")
-            if not np.isfinite(arr).all():
-                raise TableIOError(f"checkpoint tensor {name!r} holds a non-finite value")
-            named[name].data = arr
         return model
 
     # ---- forward --------------------------------------------------------
@@ -289,22 +349,22 @@ class CustomerEncoder:
         b = batch.size
         zeros = lambda: Tensor(np.zeros((b, d)))
 
+        # each branch's per-feature embeddings die as soon as their max is taken
         if self.layout.cs_features:
-            e_cs = categorical_embed(batch.cs_ids, self.static_bank.cat_table)
-            v_cs = max_concat(e_cs, axis=-2)
+            v_cs = max_concat(categorical_embed(batch.cs_ids, self.static_bank.cat_table), axis=-2)
         else:
             v_cs = zeros()
         if self.layout.sn_features:
-            e_ns = positional_numeric_embed(Tensor(batch.ns_vals), self.static_bank.num_matrix)
-            v_ns = max_concat(e_ns, axis=-2)
+            v_ns = max_concat(positional_numeric_embed(Tensor(batch.ns_vals),
+                                                       self.static_bank.num_matrix), axis=-2)
         else:
             v_ns = zeros()
 
         ponder = None
         stats = {}
         if self.layout.cd_features:
-            e_step = categorical_embed(batch.cd_ids, self.dynamic_bank.cat_table)
-            rows = max_concat(e_step, axis=-2)            # [b, n_s, d]
+            rows = max_concat(categorical_embed(batch.cd_ids, self.dynamic_bank.cat_table),
+                              axis=-2)                # [b, n_s, d]
             final, p_cd, st = act_run(rows, self.cd_params, self.tconfig,
                                       mask=batch.seq_valid, train=train, rng=rng)
             e_cd = dynamic_embed(final, self.cd_params.wd) * Tensor(batch.presence[:, 2:3])
@@ -313,8 +373,8 @@ class CustomerEncoder:
         else:
             e_cd = zeros()
         if self.layout.dn_features:
-            e_step = positional_numeric_embed(Tensor(batch.nd_vals), self.dynamic_bank.num_matrix)
-            rows = max_concat(e_step, axis=-2)
+            rows = max_concat(positional_numeric_embed(Tensor(batch.nd_vals),
+                                                       self.dynamic_bank.num_matrix), axis=-2)
             final, p_nd, st = act_run(rows, self.nd_params, self.tconfig,
                                       mask=batch.seq_valid, train=train, rng=rng)
             e_nd = dynamic_embed(final, self.nd_params.wd) * Tensor(batch.presence[:, 3:4])
@@ -375,30 +435,35 @@ class CustomerEncoder:
 
     def represent(self, table: BigTable, customers=None) -> tuple[list[str], np.ndarray]:
         """Deterministic evaluation-mode representations, one row per customer."""
-        return self._score(table, customers, self.config.rep_width, lambda rep: rep.data)
+        return _joined(self.score_chunks(table, customers), self.config.rep_width)
 
     def predict_proba(self, table: BigTable, task: str,
                       customers=None) -> tuple[list[str], np.ndarray]:
-        if task not in self.task_heads:
-            raise UnknownTaskError(f"unknown task {task!r}; model has {sorted(self.task_heads)}")
-        return self._score(table, customers, self.tasks[task],
-                           lambda rep: self.class_proba(rep, task))
+        return _joined(self.score_chunks(table, customers, task), self.tasks[task])
 
-    def _score(self, table: BigTable, customers, width: int, head) -> tuple[list[str], np.ndarray]:
-        """`head` of the evaluation-mode representations, one row per customer.
+    def score_chunks(self, table: BigTable, customers=None,
+                     task: str | None = None) -> Iterator[tuple[list[str], np.ndarray]]:
+        """Evaluation-mode rows of `customers` (default: all), as one
+        `(names, rows)` pair per `eval_chunks` slice: the representations,
+        or with `task` its class probabilities.
 
-        Each `eval_chunks` slice of the customers is encoded and forwarded on
-        its own, so beyond the table and the result only one chunk's inputs
-        and activations are alive; a row depends on its customer alone, so it
-        equals that customer's row of a whole-table encoding.
+        The schema and the task are checked at the call. Each chunk is then
+        encoded and forwarded only when it is asked for, so beyond the table
+        only one chunk's inputs, activations and rows are alive; a row
+        depends on its customer alone, so it equals that customer's row of a
+        whole-table encoding.
         """
         check_schema(table, self.schema)
+        if task is not None and task not in self.task_heads:
+            raise UnknownTaskError(f"unknown task {task!r}; model has {sorted(self.task_heads)}")
         names = list(table.customers if customers is None else customers)
-        out = np.zeros((len(names), width))
-        for rows in eval_chunks(len(names)):
+
+        def chunk(rows: slice) -> tuple[list[str], np.ndarray]:
             batch = encode_table(table, self.schema, self.layout, names[rows])
-            out[rows] = head(self.forward(batch, train=False).rep)
-        return names, out
+            rep = self.forward(batch, train=False).rep
+            return names[rows], rep.data if task is None else self.class_proba(rep, task)
+
+        return map(chunk, eval_chunks(len(names)))
 
     # ---- training -------------------------------------------------------
 

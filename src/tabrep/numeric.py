@@ -6,6 +6,8 @@ input-dependent depth (adaptive halting) trivial to support. Everything runs
 in float64 so gradients can be verified against central finite differences.
 `backward` frees each node's gradient and saved arrays as it passes them, so
 only leaves keep `.grad` and training memory peaks at one step's forward tape.
+Attention scales, masks and normalizes its score array in place, so its
+softmax needs no second [b, heads, n, n] array.
 """
 
 from __future__ import annotations
@@ -314,9 +316,13 @@ def row_max(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return out
 
 
-def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = np.exp(x - row_max(x, axis))
-    return e / e.sum(axis=axis, keepdims=True)
+def _softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of `x` along `axis`, written into `out` (`x` itself to run
+    in place) or into one new array."""
+    out = np.subtract(x, row_max(x, axis), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -387,16 +393,18 @@ def _attention_kernel(x: np.ndarray, w_qkv: np.ndarray, heads: int,
     """Forward of `self_attention` up to its softmax: the flat input, the
     per-head Q, K and V of one [b*n, e] @ [e, 3e] GEMM, the score scale and
     the softmax weights [b, heads, n, n]. Masked keys get a large negative
-    score."""
+    score. The scores are scaled, masked and normalized in place, so the
+    weights take the scores' memory."""
     b, n, e = x.shape
     x2 = _rows(x)
     qkv = x2 @ w_qkv
     q, k, v = (_heads(qkv[:, i * e:(i + 1) * e], b, n, heads) for i in range(3))
     scale = 1.0 / math.sqrt(e // heads)
-    scores = np.matmul(q, _swap_last(k)) * scale
+    scores = np.matmul(q, _swap_last(k))
+    scores *= scale
     if mask is not None:
-        scores = np.where(mask[:, None, None, :], scores, -NEG_MASK_VALUE)
-    return x2, q, k, v, scale, _softmax(scores)
+        np.copyto(scores, -NEG_MASK_VALUE, where=np.logical_not(mask)[:, None, None, :])
+    return x2, q, k, v, scale, _softmax(scores, out=scores)
 
 
 def attention_softmax(x, wq, wk, wv, heads: int, mask: np.ndarray | None = None) -> np.ndarray:
@@ -570,14 +578,28 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
-def glorot_uniform(shape, rng: np.random.Generator, name: str) -> Parameter:
+def drawing(rng: np.random.Generator):
+    """The parameter maker of a fresh model. Model builders make each
+    parameter as `param(name, shape, init)`, which here is the Parameter
+    `name` holding `init(rng, shape)`; they make them in a fixed order, so
+    equal streams give equal parameters. A checkpoint load passes a maker
+    that takes each array from the file instead, and draws nothing."""
+    return lambda name, shape, init: Parameter(init(rng, shape), name)
+
+
+def glorot_init(rng: np.random.Generator, shape) -> np.ndarray:
     fan_in, fan_out = shape[0], shape[-1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return Parameter(rng.uniform(-limit, limit, size=shape), name=name)
+    return rng.uniform(-limit, limit, size=shape)
 
 
-def embedding_init(shape, rng: np.random.Generator, name: str, scale: float = 0.02) -> Parameter:
-    return Parameter(rng.normal(0.0, scale, size=shape), name=name)
+def embedding_init(rng: np.random.Generator, shape, scale: float = 0.02) -> np.ndarray:
+    return rng.normal(0.0, scale, size=shape)
+
+
+def zeros_init(_rng, shape) -> np.ndarray:
+    """Zeros; draws nothing."""
+    return np.zeros(shape)
 
 
 def zeros_param(shape, name: str) -> Parameter:

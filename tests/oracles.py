@@ -9,10 +9,15 @@ for every masked cell, which is what the package's batched masking must match.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
+import tabrep
 from tabrep import numeric
 from tabrep.encode import Batch, encode_rows, stack_encoded
 from tabrep.interpret import (GenomeReport, InterpretConfig, TargetGenome, _top_k,
@@ -36,6 +41,20 @@ def traced_peak(fn):
     finally:
         if started:
             tracemalloc.stop()
+
+
+def stage_modules(argv: list[str]) -> set[str]:
+    """The names in `sys.modules` after the CLI stage `argv` ran in a fresh
+    interpreter on these sources, which must end it with exit code 0."""
+    script = ("import json, sys\nfrom tabrep.cli import main\ncode = main(sys.argv[1:])\n"
+              "print(json.dumps(sorted(sys.modules)))\nsys.exit(code)\n")
+    src = str(Path(tabrep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 def reference_backward(loss, tape) -> None:

@@ -208,7 +208,7 @@ def gradient_cases():
     # the refinement block on a batch of two whose rows have different masks,
     # checking every parameter each function reads
     tcfg = TransformerConfig(n_s=3, n_e=8, k=2, t_max=3, dropout=0.0)
-    tparams = TransformerParams.init(tcfg, np.random.default_rng(11), "t")
+    tparams = TransformerParams.init(tcfg, numeric.drawing(np.random.default_rng(11)), "t")
     te = Parameter(rng.normal(size=(2, 3, 8)), name="te")
     tmask = np.array([[True, True, False], [True, True, True]])
     w38 = rng.normal(size=(2, 3, 8))
@@ -225,7 +225,7 @@ def gradient_cases():
                                                      rng=np.random.default_rng(41)), w38),
                   [te, *step_params]))
 
-    aparams = TransformerParams.init(tcfg, np.random.default_rng(35), "t")
+    aparams = TransformerParams.init(tcfg, numeric.drawing(np.random.default_rng(35)), "t")
     aparams.halt_b.data[:] = -1.0       # keep refinement running a few steps
     ae = Parameter(rng.normal(size=(2, 3, 8)), name="ae")
 
@@ -376,7 +376,7 @@ def test_criterion_4_structural_invariants():
         for _ in range(20):
             config = TransformerConfig(n_s=int(rng.integers(2, 6)), n_e=8, k=2,
                                        t_max=2, dropout=0.0)
-            params = TransformerParams.init(config, rng, "t")
+            params = TransformerParams.init(config, numeric.drawing(rng), "t")
             e = Tensor(rng.normal(size=(3, config.n_s, config.n_e)))
             mask = rng.random((3, config.n_s)) < 0.7
             mask[:, 0] = True
@@ -399,7 +399,7 @@ def test_criterion_4_structural_invariants():
 
         # padded positions never leak into valid attention outputs
         config = TransformerConfig(n_s=5, n_e=8, k=2, t_max=2, dropout=0.0)
-        params = TransformerParams.init(config, rng, "t")
+        params = TransformerParams.init(config, numeric.drawing(rng), "t")
         base = rng.normal(size=(1, 5, config.n_e))
         mask = np.array([[True, True, True, False, False]])
         altered = base.copy()
@@ -412,7 +412,7 @@ def test_criterion_4_structural_invariants():
         for _ in range(100):
             config = TransformerConfig(n_s=3, n_e=8, k=2,
                                        t_max=int(rng.integers(1, 5)), dropout=0.0)
-            params = TransformerParams.init(config, rng, "t")
+            params = TransformerParams.init(config, numeric.drawing(rng), "t")
             params.halt_b.data[:] = rng.uniform(-3.0, 3.0)
             _, _, stats = act_run(Tensor(rng.normal(size=(1, 3, config.n_e))),
                                   params, config)

@@ -177,9 +177,11 @@ def test_written_values_parse_back_bit_equal(rows):
     # every finite double, -0.0, subnormals and the extremes included
     values = np.array(rows, dtype=np.float64)
     names = [f"c{i}" for i in range(len(rows))]
+    cut = len(rows) // 2                    # written as two chunks, one maybe empty
+    chunks = [(names[:cut], values[:cut]), (names[cut:], values[cut:])]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "v.csv"
-        _write_rows(path, ["customer_id", "a", "b", "c"], names, values)
+        assert _write_rows(path, ["customer_id", "a", "b", "c"], iter(chunks)) == len(rows)
         got_names, got = read_values(path)
     assert got_names == names and got.tobytes() == values.tobytes()
 
@@ -316,6 +318,14 @@ def first_weight(value):
     return edit
 
 
+def fusion_bias_data(convert):
+    """Checkpoint edit: each value of `fusion.b1` replaced by `convert(value)`."""
+    def edit(payload):
+        record = payload["params"]["fusion.b1"]
+        record["data"] = [convert(v) for v in record["data"]]
+    return edit
+
+
 MALFORMED = [
     # (id, stage, config object, files, expected error code)
     ("target-unknown-key", "interpret",
@@ -371,6 +381,12 @@ MALFORMED = [
      {"m.json": checkpoint_file(lambda c: c.update(seed=1.5))}, "io-error"),
     ("checkpoint-seed-bool", "embed", {},
      {"m.json": checkpoint_file(lambda c: c.update(seed=True))}, "io-error"),
+    ("checkpoint-nested-data", "embed", {},
+     {"m.json": checkpoint_file(fusion_bias_data(lambda v: [v]))}, "io-error"),
+    ("checkpoint-bool-data", "embed", {},
+     {"m.json": checkpoint_file(fusion_bias_data(lambda v: True))}, "io-error"),
+    ("checkpoint-huge-int-data", "embed", {},
+     {"m.json": checkpoint_file(fusion_bias_data(lambda v: 10 ** 400))}, "io-error"),
     ("checkpoint-nan-weight", "embed", {},
      {"m.json": checkpoint_file(first_weight(float("nan")))}, "io-error"),
     ("checkpoint-inf-weight", "embed", {},

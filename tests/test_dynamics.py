@@ -18,7 +18,7 @@ def small_config(**kwargs):
 
 
 def init_params(config, seed=0):
-    return TransformerParams.init(config, np.random.default_rng(seed), "t")
+    return TransformerParams.init(config, numeric.drawing(np.random.default_rng(seed)), "t")
 
 
 def ref_layer_norm(x, eps=1e-5):
@@ -32,15 +32,15 @@ def ref_layer_norm(x, eps=1e-5):
 def test_projections_are_per_head_blocks_drawn_in_order():
     # the layout of the per-head matrices they replace, drawn the same way
     config = small_config(n_e=12, k=3)
-    params = TransformerParams.init(config, np.random.default_rng(7), "t")
+    params = TransformerParams.init(config, numeric.drawing(np.random.default_rng(7)), "t")
     rng = np.random.default_rng(7)
     shape = (config.n_e, config.head_dim)
     for w in (params.wq, params.wk, params.wv):
-        blocks = [numeric.glorot_uniform(shape, rng, "head").data for _ in range(config.k)]
+        blocks = [numeric.glorot_init(rng, shape) for _ in range(config.k)]
         assert w.shape == (config.n_e, config.n_e)
         assert w.data.tobytes() == np.concatenate(blocks, axis=1).tobytes()
-    wo = numeric.glorot_uniform((config.n_e, config.n_e), rng, "wo")
-    assert params.wo.data.tobytes() == wo.data.tobytes()
+    wo = numeric.glorot_init(rng, (config.n_e, config.n_e))
+    assert params.wo.data.tobytes() == wo.tobytes()
     assert [p.name for p in params.parameters()][:3] == ["t.wq", "t.wk", "t.wv"]
 
 

@@ -24,7 +24,7 @@ def test_lookup_of_hand_set_rows():
 
 def test_missing_id_reads_learned_row_not_zero():
     rng = np.random.default_rng(0)
-    bank = EmbeddingBank.build(4, 5, 0, rng, "b")
+    bank = EmbeddingBank.build(4, 5, 0, numeric.drawing(rng), "b")
     out = categorical_embed(np.array([0]), bank.cat_table)
     assert np.array_equal(out.data[0], bank.cat_table.data[0])
     assert np.any(out.data[0] != 0.0)

@@ -188,6 +188,19 @@ def test_report_equals_reencoding_reference(trained, config, monkeypatch):
         assert sum(slices) > EVAL_BATCH         # distinct masked cells span two slices
 
 
+@pytest.mark.parametrize("n_records", [1, 3, 7, 16, 100, 5000])
+@pytest.mark.parametrize("n_feats", [1, 2, 7, 8])
+def test_one_integers_call_draws_what_scalar_calls_draw(n_records, n_feats):
+    """`genome_report` draws a customer's (record, feature) pairs with one
+    call; the reference report draws them two scalar calls a pair. The values
+    and the stream's position afterwards must be the same."""
+    vector, scalar = (numeric.substream(3, f"pairs/{n_records}/{n_feats}") for _ in range(2))
+    got = vector.integers(np.tile([n_records, n_feats], 64)).reshape(-1, 2).tolist()
+    want = [[int(scalar.integers(n_records)), int(scalar.integers(n_feats))] for _ in range(64)]
+    assert got == want
+    assert vector.bit_generator.state == scalar.bit_generator.state
+
+
 def test_mask_and_delta_equals_report_delta(trained):
     """With one draw per customer, each contribution is that cell's delta."""
     model, table = trained

@@ -579,6 +579,14 @@ def test_checkpoint_round_trip_bit_identical(schema, tmp_path):
     assert pa.tobytes() == pb.tobytes()
 
 
+def test_save_peaks_below_the_size_of_the_file_it_writes(schema, tmp_path):
+    # the default model's ~47k values as Python floats outweigh its file
+    model = CustomerEncoder(schema, ModelConfig(), tasks={"churn": 2}, seed=3)
+    path = tmp_path / "model.json"
+    _, peak = traced_peak(lambda: model.save(path))
+    assert peak < path.stat().st_size, (peak, path.stat().st_size)
+
+
 def test_checkpoint_round_trip_keeps_extreme_magnitudes(schema, tmp_path):
     model = CustomerEncoder(schema, small_model_config(), tasks={"churn": 2}, seed=2)
     rng = np.random.default_rng(11)

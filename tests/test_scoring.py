@@ -1,19 +1,27 @@
-"""Scoring encodes and forwards one evaluation chunk at a time.
+"""Scoring encodes and forwards one evaluation chunk at a time, from a
+checkpoint that loads without drawing.
 
-`represent` and `predict_proba` encode each chunk's customers on their own.
-That must give, bit for bit, the rows a whole-table encoding gives, and the
-memory scoring needs beyond its result must not grow with the number of
-customers.
+`score_chunks` encodes each chunk's customers on their own. That must give,
+bit for bit, the rows a whole-table encoding gives, and the memory scoring
+and the CLI writers need must not grow with the number of customers. A
+loaded model draws nothing: the scoring stages never import `numpy.random`,
+and the reconstruction projections a loaded model draws on first use are a
+fresh model's.
 """
+
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import same_encoding, traced_peak
+from oracles import same_encoding, stage_modules, traced_peak
+from tabrep.cli import _write_rows
 from tabrep.encode import encode_table
 from tabrep.eval import SynthConfig, synth_generate
-from tabrep.model import EVAL_BATCH, CustomerEncoder, ModelConfig, eval_chunks
+from tabrep.model import EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig, eval_chunks
 from tabrep.prep import build_schema
+from tabrep.table import TableFormat, save_table
 
 MODEL = ModelConfig(embed_dim=8, n_s=6, heads=2, t_max=2, rep_width=8, fusion_hidden=16,
                     head_hidden=8, recon_count=1, recon_dim=4, dropout=0.0)
@@ -92,3 +100,60 @@ def test_scoring_memory_does_not_grow_with_the_customer_count():
         peaks.append(peak - reps.nbytes)
         del reps
     assert peaks[1] - peaks[0] < PEAK_MARGIN, peaks
+
+
+def test_embed_writer_memory_does_not_grow_with_the_customer_count(tmp_path):
+    # rows of width 64: a whole-table result array would grow by 768 KiB
+    # from 2 x EVAL_BATCH to 8 x EVAL_BATCH customers, three times the margin
+    wide = replace(MODEL, rep_width=64)
+    table = synth_generate(SynthConfig(n_customers=8 * EVAL_BATCH, records_max=12, seed=9))
+    model = CustomerEncoder(build_schema(table), wide, seed=4)
+    header = ["customer_id"] + [f"r{i:03d}" for i in range(wide.rep_width)]
+    path = tmp_path / "embeddings.csv"
+    _write_rows(path, header, model.score_chunks(table))    # lazily built table state
+    peaks = []
+    for customers in (table.customers[:2 * EVAL_BATCH], None):
+        count, peak = traced_peak(
+            lambda: _write_rows(path, header, model.score_chunks(table, customers)))
+        assert count == len(customers or table.customers)
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] < PEAK_MARGIN, peaks
+
+
+@pytest.mark.parametrize("stage", ["embed", "predict", "evaluate"])
+def test_scoring_stages_never_import_numpy_random(tmp_path, stage):
+    table = synth_generate(SynthConfig(n_customers=20, records_max=6, seed=2))
+    save_table(table, tmp_path / "t.csv", TableFormat(date_column="date",
+                                                      label_columns=("churn",)))
+    CustomerEncoder(build_schema(table), MODEL, tasks={"churn": 2}, seed=1).save(
+        tmp_path / "m.json")
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"format": {"date_column": "date", "label_columns": ["churn"]}}))
+    modules = stage_modules([stage, "--config", str(tmp_path / "run.json"),
+                             "--table", str(tmp_path / "t.csv"),
+                             "--checkpoint", str(tmp_path / "m.json"), "--out", str(tmp_path)])
+    assert "tabrep.model" in modules
+    assert "numpy.random" not in modules
+
+
+def test_a_loaded_model_draws_the_fresh_models_projections(scored, tmp_path):
+    model, _ = scored
+    model.save(tmp_path / "m.json")
+    loaded = CustomerEncoder.load(tmp_path / "m.json")
+    fresh = CustomerEncoder(model.schema, MODEL, tasks={"churn": 2}, seed=4)
+    assert len(fresh.recon_projections) == MODEL.recon_count
+    assert ([g.tobytes() for g in loaded.recon_projections]
+            == [g.tobytes() for g in fresh.recon_projections])
+
+
+def test_fit_of_a_loaded_model_equals_fit_of_the_saved_one(tmp_path):
+    table = synth_generate(SynthConfig(n_customers=48, records_max=8, seed=5))
+    model = CustomerEncoder(build_schema(table), replace(MODEL, dropout=0.1),
+                            tasks={"churn": 2}, seed=6)
+    model.save(tmp_path / "m.json")
+    loaded = CustomerEncoder.load(tmp_path / "m.json")
+    config = TrainConfig(epochs=2, batch_size=16, seed=7)
+    assert loaded.fit(table, config) == model.fit(table, config)
+    got, want = loaded.named_parameters(), model.named_parameters()
+    assert list(got) == list(want)
+    assert all(got[name].data.tobytes() == p.data.tobytes() for name, p in want.items())
