@@ -82,10 +82,11 @@ def test_represent_of_shuffled_customers_is_the_reordered_whole_table(scored):
 
 
 # What `represent` holds at its peak besides its result: one chunk's inputs
-# and activations (about 1.7 MiB for MODEL) and the customer name lists, which
-# grow by 8 bytes a customer. Encoding the whole table first, with one view
+# and activations (about 1.3 MiB for MODEL), the customer name lists, which
+# grow by 8 bytes a customer, and the rows of the chunks already forwarded,
+# which it joins at the end. Encoding the whole table first, with one view
 # per customer and array, peaked 1.7 MiB higher at 8 x EVAL_BATCH customers
-# than at 2 x EVAL_BATCH; chunk by chunk the two peaks were 15 KiB apart.
+# than at 2 x EVAL_BATCH; chunk by chunk the two peaks are 30 KiB apart.
 PEAK_MARGIN = 256 * 1024
 
 
