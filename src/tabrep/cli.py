@@ -13,10 +13,10 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-from .errors import ConfigError, TabrepError
+from .errors import NON_NEGATIVE, Checked, ConfigError, TabrepError
 from .eval import MetricSet, SynthConfig, synth_generate
 from .interpret import InterpretConfig, Target, genome_report
 from .model import CustomerEncoder, ModelConfig, TrainConfig
@@ -28,27 +28,20 @@ EXIT_CODES = {"profile": 10, "synth": 11, "train": 12, "embed": 13,
 
 
 @dataclass
-class RunConfig:
+class RunConfig(Checked):
     """Materialized view of the JSON config file with all defaults filled."""
 
-    seed: int = 0
-    format: TableFormat = None
-    recognizer: RecognizerConfig = None
-    model: ModelConfig = None
-    train: TrainConfig = None
-    synth: SynthConfig = None
-    interpret: InterpretConfig = None
-    tasks: list = None
+    seed: int = field(default=0, metadata=NON_NEGATIVE)
+    format: TableFormat = TableFormat()
+    recognizer: RecognizerConfig = RecognizerConfig()
+    model: ModelConfig = ModelConfig()
+    train: TrainConfig = TrainConfig()
+    synth: SynthConfig = SynthConfig()
+    interpret: InterpretConfig = InterpretConfig()
+    tasks: list[str] = field(default_factory=list)
 
 
-_SECTIONS = {
-    "format": TableFormat,
-    "recognizer": RecognizerConfig,
-    "model": ModelConfig,
-    "train": TrainConfig,
-    "synth": SynthConfig,
-    "interpret": InterpretConfig,
-}
+_SECTIONS = {f.name: type(f.default) for f in fields(RunConfig) if is_dataclass(f.default)}
 
 
 def load_config(path: str | None, seed_override: int | None = None) -> RunConfig:
@@ -66,29 +59,27 @@ def load_config(path: str | None, seed_override: int | None = None) -> RunConfig
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    tasks = raw.get("tasks", [])
-    if not isinstance(tasks, list) or not all(isinstance(t, str) for t in tasks):
-        raise ConfigError(f"tasks must be a list of strings, got {tasks!r}")
-    if seed_override is not None:
-        seed = seed_override
-    cfg = RunConfig(seed=seed, tasks=list(tasks))
+    seed = raw.get("seed", 0) if seed_override is None else seed_override
+    cfg = RunConfig(seed=seed, tasks=raw.get("tasks", []))
 
     for name, cls in _SECTIONS.items():
         try:
             section = dict(raw.get(name, {}))
-            if name == "format" and "label_columns" in section:
+            if name == "format" and isinstance(section.get("label_columns"), list):
                 section["label_columns"] = tuple(section["label_columns"])
-            if name == "interpret" and section.get("targets") is not None:
-                section["targets"] = tuple(Target(**t) for t in section["targets"])
+            if name == "interpret" and isinstance(section.get("targets"), list):
+                try:
+                    section["targets"] = tuple(Target(**t) for t in section["targets"])
+                except ConfigError as e:
+                    raise ConfigError(f"targets.{e}") from e
             # stage seeds follow the run seed unless pinned explicitly
             if name in ("train", "synth", "interpret") and "seed" not in section:
-                section["seed"] = seed
+                section["seed"] = cfg.seed
             setattr(cfg, name, cls(**section))
         except (TypeError, ValueError) as e:
             raise ConfigError(f"bad [{name}] section: {e}") from e
+        except ConfigError as e:
+            raise ConfigError(f"{name}.{e}") from e
     return cfg
 
 
@@ -150,10 +141,8 @@ def cmd_profile(args, cfg: RunConfig) -> int:
 def cmd_synth(args, cfg: RunConfig) -> int:
     table = synth_generate(cfg.synth)
     out = _out_dir(args) / (args.name or "synth.csv")
-    fmt = TableFormat(id_column=cfg.format.id_column,
-                      date_column=cfg.format.date_column or "date",
-                      delimiter=cfg.format.delimiter,
-                      label_columns=(cfg.synth.task,))
+    fmt = replace(cfg.format, date_column=cfg.format.date_column or "date",
+                  label_columns=(cfg.synth.task,))
     save_table(table, out, fmt)
     print(f"wrote {table.n_customers} customers to {out}")
     return 0

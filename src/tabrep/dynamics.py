@@ -14,26 +14,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numeric
-from .errors import AllMaskedError, ShapeMismatchError
+from .errors import (AT_LEAST_ONE, OPEN_UNIT, RATE, AllMaskedError, ConfigError,
+                     ShapeMismatchError, check_fields)
 from .numeric import Parameter, Tensor
 
 
 @dataclass(frozen=True)
 class TransformerConfig:
-    n_s: int = 8                 # max sequence length
-    n_e: int = 32                # model width
-    k: int = 4                   # attention heads
-    t_max: int = 4               # refinement step cap
-    act_epsilon: float = 0.01
-    dropout: float = numeric.DEFAULT_DROPOUT
+    n_s: int = field(default=8, metadata=AT_LEAST_ONE)         # max sequence length
+    n_e: int = field(default=32, metadata=AT_LEAST_ONE)        # model width
+    k: int = field(default=4, metadata=AT_LEAST_ONE)           # attention heads
+    t_max: int = field(default=4, metadata=AT_LEAST_ONE)       # refinement step cap
+    act_epsilon: float = field(default=0.01, metadata=OPEN_UNIT)
+    dropout: float = field(default=numeric.DEFAULT_DROPOUT, metadata=RATE)
 
     def __post_init__(self):
+        check_fields(self)
         if self.n_e % self.k:
-            raise ValueError(f"width {self.n_e} not divisible by {self.k} heads")
-        if self.t_max < 1:
-            raise ValueError("t_max must be >= 1")
-        if not 0.0 < self.act_epsilon < 1.0:
-            raise ValueError("act_epsilon must lie in (0, 1)")
+            raise ConfigError(f"heads ({self.k}) must divide the width ({self.n_e})")
 
     @property
     def head_dim(self) -> int:

@@ -6,12 +6,13 @@ baseline for representation-uplift experiments.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numeric
-from .errors import ConfigError, InfeasibleConfigError, SingleClassError
+from .errors import (AT_LEAST_ONE, AT_LEAST_TWO, NON_NEGATIVE, POSITIVE, PROBABILITY, RATE,
+                     Checked, ConfigError, InfeasibleConfigError, SingleClassError, check_fields)
 from .numeric import Tensor
 from .encode import augmented_summaries
 from .prep import FeatureSchema, latest_non_missing
@@ -121,32 +122,27 @@ class SynthConfig:
     flip with probability `label_noise`.
     """
 
-    n_customers: int = 2000
-    positive_fraction: float = 0.2
-    missing_rate: float = 0.5
-    structural_rate: float = 0.1
-    records_min: int = 2
-    records_max: int = 8
-    n_static_categorical: int = 2
-    n_static_numerical: int = 2
-    n_dynamic_categorical: int = 2
-    n_dynamic_numerical: int = 2
-    vocab_size: int = 6
+    n_customers: int = field(default=2000, metadata=AT_LEAST_ONE)
+    positive_fraction: float = field(default=0.2, metadata=PROBABILITY)
+    missing_rate: float = field(default=0.5, metadata=PROBABILITY)
+    structural_rate: float = field(default=0.1, metadata=PROBABILITY)
+    records_min: int = field(default=2, metadata=AT_LEAST_ONE)
+    records_max: int = field(default=8, metadata=AT_LEAST_ONE)
+    n_static_categorical: int = field(default=2, metadata=NON_NEGATIVE)
+    n_static_numerical: int = field(default=2, metadata=NON_NEGATIVE)
+    n_dynamic_categorical: int = field(default=2, metadata=NON_NEGATIVE)
+    n_dynamic_numerical: int = field(default=2, metadata=NON_NEGATIVE)
+    vocab_size: int = field(default=6, metadata=AT_LEAST_TWO)
     signal_token: str = "cancel"
-    signal_min_count: int = 2
-    label_noise: float = 0.05
+    signal_min_count: int = field(default=2, metadata=AT_LEAST_ONE)
+    label_noise: float = field(default=0.05, metadata={"lo": 0, "below": 0.5})
     task: str = "churn"
-    seed: int = 0
+    seed: int = field(default=0, metadata=NON_NEGATIVE)
 
     def __post_init__(self):
-        for name in ("positive_fraction", "missing_rate", "structural_rate", "label_noise"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} out of [0,1]: {v}")
-        if self.n_customers < 1 or self.vocab_size < 2:
-            raise ConfigError("need at least one customer and two vocabulary tokens")
-        if not 1 <= self.records_min <= self.records_max:
-            raise ConfigError("records range must satisfy 1 <= min <= max")
+        check_fields(self)
+        if self.records_min > self.records_max:
+            raise ConfigError("records_min must be <= records_max")
 
     @property
     def feature_names(self) -> list[str]:
@@ -192,8 +188,6 @@ def synth_generate(config: SynthConfig) -> BigTable:
     if config.records_min < config.signal_min_count:
         raise InfeasibleConfigError(
             f"records_min {config.records_min} cannot hold {config.signal_min_count} signal cells")
-    if config.label_noise >= 0.5:
-        raise InfeasibleConfigError("label noise must stay below 0.5")
     pattern_rate = ((config.positive_fraction - config.label_noise)
                     / (1.0 - 2.0 * config.label_noise))
     if not 0.0 <= pattern_rate <= 1.0:
@@ -360,13 +354,13 @@ def balanced_class_weights(labels: np.ndarray, n_classes: int) -> np.ndarray:
 # ---- reference linear baseline ------------------------------------------
 
 @dataclass(frozen=True)
-class BaselineConfig:
-    epochs: int = 300
-    learning_rate: float = 0.05
-    l2: float = 1e-4
-    validation_fraction: float = 0.3
-    threshold: float = 0.5
-    seed: int = 0
+class BaselineConfig(Checked):
+    epochs: int = field(default=300, metadata=NON_NEGATIVE)
+    learning_rate: float = field(default=0.05, metadata=POSITIVE)
+    l2: float = field(default=1e-4, metadata=NON_NEGATIVE)
+    validation_fraction: float = field(default=0.3, metadata=RATE)
+    threshold: float = field(default=0.5, metadata=PROBABILITY)
+    seed: int = field(default=0, metadata=NON_NEGATIVE)
 
 
 @dataclass

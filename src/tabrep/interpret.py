@@ -23,8 +23,9 @@ import numpy as np
 from . import numeric
 from .encode import check_schema, encode_customer, masked_encodings, stack_encoded
 from .encode import encode_rows  # noqa: F401 (perfbench wraps it)
-from .errors import (ConfigError, InvalidCellCoordinatesError, PositionOutOfRangeError,
-                     UnknownTaskError)
+from .errors import (AT_LEAST_ONE, NON_NEGATIVE, Checked, ConfigError,
+                     InvalidCellCoordinatesError, PositionOutOfRangeError, UnknownTaskError,
+                     check_fields)
 from .model import EVAL_BATCH, CustomerEncoder, ForwardResult
 from .prep import FeatureKind
 from .table import BigTable
@@ -44,13 +45,11 @@ class Target:
     class_index: int = 1
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in ("position", "class"):
-            raise ConfigError(f"unknown target kind {self.kind!r}")
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in (self.position, self.class_index)):
-            raise ConfigError("target position and class_index must be integers")
+            raise ConfigError(f"kind must be 'position' or 'class', got {self.kind!r}")
         if self.kind == "class" and not self.task:
-            raise ConfigError("class target needs a task name")
+            raise ConfigError("task must name the task head of a class target")
 
     def key(self) -> str:
         if self.kind == "position":
@@ -72,20 +71,13 @@ def class_target(task: str, class_index: int = 1) -> Target:
 
 
 @dataclass(frozen=True)
-class InterpretConfig:
-    k: int = 10
-    mask_samples: int = 64
-    delta_threshold: float | None = None        # None: 0.05 * std of the target
+class InterpretConfig(Checked):
+    k: int = field(default=10, metadata=AT_LEAST_ONE)
+    mask_samples: int = field(default=64, metadata=AT_LEAST_ONE)
+    # None: 0.05 * std of the target
+    delta_threshold: float | None = field(default=None, metadata=NON_NEGATIVE)
     targets: tuple[Target, ...] | None = None   # None: every representation position
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if self.mask_samples < 1:
-            raise ConfigError("mask_samples must be >= 1")
-        if self.delta_threshold is not None and self.delta_threshold < 0:
-            raise ConfigError("delta_threshold must be non-negative")
+    seed: int = field(default=0, metadata=NON_NEGATIVE)
 
 
 def sensitive_customers(representations, position: int, k: int) -> list[str]:

@@ -30,8 +30,9 @@ from .encode import (Batch, BranchLayout, augmented_summaries, check_schema, enc
 from .encode import augmented_summary, encode_customer  # noqa: F401 (perfbench wraps them)
 from .encode import stack_encoded
 from .eval import balanced_class_weights, holdout_split
-from .errors import (AllTermsDisabledError, ConfigError, NoLabeledCustomersError,
-                     TableIOError, UnknownTaskError)
+from .errors import (AT_LEAST_ONE, AT_LEAST_TWO, NON_NEGATIVE, OPEN_UNIT, POSITIVE, RATE,
+                     AllTermsDisabledError, Checked, ConfigError, NoLabeledCustomersError,
+                     TableIOError, UnknownTaskError, check_fields)
 from .numeric import Parameter, Tensor
 from .prep import FeatureSchema, read_json
 from .table import BigTable
@@ -46,17 +47,21 @@ SAVE_BLOCK = 1024       # parameter values `save` converts to Python floats at o
 class ModelConfig:
     """Architecture sizes; `embed_dim` is both branch and transformer width."""
 
-    embed_dim: int = 32
-    n_s: int = 8
-    heads: int = 4
-    t_max: int = 4
-    act_epsilon: float = 0.01
-    dropout: float = 0.1
-    rep_width: int = 32
-    fusion_hidden: int = 64
-    head_hidden: int = 32
-    recon_count: int = 3
-    recon_dim: int = 16
+    embed_dim: int = field(default=32, metadata=AT_LEAST_ONE)
+    n_s: int = field(default=8, metadata=AT_LEAST_ONE)
+    heads: int = field(default=4, metadata=AT_LEAST_ONE)
+    t_max: int = field(default=4, metadata=AT_LEAST_ONE)
+    act_epsilon: float = field(default=0.01, metadata=OPEN_UNIT)
+    dropout: float = field(default=0.1, metadata=RATE)
+    rep_width: int = field(default=32, metadata=AT_LEAST_ONE)
+    fusion_hidden: int = field(default=64, metadata=AT_LEAST_ONE)
+    head_hidden: int = field(default=32, metadata=AT_LEAST_ONE)
+    recon_count: int = field(default=3, metadata=NON_NEGATIVE)
+    recon_dim: int = field(default=16, metadata=AT_LEAST_ONE)
+
+    def __post_init__(self):
+        check_fields(self)
+        self.transformer()      # which holds the rule that the heads divide the width
 
     def transformer(self) -> TransformerConfig:
         return TransformerConfig(n_s=self.n_s, n_e=self.embed_dim, k=self.heads,
@@ -65,23 +70,23 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 30
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    recon_weight: float = 0.5
-    ponder_weight: float = 0.01
-    task_weights: dict | None = None
-    validation_fraction: float = 0.2
-    seed: int = 0
+class TrainConfig(Checked):
+    epochs: int = field(default=30, metadata=NON_NEGATIVE)
+    batch_size: int = field(default=64, metadata=AT_LEAST_ONE)
+    learning_rate: float = field(default=1e-3, metadata=POSITIVE)
+    recon_weight: float = field(default=0.5, metadata=NON_NEGATIVE)
+    ponder_weight: float = field(default=0.01, metadata=NON_NEGATIVE)
+    task_weights: dict[str, float] | None = field(default=None, metadata=NON_NEGATIVE)
+    validation_fraction: float = field(default=0.2, metadata=RATE)
+    seed: int = field(default=0, metadata=NON_NEGATIVE)
 
-    def __post_init__(self):
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise ConfigError("validation_fraction must lie in [0, 1)")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError("epochs must be >= 0 and batch_size >= 1")
-        if self.recon_weight < 0 or self.ponder_weight < 0:
-            raise ConfigError("loss weights must be non-negative")
+
+@dataclass(frozen=True)
+class _EncoderArgs(Checked):
+    """A `CustomerEncoder`'s task heads (name to class count) and seed."""
+
+    tasks: dict[str, int] = field(metadata=AT_LEAST_TWO)
+    seed: int = field(metadata=NON_NEGATIVE)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray, class_weights: np.ndarray) -> Tensor:
@@ -214,13 +219,11 @@ class CustomerEncoder:
 
     def __init__(self, schema: FeatureSchema, config: ModelConfig = ModelConfig(),
                  tasks: dict[str, int] | None = None, seed: int = 0, *, _param=None):
+        args = _EncoderArgs({} if tasks is None else tasks, seed)
         self.schema = schema
         self.config = config
-        self.tasks = dict(tasks or {})
-        self.seed = int(seed)
-        for task, n_classes in self.tasks.items():
-            if n_classes < 2:
-                raise ConfigError(f"task {task!r} needs >= 2 classes, got {n_classes}")
+        self.tasks = dict(args.tasks)
+        self.seed = int(args.seed)
 
         self.layout = BranchLayout.from_schema(schema, config.n_s)
         self.tconfig = config.transformer()
@@ -323,14 +326,10 @@ class CustomerEncoder:
         if payload.get("version") != MODEL_VERSION:
             raise TableIOError(f"unsupported model version {payload.get('version')!r}")
         try:
-            seed = payload["seed"]
-            if not isinstance(seed, int) or isinstance(seed, bool):
-                raise TypeError(f"seed must be an integer, got {seed!r}")
             schema = FeatureSchema.from_dict(payload["schema"])
             records = payload["params"]
-            model = cls(schema, ModelConfig(**payload["config"]),
-                        tasks={t: int(n) for t, n in payload["tasks"].items()}, seed=seed,
-                        _param=_checkpoint_param(records))
+            model = cls(schema, ModelConfig(**payload["config"]), payload["tasks"],
+                        payload["seed"], _param=_checkpoint_param(records))
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError, ConfigError) as e:
             raise TableIOError(f"malformed model checkpoint: {type(e).__name__}: {e}") from e
         if records:

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MixedKindFeatureError, SchemaError, TableIOError
+from .errors import (AT_LEAST_ONE, AT_LEAST_TWO, NON_NEGATIVE, Checked, ConfigError,
+                     MixedKindFeatureError, SchemaError, TableIOError)
 from .table import (KIND_DATE, KIND_NUMBER, KIND_TOKEN, MISSING_CODE, BigTable, CellPool, Column,
                     Columns)
 
@@ -48,7 +49,7 @@ BRANCH_KINDS = tuple(k for k in FeatureKind if k is not FeatureKind.DATE_INDEX) 
 
 
 @dataclass(frozen=True)
-class RecognizerConfig:
+class RecognizerConfig(Checked):
     """Thresholds for both recognizers.
 
     `feature_threshold` of None means ceil(0.05 * |customers|), resolved
@@ -57,18 +58,10 @@ class RecognizerConfig:
     values.
     """
 
-    integer_unique_threshold: int = 20
-    pair_threshold_categorical: float = 0.0
-    pair_threshold_numerical: float = 0.05
-    feature_threshold: int | None = None
-
-    def __post_init__(self):
-        if self.integer_unique_threshold < 2:
-            raise ValueError("integer_unique_threshold must be >= 2")
-        if self.pair_threshold_categorical < 0 or self.pair_threshold_numerical < 0:
-            raise ValueError("pair thresholds must be non-negative")
-        if self.feature_threshold is not None and self.feature_threshold < 1:
-            raise ValueError("feature_threshold must be >= 1")
+    integer_unique_threshold: int = field(default=20, metadata=AT_LEAST_TWO)
+    pair_threshold_categorical: float = field(default=0.0, metadata=NON_NEGATIVE)
+    pair_threshold_numerical: float = field(default=0.05, metadata=NON_NEGATIVE)
+    feature_threshold: int | None = field(default=None, metadata=AT_LEAST_ONE)
 
     def pair_threshold(self, kind: str) -> float:
         return self.pair_threshold_categorical if kind == "categorical" else self.pair_threshold_numerical
@@ -392,7 +385,7 @@ class FeatureSchema:
                 dynamics_summary={f: int(v) for f, v in payload["dynamics_summary"].items()},
                 config=RecognizerConfig(**payload["config"]),
             )
-        except (KeyError, TypeError, ValueError, AttributeError, IndexError) as e:
+        except (KeyError, TypeError, ValueError, AttributeError, IndexError, ConfigError) as e:
             raise TableIOError(f"malformed feature schema: {type(e).__name__}: {e}") from e
 
     def save(self, path) -> None:

@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyTableError, MissingDateIndexError, ParseError, SchemaError, TableIOError
+from .errors import (Checked, EmptyTableError, MissingDateIndexError, ParseError, SchemaError,
+                     TableIOError)
 
 MISSING_STRINGS = {"", "na", "nan", "null"}
 
@@ -427,10 +428,10 @@ class BigTable:
 
 
 @dataclass(frozen=True)
-class TableFormat:
+class TableFormat(Checked):
     """CSV layout options: delimiter, id/date columns, label columns."""
 
-    delimiter: str = ","
+    delimiter: str = field(default=",", metadata={"length": 1})
     id_column: str = "customer_id"
     date_column: str | None = None
     label_columns: tuple[str, ...] = ()

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +13,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tabrep.cli import EXIT_CODES, _write_rows, load_config, main
-from tabrep.errors import ConfigError
-from tabrep.eval import SynthConfig, synth_generate
-from tabrep.model import CustomerEncoder, ModelConfig
+from tabrep.cli import _SECTIONS, EXIT_CODES, RunConfig, _write_rows, load_config, main
+from tabrep.dynamics import TransformerConfig
+from tabrep.errors import ConfigError, check_fields
+from tabrep.eval import BaselineConfig, SynthConfig, synth_generate
+from tabrep.interpret import Target
+from tabrep.model import CustomerEncoder, ModelConfig, _EncoderArgs
 from tabrep.prep import FeatureSchema, build_schema
 from tabrep.table import TableFormat, load_table, order_records, save_table
 
@@ -395,6 +397,48 @@ MALFORMED = [
      {"m.json": checkpoint_file(tasks={"churn": 3})}, "config-error"),
     ("evaluate-label-outside-binary", "evaluate", {},
      {"t.csv": table_file(2), "m.json": checkpoint_file()}, "config-error"),
+    # one row per config field whose type or bounds went unchecked
+    ("model-heads-zero", "train", {"model": {"heads": 0}}, {"schema.json": schema_file()},
+     "config-error"),
+    ("checkpoint-heads-zero", "embed", {},
+     {"m.json": checkpoint_file(lambda c: c["config"].update(heads=0))}, "io-error"),
+    ("model-n-s-zero", "train", {"model": {"n_s": 0}}, {"schema.json": schema_file()},
+     "config-error"),
+    ("model-n-s-negative", "train", {"model": {"n_s": -1}}, {"schema.json": schema_file()},
+     "config-error"),
+    ("model-embed-dim-zero", "train", {"model": {"embed_dim": 0}},
+     {"schema.json": schema_file()}, "config-error"),
+    ("model-heads-not-dividing-width", "train", {"model": {"heads": 3}},
+     {"schema.json": schema_file()}, "config-error"),
+    ("model-t-max-zero", "train", {"model": {"t_max": 0}}, {"schema.json": schema_file()},
+     "config-error"),
+    ("train-learning-rate-string", "train", {"train": {"learning_rate": "x"}},
+     {"schema.json": schema_file()}, "config-error"),
+    ("train-batch-size-fraction", "train", {"train": {"batch_size": 1.5}},
+     {"schema.json": schema_file()}, "config-error"),
+    ("train-task-weights-list", "train", {"train": {"task_weights": [1]}},
+     {"schema.json": schema_file()}, "config-error"),
+    ("model-act-epsilon-string", "train", {"model": {"act_epsilon": "a"}},
+     {"schema.json": schema_file()}, "config-error"),
+    ("interpret-k-fraction", "interpret", {"interpret": {"k": 2.5}},
+     {"m.json": checkpoint_file()}, "config-error"),
+    ("format-delimiter-two-characters", "profile", {"format": {**FORMAT, "delimiter": ";;"}},
+     {}, "config-error"),
+    ("seed-negative", "train", {"seed": -1}, {"schema.json": schema_file()}, "config-error"),
+    ("model-recon-count-negative", "train", {"model": {"recon_count": -1}},
+     {"schema.json": schema_file()}, "config-error"),
+    ("model-dropout-above-one", "train", {"model": {"dropout": 2.0}},
+     {"schema.json": schema_file()}, "config-error"),
+    ("checkpoint-dropout-above-one", "embed", {},
+     {"m.json": checkpoint_file(lambda c: c["config"].update(dropout=2.0))}, "io-error"),
+    ("train-learning-rate-negative", "train", {"train": {"learning_rate": -1}},
+     {"schema.json": schema_file()}, "config-error"),
+    ("checkpoint-task-count-fraction", "embed", {},
+     {"m.json": checkpoint_file(lambda c: c.update(tasks={"churn": 2.7}))}, "io-error"),
+    ("format-label-columns-string", "profile",
+     {"format": {**FORMAT, "label_columns": "churn"}}, {}, "config-error"),
+    ("checkpoint-seed-negative", "embed", {},
+     {"m.json": checkpoint_file(lambda c: c.update(seed=-1))}, "io-error"),
 ]
 
 
@@ -436,6 +480,83 @@ def test_unedited_malformed_row_files_are_accepted(tmp_path, capsys, stage, file
     # so each MALFORMED row fails on its own edit, not on the shared set-up
     assert run_on_files(tmp_path, stage, {"train": {"epochs": 1}}, files) == 0
     assert not capsys.readouterr().err
+
+
+def test_negative_seed_override_ends_in_config_error(tmp_path, capsys):
+    assert run_cli(["synth", "--seed", "-3", "--out", str(tmp_path)]) == EXIT_CODES["synth"]
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"]["code"] == "config-error"
+    assert payload["error"]["message"].startswith("seed ")
+
+
+# One field of a valid run config or checkpoint set to a bad or odd value:
+# every example ends in exit 0 or in the stage's exit code with the error
+# JSON on stderr, never in a traceback.
+VALID_RUN = {"seed": 3, "tasks": ["churn"], "format": FORMAT, "model": TINY_MODEL,
+             "train": {"epochs": 1, "batch_size": 4},
+             "synth": {"n_customers": 12, "records_min": 3, "records_max": 6},
+             "interpret": {"k": 2, "mask_samples": 2}}
+RUN_FIELDS = [(None, "seed"), (None, "tasks")] + [
+    (section, f.name) for section, cls in _SECTIONS.items() for f in fields(cls)]
+CHECKPOINT_FIELDS = [(None, "seed"), (None, "tasks")] + [
+    ("config", f.name) for f in fields(ModelConfig)]
+STAGE_OF_SECTION = {None: "train", "format": "profile", "recognizer": "profile",
+                    "model": "train", "train": "train", "synth": "synth",
+                    "interpret": "interpret"}
+odd_values = st.sampled_from([0, -1, -2.5, 1.5, float("nan"), 1e308, "x", [1], None, True])
+
+
+def set_field(payload, section, name, value):
+    target = payload if section is None else payload.setdefault(section, {})
+    target[name] = value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(in_checkpoint=st.booleans(), run_field=st.sampled_from(RUN_FIELDS),
+       checkpoint_field=st.sampled_from(CHECKPOINT_FIELDS), value=odd_values)
+def test_mutated_config_field_ends_in_exit_zero_or_error_json(in_checkpoint, run_field,
+                                                             checkpoint_field, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        table = synth_generate(SynthConfig(n_customers=12, records_min=3, records_max=6, seed=1))
+        save_table(table, tmp / "t.csv", TABLE_FORMAT)
+        config = json.loads(json.dumps(VALID_RUN))
+        if in_checkpoint:
+            stage = "embed"
+            checkpoint_file(lambda c: set_field(c, *checkpoint_field, value))(tmp / "m.json", table)
+        else:
+            stage = STAGE_OF_SECTION[run_field[0]]
+            set_field(config, *run_field, value)
+            checkpoint_file()(tmp / "m.json", table)
+        (tmp / "c.json").write_text(json.dumps(config))
+        argv = [stage, "--config", str(tmp / "c.json"), "--out", str(tmp)]
+        if stage != "synth":
+            argv += ["--table", str(tmp / "t.csv")]
+        if stage in ("embed", "interpret"):
+            argv += ["--checkpoint", str(tmp / "m.json")]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        if code != 0:
+            assert code == EXIT_CODES[stage]
+            assert json.loads(err.getvalue())["error"]["code"]
+
+
+# Every config dataclass: its default instance passes, and each field
+# rejects a value of no config type, alone or inside a container, so
+# `check_fields` understands the field's annotation (one it cannot check
+# raises `TypeError`). A field with bounds also rejects NaN.
+@pytest.mark.parametrize("make", [
+    *_SECTIONS.values(), RunConfig, TransformerConfig, BaselineConfig,
+    lambda: Target(kind="position"), lambda: _EncoderArgs({}, 0)])
+def test_every_config_field_is_checked(make):
+    config = make()
+    check_fields(config)
+    for f in fields(config):
+        stray = object()
+        for value in [stray, (stray,), [stray], {"x": stray}] + [float("nan")] * bool(f.metadata):
+            with pytest.raises(ConfigError, match=f"^{f.name} must be"):
+                replace(config, **{f.name: value})
 
 
 # Random small tables through `profile` and `train`: every example ends in
