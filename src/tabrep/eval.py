@@ -282,8 +282,8 @@ def synth_generate(config: SynthConfig) -> BigTable:
         lengths.append(k)
         labels[cid] = label
 
-    columns = Columns.build(pool.cells, np.array(feature_codes, dtype=np.int32).T, len(features),
-                            lengths, dates_all)
+    codes = np.array(feature_codes, dtype=np.int32)
+    columns = Columns.build(pool.pool_of(codes), codes.T, len(features), lengths, dates_all)
     return BigTable(customers=list(labels), features=features, records=columns,
                     labels={config.task: labels}, has_date_index=True)
 

@@ -639,10 +639,11 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            m = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            v = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
-            data = p.data - self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.epsilon)
-            if not np.isfinite(data).all():
+            with np.errstate(over="ignore", invalid="ignore"):    # an overflow fails the check
+                m = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
+                v = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
+                data = p.data - self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.epsilon)
+            if not (np.isfinite(data).all() and np.isfinite(v).all()):
                 raise NonFiniteGradientError(p.name or "<unnamed>")
             updates.append((i, p, m, v, data))
         self.t = t

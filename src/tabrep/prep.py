@@ -92,7 +92,7 @@ def nc_recognize(table: BigTable, config: RecognizerConfig, ignore=()) -> dict[s
         if feature in ignore:
             continue
         present = np.flatnonzero(np.bincount(table.column(feature).codes,
-                                             minlength=len(pool.cells)))   # entries in use
+                                             minlength=len(pool.kinds)))   # entries in use
         present_kinds = pool.kinds[present]
         seen = {name for kind, name in _KIND_NAMES.items() if (present_kinds == kind).any()}
         if len(seen) > 1:
@@ -131,8 +131,7 @@ def numeric_range(table: BigTable, feature: str) -> tuple[float, float]:
     if not len(codes):
         return (0.0, 0.0)
     values = pool.values[codes]
-    lo = pool.cells[codes[np.argmin(values)]].value
-    hi = pool.cells[codes[np.argmax(values)]].value
+    lo, hi = float(values[np.argmin(values)]), float(values[np.argmax(values)])
     check_range(feature, lo, hi)
     return (lo, hi)
 

@@ -8,9 +8,9 @@ transforming operations return new instances.
 Storage is columnar (`Columns`): one integer code per (record, feature)
 into a pool of distinct cells, the records of each customer contiguous
 and located by customer offsets, plus one int64 date per record with a
-mask of the dated ones. Whole-table passes are array operations over the
-codes; `BigTable.records` shows the same data as `Row`s, built per
-customer on first access.
+mask of the dated ones. The pool of cells is columns too (`CellPool`).
+Whole-table passes are array operations over the codes; `BigTable.records`
+shows the same data as `Row`s, built per customer on first access.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
@@ -76,7 +77,6 @@ CellValue = Missing | Number | Token | Date
 
 # Cell kind codes of `CellPool.kinds`.
 KIND_MISSING, KIND_NUMBER, KIND_TOKEN, KIND_DATE = 0, 1, 2, 3
-_KIND_OF = {Missing: KIND_MISSING, Number: KIND_NUMBER, Token: KIND_TOKEN, Date: KIND_DATE}
 MISSING_CODE = 0        # every pool holds MISSING, and only there
 
 
@@ -129,18 +129,6 @@ def _format_date(epoch: int) -> str:
     return datetime.fromtimestamp(epoch, tz=timezone.utc).isoformat()
 
 
-def canonical_token(cell) -> str:
-    """Stable string form used when a non-token cell is treated as a category."""
-    if isinstance(cell, Token):
-        return cell.value
-    if isinstance(cell, Number):
-        v = cell.value
-        return str(int(v)) if float(v).is_integer() else repr(v)
-    if isinstance(cell, Date):
-        return str(cell.epoch)
-    raise TypeError(f"cannot tokenize {cell!r}")
-
-
 @dataclass(frozen=True)
 class Row:
     cells: tuple
@@ -150,39 +138,44 @@ class Row:
 # ---- columnar storage ------------------------------------------------------
 
 class CellPool:
-    """The distinct cells of a table, addressed by integer code.
+    """The distinct cells of a table, addressed by integer code, as columns.
 
-    Code 0 is MISSING, and no other code is. Facts about the cells are
-    computed once per entry, on first use, as arrays indexed by code, so a
-    whole-table pass gathers them by code instead of visiting cells.
+    `kinds` holds each code's cell kind, `values` a number's value (NaN for
+    every other cell), and `items` a token's text or a date's epoch, by
+    code. Code 0 is MISSING, and no other code is. `cell` builds the cell
+    of a code, for the `Row` view only.
     """
 
-    def __init__(self, cells: list):
-        self.cells = cells
+    def __init__(self, kinds: np.ndarray, values: np.ndarray, items: dict[int, str | int]):
+        self.kinds = kinds
+        self.values = values
+        self.items = items
+        self._cells: dict[int, CellValue] = {MISSING_CODE: MISSING}
         self._tokens = None                         # see `tokens`
         self._token_ids: dict[str, int] = {}
         self.token_texts: list[str] = []            # the tokens made so far, by id
 
-    @cached_property
-    def kinds(self) -> np.ndarray:
-        return np.array([_KIND_OF[c.__class__] for c in self.cells], dtype=np.int8)
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """A number's value; NaN for every other cell."""
-        return np.array([c.value if c.__class__ is Number else math.nan for c in self.cells],
-                        dtype=np.float64)
+    def cell(self, code: int) -> CellValue:
+        """The cell of `code`, built on the first request and then kept."""
+        cell = self._cells.get(code)
+        if cell is None:
+            item = self.items.get(code)
+            cell = self._cells[code] = (Number(self.values.item(code)) if item is None
+                                        else Token(item) if isinstance(item, str) else Date(item))
+        return cell
 
     def tokens(self, codes: np.ndarray) -> np.ndarray:
-        """Per code (any shape), the id of its cell's `canonical_token` in
-        `token_texts`; -1 for MISSING. Each entry's token is made once, on
-        the first request that holds its code."""
+        """Per code (any shape), the id in `token_texts` of its cell's
+        string form as a category; -1 for MISSING. Each entry's token is
+        made once, on the first request that holds its code."""
         if self._tokens is None:
-            self._tokens = np.full(len(self.cells), -2, dtype=np.int64)
+            self._tokens = np.full(len(self.kinds), -2, dtype=np.int64)
             self._tokens[MISSING_CODE] = -1
         ids = self._token_ids
         for code in dict.fromkeys(codes[self._tokens[codes] == -2].tolist()):
-            text = canonical_token(self.cells[code])
+            v = float(self.values[code])
+            text = (str(self.items[code]) if math.isnan(v)         # a token's text, a date's epoch
+                    else str(int(v)) if v.is_integer() else repr(v))
             if text not in ids:
                 ids[text] = len(self.token_texts)
                 self.token_texts.append(text)
@@ -191,46 +184,67 @@ class CellPool:
 
 
 class _CellIndex(dict):
-    """Key -> code of its cell in `cells`, adding each new cell once."""
+    """Key -> code of its cell, for building a `CellPool`. A token, date or
+    MISSING is kept by key, its cell added once; a number is not kept, and
+    its code is -1 - its value's position in `numbers` until `pool_of`."""
 
     def __init__(self):
         super().__init__()
-        self.cells = [MISSING]
+        self.kinds = array("b", [KIND_MISSING])
+        self.items: dict[int, str | int] = {}
+        self.numbers = array("d")
+
+    def _number(self, value: float) -> int:
+        self.numbers.append(value)
+        return -len(self.numbers)
 
     def _add(self, key, cell) -> int:
-        code = MISSING_CODE if cell is MISSING else len(self.cells)
+        code = MISSING_CODE if cell is MISSING else len(self.kinds)
         if code:
-            self.cells.append(cell)
+            self.kinds.append(KIND_DATE if cell.__class__ is Date else KIND_TOKEN)
+            self.items[code] = cell.epoch if cell.__class__ is Date else cell.value
         self[key] = code
         return code
 
+    def pool_of(self, codes: np.ndarray) -> CellPool:
+        """The pool, once the numbers' codes in `codes` are made final in
+        place. Numbers with equal bits share one code, so 0.0 and -0.0 do
+        not; their codes follow the others', in order of first lookup."""
+        bits, first, inverse = np.unique(np.frombuffer(self.numbers, dtype=np.int64),
+                                         return_index=True, return_inverse=True)
+        order = np.argsort(first)                   # the distinct numbers by first lookup
+        n = len(self.kinds)
+        numbers = codes < 0
+        codes[numbers] = n + np.argsort(order)[inverse[-1 - codes[numbers]]]
+        values = np.concatenate([np.full(n, math.nan), bits[order].view(np.float64)])
+        kinds = np.concatenate([self.kinds, np.full(len(order), KIND_NUMBER, dtype=np.int8)])
+        return CellPool(kinds, values, self.items)
+
 
 class _ParsedCells(_CellIndex):
-    """Raw cell text -> code of `parse_cell` of it, parsed on first lookup only.
-
-    Keyed on the exact unstripped text, so texts that parse to equal but
-    distinguishable cells ("-0.0" and "0.0") never share an entry.
-    """
+    """Raw cell text -> code of `parse_cell` of it. A text that is not a
+    number is parsed on its first lookup only, and keyed on the exact
+    unstripped text, so "a" and " a" keep their own cells."""
 
     def __missing__(self, text: str) -> int:
-        return self._add(text, parse_cell(text))
+        try:
+            value = float(text)             # as `parse_cell` would, without building a cell
+        except ValueError:
+            return self._add(text, parse_cell(text))
+        return self._number(value) if math.isfinite(value) else self._add(text, MISSING)
 
 
 class _CellCodes(_CellIndex):
-    """Cell -> code; equal cells share one entry. Number(0.0) and
-    Number(-0.0) compare equal but are kept apart."""
+    """Cell -> code; equal cells share one."""
 
     def __init__(self):
         super().__init__()
         self[MISSING] = MISSING_CODE
 
     def __missing__(self, cell) -> int:
-        if cell.__class__ not in _KIND_OF:
+        if cell.__class__ not in (Number, Token, Date):
             raise SchemaError(f"not a cell value: {cell!r}")
-        if cell.__class__ is Number and cell.value == 0:
-            key = ("zero", math.copysign(1.0, cell.value))
-            return self[key] if key in self else self._add(key, cell)
-        return self._add(cell, cell)
+        return self._number(cell.value) if cell.__class__ is Number else self._add(cell, cell)
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,22 +290,24 @@ class Columns:
                 codes.extend(map(pool.__getitem__, row.cells))
                 dates.append(row.date)
             lengths.append(len(rows))
-        return cls.build(pool.cells, codes, width, lengths, dates)
+        codes = np.array(codes, dtype=np.int32)
+        return cls.build(pool.pool_of(codes), codes, width, lengths,
+                         [0 if d is None else d for d in dates], [d is not None for d in dates])
 
     @classmethod
-    def build(cls, cells: list, codes: list, width: int, lengths, dates: list) -> "Columns":
+    def build(cls, pool: CellPool, codes, width: int, lengths, dates, dated=None) -> "Columns":
         """Columns from flat row-major `codes` of `width` features, the
-        records per customer and one date (or None) per record."""
-        dated = np.array([d is not None for d in dates], dtype=bool)
+        records per customer and one date per record; `dated` marks the
+        records that have one (all of them when None)."""
         try:
-            date_arr = np.array([0 if d is None else d for d in dates], dtype=np.int64)
+            dates = np.asarray(dates, dtype=np.int64)
         except OverflowError:
             raise SchemaError("a record date is outside the 64-bit epoch range") from None
         offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        return cls(pool=CellPool(cells),
-                   codes=np.array(codes, dtype=np.int32).reshape(len(dates), width),
-                   offsets=offsets, dates=date_arr, dated=dated)
+        return cls(pool=pool, codes=np.asarray(codes, dtype=np.int32).reshape(len(dates), width),
+                   offsets=offsets, dates=dates,
+                   dated=np.full(len(dates), True) if dated is None else np.asarray(dated, bool))
 
     def take(self, idx) -> "Columns":
         """The customers `idx` (positions), in that order."""
@@ -311,8 +327,8 @@ class Columns:
     def rows(self, i: int) -> list[Row]:
         """Customer `i`'s records as `Row`s of pool cells."""
         lo, hi = self.offsets[i], self.offsets[i + 1]
-        cells = self.pool.cells
-        return [Row(cells=tuple(map(cells.__getitem__, codes)), date=date if dated else None)
+        cell = self.pool.cell
+        return [Row(cells=tuple(map(cell, codes)), date=date if dated else None)
                 for codes, date, dated in zip(self.codes[lo:hi].tolist(),
                                               self.dates[lo:hi].tolist(),
                                               self.dated[lo:hi].tolist())]
@@ -329,10 +345,10 @@ class Column:
     def of(cls, cells) -> "Column":
         pool = _CellCodes()
         codes = np.array(list(map(pool.__getitem__, cells)), dtype=np.int64)
-        return cls(CellPool(pool.cells), codes)
+        return cls(pool.pool_of(codes), codes)
 
     def __iter__(self):
-        return map(self.pool.cells.__getitem__, self.codes.tolist())
+        return map(self.pool.cell, self.codes.tolist())
 
 
 class RecordsView(Mapping):
@@ -444,8 +460,10 @@ def load_table(path, fmt: TableFormat = TableFormat()) -> BigTable:
     Structural problems (duplicate headers, absent id column, ragged rows,
     malformed CSV) raise SchemaError/ParseError. The file is streamed
     through the CSV reader, so a quoted cell may hold line breaks, and a
-    leading byte-order mark is dropped. Each distinct raw text is parsed
-    once, and every equal text of the file shares that one immutable cell.
+    leading byte-order mark is dropped. The cells go into the pool's
+    columns, each number without a cell object: equal numbers share one
+    cell ("1.5" and " 1.5" do, "0.0" and "-0.0" do not), and the other
+    cells one per distinct raw text.
     """
     path = Path(path)
     try:
@@ -484,13 +502,12 @@ def _read_table(path: Path, reader, fmt: TableFormat) -> BigTable:
     feature_pos = [i for i in range(len(header)) if i not in special]
 
     customer_of: dict[str, int] = {}        # id -> position in `customers`, first-seen order
-    owners: list[int] = []                  # customer position of each record
-    codes: list[int] = []                   # feature codes, row-major
-    dates: list[int | None] = []
+    owners = array("q")                     # customer position of each record
+    codes = array("i")                      # feature codes, row-major
+    dates, dated = array("q"), array("b")   # each record's date (0 if none), and if it has one
     labels: dict[str, dict[str, int]] = {col: {} for col in fmt.label_columns}
     parsed = _ParsedCells()
-    cells = parsed.cells
-    date_of: dict[int, int | None] = {}     # code of a date text -> its epoch
+    date_of: dict[str | None, int | None] = {None: None}     # raw date text -> its epoch
 
     for raw in reader:
         if not raw:
@@ -503,21 +520,21 @@ def _read_table(path: Path, reader, fmt: TableFormat) -> BigTable:
             raise ParseError(f"{path}:{reader.line_num}: empty customer id")
         owners.append(customer_of.setdefault(cust, len(customer_of)))
         codes.extend([parsed[raw[i]] for i in feature_pos])
-        if date_pos is None:
-            dates.append(None)
-        else:
-            code = parsed[raw[date_pos]]
-            if code not in date_of:
-                date_of[code] = _record_date(cells[code], path, reader.line_num)
-            dates.append(date_of[code])
+        text = None if date_pos is None else raw[date_pos]
+        if text not in date_of:
+            date_of[text] = _record_date(parse_cell(text), path, reader.line_num)
+        date = date_of[text]
+        dates.append(date or 0)
+        dated.append(date is not None)
         for col, pos in label_pos.items():
-            cell = cells[parsed[raw[pos]]]
-            if isinstance(cell, Number) and cust not in labels[col]:
+            cell = MISSING if cust in labels[col] else parse_cell(raw[pos])
+            if isinstance(cell, Number):
                 labels[col][cust] = int(cell.value)
 
-    owners = np.array(owners, dtype=np.int64)
-    columns = Columns.build(cells, codes, len(features),
-                            np.bincount(owners, minlength=len(customer_of)), dates)
+    owners = np.frombuffer(owners, dtype=np.int64)
+    codes = np.frombuffer(codes, dtype=np.intc)
+    columns = Columns.build(parsed.pool_of(codes), codes, len(features),
+                            np.bincount(owners, minlength=len(customer_of)), dates, dated)
     if (owners[1:] < owners[:-1]).any():
         # a customer's records are interleaved with others': group them, in file order
         columns = columns.reordered(np.argsort(owners, kind="stable"))
@@ -554,7 +571,8 @@ def save_table(table: BigTable, path, fmt: TableFormat = TableFormat()) -> None:
         header.append(fmt.date_column)
     header.extend(table.features)
     header.extend(fmt.label_columns)
-    texts = [format_cell(c) for c in cols.pool.cells]
+    texts = [format_cell(cols.pool.cell(code)) if math.isnan(v) else repr(v)    # no cell per number
+             for code, v in enumerate(cols.pool.values.tolist())]
     date_texts: dict[int, str] = {}
     with path.open("w", newline="", encoding="utf-8") as fh:
         plain = csv.writer(fh, delimiter=fmt.delimiter, lineterminator="\n")
@@ -644,9 +662,11 @@ def compute_stats(table: BigTable, schema) -> TableStats:
     n_feat = table.n_features
     n_active = int(active.sum())
     counts = counts[active]
-    running = np.zeros((len(cols.codes) + 1, n_feat), dtype=np.int64)
-    np.cumsum(cols.codes == MISSING_CODE, axis=0, out=running[1:])
-    missing = (running[cols.offsets[1:]] - running[cols.offsets[:-1]])[active]   # per customer
+    # per active customer, whose records are the rows from its offset to the next one's;
+    # a feature at a time, as `reduceat` copies its whole input to the sum's dtype
+    starts = cols.offsets[:-1][active]
+    missing = np.stack([np.add.reduceat(cols.codes[:, j] == MISSING_CODE, starts, dtype=np.int64)
+                        for j in range(n_feat)], axis=1)
     # customer-level ratios, summed over customers in table order
     per_feature_missing = np.cumsum(missing / counts[:, None], axis=0)[-1]
     per_feature_missing = [m / n_active for m in per_feature_missing.tolist()]

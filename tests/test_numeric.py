@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,28 @@ def test_adam_rejects_non_finite_gradient_and_names_parameter():
     assert a.data.tolist() == [1.0] and b.data.tolist() == [1e308]
     assert opt.t == 0
     assert all(not m.any() for m in opt._m + opt._v)
+
+
+def test_adam_overflow_raises_without_a_numpy_warning():
+    # the update overflows; only the typed error reports it
+    p = Parameter(np.array([1e308]), name="culprit")
+    opt = numeric.Adam([p], lr=1e308)
+    p.grad = np.array([-1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteGradientError):
+            opt.step()
+
+    # a finite gradient whose square overflows the second moment raises too,
+    # although the parameter's update would be finite
+    q = Parameter(np.array([1.0]), name="culprit")
+    opt = numeric.Adam([q])
+    q.grad = np.array([1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteGradientError):
+            opt.step()
+    assert q.data.tolist() == [1.0] and opt.t == 0
 
 
 # ---- substreams ---------------------------------------------------------

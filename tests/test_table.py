@@ -1,12 +1,14 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tabrep import SynthConfig, build_schema, synth_generate
 from tabrep import table as tb
 from tabrep.errors import (EmptyTableError, MissingDateIndexError, ParseError,
                            SchemaError, TableIOError)
@@ -197,6 +199,60 @@ def test_equal_texts_in_one_load_share_one_cell(tmp_path):
     assert math.copysign(1.0, third[1].value) == -1.0 and math.copysign(1.0, zero.value) == 1.0
 
 
+def test_pool_shares_number_cells_by_value_bits_and_others_by_raw_text(tmp_path, monkeypatch):
+    texts = ["1.5", " 1.5", "1.50", "0.0", "-0.0", " -0.0", "1e3", "gold", " gold", "gold ",
+             "2020-01-01", " 2020-01-01", "", "na", " NULL ", "inf", "1.5", "-0.0"]
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([["customer_id", "f"]]
+                                                      + [["c", text] for text in texts])
+    path = tmp_path / "t.csv"
+    path.write_text(buffer.getvalue())
+    monkeypatch.setattr(Number, "__post_init__", lambda self: pytest.fail("a Number was built"))
+    t = load_table(path)
+    monkeypatch.undo()
+    codes = t.column("f").codes.tolist()
+    code = dict(zip(texts, codes))
+    assert code["1.5"] == code[" 1.5"] == code["1.50"] == codes[texts.index("1.5", 1)]
+    assert code["0.0"] != code["-0.0"] == code[" -0.0"] == codes[-1]
+    assert len({code["gold"], code[" gold"], code["gold "], code["1e3"]}) == 4
+    assert code["2020-01-01"] != code[" 2020-01-01"]
+    assert {code[""], code["na"], code[" NULL "], code["inf"]} == {tb.MISSING_CODE}
+    pool = t.columns.pool
+    for text, c in zip(texts, codes):
+        cell = parse_cell(text)
+        if isinstance(cell, Number):
+            assert pool.kinds[c] == tb.KIND_NUMBER
+            assert pool.values[c].tobytes() == np.float64(cell.value).tobytes()
+        else:
+            assert pool.kinds[c] != tb.KIND_NUMBER and np.isnan(pool.values[c])
+        assert repr(pool.cell(c)) == repr(cell)
+
+
+@pytest.fixture(scope="module")
+def synth_2k():
+    return synth_generate(SynthConfig(n_customers=2000, seed=3))
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_peak_memory_per_record_is_bounded(tmp_path, synth_2k):
+    """`load_table`'s traced peak on a 2k-customer synthetic table stays
+    under 300 bytes per record. A Python cell and a dict entry per distinct
+    number text took about 480."""
+    fmt = TableFormat(date_column="date", label_columns=("churn",))
+    save_table(synth_2k, tmp_path / "t.csv", fmt)
+    n_records = len(synth_2k.columns.codes)
+    peak = traced_peak(load_table, tmp_path / "t.csv", fmt)
+    assert peak < 300 * n_records, peak / n_records
+
+
 # ---- round trip ----------------------------------------------------------
 
 def test_save_load_round_trip(tmp_path, fixture_csv):
@@ -312,3 +368,12 @@ def test_stats_kind_ratios_sum_to_one():
     rows = {"u": [Row(cells=(Number(1.0),), date=1)]}
     stats = compute_stats(make_table(rows), KindStub({"SN": 0.5, "SC": 0.5}))
     assert sum(stats.kind_ratios.values()) == pytest.approx(1.0)
+
+
+def test_stats_peak_memory_per_record_is_bounded(synth_2k):
+    """`compute_stats` of the `synth_2k` table allocates under 80 bytes per
+    record (8 features). A running int64 count per record and feature took
+    about 140."""
+    schema = build_schema(synth_2k)
+    peak = traced_peak(compute_stats, synth_2k, schema)
+    assert peak < 80 * len(synth_2k.columns.codes), peak / len(synth_2k.columns.codes)
