@@ -16,7 +16,7 @@ from .errors import (AT_LEAST_ONE, AT_LEAST_TWO, NON_NEGATIVE, POSITIVE, PROBABI
 from .numeric import Tensor
 from .encode import augmented_summaries
 from .prep import FeatureSchema, latest_non_missing
-from .table import MISSING_CODE, BigTable, Columns, Number, Token, _CellCodes
+from .table import MISSING_CODE, BigTable, Columns, Token, _CellCodes
 
 
 # ---- metrics -------------------------------------------------------------
@@ -274,9 +274,9 @@ def synth_generate(config: SynthConfig) -> BigTable:
                     h[t] = False
             hidden[f] = h
 
-        for f, codes in zip(features, feature_codes):
-            cell = Token if isinstance(values[f][0], str) else Number
-            codes.extend([MISSING_CODE if h else pool[cell(v)]
+        for f, codes in zip(features, feature_codes):     # a number is pooled without a cell
+            code = (lambda v: pool[Token(v)]) if isinstance(values[f][0], str) else pool._number
+            codes.extend([MISSING_CODE if h else code(v)
                           for v, h in zip(values[f], hidden[f].tolist())])
         dates_all.extend(dates)
         lengths.append(k)

@@ -626,8 +626,8 @@ class Adam:
 
     def step(self) -> None:
         """One update of every parameter with a gradient. All updates are
-        computed and checked first: a non-finite gradient or updated value
-        raises before any parameter, moment or the step count changes."""
+        computed and checked first: a non-finite gradient, second moment or
+        updated value raises before any parameter, moment or step count changes."""
         for p in self.params:
             if p.grad is not None and not np.isfinite(p.grad).all():
                 raise NonFiniteGradientError(p.name or "<unnamed>")

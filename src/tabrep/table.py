@@ -22,7 +22,7 @@ from array import array
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +78,7 @@ CellValue = Missing | Number | Token | Date
 # Cell kind codes of `CellPool.kinds`.
 KIND_MISSING, KIND_NUMBER, KIND_TOKEN, KIND_DATE = 0, 1, 2, 3
 MISSING_CODE = 0        # every pool holds MISSING, and only there
+KEPT_NUMBERS = 4096     # distinct number texts a load keeps by text (see `_ParsedCells`)
 
 
 def parse_cell(text: str) -> CellValue:
@@ -87,19 +88,25 @@ def parse_cell(text: str) -> CellValue:
     finite (inf/nan spellings degrade to Missing); ISO-8601 dates become
     epoch seconds; everything else is a token.
     """
+    value = _parse_number(text)
+    if value is not None:
+        return MISSING if value is MISSING else Number(value)
     text = text.strip()
     if text.lower() in MISSING_STRINGS:
         return MISSING
-    try:
-        value = float(text)
-    except ValueError:
-        pass
-    else:
-        return Number(value) if math.isfinite(value) else MISSING
     epoch = _parse_date(text)
     if epoch is not None:
         return Date(epoch)
     return Token(text)
+
+
+def _parse_number(text: str) -> float | Missing | None:
+    """A number text's value; MISSING if it is not finite, None if `text` is no number."""
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else MISSING
 
 
 def _parse_date(text: str) -> int | None:
@@ -117,12 +124,15 @@ def format_cell(cell: CellValue) -> str:
     if cell is MISSING:
         return ""
     if isinstance(cell, Number):
-        return repr(cell.value)
+        return _format_number(cell.value)
     if isinstance(cell, Token):
         return cell.value
     if isinstance(cell, Date):
         return _format_date(cell.epoch)
     raise TypeError(f"not a cell value: {cell!r}")
+
+
+_format_number = repr       # a number's text, which `parse_cell` reads back bit for bit
 
 
 def _format_date(epoch: int) -> str:
@@ -175,7 +185,7 @@ class CellPool:
         for code in dict.fromkeys(codes[self._tokens[codes] == -2].tolist()):
             v = float(self.values[code])
             text = (str(self.items[code]) if math.isnan(v)         # a token's text, a date's epoch
-                    else str(int(v)) if v.is_integer() else repr(v))
+                    else str(int(v)) if v.is_integer() else _format_number(v))
             if text not in ids:
                 ids[text] = len(self.token_texts)
                 self.token_texts.append(text)
@@ -222,16 +232,18 @@ class _CellIndex(dict):
 
 
 class _ParsedCells(_CellIndex):
-    """Raw cell text -> code of `parse_cell` of it. A text that is not a
-    number is parsed on its first lookup only, and keyed on the exact
-    unstripped text, so "a" and " a" keep their own cells."""
+    """Raw cell text -> code of `parse_cell` of it. A text is parsed on its
+    first lookup only, and keyed on the exact unstripped text, so "a" and
+    " a" keep their own cells; but once `KEPT_NUMBERS` number texts are
+    kept, a new number text is parsed wherever it occurs, and not kept."""
 
     def __missing__(self, text: str) -> int:
-        try:
-            value = float(text)             # as `parse_cell` would, without building a cell
-        except ValueError:
+        v = _parse_number(text)             # as `parse_cell` would, without building a cell
+        if v.__class__ is not float:
             return self._add(text, parse_cell(text))
-        return self._number(value) if math.isfinite(value) else self._add(text, MISSING)
+        if len(self.numbers) < KEPT_NUMBERS:
+            self[text] = -1 - len(self.numbers)     # the code `_number` gives it
+        return self._number(v)
 
 
 class _CellCodes(_CellIndex):
@@ -508,6 +520,7 @@ def _read_table(path: Path, reader, fmt: TableFormat) -> BigTable:
     labels: dict[str, dict[str, int]] = {col: {} for col in fmt.label_columns}
     parsed = _ParsedCells()
     date_of: dict[str | None, int | None] = {None: None}     # raw date text -> its epoch
+    label_cell = cache(parse_cell)          # few distinct label texts: each parsed once
 
     for raw in reader:
         if not raw:
@@ -519,7 +532,7 @@ def _read_table(path: Path, reader, fmt: TableFormat) -> BigTable:
         if not cust:
             raise ParseError(f"{path}:{reader.line_num}: empty customer id")
         owners.append(customer_of.setdefault(cust, len(customer_of)))
-        codes.extend([parsed[raw[i]] for i in feature_pos])
+        codes.fromlist([parsed[raw[i]] for i in feature_pos])
         text = None if date_pos is None else raw[date_pos]
         if text not in date_of:
             date_of[text] = _record_date(parse_cell(text), path, reader.line_num)
@@ -527,7 +540,7 @@ def _read_table(path: Path, reader, fmt: TableFormat) -> BigTable:
         dates.append(date or 0)
         dated.append(date is not None)
         for col, pos in label_pos.items():
-            cell = MISSING if cust in labels[col] else parse_cell(raw[pos])
+            cell = MISSING if cust in labels[col] else label_cell(raw[pos])
             if isinstance(cell, Number):
                 labels[col][cust] = int(cell.value)
 
@@ -571,7 +584,7 @@ def save_table(table: BigTable, path, fmt: TableFormat = TableFormat()) -> None:
         header.append(fmt.date_column)
     header.extend(table.features)
     header.extend(fmt.label_columns)
-    texts = [format_cell(cols.pool.cell(code)) if math.isnan(v) else repr(v)    # no cell per number
+    texts = [format_cell(cols.pool.cell(code)) if math.isnan(v) else _format_number(v)
              for code, v in enumerate(cols.pool.values.tolist())]
     date_texts: dict[int, str] = {}
     with path.open("w", newline="", encoding="utf-8") as fh:

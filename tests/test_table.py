@@ -228,6 +228,22 @@ def test_pool_shares_number_cells_by_value_bits_and_others_by_raw_text(tmp_path,
         assert repr(pool.cell(c)) == repr(cell)
 
 
+@pytest.mark.parametrize("kept", [0, 3])
+def test_number_texts_beyond_the_kept_ones_load_alike(tmp_path, monkeypatch, kept):
+    """A load keeps the first `KEPT_NUMBERS` number texts by text and parses
+    later ones where they occur; the codes and the pool do not depend on
+    where that switch falls."""
+    texts = ["1.5", "2", "x", " 1.5", "2", "-0.0", "7", "0.0", "1.50", "2", "x", "7", "-0.0"]
+    path = tmp_path / "t.csv"
+    path.write_text("customer_id,f\n" + "".join(f"c{i % 3},{t}\n" for i, t in enumerate(texts)))
+    default = load_table(path).columns
+    monkeypatch.setattr(tb, "KEPT_NUMBERS", kept)
+    switched = load_table(path).columns
+    assert switched.codes.tolist() == default.codes.tolist()
+    assert switched.pool.values.tobytes() == default.pool.values.tobytes()
+    assert switched.pool.kinds.tolist() == default.pool.kinds.tolist()
+
+
 @pytest.fixture(scope="module")
 def synth_2k():
     return synth_generate(SynthConfig(n_customers=2000, seed=3))
@@ -251,6 +267,24 @@ def test_load_peak_memory_per_record_is_bounded(tmp_path, synth_2k):
     n_records = len(synth_2k.columns.codes)
     peak = traced_peak(load_table, tmp_path / "t.csv", fmt)
     assert peak < 300 * n_records, peak / n_records
+
+
+def test_repeated_numbers_load_peak_memory_per_record_is_bounded(tmp_path, synth_2k):
+    """On the `synth_2k` table with every number rounded to an integer 0-99
+    (100 distinct number texts), `load_table`'s traced peak stays under
+    220 bytes per record, about 165 here. Codes in a Python list and a
+    cell per distinct text took about 275."""
+    fmt = TableFormat(date_column="date", label_columns=("churn",))
+    save_table(synth_2k, tmp_path / "t.csv", fmt)
+    with open(tmp_path / "t.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        row[2:-1] = [str(int(abs(float(t))) % 100) if isinstance(parse_cell(t), Number) else t
+                     for t in row[2:-1]]
+    with open(tmp_path / "t.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    peak = traced_peak(load_table, tmp_path / "t.csv", fmt)
+    assert peak < 220 * len(synth_2k.columns.codes), peak / len(synth_2k.columns.codes)
 
 
 # ---- round trip ----------------------------------------------------------
