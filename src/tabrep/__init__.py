@@ -5,7 +5,20 @@ dynamics recognition), augment quality issues (tokenization, normalization,
 imputation), embed four feature branches, refine the dynamic branches with
 an adaptive-depth transformer, fuse everything into one vector per
 customer, and explain trained models by cell masking.
+
+Importing tabrep before numpy sets `OPENBLAS_NUM_THREADS=1` unless one of
+`OMP_NUM_THREADS`, `OPENBLAS_NUM_THREADS` or `MKL_NUM_THREADS` is set: a
+second BLAS thread only spins on products this small, and the caller's own
+setting wins.
 """
+
+import os as _os
+import sys as _sys
+
+# numpy reads the thread count when it first loads BLAS, in the imports below
+if "numpy" not in _sys.modules and not {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                        "MKL_NUM_THREADS"} & _os.environ.keys():
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .table import (BigTable, Row, TableFormat, TableStats, Number, Token, Date,
                     MISSING, load_table, save_table, order_records, compute_stats)

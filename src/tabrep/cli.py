@@ -13,15 +13,21 @@ import argparse
 import csv
 import json
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from itertools import chain
 from pathlib import Path
 
-from .errors import NON_NEGATIVE, Checked, ConfigError, TabrepError
+import numpy as np
+
+from .errors import NON_NEGATIVE, Checked, ConfigError, InterleavedTableError, TabrepError
 from .eval import MetricSet, SynthConfig, synth_generate
 from .interpret import InterpretConfig, Target, genome_report
-from .model import CustomerEncoder, ModelConfig, TrainConfig
+from .model import EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig
 from .prep import FeatureSchema, RecognizerConfig, build_schema
-from .table import BigTable, TableFormat, compute_stats, load_table, order_records, save_table
+from .table import (BigTable, TableFormat, compute_stats, load_table, order_records, read_groups,
+                    save_table)
 
 EXIT_CODES = {"profile": 10, "synth": 11, "train": 12, "embed": 13,
               "predict": 14, "interpret": 15, "evaluate": 16}
@@ -90,12 +96,27 @@ def _out_dir(args) -> Path:
     return out
 
 
+@contextmanager
+def _replacing(path: Path):
+    """A text file open for writing beside `path` under a temporary name,
+    renamed to `path` when the block ends and removed if it raises: a stage
+    that fails leaves no partial output."""
+    part = path.with_name(path.name + ".part")
+    try:
+        with part.open("w", newline="", encoding="utf-8") as fh:
+            yield fh
+        part.replace(path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 def _write_rows(path: Path, header: list, chunks) -> int:
     """One CSV row per customer: its id, then `repr(float)` of each value.
     `chunks` yields `(names, rows)` pairs, and each is written as it comes,
     so no more than one chunk's values exist at once. Returns the row count."""
     count = 0
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for names, rows in chunks:
@@ -107,6 +128,33 @@ def _write_rows(path: Path, header: list, chunks) -> int:
 def _load_ordered(args, cfg: RunConfig) -> BigTable:
     table = load_table(args.table, cfg.format)
     return order_records(table)
+
+
+def _table_groups(args, cfg: RunConfig) -> Iterator[BigTable]:
+    """The table's customers, EVAL_BATCH at a time in file order, each group
+    in time order and read when asked for; the first is read at the call."""
+    groups = map(order_records, read_groups(args.table, cfg.format, EVAL_BATCH))
+    return chain([next(groups)], groups)
+
+
+def _by_groups(args, cfg: RunConfig, groups: Iterator[BigTable], use):
+    """`use(groups)`, or, when a customer's rows turn out not to be together
+    in the file, `use` of the whole table as one group."""
+    try:
+        return use(groups)
+    except InterleavedTableError:
+        pass                # out of the handler, so that the failed pass is freed first
+    return use([_load_ordered(args, cfg)])
+
+
+def _write_scores(args, cfg: RunConfig, groups, model: CustomerEncoder, path: Path,
+                  header: list, task: str | None = None) -> int:
+    """`_write_rows` of `CustomerEncoder.score_stream` of the groups' customers."""
+    def write(tables) -> int:
+        batches = chain.from_iterable(map(model.encoded_chunks, tables))
+        return _write_rows(path, header, model.score_stream(batches, task))
+
+    return _by_groups(args, cfg, groups, write)
 
 
 def _infer_tasks(table: BigTable, names: list) -> dict[str, int]:
@@ -167,26 +215,24 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 
 def cmd_embed(args, cfg: RunConfig) -> int:
-    table = _load_ordered(args, cfg)
+    groups = _table_groups(args, cfg)
     model = CustomerEncoder.load(args.checkpoint)
-    chunks = model.score_chunks(table)
     header = [cfg.format.id_column] + [f"r{i:03d}" for i in range(model.config.rep_width)]
     out = _out_dir(args) / "embeddings.csv"
-    count = _write_rows(out, header, chunks)
+    count = _write_scores(args, cfg, groups, model, out, header)
     print(f"wrote {count} representation rows to {out}")
     return 0
 
 
 def cmd_predict(args, cfg: RunConfig) -> int:
-    table = _load_ordered(args, cfg)
+    groups = _table_groups(args, cfg)
     model = CustomerEncoder.load(args.checkpoint)
     task = args.task or next(iter(model.tasks), None)
     if task is None:
         raise ConfigError("model has no task heads; nothing to predict")
-    chunks = model.score_chunks(table, task=task)
-    header = [cfg.format.id_column] + [f"p_{task}_{c}" for c in range(model.tasks[task])]
+    header = [cfg.format.id_column] + [f"p_{task}_{c}" for c in range(model.classes(task))]
     out = _out_dir(args) / "predictions.csv"
-    count = _write_rows(out, header, chunks)
+    count = _write_scores(args, cfg, groups, model, out, header, task)
     print(f"wrote {count} prediction rows to {out}")
     return 0
 
@@ -206,7 +252,7 @@ def cmd_interpret(args, cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(args, cfg: RunConfig) -> int:
-    table = _load_ordered(args, cfg)
+    groups = _table_groups(args, cfg)
     model = CustomerEncoder.load(args.checkpoint)
     task = args.task or next(iter(model.tasks), None)
     if task is None:
@@ -214,15 +260,29 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     if model.tasks.get(task, 2) != 2:
         raise ConfigError(f"evaluate reports binary metrics; task {task!r} "
                           f"has {model.tasks[task]} classes")
-    got = table.labels.get(task, {})
-    if not got:
+
+    def scored(tables) -> tuple[list[int], np.ndarray]:
+        """The labels and positive-class probabilities of the labeled customers."""
+        labels = []
+
+        def labeled():
+            for table in tables:
+                got = table.labels.get(task, {})
+                names = [c for c in table.customers if c in got]
+                labels.extend(int(got[c]) for c in names)
+                yield from model.encoded_chunks(table, names)
+
+        rows = [proba[:, 1] for _, proba in model.score_stream(labeled(), task)]
+        return labels, np.concatenate([np.zeros(0), *rows])
+
+    labels, scores = _by_groups(args, cfg, groups, scored)
+    if not labels:
         raise ConfigError(f"table has no labels for task {task!r}")
-    names, proba = model.predict_proba(table, task, [c for c in table.customers if c in got])
-    labels = [int(got[c]) for c in names]
-    metrics = MetricSet.from_scores(proba[:, 1], labels)
+    metrics = MetricSet.from_scores(scores, labels)
     out = _out_dir(args) / "metrics.json"
-    out.write_text(metrics.to_json())
-    print(f"evaluated task {task!r} on {len(names)} labeled customers -> {out}: "
+    with _replacing(out) as fh:
+        fh.write(metrics.to_json())
+    print(f"evaluated task {task!r} on {len(labels)} labeled customers -> {out}: "
           f"auc {metrics.auc:.4f}, f {metrics.f_score:.4f}, "
           f"wacc {metrics.weighted_accuracy:.4f}")
     return 0

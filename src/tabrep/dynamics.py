@@ -155,10 +155,11 @@ def transformer_step(e: Tensor, step: int, params: TransformerParams, config: Tr
     layer-norm around each, dropout on the sublayer outputs in training."""
     coords = Tensor(coordinate_embedding(step, e.shape[-2], e.shape[-1]))
     x = e + coords
-    attended = numeric.dropout(mhsa(x, params, config, mask), config.dropout, train, rng)
-    a = numeric.layer_norm(x, residual=attended)
-    ts = numeric.mlp(a, params.ts_w1, params.ts_b1, params.ts_w2, params.ts_b2)
-    return numeric.layer_norm(a, residual=numeric.dropout(ts, config.dropout, train, rng))
+    # rebinding `x` lets the input and the attention output die at the first norm
+    x = numeric.layer_norm(x, residual=numeric.dropout(mhsa(x, params, config, mask),
+                                                       config.dropout, train, rng))
+    ts = numeric.mlp(x, params.ts_w1, params.ts_b1, params.ts_w2, params.ts_b2)
+    return numeric.layer_norm(x, residual=numeric.dropout(ts, config.dropout, train, rng))
 
 
 @dataclass
@@ -199,6 +200,7 @@ def act_run(e0: Tensor, params: TransformerParams, config: TransformerConfig,
     halted = ~valid                       # padded positions never halt or count
     halt_steps = np.zeros((b, n_s), dtype=np.int64)
     e_t = e0
+    del e0                                # the first step's input dies with that step
     final = Tensor(np.zeros((b, n_s, n_e)))
     probs: list[Tensor] = []              # [b, n_s, 1] halting probability per step
 

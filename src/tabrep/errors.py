@@ -32,6 +32,10 @@ class ParseError(TabrepError):
     code = "parse-error"
 
 
+class InterleavedTableError(TabrepError):
+    code = "interleaved-table"
+
+
 class MissingDateIndexError(TabrepError):
     code = "missing-date-index"
 

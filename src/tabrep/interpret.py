@@ -24,8 +24,7 @@ from . import numeric
 from .encode import check_schema, encode_customer, masked_encodings, stack_encoded
 from .encode import encode_rows  # noqa: F401 (perfbench wraps it)
 from .errors import (AT_LEAST_ONE, NON_NEGATIVE, Checked, ConfigError,
-                     InvalidCellCoordinatesError, PositionOutOfRangeError, UnknownTaskError,
-                     check_fields)
+                     InvalidCellCoordinatesError, PositionOutOfRangeError, check_fields)
 from .model import EVAL_BATCH, CustomerEncoder, ForwardResult
 from .prep import FeatureKind
 from .table import BigTable
@@ -108,10 +107,7 @@ def _check_target(model: CustomerEncoder, target: Target) -> None:
             raise PositionOutOfRangeError(
                 f"position {target.position} outside [0, {model.config.rep_width})")
         return
-    if target.task not in model.task_heads:
-        raise UnknownTaskError(
-            f"unknown task {target.task!r}; model has {sorted(model.task_heads)}")
-    n_classes = model.tasks[target.task]
+    n_classes = model.classes(target.task)
     if not 0 <= target.class_index < n_classes:
         raise PositionOutOfRangeError(
             f"class index {target.class_index} outside [0, {n_classes})")

@@ -136,6 +136,7 @@ class ForwardResult:
     rep: Tensor                    # [b, rep_width]
     ponder: Tensor | None          # raw (unit-cost) ponder, summed over branches
     branch_stats: dict = field(default_factory=dict)
+    customers: list[str] = field(default_factory=list)     # the batch's names, by row
 
 
 def eval_chunks(n: int) -> list[slice]:
@@ -359,24 +360,29 @@ class CustomerEncoder:
         else:
             v_ns = zeros()
 
+        # the [b, n_s, d] step embeddings go straight into `act_run`, and each
+        # branch's halted states die with its vector: no activation of the
+        # categorical branch is alive while the numerical one runs
         ponder = None
         stats = {}
         if self.layout.cd_features:
-            rows = max_concat(categorical_embed(batch.cd_ids, self.dynamic_bank.cat_table),
-                              axis=-2)                # [b, n_s, d]
-            final, p_cd, st = act_run(rows, self.cd_params, self.tconfig,
-                                      mask=batch.seq_valid, train=train, rng=rng)
+            final, p_cd, st = act_run(
+                max_concat(categorical_embed(batch.cd_ids, self.dynamic_bank.cat_table),
+                           axis=-2),
+                self.cd_params, self.tconfig, mask=batch.seq_valid, train=train, rng=rng)
             e_cd = dynamic_embed(final, self.cd_params.wd) * Tensor(batch.presence[:, 2:3])
+            del final
             ponder = p_cd
             stats["dynamic_categorical"] = st
         else:
             e_cd = zeros()
         if self.layout.dn_features:
-            rows = max_concat(positional_numeric_embed(Tensor(batch.nd_vals),
-                                                       self.dynamic_bank.num_matrix), axis=-2)
-            final, p_nd, st = act_run(rows, self.nd_params, self.tconfig,
-                                      mask=batch.seq_valid, train=train, rng=rng)
+            final, p_nd, st = act_run(
+                max_concat(positional_numeric_embed(Tensor(batch.nd_vals),
+                                                    self.dynamic_bank.num_matrix), axis=-2),
+                self.nd_params, self.tconfig, mask=batch.seq_valid, train=train, rng=rng)
             e_nd = dynamic_embed(final, self.nd_params.wd) * Tensor(batch.presence[:, 3:4])
+            del final
             ponder = p_nd if ponder is None else ponder + p_nd
             stats["dynamic_numerical"] = st
         else:
@@ -387,11 +393,17 @@ class CustomerEncoder:
         if train and self.config.dropout > 0:
             hidden = numeric.dropout(hidden, self.config.dropout, train=True, rng=rng)
         rep = numeric.matmul(hidden, self.fusion_w2) + self.fusion_b2
-        return ForwardResult(rep=rep, ponder=ponder, branch_stats=stats)
+        return ForwardResult(rep=rep, ponder=ponder, branch_stats=stats,
+                             customers=batch.customers)
 
-    def task_logits(self, rep: Tensor, task: str) -> Tensor:
+    def classes(self, task: str) -> int:
+        """The class count of task head `task`; UnknownTaskError if there is none."""
         if task not in self.task_heads:
             raise UnknownTaskError(f"unknown task {task!r}; model has {sorted(self.task_heads)}")
+        return self.tasks[task]
+
+    def task_logits(self, rep: Tensor, task: str) -> Tensor:
+        self.classes(task)
         return numeric.mlp(rep, *self.task_heads[task])
 
     def reconstruction_outputs(self, rep: Tensor) -> list[Tensor]:
@@ -432,6 +444,17 @@ class CustomerEncoder:
         """Class probabilities of `task` for the rows of one forwarded chunk."""
         return numeric.softmax(self.task_logits(rep, task), axis=-1).data
 
+    def score_stream(self, batches: Iterable[Batch],
+                     task: str | None = None) -> Iterator[tuple[list[str], np.ndarray]]:
+        """Evaluation-mode rows of the customers of `batches`, in order, as
+        one `(names, rows)` pair per chunk of `forward_stream`: the
+        representations, or with `task` its class probabilities. The task is
+        checked at the call, and each batch taken only when it is needed."""
+        if task is not None:
+            self.classes(task)
+        return ((out.customers, out.rep.data if task is None else self.class_proba(out.rep, task))
+                for out in self.forward_stream(batches))
+
     def represent(self, table: BigTable, customers=None) -> tuple[list[str], np.ndarray]:
         """Deterministic evaluation-mode representations, one row per customer."""
         return _joined(self.score_chunks(table, customers), self.config.rep_width)
@@ -442,27 +465,24 @@ class CustomerEncoder:
 
     def score_chunks(self, table: BigTable, customers=None,
                      task: str | None = None) -> Iterator[tuple[list[str], np.ndarray]]:
-        """Evaluation-mode rows of `customers` (default: all), as one
-        `(names, rows)` pair per `eval_chunks` slice: the representations,
-        or with `task` its class probabilities.
+        """`score_stream` of `encoded_chunks`: one `(names, rows)` pair per
+        `eval_chunks` slice of `customers` of `table` (default: all).
 
-        The schema and the task are checked at the call. Each chunk is then
-        encoded and forwarded only when it is asked for, so beyond the table
-        only one chunk's inputs, activations and rows are alive; a row
-        depends on its customer alone, so it equals that customer's row of a
-        whole-table encoding.
+        The schema and the task are checked at the call. Beyond the table,
+        only about two chunks' inputs and one chunk's activations and rows
+        are alive; a row depends on its customer alone, so it equals that
+        customer's row of a whole-table encoding.
         """
+        return self.score_stream(self.encoded_chunks(table, customers), task)
+
+    def encoded_chunks(self, table: BigTable, customers=None) -> Iterator[Batch]:
+        """`encode_table` of `customers` of `table` (default: all),
+        EVAL_BATCH customers at a time, each encoded when it is asked for.
+        The schema is checked at the call."""
         check_schema(table, self.schema)
-        if task is not None and task not in self.task_heads:
-            raise UnknownTaskError(f"unknown task {task!r}; model has {sorted(self.task_heads)}")
         names = list(table.customers if customers is None else customers)
-
-        def chunk(rows: slice) -> tuple[list[str], np.ndarray]:
-            batch = encode_table(table, self.schema, self.layout, names[rows])
-            rep = self.forward(batch, train=False).rep
-            return names[rows], rep.data if task is None else self.class_proba(rep, task)
-
-        return map(chunk, eval_chunks(len(names)))
+        return (encode_table(table, self.schema, self.layout, names[lo:lo + EVAL_BATCH])
+                for lo in range(0, len(names), EVAL_BATCH))
 
     # ---- training -------------------------------------------------------
 
@@ -551,38 +571,42 @@ class CustomerEncoder:
             return float(loss.data)
 
         validation = encoded[val_idx]
-        for epoch in range(config.epochs):
-            order = train_idx[batch_rng.permutation(len(train_idx))]
-            epoch_total, seen, skipped = 0.0, 0, 0
-            for lo in range(0, len(order), config.batch_size):
-                chunk = order[lo:lo + config.batch_size]
-                if not has_term(chunk):
-                    skipped += 1
-                    continue
-                epoch_total += train_step(chunk) * len(chunk)
-                seen += len(chunk)
-            record = {"epoch": epoch, "train_loss": epoch_total / seen,
-                      "val_loss": None, "val_auc": {}, "skipped_batches": skipped}
-            if len(val_idx):
-                # only each chunk's loss and class probabilities outlive it
-                total, count = 0.0, 0
-                probas: dict[str, list[np.ndarray]] = {task: [] for task in auc_tasks}
-                for rows in eval_chunks(len(val_idx)):
-                    out, idx = self.forward(validation[rows], train=False), val_idx[rows]
-                    if has_term(idx):
-                        total += float(loss_of(out, idx).data) * len(idx)
-                        count += len(idx)
-                    else:
-                        record["skipped_batches"] += 1
-                    for task in auc_tasks:
-                        probas[task].append(self.class_proba(out.rep, task))
-                record["val_loss"] = total / count if count else None
-                record["val_auc"] = self._val_auc(probas, val_labels)
-            log.append(record)
-            selector = record["train_loss"] if record["val_loss"] is None else record["val_loss"]
-            if selector < best_loss:
-                best_loss = selector
-                best_params = {k: p.data.copy() for k, p in self.named_parameters().items()}
+        # overflows here leave non-finite gradients, which `Adam.step` raises as
+        # a typed error; numpy's warnings would only reach stderr ahead of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(config.epochs):
+                order = train_idx[batch_rng.permutation(len(train_idx))]
+                epoch_total, seen, skipped = 0.0, 0, 0
+                for lo in range(0, len(order), config.batch_size):
+                    chunk = order[lo:lo + config.batch_size]
+                    if not has_term(chunk):
+                        skipped += 1
+                        continue
+                    epoch_total += train_step(chunk) * len(chunk)
+                    seen += len(chunk)
+                record = {"epoch": epoch, "train_loss": epoch_total / seen,
+                          "val_loss": None, "val_auc": {}, "skipped_batches": skipped}
+                if len(val_idx):
+                    # only each chunk's loss and class probabilities outlive it
+                    total, count = 0.0, 0
+                    probas: dict[str, list[np.ndarray]] = {task: [] for task in auc_tasks}
+                    for rows in eval_chunks(len(val_idx)):
+                        out, idx = self.forward(validation[rows], train=False), val_idx[rows]
+                        if has_term(idx):
+                            total += float(loss_of(out, idx).data) * len(idx)
+                            count += len(idx)
+                        else:
+                            record["skipped_batches"] += 1
+                        for task in auc_tasks:
+                            probas[task].append(self.class_proba(out.rep, task))
+                    record["val_loss"] = total / count if count else None
+                    record["val_auc"] = self._val_auc(probas, val_labels)
+                log.append(record)
+                selector = (record["train_loss"] if record["val_loss"] is None
+                            else record["val_loss"])
+                if selector < best_loss:
+                    best_loss = selector
+                    best_params = {k: p.data.copy() for k, p in self.named_parameters().items()}
         if best_params is not None:
             for name, p in self.named_parameters().items():
                 p.data = best_params[name]

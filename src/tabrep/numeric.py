@@ -339,10 +339,12 @@ def layer_norm(a, axis: int = -1, epsilon: float = LAYER_NORM_EPS, residual=None
     if parents[0].shape != parents[-1].shape:
         raise ShapeMismatchError("layer_norm", *(p.shape for p in parents))
     z = parents[0].data if residual is None else parents[0].data + parents[1].data
-    centered = z - z.mean(axis=axis, keepdims=True)
-    var = (centered * centered).mean(axis=axis, keepdims=True)
+    mean = z.mean(axis=axis, keepdims=True)
+    # `y` is one fresh buffer, centered and then scaled in place
+    y = z - mean if residual is None else np.subtract(z, mean, out=z)
+    var = (y * y).mean(axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + epsilon)
-    y = centered * inv
+    y *= inv
 
     def grads(g, live):
         gm = g.mean(axis=axis, keepdims=True)

@@ -19,7 +19,7 @@ import csv
 import json
 import math
 from array import array
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from functools import cache, cached_property
@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (Checked, EmptyTableError, MissingDateIndexError, ParseError, SchemaError,
-                     TableIOError)
+from .errors import (Checked, EmptyTableError, InterleavedTableError, MissingDateIndexError,
+                     ParseError, SchemaError, TableIOError)
 
 MISSING_STRINGS = {"", "na", "nan", "null"}
 
@@ -79,6 +79,7 @@ CellValue = Missing | Number | Token | Date
 KIND_MISSING, KIND_NUMBER, KIND_TOKEN, KIND_DATE = 0, 1, 2, 3
 MISSING_CODE = 0        # every pool holds MISSING, and only there
 KEPT_NUMBERS = 4096     # distinct number texts a load keeps by text (see `_ParsedCells`)
+KEPT_DATES = 4096       # distinct date texts a load keeps with their epochs, file-wide
 
 
 def parse_cell(text: str) -> CellValue:
@@ -477,19 +478,61 @@ def load_table(path, fmt: TableFormat = TableFormat()) -> BigTable:
     cell ("1.5" and " 1.5" do, "0.0" and "-0.0" do not), and the other
     cells one per distinct raw text.
     """
+    (table,) = read_groups(path, fmt)
+    return table
+
+
+def read_groups(path, fmt: TableFormat = TableFormat(),
+                group: int | None = None) -> Iterator[BigTable]:
+    """`load_table` of the file, `group` customers at a time: one table,
+    with its own cell pool, per run of `group` consecutive customers in
+    order of their first rows (the last run may be shorter), each read only
+    when asked for. With no `group`, the whole file is one table.
+
+    A customer's rows may be interleaved with others' within its group;
+    a row of a customer of an earlier group raises `InterleavedTableError`
+    once the group holding it is complete. Customers are told apart there
+    by 64-bit hashes of their ids, so a hash collision raises it too.
+    """
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, delimiter=fmt.delimiter)
             try:
-                return _read_table(path, reader, fmt)
+                yield from _read_table(path, reader, fmt, group)
             except csv.Error as e:
                 raise ParseError(f"{path}:{reader.line_num}: {e}") from None
     except (OSError, UnicodeDecodeError) as e:
         raise TableIOError(f"cannot read {path}: {e}") from e
 
 
-def _read_table(path: Path, reader, fmt: TableFormat) -> BigTable:
+class _Group:
+    """The rows of one group of customers, as `_read_table` reads them."""
+
+    def __init__(self, label_columns):
+        self.customer_of: dict[str, int] = {}   # id -> position, first-seen order
+        self.owners = array("q")                # customer position of each record
+        self.codes = array("i")                 # feature codes, row-major
+        self.dates = array("q")                 # each record's date, 0 if it has none
+        self.dated = array("b")                 # whether it has one
+        self.labels: dict[str, dict[str, int]] = {col: {} for col in label_columns}
+        self.parsed = _ParsedCells()
+
+    def table(self, features: list[str], has_date_index: bool) -> BigTable:
+        owners = np.frombuffer(self.owners, dtype=np.int64)
+        codes = np.frombuffer(self.codes, dtype=np.intc)
+        columns = Columns.build(self.parsed.pool_of(codes), codes, len(features),
+                                np.bincount(owners, minlength=len(self.customer_of)),
+                                self.dates, self.dated)
+        if (owners[1:] < owners[:-1]).any():
+            # a customer's records are interleaved with others': group them, in file order
+            columns = columns.reordered(np.argsort(owners, kind="stable"))
+        labels = {task: vals for task, vals in self.labels.items() if vals}
+        return BigTable(customers=list(self.customer_of), features=features, records=columns,
+                        labels=labels, has_date_index=has_date_index)
+
+
+def _read_table(path: Path, reader, fmt: TableFormat, group: int | None) -> Iterator[BigTable]:
     try:
         header = next(reader)
     except StopIteration:
@@ -513,14 +556,26 @@ def _read_table(path: Path, reader, fmt: TableFormat) -> BigTable:
     features = [h for i, h in enumerate(header) if i not in special]
     feature_pos = [i for i in range(len(header)) if i not in special]
 
-    customer_of: dict[str, int] = {}        # id -> position in `customers`, first-seen order
-    owners = array("q")                     # customer position of each record
-    codes = array("i")                      # feature codes, row-major
-    dates, dated = array("q"), array("b")   # each record's date (0 if none), and if it has one
-    labels: dict[str, dict[str, int]] = {col: {} for col in fmt.label_columns}
-    parsed = _ParsedCells()
-    date_of: dict[str | None, int | None] = {None: None}     # raw date text -> its epoch
     label_cell = cache(parse_cell)          # few distinct label texts: each parsed once
+    date_of: dict[str | None, int | None] = {None: None}     # raw date text -> its epoch
+    # the sorted hashes of the yielded groups' ids, over a sentinel that
+    # stops each lookup inside the array
+    seen = np.array([np.iinfo(np.int64).max])
+    part = _Group(fmt.label_columns)
+
+    def completed() -> BigTable:
+        nonlocal seen
+        if group is not None:
+            ids = np.fromiter(map(hash, part.customer_of), np.int64, len(part.customer_of))
+            at = np.searchsorted(seen, ids)
+            again = np.flatnonzero(seen[at] == ids)
+            if len(again):
+                raise InterleavedTableError(
+                    f"{path}: customer {list(part.customer_of)[again[0]]!r} has rows both "
+                    f"before and after another group of customers")
+            order = np.argsort(ids)
+            seen = np.insert(seen, at[order], ids[order])
+        return part.table(features, fmt.date_column is not None)
 
     for raw in reader:
         if not raw:
@@ -531,29 +586,30 @@ def _read_table(path: Path, reader, fmt: TableFormat) -> BigTable:
         cust = raw[id_pos].strip()
         if not cust:
             raise ParseError(f"{path}:{reader.line_num}: empty customer id")
-        owners.append(customer_of.setdefault(cust, len(customer_of)))
-        codes.fromlist([parsed[raw[i]] for i in feature_pos])
+        owner = part.customer_of.get(cust)
+        if owner is None:
+            if len(part.customer_of) == group:
+                yield completed()
+                part = _Group(fmt.label_columns)
+            owner = part.customer_of[cust] = len(part.customer_of)
+        part.owners.append(owner)
+        parsed = part.parsed
+        part.codes.fromlist([parsed[raw[i]] for i in feature_pos])
         text = None if date_pos is None else raw[date_pos]
-        if text not in date_of:
-            date_of[text] = _record_date(parse_cell(text), path, reader.line_num)
-        date = date_of[text]
-        dates.append(date or 0)
-        dated.append(date is not None)
+        if text in date_of:
+            date = date_of[text]
+        else:
+            date = _record_date(parse_cell(text), path, reader.line_num)
+            if len(date_of) <= KEPT_DATES:
+                date_of[text] = date
+        part.dates.append(date or 0)
+        part.dated.append(date is not None)
         for col, pos in label_pos.items():
-            cell = MISSING if cust in labels[col] else label_cell(raw[pos])
+            labels = part.labels[col]
+            cell = MISSING if cust in labels else label_cell(raw[pos])
             if isinstance(cell, Number):
-                labels[col][cust] = int(cell.value)
-
-    owners = np.frombuffer(owners, dtype=np.int64)
-    codes = np.frombuffer(codes, dtype=np.intc)
-    columns = Columns.build(parsed.pool_of(codes), codes, len(features),
-                            np.bincount(owners, minlength=len(customer_of)), dates, dated)
-    if (owners[1:] < owners[:-1]).any():
-        # a customer's records are interleaved with others': group them, in file order
-        columns = columns.reordered(np.argsort(owners, kind="stable"))
-    labels = {task: vals for task, vals in labels.items() if vals}
-    return BigTable(customers=list(customer_of), features=features, records=columns,
-                    labels=labels, has_date_index=fmt.date_column is not None)
+                labels[cust] = int(cell.value)
+    yield completed()
 
 
 def _record_date(cell: CellValue, path: Path, line: int) -> int | None:

@@ -43,16 +43,22 @@ def traced_peak(fn):
             tracemalloc.stop()
 
 
+def fresh_python(args: list[str], **env) -> subprocess.CompletedProcess:
+    """`python args` in a fresh interpreter that imports these sources, with
+    `env` over this process's environment (a value of None unsets it)."""
+    src = str(Path(tabrep.__file__).resolve().parents[1])
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={k: v for k, v in env.items() if v is not None})
+
+
 def stage_modules(argv: list[str]) -> set[str]:
     """The names in `sys.modules` after the CLI stage `argv` ran in a fresh
     interpreter on these sources, which must end it with exit code 0."""
     script = ("import json, sys\nfrom tabrep.cli import main\ncode = main(sys.argv[1:])\n"
               "print(json.dumps(sorted(sys.modules)))\nsys.exit(code)\n")
-    src = str(Path(tabrep.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]))
-    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
-                          text=True, env=env)
+    proc = fresh_python(["-c", script, *argv])
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
 

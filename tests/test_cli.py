@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import fresh_python
 from tabrep.cli import _SECTIONS, EXIT_CODES, RunConfig, _write_rows, load_config, main
 from tabrep.dynamics import TransformerConfig
 from tabrep.errors import ConfigError, check_fields
@@ -255,6 +256,56 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     for name in EXIT_CODES:
         assert name in proc.stdout
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("imports,preset,want", [
+    ("tabrep", {}, "1"), ("tabrep", {"OPENBLAS_NUM_THREADS": "3"}, "3"),
+    ("tabrep", {"OMP_NUM_THREADS": "2"}, "None"), ("tabrep", {"MKL_NUM_THREADS": "2"}, "None"),
+    ("numpy, tabrep", {}, "None")])
+def test_importing_tabrep_before_numpy_pins_one_blas_thread_unless_set(imports, preset, want):
+    env = {**{var: None for var in THREAD_VARS}, **preset}
+    proc = fresh_python(["-c", f"import os, {imports}; "
+                               f"print(os.environ.get('OPENBLAS_NUM_THREADS'))"], **env)
+    assert proc.stdout.split() == [want], proc.stderr
+
+
+def test_train_and_embed_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"seed": 2, "format": FORMAT, "tasks": ["churn"],
+                                  "synth": {"n_customers": 600, "records_min": 3,
+                                            "records_max": 8},
+                                  "train": {"epochs": 1}}))
+    assert run_cli(["synth", "--config", str(config), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        common = ["--config", str(config), "--table", str(tmp_path / "synth.csv"),
+                  "--out", str(out)]
+        for argv in (["train", *common], ["embed", *common, "--checkpoint",
+                                          str(out / "checkpoint.json")]):
+            proc = fresh_python(["-m", "tabrep.cli", *argv], OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+        outputs.append({name: (out / name).read_bytes()
+                        for name in ("checkpoint.json", "train_log.jsonl", "embeddings.csv")})
+    assert outputs[0] == outputs[1]
+
+
+def test_overflowing_training_writes_only_the_error_json_to_stderr(tmp_path):
+    # the forward overflows once a step has scaled the weights by 1e308;
+    # numpy's warnings must not reach stderr ahead of the error JSON
+    table = synth_generate(SynthConfig(n_customers=12, records_min=3, records_max=6, seed=1))
+    save_table(table, tmp_path / "t.csv", TABLE_FORMAT)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"format": FORMAT, "tasks": ["churn"],
+                                  "train": {"learning_rate": 1e308}}))
+    proc = fresh_python(["-m", "tabrep.cli", "train", "--config", str(config),
+                         "--table", str(tmp_path / "t.csv"), "--out", str(tmp_path)])
+    assert proc.returncode == EXIT_CODES["train"]
+    assert json.loads(proc.stderr)["error"]["code"] == "non-finite-gradient"
 
 
 # Malformed inputs fed through `cli.main`: each must end in the error JSON on

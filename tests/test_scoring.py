@@ -3,7 +3,9 @@ checkpoint that loads without drawing.
 
 `score_chunks` encodes each chunk's customers on their own. That must give,
 bit for bit, the rows a whole-table encoding gives, and the memory scoring
-and the CLI writers need must not grow with the number of customers. A
+and the CLI writers need must not grow with the number of customers. The
+`embed`, `predict` and `evaluate` stages read the table a group of customers
+at a time, and write what a whole-table load gives, byte for byte. A
 loaded model draws nothing: the scoring stages never import `numpy.random`,
 and the reconstruction projections a loaded model draws on first use are a
 fresh model's.
@@ -16,12 +18,14 @@ import numpy as np
 import pytest
 
 from oracles import same_encoding, stage_modules, traced_peak
-from tabrep.cli import _write_rows
+from tabrep import cli
+from tabrep.cli import EXIT_CODES, _write_rows
 from tabrep.encode import encode_table
-from tabrep.eval import SynthConfig, synth_generate
+from tabrep.errors import TabrepError
+from tabrep.eval import MetricSet, SynthConfig, synth_generate
 from tabrep.model import EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig, eval_chunks
 from tabrep.prep import build_schema
-from tabrep.table import TableFormat, save_table
+from tabrep.table import TableFormat, load_table, order_records, save_table
 
 MODEL = ModelConfig(embed_dim=8, n_s=6, heads=2, t_max=2, rep_width=8, fusion_hidden=16,
                     head_hidden=8, recon_count=1, recon_dim=4, dropout=0.0)
@@ -158,3 +162,96 @@ def test_fit_of_a_loaded_model_equals_fit_of_the_saved_one(tmp_path):
     got, want = loaded.named_parameters(), model.named_parameters()
     assert list(got) == list(want)
     assert all(got[name].data.tobytes() == p.data.tobytes() for name, p in want.items())
+
+
+# ---- the scoring stages, one group of customers at a time -------------------
+
+FORMAT = TableFormat(date_column="date", label_columns=("churn",))
+STAGE_FILES = {"embed": "embeddings.csv", "predict": "predictions.csv",
+               "evaluate": "metrics.json"}
+
+
+def write_scoring_inputs(directory, n: int, interleaved: bool = False) -> list[str]:
+    """A table of `n` customers, every fifth of them unlabeled, with its rows
+    in random order when `interleaved`, a checkpoint and a config; returns
+    the stage arguments but the stage."""
+    table = synth_generate(SynthConfig(n_customers=n, records_min=2, records_max=5, seed=n))
+    got = table.labels["churn"]
+    labels = {c: got[c] for i, c in enumerate(table.customers) if i % 5 != 4 and c in got}
+    path = directory / "t.csv"
+    save_table(replace(table, labels={"churn": labels}), path, FORMAT)
+    if interleaved:
+        header, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "".join(np.random.default_rng(n).permutation(rows)))
+    CustomerEncoder(build_schema(table), MODEL, tasks={"churn": 2}, seed=4).save(
+        directory / "m.json")
+    (directory / "run.json").write_text(json.dumps(
+        {"format": {"date_column": "date", "label_columns": ["churn"]}}))
+    return ["--config", str(directory / "run.json"), "--table", str(path),
+            "--checkpoint", str(directory / "m.json")]
+
+
+def whole_table_outputs(directory) -> dict[str, bytes | str]:
+    """Each stage's file from the whole table, loaded at once and forwarded
+    in `eval_chunks` of all its customers (of its labeled ones, for
+    `evaluate`); the error code where the stage ends in one."""
+    model = CustomerEncoder.load(directory / "m.json")
+    table = order_records(load_table(directory / "t.csv", FORMAT))
+
+    def forwarded(names):
+        return list(model.forward_chunks(model.encode_table(table, names)))
+
+    outs = forwarded(table.customers)
+    reps = np.concatenate([out.rep.data for out in outs])
+    proba = np.concatenate([model.class_proba(out.rep, "churn") for out in outs])
+    width = MODEL.rep_width
+    _write_rows(directory / "embeddings.csv", ["customer_id"] + [f"r{i:03d}" for i in range(width)],
+                [(table.customers, reps)])
+    _write_rows(directory / "predictions.csv", ["customer_id", "p_churn_0", "p_churn_1"],
+                [(table.customers, proba)])
+    want = {stage: (directory / name).read_bytes() for stage, name in STAGE_FILES.items()
+            if stage != "evaluate"}
+    got = table.labels["churn"]
+    labeled = [c for c in table.customers if c in got]
+    try:
+        proba = np.concatenate([model.class_proba(out.rep, "churn") for out in forwarded(labeled)])
+        want["evaluate"] = MetricSet.from_scores(proba[:, 1], [got[c] for c in labeled]
+                                                 ).to_json().encode()
+    except TabrepError as e:
+        want["evaluate"] = e.code
+    return want
+
+
+@pytest.mark.parametrize("n,interleaved", [
+    (2 * EVAL_BATCH + 40, False), (2 * EVAL_BATCH + 40, True), (EVAL_BATCH + 1, False),
+    (3 * EVAL_BATCH + 1, False), (1, False)],
+    ids=["grouped", "interleaved", "batch+1", "3batch+1", "one-customer"])
+def test_streamed_stages_write_the_whole_table_outputs(tmp_path, capsys, monkeypatch, n,
+                                                       interleaved):
+    args = write_scoring_inputs(tmp_path, n, interleaved)
+    want = whole_table_outputs(tmp_path)
+    loads = []
+    monkeypatch.setattr(cli, "load_table", lambda *a: loads.append(a) or load_table(*a))
+    for stage, name in STAGE_FILES.items():
+        out = tmp_path / stage
+        code = cli.main([stage, *args, "--out", str(out)])
+        err = capsys.readouterr().err
+        if isinstance(want[stage], str):
+            assert code == EXIT_CODES[stage] and json.loads(err)["error"]["code"] == want[stage]
+            assert list(out.glob("*")) == []
+        else:
+            assert code == 0, err
+            assert (out / name).read_bytes() == want[stage], stage
+    # only a file whose customers are interleaved across groups falls back to one load
+    assert len(loads) == (len(STAGE_FILES) if interleaved else 0)
+
+
+def test_a_ragged_last_row_leaves_no_partial_output(tmp_path, capsys):
+    args = write_scoring_inputs(tmp_path, 2 * EVAL_BATCH + 40)
+    table = tmp_path / "t.csv"
+    table.write_text(table.read_text() + "late,2020-01-01\n")
+    for stage in STAGE_FILES:
+        out = tmp_path / stage
+        assert cli.main([stage, *args, "--out", str(out)]) == EXIT_CODES[stage]
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == "parse-error"
+        assert list(out.glob("*")) == []       # no partial file, and no temporary one

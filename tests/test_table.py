@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from tabrep import SynthConfig, build_schema, synth_generate
 from tabrep import table as tb
-from tabrep.errors import (EmptyTableError, MissingDateIndexError, ParseError,
-                           SchemaError, TableIOError)
+from tabrep.errors import (EmptyTableError, InterleavedTableError, MissingDateIndexError,
+                           ParseError, SchemaError, TableIOError)
 from tabrep.table import (MISSING, BigTable, Date, Number, Row, TableFormat,
                           Token, compute_stats, format_cell, load_table,
-                          order_records, parse_cell, save_table)
+                          order_records, parse_cell, read_groups, save_table)
 
 
 def make_table(records, features=("f",), labels=None, dated=True):
@@ -161,16 +161,28 @@ csv_rows = st.lists(st.tuples(st.sampled_from(["c1", " c2 ", "c3"]), raw_cells,
                               raw_cells, raw_cells, raw_cells), min_size=1, max_size=12)
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(rows=csv_rows)
-def test_loaded_cells_equal_parse_cell_of_their_raw_text(tmp_path_factory, rows):
+CSV_FORMAT = TableFormat(date_column="date", label_columns=("churn",))
+
+
+def csv_file(directory, rows):
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["customer_id", "date", "f", "g", "churn"])
     writer.writerows(rows)
-    path = tmp_path_factory.mktemp("load") / "t.csv"
+    path = directory / "t.csv"
     path.write_text(buffer.getvalue(), encoding="utf-8")
-    t = load_table(path, TableFormat(date_column="date", label_columns=("churn",)))
+    return path
+
+
+def cells_by_customer(table):
+    return {cust: [(row.date, *map(repr, row.cells)) for row in records]
+            for cust, records in table.records.items()}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(rows=csv_rows)
+def test_loaded_cells_equal_parse_cell_of_their_raw_text(tmp_path_factory, rows):
+    t = load_table(csv_file(tmp_path_factory.mktemp("load"), rows), CSV_FORMAT)
 
     want_records, want_labels = {}, {}
     for cust, date, f, g, label in rows:
@@ -182,9 +194,30 @@ def test_loaded_cells_equal_parse_cell_of_their_raw_text(tmp_path_factory, rows)
         if isinstance(label_cell, Number):
             want_labels.setdefault(cust.strip(), int(label_cell.value))
     assert t.customers == list(want_records)
-    assert {cust: [(row.date, *map(repr, row.cells)) for row in records]
-            for cust, records in t.records.items()} == want_records
+    assert cells_by_customer(t) == want_records
     assert t.labels == ({"churn": want_labels} if want_labels else {})
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(rows=csv_rows, group=st.integers(1, 3))
+def test_groups_are_the_load_cut_between_customers(tmp_path_factory, rows, group):
+    # the same random rows: the groups hold the load's customers, `group` at a
+    # time, unless a customer's rows continue after its group
+    path = csv_file(tmp_path_factory.mktemp("groups"), rows)
+    whole = load_table(path, CSV_FORMAT)
+    group_of = {c: i // group for i, c in enumerate(whole.customers)}
+    in_file_order = [group_of[cust.strip()] for cust, *_ in rows]
+    if in_file_order != sorted(in_file_order):
+        with pytest.raises(InterleavedTableError):
+            list(read_groups(path, CSV_FORMAT, group))
+        return
+    parts = list(read_groups(path, CSV_FORMAT, group))
+    assert [p.customers for p in parts] == [whole.customers[i:i + group]
+                                            for i in range(0, len(whole.customers), group)]
+    assert {c: v for p in parts for c, v in cells_by_customer(p).items()} == \
+        cells_by_customer(whole)
+    assert {c: v for p in parts for c, v in p.labels.get("churn", {}).items()} == \
+        whole.labels.get("churn", {})
 
 
 def test_equal_texts_in_one_load_share_one_cell(tmp_path):
