@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import os
 import sys
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from itertools import chain
+from itertools import chain, starmap
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +26,11 @@ import numpy as np
 from .errors import NON_NEGATIVE, Checked, ConfigError, InterleavedTableError, TabrepError
 from .eval import MetricSet, SynthConfig, synth_generate
 from .interpret import InterpretConfig, Target, genome_report
-from .model import EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig
+from .model import EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig, chunk_stream
 from .prep import FeatureSchema, RecognizerConfig, build_schema
 from .table import (BigTable, TableFormat, compute_stats, load_table, order_records, read_groups,
                     save_table)
+from .workers import ordered_map
 
 EXIT_CODES = {"profile": 10, "synth": 11, "train": 12, "embed": 13,
               "predict": 14, "interpret": 15, "evaluate": 16}
@@ -115,13 +118,26 @@ def _write_rows(path: Path, header: list, chunks) -> int:
     """One CSV row per customer: its id, then `repr(float)` of each value.
     `chunks` yields `(names, rows)` pairs, and each is written as it comes,
     so no more than one chunk's values exist at once. Returns the row count."""
+    return _write_text(path, header, starmap(_csv_rows, chunks))
+
+
+def _csv_rows(names: list[str], rows: np.ndarray) -> tuple[int, str]:
+    """The row count and the `_write_rows` text of one chunk."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(
+        [cid, *map(repr, row)] for cid, row in zip(names, rows.tolist()))
+    return len(names), text.getvalue()
+
+
+def _write_text(path: Path, header: list, texts) -> int:
+    """Write the CSV `header`, then each of the `(count, text)` pairs of
+    `texts` as it comes; returns the summed count."""
     count = 0
     with _replacing(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for names, rows in chunks:
-            writer.writerows([cid, *map(repr, row)] for cid, row in zip(names, rows.tolist()))
-            count += len(names)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for n, text in texts:
+            fh.write(text)
+            count += n
     return count
 
 
@@ -147,12 +163,30 @@ def _by_groups(args, cfg: RunConfig, groups: Iterator[BigTable], use):
     return use([_load_ordered(args, cfg)])
 
 
+def _worker_count() -> int:
+    """The processes that forward scoring chunks: one per CPU this process
+    may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _scored(batches, job):
+    """`job` of each of the `chunk_stream` of `batches`, in order, forwarded
+    in `_worker_count` forked processes (see `workers.ordered_map`); to be
+    used in a `with` block, which reaps them."""
+    return closing(ordered_map(job, chunk_stream(batches), _worker_count()))
+
+
 def _write_scores(args, cfg: RunConfig, groups, model: CustomerEncoder, path: Path,
                   header: list, task: str | None = None) -> int:
-    """`_write_rows` of `CustomerEncoder.score_stream` of the groups' customers."""
+    """The `_write_rows` file of `CustomerEncoder.score` of the chunks of the
+    groups' customers, each chunk's text made where it is forwarded."""
+    def text(chunk) -> tuple[int, str]:
+        return _csv_rows(chunk.customers, model.score(chunk, task))
+
     def write(tables) -> int:
         batches = chain.from_iterable(map(model.encoded_chunks, tables))
-        return _write_rows(path, header, model.score_stream(batches, task))
+        with _scored(batches, text) as texts:
+            return _write_text(path, header, texts)
 
     return _by_groups(args, cfg, groups, write)
 
@@ -257,7 +291,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     task = args.task or next(iter(model.tasks), None)
     if task is None:
         raise ConfigError("model has no task heads; nothing to evaluate")
-    if model.tasks.get(task, 2) != 2:
+    if model.classes(task) != 2:
         raise ConfigError(f"evaluate reports binary metrics; task {task!r} "
                           f"has {model.tasks[task]} classes")
 
@@ -272,8 +306,8 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
                 labels.extend(int(got[c]) for c in names)
                 yield from model.encoded_chunks(table, names)
 
-        rows = [proba[:, 1] for _, proba in model.score_stream(labeled(), task)]
-        return labels, np.concatenate([np.zeros(0), *rows])
+        with _scored(labeled(), lambda chunk: model.score(chunk, task)[:, 1]) as rows:
+            return labels, np.concatenate([np.zeros(0), *rows])
 
     labels, scores = _by_groups(args, cfg, groups, scored)
     if not labels:

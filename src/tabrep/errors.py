@@ -5,6 +5,7 @@ Every contract violation maps to one of these classes so callers (and the
 command line layer) can translate failures into machine-readable reports.
 """
 
+import copyreg
 import dataclasses
 import functools
 import numbers
@@ -18,6 +19,11 @@ class TabrepError(Exception):
     """Base class for all library errors."""
 
     code = "error"
+
+    def __reduce__(self):
+        # unpickled from the message and attributes, without calling a
+        # subclass's __init__, whose arguments differ from `args`
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class TableIOError(TabrepError):
@@ -123,6 +129,10 @@ class InfeasibleConfigError(TabrepError):
 
 class ConfigError(TabrepError):
     code = "config-error"
+
+
+class WorkerExitError(TabrepError):
+    code = "worker-exit"
 
 
 # Bounds in a config field's metadata: `lo`/`hi` inclusive, `above`/`below`

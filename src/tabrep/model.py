@@ -136,7 +136,6 @@ class ForwardResult:
     rep: Tensor                    # [b, rep_width]
     ponder: Tensor | None          # raw (unit-cost) ponder, summed over branches
     branch_stats: dict = field(default_factory=dict)
-    customers: list[str] = field(default_factory=list)     # the batch's names, by row
 
 
 def eval_chunks(n: int) -> list[slice]:
@@ -151,6 +150,27 @@ def eval_chunks(n: int) -> list[slice]:
     if n > 1 and n % EVAL_BATCH == 1:
         starts[-1] -= 1
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+
+
+def chunk_stream(batches: Iterable[Batch]) -> Iterator[Batch]:
+    """The `eval_chunks` of the rows of `batches` in order, taking each batch
+    as it comes: the same chunks as of the concatenated rows, with at most
+    EVAL_BATCH + 1 rows held back between batches."""
+    pending: list[Batch] = []
+    count = 0
+    for batch in batches:
+        pending.append(batch)
+        count += batch.size
+        if count >= EVAL_BATCH + 2:
+            rows = stack_encoded(pending)
+            cut = (count - 2) // EVAL_BATCH * EVAL_BATCH    # keeps 2 to EVAL_BATCH + 1 rows
+            for lo in range(0, cut, EVAL_BATCH):
+                yield rows[lo:lo + EVAL_BATCH]
+            pending, count = [rows[cut:]], count - cut
+    if count:
+        rows = stack_encoded(pending)
+        for chunk in eval_chunks(count):
+            yield rows[chunk]
 
 
 def _write_json(fh, value) -> None:
@@ -393,8 +413,7 @@ class CustomerEncoder:
         if train and self.config.dropout > 0:
             hidden = numeric.dropout(hidden, self.config.dropout, train=True, rng=rng)
         rep = numeric.matmul(hidden, self.fusion_w2) + self.fusion_b2
-        return ForwardResult(rep=rep, ponder=ponder, branch_stats=stats,
-                             customers=batch.customers)
+        return ForwardResult(rep=rep, ponder=ponder, branch_stats=stats)
 
     def classes(self, task: str) -> int:
         """The class count of task head `task`; UnknownTaskError if there is none."""
@@ -423,37 +442,18 @@ class CustomerEncoder:
             yield self.forward(batch[rows], train=False)
 
     def forward_stream(self, batches: Iterable[Batch]) -> Iterator[ForwardResult]:
-        """`forward_chunks` of the rows of `batches` in order, taking each
-        batch as it comes: the same chunks, with at most EVAL_BATCH + 1 rows
-        held back between batches."""
-        pending: list[Batch] = []
-        count = 0
-        for batch in batches:
-            pending.append(batch)
-            count += batch.size
-            if count >= EVAL_BATCH + 2:
-                rows = stack_encoded(pending)
-                cut = (count - 2) // EVAL_BATCH * EVAL_BATCH    # keeps 2 to EVAL_BATCH + 1 rows
-                for lo in range(0, cut, EVAL_BATCH):
-                    yield self.forward(rows[lo:lo + EVAL_BATCH], train=False)
-                pending, count = [rows[cut:]], count - cut
-        if count:
-            yield from self.forward_chunks(stack_encoded(pending))
+        """Evaluation-mode forward of each of the `chunk_stream` of `batches`."""
+        return (self.forward(chunk, train=False) for chunk in chunk_stream(batches))
 
     def class_proba(self, rep: Tensor, task: str) -> np.ndarray:
         """Class probabilities of `task` for the rows of one forwarded chunk."""
         return numeric.softmax(self.task_logits(rep, task), axis=-1).data
 
-    def score_stream(self, batches: Iterable[Batch],
-                     task: str | None = None) -> Iterator[tuple[list[str], np.ndarray]]:
-        """Evaluation-mode rows of the customers of `batches`, in order, as
-        one `(names, rows)` pair per chunk of `forward_stream`: the
-        representations, or with `task` its class probabilities. The task is
-        checked at the call, and each batch taken only when it is needed."""
-        if task is not None:
-            self.classes(task)
-        return ((out.customers, out.rep.data if task is None else self.class_proba(out.rep, task))
-                for out in self.forward_stream(batches))
+    def score(self, chunk: Batch, task: str | None = None) -> np.ndarray:
+        """The evaluation-mode rows of one chunk: its representations, or
+        with `task` its class probabilities."""
+        rep = self.forward(chunk, train=False).rep
+        return rep.data if task is None else self.class_proba(rep, task)
 
     def represent(self, table: BigTable, customers=None) -> tuple[list[str], np.ndarray]:
         """Deterministic evaluation-mode representations, one row per customer."""
@@ -465,15 +465,19 @@ class CustomerEncoder:
 
     def score_chunks(self, table: BigTable, customers=None,
                      task: str | None = None) -> Iterator[tuple[list[str], np.ndarray]]:
-        """`score_stream` of `encoded_chunks`: one `(names, rows)` pair per
-        `eval_chunks` slice of `customers` of `table` (default: all).
+        """`score` of each `eval_chunks` slice of `customers` of `table`
+        (default: all), as one `(names, rows)` pair per chunk, each encoded
+        when it is asked for.
 
         The schema and the task are checked at the call. Beyond the table,
         only about two chunks' inputs and one chunk's activations and rows
         are alive; a row depends on its customer alone, so it equals that
         customer's row of a whole-table encoding.
         """
-        return self.score_stream(self.encoded_chunks(table, customers), task)
+        if task is not None:
+            self.classes(task)
+        return ((chunk.customers, self.score(chunk, task))
+                for chunk in chunk_stream(self.encoded_chunks(table, customers)))
 
     def encoded_chunks(self, table: BigTable, customers=None) -> Iterator[Batch]:
         """`encode_table` of `customers` of `table` (default: all),

@@ -9,6 +9,7 @@ for every masked cell, which is what the package's batched masking must match.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -41,6 +42,17 @@ def traced_peak(fn):
     finally:
         if started:
             tracemalloc.stop()
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child process, running or unreaped."""
+    if multiprocessing.active_children():
+        return False
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def fresh_python(args: list[str], **env) -> subprocess.CompletedProcess:

@@ -5,19 +5,25 @@ checkpoint that loads without drawing.
 bit for bit, the rows a whole-table encoding gives, and the memory scoring
 and the CLI writers need must not grow with the number of customers. The
 `embed`, `predict` and `evaluate` stages read the table a group of customers
-at a time, and write what a whole-table load gives, byte for byte. A
-loaded model draws nothing: the scoring stages never import `numpy.random`,
+at a time, and write what a whole-table load gives, byte for byte, whether
+they forward in worker processes or in their own; and they leave no
+process behind. A loaded model draws nothing: the scoring stages never import `numpy.random`,
 and the reconstruction projections a loaded model draws on first use are a
 fresh model's.
 """
 
 import json
+import os
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import same_encoding, stage_modules, traced_peak
+from oracles import no_child_left, same_encoding, stage_modules, traced_peak
 from tabrep import cli
 from tabrep.cli import EXIT_CODES, _write_rows
 from tabrep.encode import encode_table
@@ -255,3 +261,132 @@ def test_a_ragged_last_row_leaves_no_partial_output(tmp_path, capsys):
         assert cli.main([stage, *args, "--out", str(out)]) == EXIT_CODES[stage]
         assert json.loads(capsys.readouterr().err)["error"]["code"] == "parse-error"
         assert list(out.glob("*")) == []       # no partial file, and no temporary one
+
+
+# ---- the scoring stages in forked workers -----------------------------------
+
+def stage_outputs(args, directory, capsys) -> dict[str, bytes | str]:
+    """Each scoring stage's file, or the code of the error it ended in."""
+    got = {}
+    for stage, name in STAGE_FILES.items():
+        out = directory / stage
+        code = cli.main([stage, *args, "--out", str(out)])
+        err = capsys.readouterr().err
+        got[stage] = (out / name).read_bytes() if code == 0 else json.loads(err)["error"]["code"]
+    return got
+
+
+@pytest.mark.parametrize("n,interleaved", [
+    (2 * EVAL_BATCH + 40, False), (2 * EVAL_BATCH + 40, True), (EVAL_BATCH + 1, False),
+    (3 * EVAL_BATCH + 1, False), (1, False)],
+    ids=["grouped", "interleaved", "batch+1", "3batch+1", "one-customer"])
+def test_workers_write_the_in_process_outputs(tmp_path, capsys, monkeypatch, n, interleaved):
+    args = write_scoring_inputs(tmp_path, n, interleaved)
+    want = whole_table_outputs(tmp_path)
+    for count in (1, 2):
+        monkeypatch.setattr(cli, "_worker_count", lambda: count)
+        assert stage_outputs(args, tmp_path / f"workers{count}", capsys) == want, count
+
+
+@pytest.mark.parametrize("case", ["grouped", "ragged", "interleaved"])
+def test_no_worker_outlives_a_scoring_stage(tmp_path, capsys, monkeypatch, case):
+    args = write_scoring_inputs(tmp_path, 3 * EVAL_BATCH + 1)
+    table = tmp_path / "t.csv"
+    header, first, *rows = table.read_text().splitlines(keepends=True)
+    if case == "ragged":
+        rows.append("late,2020-01-01\n")
+    if case == "interleaved":       # the first customer's first record comes last
+        first, rows = "", rows + [first]
+    table.write_text(header + first + "".join(rows))
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(cli, "_worker_count", lambda: 2)
+    assert no_child_left()
+    for stage in STAGE_FILES:
+        forks.clear()
+        code = cli.main([stage, *args, "--out", str(tmp_path / stage)])
+        capsys.readouterr()
+        assert code == (EXIT_CODES[stage] if case == "ragged" else 0)
+        # forked once a second chunk exists; the interleaved file's fallback forks again
+        assert len(forks) == {"grouped": 2, "ragged": 2, "interleaved": 4}[case], stage
+        assert no_child_left(), stage
+
+
+# Run in a fresh interpreter: the scoring stage `argv[1:]` with two workers,
+# each of which ends itself on the second chunk it is given when `die` is set
+# and sleeps `pause` seconds on each chunk; then whether children are left.
+STAGE_SCRIPT = """
+import json, os, sys, time
+from tabrep import cli, model
+die, pause = json.loads(sys.argv[1])
+score, calls = model.CustomerEncoder.score, []
+
+def slow_or_dying(self, chunk, task=None):
+    calls.append(1)
+    if die and len(calls) == 2:
+        os._exit(7)
+    time.sleep(pause)
+    return score(self, chunk, task)
+
+model.CustomerEncoder.score = slow_or_dying
+cli._worker_count = lambda: 2
+code = cli.main(sys.argv[2:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("children left")
+except ChildProcessError:
+    print("no children left")
+sys.exit(code)
+"""
+
+
+def stage_command(tmp_path, stage: str, die: bool, pause: float) -> list[str]:
+    args = write_scoring_inputs(tmp_path, 6 * EVAL_BATCH)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + STAGE_SCRIPT,
+            json.dumps([die, pause]), stage, *args, "--out", str(tmp_path / stage)]
+
+
+@pytest.mark.parametrize("stage", ["embed", "evaluate"])
+def test_a_dead_worker_ends_the_stage_in_its_error(tmp_path, stage):
+    start = time.perf_counter()
+    proc = subprocess.run(stage_command(tmp_path, stage, die=True, pause=0.0),
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 30
+    assert proc.returncode == EXIT_CODES[stage], proc.stderr
+    assert json.loads(proc.stderr)["error"]["code"] == "worker-exit"
+    assert proc.stdout.splitlines() == ["no children left"]
+    assert list((tmp_path / stage).glob("*")) == []
+
+
+def live_group_members(pgid: int) -> list[int]:
+    """The pids of the processes of group `pgid` that have not exited."""
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:         # the process ended meanwhile
+            continue
+        if int(fields[2]) == pgid and fields[0] not in "ZX":
+            pids.append(int(stat.parent.name))
+    return pids
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads /proc")
+def test_a_killed_stage_leaves_no_worker_running(tmp_path):
+    proc = subprocess.Popen(stage_command(tmp_path, "embed", die=False, pause=0.5),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                            start_new_session=True)
+    try:
+        deadline = time.monotonic() + 30
+        while len(live_group_members(proc.pid)) < 3 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert len(live_group_members(proc.pid)) == 3     # the stage and its two workers
+    finally:
+        proc.kill()
+        proc.wait()
+    deadline = time.monotonic() + 5
+    while live_group_members(proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert live_group_members(proc.pid) == []
