@@ -170,9 +170,10 @@ def _worker_count() -> int:
 
 
 def _scored(batches, job):
-    """`job` of each of the `chunk_stream` of `batches`, in order, forwarded
-    in `_worker_count` forked processes (see `workers.ordered_map`); to be
-    used in a `with` block, which reaps them."""
+    """`job` of each `chunk_stream` chunk of `batches`, in order, run in
+    `_worker_count` forked processes (see `workers.ordered_map`); to be used
+    in a `with` block, which reaps them. The chunks only bound memory: a
+    row's result depends on its customer alone."""
     return closing(ordered_map(job, chunk_stream(batches), _worker_count()))
 
 

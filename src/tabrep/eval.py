@@ -298,7 +298,7 @@ def flatten_features(table: BigTable, schema: FeatureSchema,
     categoricals a one-hot block over their vocabulary (missing and
     out-of-vocabulary slots included). With `include_dynamic`, dynamic
     numericals add their observed-value mean and dynamic categoricals their
-    change rate. All but the one-hot blocks are `augmented_summary` columns.
+    change rate. All but the one-hot blocks are `augmented_summaries` columns.
     """
     branch = schema.branch_features()
     n, n_sn = table.n_customers, len(branch["SN"])

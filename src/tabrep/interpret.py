@@ -25,7 +25,7 @@ from .encode import check_schema, encode_customer, masked_encodings, stack_encod
 from .encode import encode_rows  # noqa: F401 (perfbench wraps it)
 from .errors import (AT_LEAST_ONE, NON_NEGATIVE, Checked, ConfigError,
                      InvalidCellCoordinatesError, PositionOutOfRangeError, check_fields)
-from .model import EVAL_BATCH, CustomerEncoder, ForwardResult
+from .model import EVAL_BATCH, CustomerEncoder
 from .prep import FeatureKind
 from .table import BigTable
 
@@ -113,19 +113,11 @@ def _check_target(model: CustomerEncoder, target: Target) -> None:
             f"class index {target.class_index} outside [0, {n_classes})")
 
 
-def _target_column(model: CustomerEncoder, chunks: list[ForwardResult],
-                   target: Target) -> np.ndarray:
-    """The target's value for every row of the forwarded chunks, in order.
-
-    Class heads run chunk by chunk, on the rows that were forwarded
-    together, as `predict_proba` does.
-    """
+def _target_column(model: CustomerEncoder, reps: np.ndarray, target: Target) -> np.ndarray:
+    """The target's value for each of the representation rows `reps`."""
     if target.kind == "position":
-        columns = [out.rep.data[:, target.position] for out in chunks]
-    else:
-        columns = [model.class_proba(out.rep, target.task)[:, target.class_index]
-                   for out in chunks]
-    return np.concatenate([np.zeros(0), *columns])
+        return reps[:, target.position]
+    return model.class_proba(reps, target.task)[:, target.class_index]
 
 
 def maskable_features(model: CustomerEncoder) -> list[str]:
@@ -156,7 +148,7 @@ def mask_and_delta(model: CustomerEncoder, table: BigTable, customer: str,
     if not masked.size:
         return 0.0
     pair = stack_encoded([encode_customer(table, customer, model.schema, model.layout), masked])
-    values = _target_column(model, list(model.forward_chunks(pair)), target)
+    values = _target_column(model, model.forward(pair).rep.data, target)
     return float(values[1] - values[0])
 
 
@@ -243,9 +235,7 @@ def genome_report(model: CustomerEncoder, table: BigTable,
     reproducible and customers can be processed in any order. Each masked
     cell is scored once for all targets that drew it.
     """
-    encoded = model.encode_table(table)
-    names = encoded.customers
-    population = list(model.forward_chunks(encoded))
+    names, population = model.represent(table)
     feats = maskable_features(model)
     columns = [model.schema.feature_order.index(f) for f in feats]
     if config.targets is not None:
@@ -272,39 +262,34 @@ def genome_report(model: CustomerEncoder, table: BigTable,
             # one call draws the same (record, feature) pairs as two scalar calls a pair
             bounds = np.tile([n_records, len(feats)], config.mask_samples)
             draws[cid] = rng.integers(bounds).reshape(-1, 2).tolist()
-        plans.append((target, threshold, chosen, draws))
+        plans.append((target, threshold, chosen, draws, values))
 
-    # step two: forward each customer once, then each distinct changed variant once
-    base_row = {cid: i for i, cid in enumerate(dict.fromkeys(
-        cid for _, _, _, draws in plans for cid in draws))}
-    cells = list(dict.fromkeys((cid, t, fi) for _, _, _, draws in plans
+    # step two: forward each distinct changed variant once; a customer's
+    # unmasked value is its value in the population
+    cells = list(dict.fromkeys((cid, t, fi) for *_, draws, _ in plans
                                for cid, cid_draws in draws.items() for t, fi in cid_draws))
     masked_row: dict[tuple, int] = {}     # only cells whose masking changes the encoding
 
     def variants():
-        bases = [table.records.index[cid] for cid in base_row]
-        for lo in range(0, len(bases), EVAL_BATCH):
-            yield encoded[bases[lo:lo + EVAL_BATCH]]
         for lo in range(0, len(cells), EVAL_BATCH):
             part = cells[lo:lo + EVAL_BATCH]
             changed, masked = masked_encodings(
                 table, [cid for cid, _, _ in part], [t for _, t, _ in part],
                 [columns[fi] for _, _, fi in part], model.schema, model.layout)
             for i in changed:
-                masked_row[part[i]] = len(base_row) + len(masked_row)
+                masked_row[part[i]] = len(masked_row)
             yield masked
 
-    forwarded = list(model.forward_stream(variants()))
+    forwarded = model.forward_stream(variants())
 
     genomes = []
-    for target, threshold, chosen, draws in plans:
+    for target, threshold, chosen, draws, base in plans:
         values = _target_column(model, forwarded, target)
         trials = []
         for cid, cid_draws in draws.items():
-            base = values[base_row[cid]]
             for t, fi in cid_draws:
                 row = masked_row.get((cid, t, fi))
-                delta = 0.0 if row is None else float(values[row] - base)
+                delta = 0.0 if row is None else float(values[row] - base[cid])
                 trials.append((cid, feats[fi], t, delta))
 
         ranked = sensitive_features(trials, threshold)

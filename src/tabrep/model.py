@@ -139,38 +139,31 @@ class ForwardResult:
 
 
 def eval_chunks(n: int) -> list[slice]:
-    """Consecutive slices of at most EVAL_BATCH of `n` rows, as evaluation
-    forwards them.
-
-    No slice holds a single row unless `n` is 1: BLAS computes a one-row
-    product on its matrix-vector path, which rounds differently from the
-    same row inside a larger batch.
-    """
-    starts = list(range(0, n, EVAL_BATCH))
-    if n > 1 and n % EVAL_BATCH == 1:
-        starts[-1] -= 1
-    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+    """Consecutive slices of EVAL_BATCH of `n` rows, the last one shorter."""
+    return [slice(lo, min(lo + EVAL_BATCH, n)) for lo in range(0, n, EVAL_BATCH)]
 
 
 def chunk_stream(batches: Iterable[Batch]) -> Iterator[Batch]:
-    """The `eval_chunks` of the rows of `batches` in order, taking each batch
-    as it comes: the same chunks as of the concatenated rows, with at most
-    EVAL_BATCH + 1 rows held back between batches."""
+    """The rows of `batches` in order, in chunks of EVAL_BATCH rows and a
+    shorter last one. Each full chunk is emitted as soon as its rows have
+    come, and a batch of EVAL_BATCH rows that comes while no row waits is
+    passed on as it is. The chunks only bound memory: a row's forward
+    depends on that row alone (see `CustomerEncoder.forward`)."""
     pending: list[Batch] = []
     count = 0
     for batch in batches:
         pending.append(batch)
         count += batch.size
-        if count >= EVAL_BATCH + 2:
-            rows = stack_encoded(pending)
-            cut = (count - 2) // EVAL_BATCH * EVAL_BATCH    # keeps 2 to EVAL_BATCH + 1 rows
-            for lo in range(0, cut, EVAL_BATCH):
-                yield rows[lo:lo + EVAL_BATCH]
-            pending, count = [rows[cut:]], count - cut
+        if count < EVAL_BATCH:
+            continue
+        rows = pending[0] if len(pending) == 1 else stack_encoded(pending)
+        full = count - count % EVAL_BATCH
+        for lo in range(0, full, EVAL_BATCH):
+            yield rows[lo:lo + EVAL_BATCH]
+        count -= full
+        pending = [rows[full:]] if count else []
     if count:
-        rows = stack_encoded(pending)
-        for chunk in eval_chunks(count):
-            yield rows[chunk]
+        yield stack_encoded(pending)
 
 
 def _write_json(fh, value) -> None:
@@ -365,6 +358,13 @@ class CustomerEncoder:
 
     def forward(self, batch: Batch, train: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardResult:
+        """The representations of the rows of `batch`, with the ponder term.
+        In evaluation mode a row's depends on that row alone: BLAS multiplies
+        a one-row matrix on its matrix-vector path, which rounds unlike a row
+        of a larger product, so a lone row is forwarded as two copies."""
+        lone = not train and batch.size == 1
+        if lone:
+            batch = batch[[0, 0]]
         d = self.config.embed_dim
         b = batch.size
         zeros = lambda: Tensor(np.zeros((b, d)))
@@ -413,6 +413,8 @@ class CustomerEncoder:
         if train and self.config.dropout > 0:
             hidden = numeric.dropout(hidden, self.config.dropout, train=True, rng=rng)
         rep = numeric.matmul(hidden, self.fusion_w2) + self.fusion_b2
+        if lone:
+            rep = Tensor(rep.data[:1])
         return ForwardResult(rep=rep, ponder=ponder, branch_stats=stats)
 
     def classes(self, task: str) -> int:
@@ -435,25 +437,27 @@ class CustomerEncoder:
 
     # ---- inference ------------------------------------------------------
 
-    def forward_chunks(self, batch: Batch) -> Iterator[ForwardResult]:
-        """Evaluation-mode forward of `batch`: one result per `eval_chunks`
-        slice of its rows, in order."""
-        for rows in eval_chunks(batch.size):
-            yield self.forward(batch[rows], train=False)
+    def forward_stream(self, batches: Iterable[Batch]) -> np.ndarray:
+        """The evaluation-mode representations of the rows of `batches`, in
+        order, as one [n, rep_width] array, forwarded a `chunk_stream` chunk
+        at a time."""
+        return np.concatenate([np.zeros((0, self.config.rep_width)),
+                               *map(self.score, chunk_stream(batches))])
 
-    def forward_stream(self, batches: Iterable[Batch]) -> Iterator[ForwardResult]:
-        """Evaluation-mode forward of each of the `chunk_stream` of `batches`."""
-        return (self.forward(chunk, train=False) for chunk in chunk_stream(batches))
-
-    def class_proba(self, rep: Tensor, task: str) -> np.ndarray:
-        """Class probabilities of `task` for the rows of one forwarded chunk."""
-        return numeric.softmax(self.task_logits(rep, task), axis=-1).data
+    def class_proba(self, rep: np.ndarray, task: str) -> np.ndarray:
+        """Class probabilities of `task` for the representation rows `rep`,
+        each row's from that row alone: a lone row is multiplied as two (see
+        `forward`), and the narrow [h, C] last layer row by row, which BLAS
+        would round by the row count."""
+        w1, b1, w2, b2 = (p.data for p in self.task_heads[task])
+        hidden = np.maximum((rep[[0, 0]] if len(rep) == 1 else rep) @ w1 + b1, 0.0)
+        return numeric.softmax(np.einsum("bh,hc->bc", hidden[:len(rep)], w2) + b2).data
 
     def score(self, chunk: Batch, task: str | None = None) -> np.ndarray:
         """The evaluation-mode rows of one chunk: its representations, or
         with `task` its class probabilities."""
-        rep = self.forward(chunk, train=False).rep
-        return rep.data if task is None else self.class_proba(rep, task)
+        rep = self.forward(chunk, train=False).rep.data
+        return rep if task is None else self.class_proba(rep, task)
 
     def represent(self, table: BigTable, customers=None) -> tuple[list[str], np.ndarray]:
         """Deterministic evaluation-mode representations, one row per customer."""
@@ -465,7 +469,7 @@ class CustomerEncoder:
 
     def score_chunks(self, table: BigTable, customers=None,
                      task: str | None = None) -> Iterator[tuple[list[str], np.ndarray]]:
-        """`score` of each `eval_chunks` slice of `customers` of `table`
+        """`score` of each EVAL_BATCH customers of `customers` of `table`
         (default: all), as one `(names, rows)` pair per chunk, each encoded
         when it is asked for.
 
@@ -602,7 +606,7 @@ class CustomerEncoder:
                         else:
                             record["skipped_batches"] += 1
                         for task in auc_tasks:
-                            probas[task].append(self.class_proba(out.rep, task))
+                            probas[task].append(self.class_proba(out.rep.data, task))
                     record["val_loss"] = total / count if count else None
                     record["val_auc"] = self._val_auc(probas, val_labels)
                 log.append(record)

@@ -346,6 +346,11 @@ class FeatureSchema:
                 raise SchemaError(f"numerical feature {feature!r} has no range")
         for feature, (lo, hi) in self.numeric_stats.items():
             check_range(feature, lo, hi)
+        for feature, vocab in self.vocabularies.items():
+            ids = list(vocab.token_to_id.values())
+            if not all(type(i) is int for i in ids) or sorted(ids) != list(range(2, vocab.size)):
+                raise SchemaError(f"feature {feature!r}: vocabulary ids are not the distinct "
+                                  f"integers 2 to {vocab.size - 1}")
         dates = [f for f, k in self.kinds.items() if k is FeatureKind.DATE_INDEX]
         if len(dates) > 1:
             raise SchemaError(f"more than one date-kind feature: {dates}")

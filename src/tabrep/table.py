@@ -705,12 +705,6 @@ class TableStats:
         if self.kind_ratios and abs(total - 1.0) > 1e-9:
             raise ValueError(f"kind_ratios sum {total} != 1")
 
-    def positive_fraction(self, task: str) -> float | None:
-        ratio = self.label_ratio.get(task)
-        if ratio is None:
-            return None
-        return ratio / (1.0 + ratio)
-
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 

@@ -400,11 +400,10 @@ def masked_rows(rows: list[Row], feature_index: int, record_index: int) -> list[
 
 
 def _reference_target_values(model, batch, target) -> np.ndarray:
-    out = model.forward(batch, train=False)
+    rep = model.forward(batch, train=False).rep.data
     if target.kind == "position":
-        return out.rep.data[:, target.position]
-    proba = numeric.softmax(model.task_logits(out.rep, target.task), axis=-1).data
-    return proba[:, target.class_index]
+        return rep[:, target.position]
+    return model.class_proba(rep, target.task)[:, target.class_index]
 
 
 def reference_genome_report(model, table: BigTable,

@@ -365,6 +365,14 @@ def drop_first(section):
     return edit
 
 
+def vocabulary_ids(ids):
+    """Schema edit: the first tokens of the first vocabulary get `ids`."""
+    def edit(payload):
+        vocab = next(iter(payload["vocabularies"].values()))
+        vocab.update(zip(list(vocab), ids))
+    return edit
+
+
 def first_weight(value):
     def edit(payload):
         next(iter(payload["params"].values()))["data"][0] = value
@@ -415,6 +423,12 @@ MALFORMED = [
      {"schema.json": schema_file(drop_first("numeric_stats"))}, "schema-error"),
     ("schema-kind-outside-feature-order", "train", {},
      {"schema.json": schema_file(lambda s: s["kinds"].update(extra="SC"))}, "schema-error"),
+    ("schema-vocabulary-id-string", "train", {},
+     {"schema.json": schema_file(vocabulary_ids(["x"]))}, "schema-error"),
+    ("schema-vocabulary-id-missing", "train", {},
+     {"schema.json": schema_file(vocabulary_ids([0]))}, "schema-error"),
+    ("schema-vocabulary-id-shared", "train", {},
+     {"schema.json": schema_file(vocabulary_ids([2, 2]))}, "schema-error"),
     ("schema-corrupt-json", "train", {}, {"schema.json": b'{"feature_order": ['}, "io-error"),
     ("schema-missing-keys", "train", {},
      {"schema.json": schema_file(lambda s: s.pop("kinds"))}, "io-error"),

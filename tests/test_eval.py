@@ -161,7 +161,8 @@ def test_label_ratio_near_target():
     table = synth_generate(small_synth(n_customers=1000))
     schema = build_schema(table, RecognizerConfig())
     stats = compute_stats(table, schema)
-    assert 0.18 <= stats.positive_fraction("churn") <= 0.22
+    # a positive fraction within [0.18, 0.22], as positives per negative
+    assert 0.18 / 0.82 <= stats.label_ratio["churn"] <= 0.22 / 0.78
 
 
 def test_zero_missing_rate_generates_no_missing(tmp_path):

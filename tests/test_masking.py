@@ -4,8 +4,7 @@
 record list with one cell set to Missing produces, and must report a
 variant as changed exactly when that re-encoding differs from the unmasked
 encoding. The genome report built on it must match the per-customer
-re-encode loop: byte for byte on position targets, to rounding on class
-targets.
+re-encode loop byte for byte.
 """
 
 import json
@@ -111,16 +110,10 @@ def test_masked_encodings_match_reencoding_on_every_cell():
 
 # ---- the report against the re-encode loop --------------------------------
 #
-# Representation rows are bitwise the same whichever rows share their batch,
-# so position targets must match the reference byte for byte. A binary class
-# head ends in a two-column matrix product, and OpenBLAS rounds the rows of
-# such a product by their place in the batch. The reference forwards one
-# customer's variants per batch, the report forwards shared batches, so class
-# values may differ by a few units in the last place (and the reference may
-# give an unchanged variant a delta of one such unit where the report gives
-# exactly 0.0). Class results are therefore compared within CLASS_TOLERANCE.
-
-CLASS_TOLERANCE = 8 * np.finfo(np.float64).eps   # deltas of probabilities in [0, 1]
+# A customer's representation and class probabilities are bitwise the same
+# whichever rows share their batch, so the report, which forwards shared
+# batches, must match the reference, which forwards one customer's variants
+# per batch, byte for byte on every target.
 
 
 @pytest.fixture(scope="module")
@@ -145,24 +138,6 @@ MIXED = InterpretConfig(k=37, mask_samples=12, delta_threshold=0.0, seed=5,
                                  class_target("churn", 0), position_target(5)))
 
 
-def _assert_close_genomes(got: dict, want: dict) -> None:
-    """Same customers and threshold; every feature score and contribution
-    within CLASS_TOLERANCE, a feature absent on one side counting as 0."""
-    assert got["customers"] == want["customers"]
-    assert got["threshold"] == want["threshold"]
-    for side in (got, want):
-        side["scores"] = {rec["feature"]: rec["score"] for rec in side["features"]}
-    for feat in set(got["scores"]) | set(want["scores"]):
-        assert abs(got["scores"].get(feat, 0.0) - want["scores"].get(feat, 0.0)) \
-            <= CLASS_TOLERANCE, feat
-    for cid in want["customers"]:
-        g = {rec["feature"]: rec["contribution"] for rec in got["per_customer"][cid]}
-        w = {rec["feature"]: rec["contribution"] for rec in want["per_customer"][cid]}
-        assert set(g) == set(w), cid
-        for feat in w:
-            assert abs(g[feat] - w[feat]) <= CLASS_TOLERANCE, (cid, feat)
-
-
 @pytest.mark.parametrize("config", [MIXED, InterpretConfig(k=6, mask_samples=9, seed=2)],
                          ids=["mixed-targets", "all-positions-default-threshold"])
 def test_report_equals_reencoding_reference(trained, config, monkeypatch):
@@ -179,10 +154,7 @@ def test_report_equals_reencoding_reference(trained, config, monkeypatch):
     want = reference_genome_report(model, table, config).to_dict()
     assert [g["target"] for g in got["targets"]] == [w["target"] for w in want["targets"]]
     for g, w in zip(got["targets"], want["targets"]):
-        if g["target"]["kind"] == "position":
-            assert json.dumps(g, sort_keys=True) == json.dumps(w, sort_keys=True)
-        else:
-            _assert_close_genomes(g, w)
+        assert json.dumps(g, sort_keys=True) == json.dumps(w, sort_keys=True), g["target"]
     if config is MIXED:
         assert all(g["per_customer"]["nobody"] == [] for g in got["targets"])
         assert sum(slices) > EVAL_BATCH         # distinct masked cells span two slices
@@ -219,19 +191,17 @@ def test_mask_and_delta_equals_report_delta(trained):
             delta = mask_and_delta(model, table, cid, feats[fi], t, genome.target)
             [rec] = genome.per_customer[cid]
             assert rec["feature"] == feats[fi]
-            if genome.target.kind == "position":
-                assert rec["contribution"] == delta, (genome.target.key(), cid)
-            else:
-                assert abs(rec["contribution"] - delta) <= CLASS_TOLERANCE, cid
+            assert rec["contribution"] == delta, (genome.target.key(), cid)
             checked += delta != 0.0
     assert checked
 
 
 def test_forwarded_rows_do_not_depend_on_chunking(trained):
-    """A lone trailing row would take BLAS's matrix-vector path and round
-    differently from the same row inside a batch."""
+    """Copies of one row, in a full chunk and as a lone last row, and the
+    row forwarded alone, are bitwise one representation."""
     model, table = trained
     enc = encode_rows(table.records[table.customers[0]], model.schema, model.layout)
-    chunks = model.forward_chunks(enc[[0] * (EVAL_BATCH + 1)])
-    rows = np.concatenate([out.rep.data for out in chunks])
-    assert all(row.tobytes() == rows[0].tobytes() for row in rows)
+    rows = model.forward_stream([enc[[0] * (EVAL_BATCH + 1)]])
+    assert len(rows) == EVAL_BATCH + 1
+    alone = model.forward(enc).rep.data
+    assert all(row.tobytes() == alone[0].tobytes() for row in rows)

@@ -217,7 +217,7 @@ def test_forwards_outside_recording_return_leaves(schema):
     model = CustomerEncoder(schema, small_model_config(), tasks={"churn": 2})
     batch = model.encode_table(fixture_table(n=6))
     outs = [model.forward(batch), model.forward(batch, train=True, rng=np.random.default_rng(0)),
-            *model.forward_chunks(batch)]
+            model.forward(batch[[0]])]
     for out in outs:
         for t in (out.rep, out.ponder):
             assert t._backward_fn is None and not t.requires_grad
@@ -524,20 +524,22 @@ def test_unknown_task_rejected(schema):
 
 
 def test_inference_never_forwards_a_lone_row(schema, monkeypatch):
+    """A one-row product would take BLAS's matrix-vector path: the lone last
+    customer of a table is multiplied as two copies of its row."""
     table = fixture_table(n=EVAL_BATCH + 1)
     model = CustomerEncoder(schema, small_model_config(), tasks={"churn": 2})
-    sizes = []
-    forward = CustomerEncoder.forward
+    rows = []
+    matmul = numeric.matmul
 
-    def spy(self, batch, train=False, rng=None):
-        sizes.append(batch.size)
-        return forward(self, batch, train, rng)
+    def spy(a, b):
+        rows.append(numeric.as_tensor(a).shape[0])
+        return matmul(a, b)
 
-    monkeypatch.setattr(CustomerEncoder, "forward", spy)
+    monkeypatch.setattr(numeric, "matmul", spy)
     _, reps = model.represent(table)
     _, proba = model.predict_proba(table, "churn")
     assert reps.shape[0] == proba.shape[0] == EVAL_BATCH + 1
-    assert sizes == [EVAL_BATCH - 1, 2] * 2
+    assert set(rows) == {EVAL_BATCH, 2}
 
 
 def test_hand_set_head_matches_straight_line_computation(schema):
@@ -555,6 +557,9 @@ def test_hand_set_head_matches_straight_line_computation(schema):
     logits = hidden @ w2.data + b2.data
     got = model.task_logits(Tensor(rep), "churn").data
     assert np.allclose(got, logits, atol=1e-12)
+    proba = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    for rows in (rep, np.repeat(rep, 3, axis=0)):      # alone, and as three rows
+        assert np.allclose(model.class_proba(rows, "churn"), proba, atol=1e-12)
 
 
 # ---- checkpointing -------------------------------------------------------

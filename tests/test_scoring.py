@@ -29,23 +29,13 @@ from tabrep.cli import EXIT_CODES, _write_rows
 from tabrep.encode import encode_table
 from tabrep.errors import TabrepError
 from tabrep.eval import MetricSet, SynthConfig, synth_generate
-from tabrep.model import EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig, eval_chunks
+from tabrep.model import (EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig, chunk_stream,
+                          eval_chunks)
 from tabrep.prep import build_schema
 from tabrep.table import TableFormat, load_table, order_records, save_table
 
 MODEL = ModelConfig(embed_dim=8, n_s=6, heads=2, t_max=2, rep_width=8, fusion_hidden=16,
                     head_hidden=8, recon_count=1, recon_dim=4, dropout=0.0)
-
-
-@pytest.mark.parametrize("n,sizes", [
-    (0, []), (1, [1]), (2, [2]), (EVAL_BATCH, [EVAL_BATCH]),
-    (EVAL_BATCH + 1, [EVAL_BATCH - 1, 2]), (EVAL_BATCH + 2, [EVAL_BATCH, 2]),
-    (2 * EVAL_BATCH + 1, [EVAL_BATCH, EVAL_BATCH - 1, 2]),
-    (3 * EVAL_BATCH, [EVAL_BATCH] * 3)])
-def test_eval_chunks_cover_the_rows_with_no_lone_last_row(n, sizes):
-    chunks = list(eval_chunks(n))
-    assert [c.stop - c.start for c in chunks] == sizes
-    assert [c.start for c in chunks] == [sum(sizes[:i]) for i in range(len(sizes))]
 
 
 @pytest.fixture(scope="module")
@@ -67,28 +57,62 @@ def test_each_chunk_encodes_as_its_rows_of_the_whole_table(scored):
 
 @pytest.mark.parametrize("sizes", [
     [], [0], [1], [EVAL_BATCH + 1], [1, EVAL_BATCH, 0, 3],
-    [EVAL_BATCH - 1, 2, EVAL_BATCH + 1, 1], [2 * EVAL_BATCH + 1]])
-def test_forward_stream_forwards_the_chunks_of_the_concatenated_rows(scored, sizes):
+    [EVAL_BATCH - 1, 2, EVAL_BATCH - 1, 1], [EVAL_BATCH, EVAL_BATCH, 1]])
+def test_chunk_stream_recuts_the_rows_into_full_chunks(scored, sizes):
     model, table = scored
     whole = encode_table(table, model.schema, model.layout)[:sum(sizes)]
     starts = np.cumsum([0] + sizes)
-    got = list(model.forward_stream(whole[lo:hi] for lo, hi in zip(starts, starts[1:])))
-    want = list(model.forward_chunks(whole))
-    assert [out.rep.shape for out in got] == [out.rep.shape for out in want]
-    assert all(a.rep.data.tobytes() == b.rep.data.tobytes() for a, b in zip(got, want))
+    batches = [whole[lo:hi] for lo, hi in zip(starts, starts[1:])]
+    chunks = list(chunk_stream(batches))
+    full, rest = divmod(sum(sizes), EVAL_BATCH)
+    assert [c.size for c in chunks] == [EVAL_BATCH] * full + [rest] * (rest > 0)
+    assert sum((c.customers for c in chunks), []) == whole.customers
+    assert all(same_encoding(c, whole[i * EVAL_BATCH:(i + 1) * EVAL_BATCH])
+               for i, c in enumerate(chunks))
+    # a full batch that comes while no row waits is passed on, not copied
+    if sizes[:1] == [EVAL_BATCH]:
+        assert np.shares_memory(chunks[0].nd_vals, batches[0].nd_vals)
 
 
 def test_represent_of_shuffled_customers_is_the_reordered_whole_table(scored):
     model, table = scored
     names, reps = model.represent(table)
-    whole = np.concatenate([out.rep.data for out in model.forward_chunks(
-        model.encode_table(table))])
-    assert reps.tobytes() == whole.tobytes()
+    assert reps.tobytes() == model.forward_stream([model.encode_table(table)]).tobytes()
     shuffled = [names[i] for i in np.random.default_rng(3).permutation(len(names))]
     got_names, got = model.represent(table, shuffled)
     position = {c: i for i, c in enumerate(names)}
     assert got_names == shuffled
     assert got.tobytes() == reps[[position[c] for c in shuffled]].tobytes()
+
+
+# the default model, and the acceptance tests' (narrower, with a wider class head)
+SIZES = [ModelConfig(), ModelConfig(embed_dim=12, n_s=8, heads=2, t_max=2, rep_width=16,
+                                    fusion_hidden=32, head_hidden=16, recon_count=1,
+                                    recon_dim=8, dropout=0.0)]
+
+
+@pytest.mark.parametrize("config", SIZES, ids=["default", "acceptance"])
+def test_a_customers_scores_depend_on_that_customer_alone(config):
+    """`represent` and `predict_proba` of a customer scored alone, in random
+    subsets of 2, EVAL_BATCH - 1 and EVAL_BATCH + 1 customers (a lone last
+    row), and in the whole table are bitwise the same."""
+    table = synth_generate(SynthConfig(n_customers=EVAL_BATCH + 44, seed=12))
+    model = CustomerEncoder(build_schema(table), config, tasks={"churn": 2}, seed=3)
+    model.fit(table, TrainConfig(epochs=2, seed=3))
+    names, reps = model.represent(table)
+    _, proba = model.predict_proba(table, "churn")
+    rng = np.random.default_rng(6)
+    checked = rng.choice(len(names), 12, replace=False)
+    others = np.setdiff1d(np.arange(len(names)), checked)
+    subsets = [[i] for i in checked] + [[i, rng.choice(others)] for i in checked]
+    for size in (EVAL_BATCH - 1, EVAL_BATCH + 1):
+        subsets.append(rng.permutation(np.concatenate(
+            [checked, rng.choice(others, size - len(checked), replace=False)])))
+    for rows in subsets:
+        customers = [names[i] for i in rows]
+        assert model.represent(table, customers)[1].tobytes() == reps[rows].tobytes()
+        assert (model.predict_proba(table, "churn", customers)[1].tobytes()
+                == proba[rows].tobytes())
 
 
 # What `represent` holds at its peak besides its result: one chunk's inputs
@@ -198,18 +222,17 @@ def write_scoring_inputs(directory, n: int, interleaved: bool = False) -> list[s
 
 
 def whole_table_outputs(directory) -> dict[str, bytes | str]:
-    """Each stage's file from the whole table, loaded at once and forwarded
-    in `eval_chunks` of all its customers (of its labeled ones, for
+    """Each stage's file from the whole table, loaded and encoded at once
+    and forwarded in chunks of all its customers (of its labeled ones, for
     `evaluate`); the error code where the stage ends in one."""
     model = CustomerEncoder.load(directory / "m.json")
     table = order_records(load_table(directory / "t.csv", FORMAT))
 
     def forwarded(names):
-        return list(model.forward_chunks(model.encode_table(table, names)))
+        return model.forward_stream([model.encode_table(table, names)])
 
-    outs = forwarded(table.customers)
-    reps = np.concatenate([out.rep.data for out in outs])
-    proba = np.concatenate([model.class_proba(out.rep, "churn") for out in outs])
+    reps = forwarded(table.customers)
+    proba = model.class_proba(reps, "churn")
     width = MODEL.rep_width
     _write_rows(directory / "embeddings.csv", ["customer_id"] + [f"r{i:03d}" for i in range(width)],
                 [(table.customers, reps)])
@@ -220,7 +243,7 @@ def whole_table_outputs(directory) -> dict[str, bytes | str]:
     got = table.labels["churn"]
     labeled = [c for c in table.customers if c in got]
     try:
-        proba = np.concatenate([model.class_proba(out.rep, "churn") for out in forwarded(labeled)])
+        proba = model.class_proba(forwarded(labeled), "churn")
         want["evaluate"] = MetricSet.from_scores(proba[:, 1], [got[c] for c in labeled]
                                                  ).to_json().encode()
     except TabrepError as e:

@@ -423,7 +423,6 @@ def test_stats_label_ratio_and_positive_fraction():
     labels = {"churn": {"a": 1, "b": 0, "c": 0, "d": 0, "e": 0}}
     stats = compute_stats(make_table(rows, labels=labels), KindStub({"SN": 1.0}))
     assert stats.label_ratio["churn"] == pytest.approx(0.25)
-    assert stats.positive_fraction("churn") == pytest.approx(0.2)
 
 
 def test_stats_empty_table_rejected():
