@@ -3,16 +3,20 @@
 One record sequence, passed as a batch of one, is refined by the same
 attention-plus-transition step until each position's halting unit
 accumulates enough probability to stop. The demo shows the attention
-pattern, how the halting bias trades compute for ponder cost, and that
-padded positions are skipped entirely.
+pattern, how the halting bias trades compute for ponder cost, that padded
+positions are skipped entirely, how a batch's windows are packed into rows
+of n_s slots, and the halting histogram a training run logs per epoch.
 """
 
 import numpy as np
 
 from tabrep import numeric
 from tabrep.dynamics import (TransformerConfig, TransformerParams, act_run,
-                             attention_weights, coordinate_embedding)
+                             attention_weights, coordinate_embedding, pack)
+from tabrep.eval import SynthConfig, synth_generate
+from tabrep.model import CustomerEncoder, ModelConfig, TrainConfig
 from tabrep.numeric import Tensor
+from tabrep.prep import build_schema
 
 config = TransformerConfig(n_s=5, n_e=8, k=2, t_max=6, dropout=0.0)
 params = TransformerParams.init(config, numeric.drawing(np.random.default_rng(3)), "demo")
@@ -46,3 +50,29 @@ params.halt_b.data[:] = -1.0
 final, _, stats = act_run(e0, params, config, mask=mask)
 print(f"\nfinal padded row: {final.data[0, 4]}")
 print(f"accumulated halting mass per position: {np.round(stats.accumulated[0], 3)}")
+
+print("\n=== packing: each window's valid positions share rows of n_s slots ===")
+windows = np.array([[True, True, True, True, False],
+                    [True, False, True, False, False],
+                    [True, True, True, True, True],
+                    [False, False, False, True, False]])
+packing = pack(windows)
+print(f"{len(windows)} windows, {windows.sum()} valid positions -> "
+      f"{len(packing.segment)} rows of {windows.shape[1]} slots")
+print("window of each slot (-1 empty):")
+print(packing.segment)
+print("window position of each filled slot:")
+print(np.where(packing.segment >= 0, packing.position, -1))
+
+print("\n=== halting histogram of a short training run (train_log.jsonl) ===")
+table = synth_generate(SynthConfig(n_customers=200, seed=4))
+model = CustomerEncoder(build_schema(table),
+                        ModelConfig(embed_dim=8, heads=2, t_max=4, rep_width=8,
+                                    fusion_hidden=16, head_hidden=8, recon_count=1,
+                                    recon_dim=4),
+                        tasks={"churn": 2}, seed=0)
+print("valid positions of the epoch's training batches that halted at each step")
+for rec in model.fit(table, TrainConfig(epochs=3, batch_size=32)):
+    for branch, counts in rec["halt_histogram"].items():
+        steps = "  ".join(f"{step}: {count:4d}" for step, count in enumerate(counts, 1))
+        print(f"epoch {rec['epoch']}  {branch:<20} {steps}")

@@ -169,7 +169,10 @@ def _fits(value, hint, bounds) -> bool:
     if origin is dict:
         return isinstance(value, dict) and all(_fits(k, args[0], {}) and _fits(v, args[1], bounds)
                                                for k, v in value.items())
-    if origin is list or origin is tuple and args[1:] == (...,):
+    if origin is tuple and args[1:] != (...,):
+        return (isinstance(value, tuple) and len(value) == len(args)
+                and all(_fits(v, arg, bounds) for v, arg in zip(value, args)))
+    if origin is list or origin is tuple:
         return isinstance(value, origin) and all(_fits(v, args[0], bounds) for v in value)
     if hint is int or hint is float:
         kind, big = numbers.Integral if hint is int else numbers.Real, sys.float_info.max

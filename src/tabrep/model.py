@@ -32,7 +32,7 @@ from .encode import stack_encoded
 from .eval import balanced_class_weights, holdout_split
 from .errors import (AT_LEAST_ONE, AT_LEAST_TWO, NON_NEGATIVE, OPEN_UNIT, POSITIVE, RATE,
                      AllTermsDisabledError, Checked, ConfigError, NoLabeledCustomersError,
-                     TableIOError, UnknownTaskError, check_fields)
+                     SchemaError, TableIOError, UnknownTaskError, check_fields)
 from .numeric import Parameter, Tensor
 from .prep import FeatureSchema, read_json
 from .table import BigTable
@@ -344,7 +344,8 @@ class CustomerEncoder:
             records = payload["params"]
             model = cls(schema, ModelConfig(**payload["config"]), payload["tasks"],
                         payload["seed"], _param=_checkpoint_param(records))
-        except (KeyError, TypeError, ValueError, AttributeError, OverflowError, ConfigError) as e:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError, ConfigError,
+                SchemaError) as e:
             raise TableIOError(f"malformed model checkpoint: {type(e).__name__}: {e}") from e
         if records:
             raise TableIOError("checkpoint parameters do not match the model architecture")
@@ -503,7 +504,9 @@ class CustomerEncoder:
         validation chunk has a trainable term). A labeled customer adds a task
         term only when its class has positive training weight; batches and
         validation chunks without a trainable term are skipped and counted in
-        `skipped_batches`.
+        `skipped_batches`. `halt_histogram` gives, per dynamic branch, how
+        many valid positions of the epoch's training forwards halted at each
+        step 1 … t_max.
         """
         encoded = self.encode_table(table)
         customers, n = encoded.customers, encoded.size
@@ -570,12 +573,17 @@ class CustomerEncoder:
             return joint_loss(recon_terms, task_terms, out.ponder, config.recon_weight,
                               config.ponder_weight, config.task_weights)
 
-        def train_step(idx: np.ndarray) -> float:
+        def train_step(idx: np.ndarray, halting: dict[str, np.ndarray]) -> float:
             with numeric.recording():
-                loss = loss_of(self.forward(encoded[idx], train=True, rng=drop_rng), idx)
+                out = self.forward(encoded[idx], train=True, rng=drop_rng)
+                loss = loss_of(out, idx)
                 opt.zero_grad()
                 numeric.backward(loss)
             opt.step()
+            # valid positions per halting step; padded ones read step 0
+            for branch, st in out.branch_stats.items():
+                halting[branch] = halting.get(branch, 0) + np.bincount(
+                    st.halt_steps.ravel(), minlength=self.tconfig.t_max + 1)[1:]
             return float(loss.data)
 
         validation = encoded[val_idx]
@@ -585,15 +593,17 @@ class CustomerEncoder:
             for epoch in range(config.epochs):
                 order = train_idx[batch_rng.permutation(len(train_idx))]
                 epoch_total, seen, skipped = 0.0, 0, 0
+                halting: dict[str, np.ndarray] = {}
                 for lo in range(0, len(order), config.batch_size):
                     chunk = order[lo:lo + config.batch_size]
                     if not has_term(chunk):
                         skipped += 1
                         continue
-                    epoch_total += train_step(chunk) * len(chunk)
+                    epoch_total += train_step(chunk, halting) * len(chunk)
                     seen += len(chunk)
                 record = {"epoch": epoch, "train_loss": epoch_total / seen,
-                          "val_loss": None, "val_auc": {}, "skipped_batches": skipped}
+                          "val_loss": None, "val_auc": {}, "skipped_batches": skipped,
+                          "halt_histogram": {k: v.tolist() for k, v in halting.items()}}
                 if len(val_idx):
                     # only each chunk's loss and class probabilities outlive it
                     total, count = 0.0, 0

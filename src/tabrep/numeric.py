@@ -256,16 +256,29 @@ def concat(tensors, axis: int = 0) -> Tensor:
                                                  for key, need in zip(keys, live)])
 
 
-def take(a, key) -> Tensor:
-    """Slicing / advanced indexing; gradients scatter-add back into `a`."""
+def take(a, key, distinct: bool = False) -> Tensor:
+    """Slicing / advanced indexing; gradients scatter-add back into `a`, or
+    are written there when the positions `key` picks are `distinct`."""
     a = as_tensor(a)
 
     def scatter(g, _live):
         share = np.zeros_like(a.data)
-        np.add.at(share, key, g)
+        if distinct:
+            share[key] = g
+        else:
+            np.add.at(share, key, g)
         return (share,)
 
     return _node(a.data[key], (a,), scatter)
+
+
+def place(a, key, shape) -> Tensor:
+    """Zeros of `shape` with `a` written at `key`: the inverse of `take` at
+    distinct positions. The gradient is `g[key]`."""
+    a = as_tensor(a)
+    data = np.zeros(shape)
+    data[key] = a.data
+    return _node(data, (a,), lambda g, _: (g[key],))
 
 
 def reshape(a, shape) -> Tensor:
@@ -302,6 +315,16 @@ def log(a) -> Tensor:
     return _node(np.log(a.data), (a,), lambda g, _: (g / a.data,))
 
 
+def _chain(op, x: np.ndarray, axis: int) -> np.ndarray:
+    """`op(running, slice, out=running)` folded over the slices of `x` along
+    `axis`, left to right; keeps `axis` with size 1."""
+    at = (slice(None),) * axis
+    out = x[at + (slice(0, 1),)].copy()
+    for i in range(1, x.shape[axis]):
+        op(out, x[at + (slice(i, i + 1),)], out=out)
+    return out
+
+
 def row_max(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """`x.max(axis=axis, keepdims=True)`. Over short rows it is taken as a
     chain of `np.maximum` over the slices along `axis`, because numpy's
@@ -309,19 +332,29 @@ def row_max(x: np.ndarray, axis: int = -1) -> np.ndarray:
     axis %= x.ndim
     if not 0 < x.shape[axis] <= ROW_MAX_CHAIN:
         return x.max(axis=axis, keepdims=True)
-    at = (slice(None),) * axis
-    out = x[at + (slice(0, 1),)].copy()
-    for i in range(1, x.shape[axis]):
-        np.maximum(out, x[at + (slice(i, i + 1),)], out=out)
-    return out
+    return _chain(np.maximum, x, axis)
+
+
+def _first_max(x: np.ndarray, axis: int) -> np.ndarray:
+    """`row_max`'s chain, keeping the first of equal values (0.0 and -0.0)
+    as `np.argmax` picks it: `np.maximum` returns its second operand on a
+    tie, and here that is the running max."""
+    return _chain(lambda run, nxt, out: np.maximum(nxt, run, out=out), x, axis)
+
+
+def row_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """`x.sum(axis=axis, keepdims=True)` added left to right, so a row's sum
+    does not depend on where exact zeros sit in it; numpy's reduction groups
+    the terms of a row of 8 or more by their positions."""
+    return _chain(np.add, x, axis % x.ndim)
 
 
 def _softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax of `x` along `axis`, written into `out` (`x` itself to run
-    in place) or into one new array."""
+    in place) or into one new array. The denominator is a `row_sum`."""
     out = np.subtract(x, row_max(x, axis), out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+    out /= row_sum(out, axis)
     return out
 
 
@@ -390,13 +423,24 @@ def _heads(m: np.ndarray, b: int, n: int, heads: int) -> np.ndarray:
     return m.reshape(b, n, heads, -1).transpose(0, 2, 1, 3)
 
 
+def _hidden_keys(mask: np.ndarray) -> np.ndarray:
+    """[b, n, n]: true where key k is hidden from query q. `mask` [b, n]
+    holds each slot's segment id, -1 for padding; a boolean mask is the
+    one-segment case (true: 0, false: -1). A query sees the keys of its own
+    segment; a padded query sees every key that is not padding."""
+    mask = np.asarray(mask)
+    segment = np.where(mask, 0, -1) if mask.dtype == bool else mask
+    key, query = segment[:, None, :], segment[:, :, None]
+    return (key < 0) | ((key != query) & (query >= 0))
+
+
 def _attention_kernel(x: np.ndarray, w_qkv: np.ndarray, heads: int,
                       mask: np.ndarray | None):
     """Forward of `self_attention` up to its softmax: the flat input, the
     per-head Q, K and V of one [b*n, e] @ [e, 3e] GEMM, the score scale and
-    the softmax weights [b, heads, n, n]. Masked keys get a large negative
-    score. The scores are scaled, masked and normalized in place, so the
-    weights take the scores' memory."""
+    the softmax weights [b, heads, n, n]. Hidden keys (see `_hidden_keys`)
+    get a large negative score. The scores are scaled, masked and normalized
+    in place, so the weights take the scores' memory."""
     b, n, e = x.shape
     x2 = _rows(x)
     qkv = x2 @ w_qkv
@@ -405,7 +449,7 @@ def _attention_kernel(x: np.ndarray, w_qkv: np.ndarray, heads: int,
     scores = np.matmul(q, _swap_last(k))
     scores *= scale
     if mask is not None:
-        np.copyto(scores, -NEG_MASK_VALUE, where=np.logical_not(mask)[:, None, None, :])
+        np.copyto(scores, -NEG_MASK_VALUE, where=_hidden_keys(mask)[:, None])
     return x2, q, k, v, scale, _softmax(scores, out=scores)
 
 
@@ -420,7 +464,9 @@ def self_attention(x, wq, wk, wv, wo, heads: int, mask: np.ndarray | None = None
     """Masked multi-head dot-product self-attention over the position axis
     of `x` [b, n, e], as one op. Head h owns columns h*hd:(h+1)*hd of the
     [e, e] projections `wq`, `wk` and `wv`; `wo` mixes the joined heads.
-    Keys where the [b, n] `mask` is false get a softmax weight of exactly 0."""
+    `mask` [b, n] is a validity mask or a segment id per slot (see
+    `_hidden_keys`); a hidden key gets a softmax weight of exactly 0, so
+    segments packed into one row do not see each other."""
     x, wq, wk, wv, wo = (as_tensor(t) for t in (x, wq, wk, wv, wo))
     b, n, e = x.shape
     w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
@@ -467,14 +513,18 @@ def softmax_cross_entropy(logits, labels: np.ndarray, weights: np.ndarray) -> Te
     return _node(np.sum(picked * -weights) * scale, (logits,), grads)
 
 
-def dropout(a, rate: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout; exact identity when `train` is false."""
+def dropout(a, rate: float, train: bool, rng: np.random.Generator | None = None,
+            drawn: tuple | None = None) -> Tensor:
+    """Inverted dropout; exact identity when `train` is false. With `drawn`,
+    a `(shape, key)` pair, the mask is drawn in `shape` and `a` keeps its
+    entries `[key]`: a packed tensor is dropped as its padded form would be."""
     a = as_tensor(a)
     if not train or rate <= 0.0:
         return a
     if rng is None:
         raise ValueError("dropout in training mode needs a generator")
-    keep = rng.random(a.shape) >= rate     # scaled to the float mask only while in use
+    shape, key = (a.shape, ...) if drawn is None else drawn
+    keep = (rng.random(shape) >= rate)[key]     # scaled to the float mask only while in use
     scale = 1.0 - rate
     return _node(a.data * (keep / scale), (a,), lambda g, _: (g * (keep / scale),))
 
@@ -511,7 +561,13 @@ def _argmax_node(a: Tensor, values: np.ndarray, axis: int, keepdims: bool,
                  valid: np.ndarray | None = None) -> Tensor:
     """Max of `values` (`a`'s data or a masked copy) along `axis`; each
     slice's gradient routes to its first argmax. Slices where `valid` is
-    false read exactly 0.0 and route no gradient."""
+    false read exactly 0.0 and route no gradient. Outside `recording()`
+    there is nothing to route, and slices up to ROW_MAX_CHAIN long take the
+    same max by `_first_max`, with no index built."""
+    if _tape is None and values.shape[axis] <= ROW_MAX_CHAIN:
+        y = _first_max(values, axis)
+        y = y if valid is None else np.where(valid, y, 0.0)
+        return Tensor(y if keepdims else np.squeeze(y, axis=axis))
     idx = np.expand_dims(np.argmax(values, axis=axis), axis)
     y = np.take_along_axis(values, idx, axis=axis)
     if valid is not None:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (AT_LEAST_ONE, AT_LEAST_TWO, NON_NEGATIVE, Checked, ConfigError,
-                     MixedKindFeatureError, SchemaError, TableIOError)
+                     MixedKindFeatureError, SchemaError, TableIOError, check_fields)
 from .table import (KIND_DATE, KIND_NUMBER, KIND_TOKEN, MISSING_CODE, BigTable, CellPool, Column,
                     Columns)
 
@@ -332,10 +332,14 @@ class FeatureSchema:
     kinds: dict[str, FeatureKind]
     vocabularies: dict[str, Vocabulary]
     numeric_stats: dict[str, tuple[float, float]]
-    dynamics_summary: dict[str, int]
+    dynamics_summary: dict[str, int] = field(metadata=NON_NEGATIVE)
     config: RecognizerConfig
 
     def __post_init__(self):
+        try:
+            check_fields(self)
+        except ConfigError as e:
+            raise SchemaError(str(e)) from None
         stray = set(self.kinds) ^ set(self.feature_order)
         if stray:
             raise SchemaError(f"kinds and feature_order differ on {sorted(stray)}")
@@ -385,8 +389,8 @@ class FeatureSchema:
                 feature_order=list(payload["feature_order"]),
                 kinds={f: FeatureKind(k) for f, k in payload["kinds"].items()},
                 vocabularies={f: Vocabulary(token_to_id=dict(v)) for f, v in payload["vocabularies"].items()},
-                numeric_stats={f: (float(s[0]), float(s[1])) for f, s in payload["numeric_stats"].items()},
-                dynamics_summary={f: int(v) for f, v in payload["dynamics_summary"].items()},
+                numeric_stats={f: tuple(s) for f, s in payload["numeric_stats"].items()},
+                dynamics_summary=dict(payload["dynamics_summary"]),
                 config=RecognizerConfig(**payload["config"]),
             )
         except (KeyError, TypeError, ValueError, AttributeError, IndexError, ConfigError) as e:

@@ -20,6 +20,7 @@ import numpy as np
 
 import tabrep
 from tabrep import numeric
+from tabrep.dynamics import PonderStats, transformer_step
 from tabrep.encode import Batch, encode_rows, stack_encoded
 from tabrep.interpret import (GenomeReport, InterpretConfig, TargetGenome, _top_k,
                               maskable_features, position_target, sensitive_features)
@@ -82,6 +83,42 @@ def reference_backward(loss, tape) -> None:
     for node in reversed(tape):
         if node.grad is not None:
             node._backward_fn(node.grad)
+
+
+def padded_act_run(e0, params, config, mask=None, train=False, rng=None):
+    """`dynamics.act_run` without packing: every step runs on the padded
+    [b, n_s, n_e] windows, and padded positions are computed and ignored.
+    Same return values."""
+    b, n_s, n_e = e0.shape
+    valid = np.ones((b, n_s), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    threshold = 1.0 - config.act_epsilon
+    acc = np.zeros((b, n_s))
+    halted = ~valid
+    halt_steps = np.zeros((b, n_s), dtype=np.int64)
+    e_t = e0
+    final = numeric.Tensor(np.zeros((b, n_s, n_e)))
+    probs = []
+    for step in range(1, config.t_max + 1):
+        e_t = transformer_step(e_t, step, params, config, mask=valid, train=train, rng=rng)
+        p = numeric.sigmoid(numeric.matmul(e_t, params.halt_w) + params.halt_b)
+        probs.append(p)
+        p_data = p.data[..., 0]
+        crossing = (~halted) & ((acc + p_data >= threshold) | (step == config.t_max))
+        final = final + numeric.Tensor(crossing[..., None].astype(np.float64)) * e_t
+        acc = acc + np.where(valid, p_data, 0.0)
+        halt_steps[crossing] = step
+        halted |= crossing
+        if halted.all():
+            break
+    n_valid = int(valid.sum())
+    running = halt_steps[..., None] > np.arange(1, len(probs) + 1)
+    mass_before = numeric.tensor_sum(numeric.concat(probs, axis=-1)
+                                     * numeric.Tensor(running / n_valid))
+    mean_remainder = 1.0 - mass_before
+    mean_steps = float(halt_steps.sum() / n_valid)
+    stats = PonderStats(halt_steps=halt_steps, mean_steps=mean_steps,
+                        mean_remainder=float(mean_remainder.data), accumulated=acc)
+    return final, mean_steps + mean_remainder, stats
 
 
 def reference_feature_kind(cells, integer_unique_threshold: int) -> str:

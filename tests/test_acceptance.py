@@ -22,7 +22,7 @@ from tabrep import numeric
 from tabrep.cli import main as cli_main
 from tabrep.dynamics import (TransformerConfig, TransformerParams, act_run,
                              attention_weights, dynamic_embed, mhsa,
-                             transformer_step)
+                             pack, transformer_step)
 from tabrep.embed import categorical_embed, max_concat, positional_numeric_embed
 from tabrep.encode import augmented_summary
 from tabrep.errors import SingleClassError
@@ -124,6 +124,9 @@ def gradient_cases():
     idx = np.array([0, 2, 2, 4, 0])
     w53 = rng.normal(size=(5, 3))
     cases.append(("take", lambda: scalarize(numeric.take(tk, idx), w53), [tk]))
+    pl = Parameter(rng.normal(size=(2, 3)), name="pl")
+    cases.append(("place", lambda: scalarize(numeric.place(pl, np.array([3, 1]), (5, 3)), w53),
+                  [pl]))
 
     sh = Parameter(rng.normal(size=(2, 6)), name="sh")
     w43 = rng.normal(size=(4, 3))
@@ -189,6 +192,10 @@ def gradient_cases():
     cases.append(("self_attention",
                   lambda: scalarize(numeric.self_attention(sx, *sw, 2, mask=smask), w238),
                   [sx, *sw]))
+    segments = np.array([[0, 0, 1], [2, -1, 2]])
+    cases.append(("self_attention segments",
+                  lambda: scalarize(numeric.self_attention(sx, *sw, 2, mask=segments), w238),
+                  [sx, *sw]))
     lx = Parameter(rng.normal(size=(2, 3, 5)), name="lx")
     ly = Parameter(rng.normal(size=(2, 3, 5)), name="ly")
     w235l = rng.normal(size=(2, 3, 5))
@@ -235,6 +242,23 @@ def gradient_cases():
 
     # every block parameter but `wd`, which `dynamic_embed` reads
     cases.append(("act_run", act_fn, [ae, *aparams.parameters()[:-1]]))
+
+    # two windows of two positions, one with a hole, share one packed row of four
+    pcfg = TransformerConfig(n_s=4, n_e=8, k=2, t_max=3, dropout=0.3)
+    pparams = TransformerParams.init(pcfg, numeric.drawing(np.random.default_rng(36)), "t")
+    pparams.halt_b.data[:] = -1.0
+    pe = Parameter(rng.normal(size=(2, 4, 8)), name="pe")
+    pmask = np.array([[True, False, True, False], [True, True, False, False]])
+    assert pack(pmask).segment.tolist() == [[0, 0, 1, 1]]
+    w48 = rng.normal(size=(2, 4, 8))
+
+    def packed_fn():
+        final, ponder, _ = act_run(pe, pparams, pcfg, mask=pmask, train=True,
+                                   rng=np.random.default_rng(43))
+        return scalarize(final, w48) + 0.01 * ponder
+
+    cases.append(("act_run two segments in one packed row", packed_fn,
+                  [pe, *pparams.parameters()[:-1]]))
 
     wd = Parameter(rng.normal(size=(24, 4)), name="wd")
     de = Parameter(rng.normal(size=(1, 3, 8)), name="de")

@@ -365,6 +365,13 @@ def drop_first(section):
     return edit
 
 
+def first_entry(section, value):
+    """Schema edit: the first feature's entry in `section` becomes `value`."""
+    def edit(payload):
+        payload[section][next(iter(payload[section]))] = value
+    return edit
+
+
 def vocabulary_ids(ids):
     """Schema edit: the first tokens of the first vocabulary get `ids`."""
     def edit(payload):
@@ -429,6 +436,16 @@ MALFORMED = [
      {"schema.json": schema_file(vocabulary_ids([0]))}, "schema-error"),
     ("schema-vocabulary-id-shared", "train", {},
      {"schema.json": schema_file(vocabulary_ids([2, 2]))}, "schema-error"),
+    ("schema-numeric-stats-string", "train", {},
+     {"schema.json": schema_file(first_entry("numeric_stats", ["0.5", "9"]))}, "schema-error"),
+    ("schema-dynamics-count-fraction", "train", {},
+     {"schema.json": schema_file(first_entry("dynamics_summary", 2.7))}, "schema-error"),
+    ("checkpoint-schema-numeric-stats-string", "embed", {},
+     {"m.json": checkpoint_file(lambda c: first_entry("numeric_stats", ["0.5", "9"])(c["schema"]))},
+     "io-error"),
+    ("checkpoint-schema-dynamics-count-fraction", "embed", {},
+     {"m.json": checkpoint_file(lambda c: first_entry("dynamics_summary", 2.7)(c["schema"]))},
+     "io-error"),
     ("schema-corrupt-json", "train", {}, {"schema.json": b'{"feature_order": ['}, "io-error"),
     ("schema-missing-keys", "train", {},
      {"schema.json": schema_file(lambda s: s.pop("kinds"))}, "io-error"),

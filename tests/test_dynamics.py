@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabrep import dynamics, numeric
 from tabrep.dynamics import (TransformerConfig, TransformerParams, act_run,
                              attention_weights, coordinate_embedding, dynamic_embed,
-                             mhsa, transformer_step)
+                             mhsa, pack, transformer_step)
 from tabrep.errors import AllMaskedError, ShapeMismatchError
 from tabrep.numeric import Parameter, Tensor
 
 from gradcheck import assert_gradients_match, scalarize
+from oracles import padded_act_run
 
 
 def small_config(**kwargs):
@@ -318,6 +321,104 @@ def test_act_gradcheck_three_step_unrolled():
     assert_gradients_match(
         fn, [e0, params.wq, params.wv, params.ts_w1, params.halt_w,
              params.halt_b, params.wo])
+
+
+# ---- packing ---------------------------------------------------------------
+
+# [b, n_s] window masks: lengths 1 to n_s, holes included
+window_masks = st.integers(1, 8).flatmap(lambda n_s: st.lists(
+    st.lists(st.booleans(), min_size=n_s, max_size=n_s).filter(any), min_size=1, max_size=12))
+
+
+def reference_first_fit(lengths, n_s):
+    """(row, first slot) per window: longest first, batch order among
+    equals, each into the first row with room."""
+    room, placed = [], {}
+    for w in sorted(range(len(lengths)), key=lambda w: -lengths[w]):
+        row = next((r for r, free in enumerate(room) if free >= lengths[w]), len(room))
+        if row == len(room):
+            room.append(n_s)
+        placed[w] = (row, n_s - room[row])
+        room[row] -= lengths[w]
+    return placed, len(room)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows=window_masks)
+def test_pack_is_first_fit_decreasing_and_each_slot_a_distinct_place(rows):
+    valid = np.array(rows)
+    b, n_s = valid.shape
+    packing = pack(valid)
+    placed, n_rows = reference_first_fit(valid.sum(axis=1).tolist(), n_s)
+    step = dynamics.SLOT_MULTIPLE // np.gcd(dynamics.SLOT_MULTIPLE, n_s)
+    padded_rows = -(-n_rows // step) * step
+    assert packing.segment.shape == (padded_rows if padded_rows <= b else n_rows, n_s)
+    for w, (row, first) in placed.items():
+        slots = np.flatnonzero(packing.segment[row] == w)
+        assert slots.tolist() == list(range(first, first + valid[w].sum()))
+        assert (packing.window[row, slots] == w).all()
+        assert packing.position[row, slots].tolist() == np.flatnonzero(valid[w]).tolist()
+    places = packing.window * n_s + packing.position
+    assert len(np.unique(places)) == places.size
+    assert (valid[packing.key] == (packing.segment >= 0)).all()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rows=window_masks, data=st.data())
+def test_perturbing_one_packed_segment_leaves_the_others_bitwise_unchanged(rows, data):
+    valid = np.array(rows)
+    b, n_s = valid.shape
+    config = small_config(n_s=n_s, t_max=4)
+    params = init_params(config, seed=b)
+    params.halt_b.data[:] = -1.0          # keep refinement running a few steps
+    rng = np.random.default_rng(n_s)
+    e = rng.normal(size=(b, n_s, config.n_e))
+    victim = data.draw(st.integers(0, b - 1))
+    altered = e.copy()
+    altered[victim] += 3.0 * rng.normal(size=(n_s, config.n_e))
+    final_a, _, stats_a = act_run(Tensor(e), params, config, mask=valid)
+    final_b, _, stats_b = act_run(Tensor(altered), params, config, mask=valid)
+    others = np.arange(b) != victim
+    assert final_a.data[others].tobytes() == final_b.data[others].tobytes()
+    assert stats_a.halt_steps[others].tolist() == stats_b.halt_steps[others].tolist()
+
+
+# Packed and padded runs sum each attention row over the same exponentials in
+# the same order, so the states agree bit for bit; the ponder term sums its
+# halting mass over another layout and may move by a few ulps.
+PONDER_ULPS = 4
+
+
+@pytest.mark.parametrize("train", [False, True])
+def test_packed_refinement_agrees_with_the_padded_oracle(train):
+    config = TransformerConfig(n_s=8, n_e=16, k=2, t_max=4, dropout=0.2)
+    rng = np.random.default_rng(51)
+    for trial in range(10):
+        params = init_params(config, seed=60 + trial)
+        params.halt_b.data[:] = rng.uniform(-2.0, 1.0)
+        b = int(rng.integers(1, 40))
+        valid = rng.random((b, config.n_s)) < rng.uniform(0.2, 0.9)
+        valid[np.arange(b), rng.integers(0, config.n_s, size=b)] = True
+        e = Tensor(rng.normal(size=(b, config.n_s, config.n_e)))
+        packed = act_run(e, params, config, mask=valid, train=train,
+                         rng=np.random.default_rng(trial))
+        padded = padded_act_run(e, params, config, mask=valid, train=train,
+                                rng=np.random.default_rng(trial))
+        assert packed[0].data.tobytes() == padded[0].data.tobytes()
+        assert packed[2].halt_steps.tolist() == padded[2].halt_steps.tolist()
+        assert packed[2].accumulated.tobytes() == padded[2].accumulated.tobytes()
+        ponder = float(padded[1].data)
+        assert abs(float(packed[1].data) - ponder) <= PONDER_ULPS * np.spacing(ponder)
+
+
+def test_empty_packed_slots_take_no_attention_from_filled_ones():
+    config = small_config(n_s=4)
+    params = init_params(config, seed=52)
+    segment = np.array([[0, 0, 1, -1]])
+    w = attention_weights(Tensor(np.random.default_rng(53).normal(size=(1, 4, 8))),
+                          params, config, mask=segment)
+    assert np.all(w[0, :, :2, 2:] == 0.0) and np.all(w[0, :, 2, [0, 1, 3]] == 0.0)
+    assert np.allclose(w.sum(axis=-1), 1.0)
 
 
 # ---- final dynamic embedding --------------------------------------------

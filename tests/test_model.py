@@ -368,6 +368,24 @@ def test_training_reduces_loss(schema):
     assert log[0]["val_loss"] is not None
 
 
+def test_halting_histogram_counts_each_valid_training_position_once_per_epoch():
+    table = synth_generate(SynthConfig(n_customers=50, records_min=2, records_max=7, seed=4))
+    config = small_model_config(t_max=3)
+    logs = []
+    for run in range(2):
+        model = CustomerEncoder(build_schema(table), config, tasks={"churn": 2}, seed=5)
+        logs.append(model.fit(table, TrainConfig(epochs=2, batch_size=16,
+                                                 validation_fraction=0.0, seed=5)))
+    valid = model.encode_table(table).seq_valid
+    assert valid.sum() < valid.size                     # some windows are padded
+    assert logs[0] == logs[1]
+    for record in logs[0]:
+        assert set(record["halt_histogram"]) == {"dynamic_categorical", "dynamic_numerical"}
+        for counts in record["halt_histogram"].values():
+            assert len(counts) == config.t_max and all(type(c) is int for c in counts)
+            assert sum(counts) == valid.sum()
+
+
 def test_identical_seeds_identical_checkpoints(schema, tmp_path):
     table = fixture_table()
     config = TrainConfig(epochs=2, batch_size=16, learning_rate=0.01, seed=7)

@@ -404,3 +404,23 @@ def test_max_and_its_index_are_bitwise_argmax_and_take_along_axis():
             out = numeric.masked_max(t, mask, axis=axis, keepdims=True)
             numeric.backward(numeric.tensor_sum(out * Tensor(g)))
         assert out.data.tobytes() == want.tobytes() and np.array_equal(t.grad, routed)
+
+
+def test_max_outside_recording_keeps_the_bits_of_the_recorded_max():
+    """Ties of 0.0 and -0.0, infinities and NaN: outside `recording()`
+    tensor_max and masked_max build no index and read the same bits."""
+    rng = np.random.default_rng(1)
+    pool = np.array([-1.0, -0.0, 0.0, 1.0, np.nan, -np.inf, np.inf])
+    for _ in range(300):
+        shape = list(rng.integers(1, 5, size=rng.integers(1, 5)))
+        axis = int(rng.integers(len(shape)))
+        shape[axis] = int(rng.integers(1, numeric.ROW_MAX_CHAIN + 3))
+        x = Tensor(rng.choice(pool, size=shape), requires_grad=True)
+        mask = rng.random(shape[:axis + 1]) < 0.7
+        for op in (lambda: numeric.tensor_max(x, axis=axis),
+                   lambda: numeric.masked_max(x, mask, axis=axis, keepdims=True)):
+            with numeric.recording():
+                recorded = op()
+            plain = op()
+            assert plain._backward_fn is None
+            assert plain.data.tobytes() == recorded.data.tobytes()
