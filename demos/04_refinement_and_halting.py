@@ -11,21 +11,21 @@ of n_s slots, and the halting histogram a training run logs per epoch.
 import numpy as np
 
 from tabrep import numeric
-from tabrep.dynamics import (TransformerConfig, TransformerParams, act_run,
-                             attention_weights, coordinate_embedding, pack)
+from tabrep.dynamics import (TransformerParams, act_run, attention_weights,
+                             coordinate_embedding, pack)
 from tabrep.eval import SynthConfig, synth_generate
 from tabrep.model import CustomerEncoder, ModelConfig, TrainConfig
 from tabrep.numeric import Tensor
 from tabrep.prep import build_schema
 
-config = TransformerConfig(n_s=5, n_e=8, k=2, t_max=6, dropout=0.0)
+config = ModelConfig(n_s=5, embed_dim=8, heads=2, t_max=6, dropout=0.0)
 params = TransformerParams.init(config, numeric.drawing(np.random.default_rng(3)), "demo")
 rng = np.random.default_rng(4)
-e0 = Tensor(rng.normal(size=(1, config.n_s, config.n_e)))      # [b, n_s, n_e]
+e0 = Tensor(rng.normal(size=(1, config.n_s, config.embed_dim)))      # [b, n_s, n_e]
 mask = np.array([[True, True, True, True, False]])   # last slot is padding
 
 print("=== position/time coordinates added before each step ===")
-coords = coordinate_embedding(1, config.n_s, config.n_e)
+coords = coordinate_embedding(1, config.n_s, config.embed_dim)
 with np.printoptions(precision=2, suppress=True):
     print(coords)
 

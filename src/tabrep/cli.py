@@ -16,9 +16,9 @@ import json
 import os
 import sys
 from collections.abc import Iterator
-from contextlib import closing, contextmanager
+from contextlib import closing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from itertools import chain, starmap
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .interpret import InterpretConfig, Target, genome_report
 from .model import EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig, chunk_stream
 from .prep import FeatureSchema, RecognizerConfig, build_schema
 from .table import (BigTable, TableFormat, compute_stats, load_table, order_records, read_groups,
-                    save_table)
+                    replacing, save_table)
 from .workers import ordered_map
 
 EXIT_CODES = {"profile": 10, "synth": 11, "train": 12, "embed": 13,
@@ -99,30 +99,16 @@ def _out_dir(args) -> Path:
     return out
 
 
-@contextmanager
-def _replacing(path: Path):
-    """A text file open for writing beside `path` under a temporary name,
-    renamed to `path` when the block ends and removed if it raises: a stage
-    that fails leaves no partial output."""
-    part = path.with_name(path.name + ".part")
-    try:
-        with part.open("w", newline="", encoding="utf-8") as fh:
-            yield fh
-        part.replace(path)
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
-
-
-def _write_rows(path: Path, header: list, chunks) -> int:
-    """One CSV row per customer: its id, then `repr(float)` of each value.
-    `chunks` yields `(names, rows)` pairs, and each is written as it comes,
-    so no more than one chunk's values exist at once. Returns the row count."""
-    return _write_text(path, header, starmap(_csv_rows, chunks))
+def _write(path: Path, text: str) -> None:
+    """Write `text` to `path` through `table.replacing`: every stage writes
+    each output under a temporary name and renames it when complete."""
+    with replacing(path) as fh:
+        fh.write(text)
 
 
 def _csv_rows(names: list[str], rows: np.ndarray) -> tuple[int, str]:
-    """The row count and the `_write_rows` text of one chunk."""
+    """The row count and the CSV text of one chunk: per customer its id,
+    then `repr(float)` of each value."""
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerows(
         [cid, *map(repr, row)] for cid, row in zip(names, rows.tolist()))
@@ -133,7 +119,7 @@ def _write_text(path: Path, header: list, texts) -> int:
     """Write the CSV `header`, then each of the `(count, text)` pairs of
     `texts` as it comes; returns the summed count."""
     count = 0
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         for n, text in texts:
             fh.write(text)
@@ -179,8 +165,9 @@ def _scored(batches, job):
 
 def _write_scores(args, cfg: RunConfig, groups, model: CustomerEncoder, path: Path,
                   header: list, task: str | None = None) -> int:
-    """The `_write_rows` file of `CustomerEncoder.score` of the chunks of the
-    groups' customers, each chunk's text made where it is forwarded."""
+    """The `_csv_rows` file of `CustomerEncoder.score` of the chunks of the
+    groups' customers, each chunk's text made where it is forwarded, so no
+    more than one chunk's values exist at once in this process."""
     def text(chunk) -> tuple[int, str]:
         return _csv_rows(chunk.customers, model.score(chunk, task))
 
@@ -215,7 +202,7 @@ def cmd_profile(args, cfg: RunConfig) -> int:
     stats = compute_stats(table, schema)
     out = _out_dir(args)
     schema.save(out / "schema.json")
-    (out / "stats.json").write_text(stats.to_json())
+    _write(out / "stats.json", stats.to_json())
     print(f"profiled {table.n_customers} customers, {table.n_features} features "
           f"-> {out / 'schema.json'}, {out / 'stats.json'}")
     return 0
@@ -241,7 +228,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     out = _out_dir(args)
     model.save(out / "checkpoint.json")
     log_lines = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in log)
-    (out / "train_log.jsonl").write_text(log_lines)
+    _write(out / "train_log.jsonl", log_lines)
     last = log[-1] if log else {}
     print(f"trained {len(log)} epochs on {table.n_customers} customers "
           f"-> {out / 'checkpoint.json'} (final train loss "
@@ -277,10 +264,10 @@ def cmd_interpret(args, cfg: RunConfig) -> int:
     model = CustomerEncoder.load(args.checkpoint)
     report = genome_report(model, table, cfg.interpret)
     out = _out_dir(args)
-    (out / "genome.json").write_text(report.to_json())
+    _write(out / "genome.json", report.to_json())
     written = [str(out / "genome.json")]
     if args.text:
-        (out / "genome.txt").write_text(report.render_text())
+        _write(out / "genome.txt", report.render_text())
         written.append(str(out / "genome.txt"))
     print(f"wrote genome report for {len(report.targets)} targets -> {', '.join(written)}")
     return 0
@@ -315,8 +302,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
         raise ConfigError(f"table has no labels for task {task!r}")
     metrics = MetricSet.from_scores(scores, labels)
     out = _out_dir(args) / "metrics.json"
-    with _replacing(out) as fh:
-        fh.write(metrics.to_json())
+    _write(out, metrics.to_json())
     print(f"evaluated task {task!r} on {len(labels)} labeled customers -> {out}: "
           f"auc {metrics.auc:.4f}, f {metrics.f_score:.4f}, "
           f"wacc {metrics.weighted_accuracy:.4f}")

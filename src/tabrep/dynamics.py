@@ -5,6 +5,8 @@ transition) is applied repeatedly; every sequence position carries its own
 halting accumulator and stops refining once the accumulated halting
 probability crosses 1 - epsilon, or at the step cap. The final sequence
 state takes, per position, a snapshot at that position's halting step.
+
+Sizes come from the model's `ModelConfig`: the width n_e is its `embed_dim`.
 """
 
 from __future__ import annotations
@@ -12,32 +14,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import numeric
-from .errors import (AT_LEAST_ONE, OPEN_UNIT, RATE, AllMaskedError, ConfigError,
-                     ShapeMismatchError, check_fields)
+from .errors import AllMaskedError, ShapeMismatchError
 from .numeric import Parameter, Tensor
 
-
-@dataclass(frozen=True)
-class TransformerConfig:
-    n_s: int = field(default=8, metadata=AT_LEAST_ONE)         # max sequence length
-    n_e: int = field(default=32, metadata=AT_LEAST_ONE)        # model width
-    k: int = field(default=4, metadata=AT_LEAST_ONE)           # attention heads
-    t_max: int = field(default=4, metadata=AT_LEAST_ONE)       # refinement step cap
-    act_epsilon: float = field(default=0.01, metadata=OPEN_UNIT)
-    dropout: float = field(default=numeric.DEFAULT_DROPOUT, metadata=RATE)
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.n_e % self.k:
-            raise ConfigError(f"heads ({self.k}) must divide the width ({self.n_e})")
-
-    @property
-    def head_dim(self) -> int:
-        return self.n_e // self.k
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 
 @dataclass
@@ -61,15 +47,15 @@ class TransformerParams:
     wd: Parameter
 
     @classmethod
-    def init(cls, config: TransformerConfig, param, name: str) -> "TransformerParams":
+    def init(cls, config: ModelConfig, param, name: str) -> "TransformerParams":
         """The weights, each made by `param(name, shape, init)` (see
         `numeric.drawing`) in field order."""
-        n_e, hd = config.n_e, config.head_dim
+        n_e, hd = config.embed_dim, config.head_dim
         hidden = 2 * n_e
         glorot, zeros = numeric.glorot_init, numeric.zeros_init
 
         def per_head(rng, shape):
-            return np.concatenate([glorot(rng, (n_e, hd)) for _ in range(config.k)], axis=1)
+            return np.concatenate([glorot(rng, (n_e, hd)) for _ in range(config.heads)], axis=1)
 
         return cls(
             wq=param(f"{name}.wq", (n_e, n_e), per_head),
@@ -204,14 +190,14 @@ def _pack_bytes(shape: tuple[int, int], mask: bytes) -> Packing:
     return pack(np.frombuffer(mask, dtype=bool).reshape(shape))
 
 
-def _check_attention(e: Tensor, config: TransformerConfig,
+def _check_attention(e: Tensor, config: ModelConfig,
                      mask: np.ndarray | None) -> np.ndarray | None:
     """The [b, n_s] mask of `e` [b, n_s, n_e], booleans or segment ids (see
     `numeric.self_attention`), after checking both shapes and that every
     sequence of a boolean mask has a valid position; a packed row may be
     empty."""
-    if e.ndim != 3 or e.shape[-1] != config.n_e:
-        raise ShapeMismatchError("mhsa", e.shape, (None, None, config.n_e))
+    if e.ndim != 3 or e.shape[-1] != config.embed_dim:
+        raise ShapeMismatchError("mhsa", e.shape, (None, None, config.embed_dim))
     if mask is None:
         return None
     mask = np.asarray(mask)
@@ -222,7 +208,7 @@ def _check_attention(e: Tensor, config: TransformerConfig,
     return mask
 
 
-def mhsa(e: Tensor, params: TransformerParams, config: TransformerConfig,
+def mhsa(e: Tensor, params: TransformerParams, config: ModelConfig,
          mask: np.ndarray | None = None) -> Tensor:
     """Multi-head dot-product self-attention over the position axis of
     [b, n_s, n_e] sequences, with a [b, n_s] validity mask or segment ids.
@@ -234,18 +220,18 @@ def mhsa(e: Tensor, params: TransformerParams, config: TransformerConfig,
     """
     mask = _check_attention(e, config, mask)
     return numeric.self_attention(e, params.wq, params.wk, params.wv, params.wo,
-                                  config.k, mask)
+                                  config.heads, mask)
 
 
-def attention_weights(e: Tensor, params: TransformerParams, config: TransformerConfig,
+def attention_weights(e: Tensor, params: TransformerParams, config: ModelConfig,
                       mask: np.ndarray | None = None) -> np.ndarray:
     """The attention matrix [b, k, n_s, n_s] that `mhsa` mixes its values
     with, for inspection."""
     mask = _check_attention(e, config, mask)
-    return numeric.attention_softmax(e, params.wq, params.wk, params.wv, config.k, mask)
+    return numeric.attention_softmax(e, params.wq, params.wk, params.wv, config.heads, mask)
 
 
-def transformer_step(e: Tensor, step: int, params: TransformerParams, config: TransformerConfig,
+def transformer_step(e: Tensor, step: int, params: TransformerParams, config: ModelConfig,
                      mask: np.ndarray | Packing | None = None, train: bool = False,
                      rng: np.random.Generator | None = None) -> Tensor:
     """One refinement: coordinates, attention and transition with residual
@@ -278,7 +264,7 @@ class PonderStats:
     accumulated: np.ndarray = field(repr=False, default=None)
 
 
-def act_run(e0: Tensor, params: TransformerParams, config: TransformerConfig,
+def act_run(e0: Tensor, params: TransformerParams, config: ModelConfig,
             mask: np.ndarray | None = None, train: bool = False,
             rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor, PonderStats]:
     """Adaptive refinement of [b, n_s, n_e] sequences with per-position
@@ -298,7 +284,7 @@ def act_run(e0: Tensor, params: TransformerParams, config: TransformerConfig,
     scalar ponder term, halting statistics over the [b, n_s] positions).
     """
     if e0.ndim != 3:
-        raise ShapeMismatchError("act_run", e0.shape, (None, None, config.n_e))
+        raise ShapeMismatchError("act_run", e0.shape, (None, None, config.embed_dim))
     b, n_s, n_e = e0.shape
     valid = np.ones((b, n_s), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if valid.shape != (b, n_s):

@@ -67,25 +67,7 @@ def positional_numeric_embed(values, matrix: Tensor) -> Tensor:
     return expanded * matrix
 
 
-def max_concat(e: Tensor, mask: np.ndarray | None = None, axis: int = -2,
-               return_degenerate: bool = False):
-    """Columnwise maximum over the row axis, optionally restricted by `mask`.
-
-    Rows where the mask is false are excluded; a slice with no valid row
-    yields the zero vector and is flagged degenerate. Ties route the
-    gradient to the lowest row index.
-    """
-    axis = axis % e.ndim
-    if mask is None:
-        rows = e.shape[axis]
-        if rows == 0:
-            out = Tensor(np.zeros(e.shape[:axis] + e.shape[axis + 1:]))
-            degenerate = np.ones(e.shape[:axis], dtype=bool) if axis else np.array(True)
-            return (out, degenerate) if return_degenerate else out
-        out = numeric.tensor_max(e, axis=axis)
-        degenerate = np.zeros(e.shape[:axis], dtype=bool) if axis else np.array(False)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        out = numeric.masked_max(e, mask, axis=axis)
-        degenerate = numeric.degenerate_rows(mask, axis=axis)
-    return (out, degenerate) if return_degenerate else out
+def max_concat(e: Tensor, axis: int = -2) -> Tensor:
+    """Columnwise maximum over the row axis. Ties route the gradient to the
+    lowest row index."""
+    return numeric.tensor_max(e, axis=axis)

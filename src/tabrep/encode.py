@@ -143,7 +143,7 @@ def masked_encodings(table: BigTable, who, records, features, schema: FeatureSch
     customer's unmasked one, and the `Batch` of those variants, in order.
     """
     cols = table.columns
-    positions = [table.records.index[c] for c in who]
+    positions = [table.index[c] for c in who]
     customers, base_of = np.unique(positions, return_inverse=True)
     variants = cols.take(positions)         # holds its own copy of the codes
     rows = variants.offsets[:-1] + np.asarray(records, dtype=np.int64)

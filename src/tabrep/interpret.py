@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numeric
-from .encode import check_schema, encode_customer, masked_encodings, stack_encoded
+from .encode import check_schema, encode_table, masked_encodings, stack_encoded
 from .encode import encode_rows  # noqa: F401 (perfbench wraps it)
 from .errors import (AT_LEAST_ONE, NON_NEGATIVE, Checked, ConfigError,
                      InvalidCellCoordinatesError, PositionOutOfRangeError, check_fields)
@@ -134,7 +134,7 @@ def mask_and_delta(model: CustomerEncoder, table: BigTable, customer: str,
     """
     check_schema(table, model.schema)
     _check_target(model, target)
-    if customer not in table.records:
+    if customer not in table.index:
         raise InvalidCellCoordinatesError(f"unknown customer {customer!r}")
     if feature not in maskable_features(model):
         raise InvalidCellCoordinatesError(f"feature {feature!r} is not maskable")
@@ -147,7 +147,7 @@ def mask_and_delta(model: CustomerEncoder, table: BigTable, customer: str,
                                  model.schema, model.layout)
     if not masked.size:
         return 0.0
-    pair = stack_encoded([encode_customer(table, customer, model.schema, model.layout), masked])
+    pair = stack_encoded([encode_table(table, model.schema, model.layout, [customer]), masked])
     values = _target_column(model, model.forward(pair).rep.data, target)
     return float(values[1] - values[0])
 

@@ -18,12 +18,11 @@ import json
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from . import numeric
-from .dynamics import TransformerConfig, TransformerParams, act_run, dynamic_embed
+from .dynamics import TransformerParams, act_run, dynamic_embed
 from .embed import EmbeddingBank, categorical_embed, max_concat, positional_numeric_embed
 from .encode import (Batch, BranchLayout, augmented_summaries, check_schema, encode_table,
                      summary_width)
@@ -35,7 +34,7 @@ from .errors import (AT_LEAST_ONE, AT_LEAST_TWO, NON_NEGATIVE, OPEN_UNIT, POSITI
                      SchemaError, TableIOError, UnknownTaskError, check_fields)
 from .numeric import Parameter, Tensor
 from .prep import FeatureSchema, read_json
-from .table import BigTable
+from .table import BigTable, replacing
 
 MODEL_FORMAT = "tabrep-model"
 MODEL_VERSION = 4
@@ -45,7 +44,8 @@ SAVE_BLOCK = 1024       # parameter values `save` converts to Python floats at o
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture sizes; `embed_dim` is both branch and transformer width."""
+    """Architecture sizes; `embed_dim` is both branch and transformer width,
+    and the refinement functions of `dynamics` read their sizes from here."""
 
     embed_dim: int = field(default=32, metadata=AT_LEAST_ONE)
     n_s: int = field(default=8, metadata=AT_LEAST_ONE)
@@ -61,12 +61,12 @@ class ModelConfig:
 
     def __post_init__(self):
         check_fields(self)
-        self.transformer()      # which holds the rule that the heads divide the width
+        if self.embed_dim % self.heads:
+            raise ConfigError(f"heads ({self.heads}) must divide embed_dim ({self.embed_dim})")
 
-    def transformer(self) -> TransformerConfig:
-        return TransformerConfig(n_s=self.n_s, n_e=self.embed_dim, k=self.heads,
-                                 t_max=self.t_max, act_epsilon=self.act_epsilon,
-                                 dropout=self.dropout)
+    @property
+    def head_dim(self) -> int:
+        return self.embed_dim // self.heads
 
 
 @dataclass(frozen=True)
@@ -212,16 +212,6 @@ def _checkpoint_param(records: dict):
     return make
 
 
-def _joined(chunks: Iterable[tuple[list[str], np.ndarray]],
-            width: int) -> tuple[list[str], np.ndarray]:
-    """The names and the [n, width] rows of `CustomerEncoder.score_chunks`."""
-    names, rows = [], [np.zeros((0, width))]
-    for chunk_names, chunk_rows in chunks:
-        names += chunk_names
-        rows.append(chunk_rows)
-    return names, np.concatenate(rows)
-
-
 class CustomerEncoder:
     """The representation model over one schema.
 
@@ -240,7 +230,6 @@ class CustomerEncoder:
         self.seed = int(args.seed)
 
         self.layout = BranchLayout.from_schema(schema, config.n_s)
-        self.tconfig = config.transformer()
         d = config.embed_dim
         # `load` passes a maker that reads each parameter from the checkpoint
         param = _param or numeric.drawing(numeric.substream(self.seed, "init"))
@@ -250,9 +239,9 @@ class CustomerEncoder:
             d, sum(self.layout.cs_vocab_sizes), len(self.layout.sn_features), param, "static")
         self.dynamic_bank = EmbeddingBank.build(
             d, sum(self.layout.cd_vocab_sizes), len(self.layout.dn_features), param, "dynamic")
-        self.cd_params = (TransformerParams.init(self.tconfig, param, "cd")
+        self.cd_params = (TransformerParams.init(config, param, "cd")
                           if self.layout.cd_features else None)
-        self.nd_params = (TransformerParams.init(self.tconfig, param, "nd")
+        self.nd_params = (TransformerParams.init(config, param, "nd")
                           if self.layout.dn_features else None)
 
         hidden, width = config.fusion_hidden, config.rep_width
@@ -315,7 +304,8 @@ class CustomerEncoder:
         """Write the constructor's arguments plus every learned parameter as
         `{shape, data}` with row-major values; the rest is rebuilt on load.
         The file is `json.dumps(payload, sort_keys=True)`, streamed so that
-        its values never all exist as Python floats at once."""
+        its values never all exist as Python floats at once, under a
+        temporary name until it is complete (`table.replacing`)."""
         payload = {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
@@ -326,7 +316,7 @@ class CustomerEncoder:
             "params": {name: {"shape": list(p.data.shape), "data": p.data.ravel()}
                        for name, p in self.named_parameters().items()},
         }
-        with Path(path).open("w", encoding="utf-8") as fh:
+        with replacing(path) as fh:
             _write_json(fh, payload)
 
     @classmethod
@@ -386,30 +376,26 @@ class CustomerEncoder:
         # categorical branch is alive while the numerical one runs
         ponder = None
         stats = {}
-        if self.layout.cd_features:
-            final, p_cd, st = act_run(
-                max_concat(categorical_embed(batch.cd_ids, self.dynamic_bank.cat_table),
-                           axis=-2),
-                self.cd_params, self.tconfig, mask=batch.seq_valid, train=train, rng=rng)
-            e_cd = dynamic_embed(final, self.cd_params.wd) * Tensor(batch.presence[:, 2:3])
+        dynamic = []
+        for name, embedded, params, column in (
+                ("dynamic_categorical",
+                 lambda: categorical_embed(batch.cd_ids, self.dynamic_bank.cat_table),
+                 self.cd_params, 2),
+                ("dynamic_numerical",
+                 lambda: positional_numeric_embed(Tensor(batch.nd_vals),
+                                                  self.dynamic_bank.num_matrix),
+                 self.nd_params, 3)):
+            if params is None:
+                dynamic.append(zeros())
+                continue
+            final, p, stats[name] = act_run(max_concat(embedded(), axis=-2), params, self.config,
+                                            mask=batch.seq_valid, train=train, rng=rng)
+            dynamic.append(dynamic_embed(final, params.wd)
+                           * Tensor(batch.presence[:, column:column + 1]))
             del final
-            ponder = p_cd
-            stats["dynamic_categorical"] = st
-        else:
-            e_cd = zeros()
-        if self.layout.dn_features:
-            final, p_nd, st = act_run(
-                max_concat(positional_numeric_embed(Tensor(batch.nd_vals),
-                                                    self.dynamic_bank.num_matrix), axis=-2),
-                self.nd_params, self.tconfig, mask=batch.seq_valid, train=train, rng=rng)
-            e_nd = dynamic_embed(final, self.nd_params.wd) * Tensor(batch.presence[:, 3:4])
-            del final
-            ponder = p_nd if ponder is None else ponder + p_nd
-            stats["dynamic_numerical"] = st
-        else:
-            e_nd = zeros()
+            ponder = p if ponder is None else ponder + p
 
-        fused_in = numeric.concat([v_cs, v_ns, e_cd, e_nd, Tensor(batch.presence)], axis=-1)
+        fused_in = numeric.concat([v_cs, v_ns, *dynamic, Tensor(batch.presence)], axis=-1)
         hidden = numeric.relu(numeric.matmul(fused_in, self.fusion_w1) + self.fusion_b1)
         if train and self.config.dropout > 0:
             hidden = numeric.dropout(hidden, self.config.dropout, train=True, rng=rng)
@@ -438,12 +424,15 @@ class CustomerEncoder:
 
     # ---- inference ------------------------------------------------------
 
-    def forward_stream(self, batches: Iterable[Batch]) -> np.ndarray:
-        """The evaluation-mode representations of the rows of `batches`, in
-        order, as one [n, rep_width] array, forwarded a `chunk_stream` chunk
-        at a time."""
-        return np.concatenate([np.zeros((0, self.config.rep_width)),
-                               *map(self.score, chunk_stream(batches))])
+    def forward_stream(self, batches: Iterable[Batch], task: str | None = None) -> np.ndarray:
+        """`score` of the rows of `batches`, in order, as one [n, width] array,
+        forwarded a `chunk_stream` chunk at a time: evaluation-mode
+        representations, or with `task` its class probabilities. The task is
+        checked at the call. Beyond the input, about one chunk's activations
+        and the rows so far are alive; a row depends on that row alone."""
+        width = self.config.rep_width if task is None else self.classes(task)
+        return np.concatenate([np.zeros((0, width)),
+                               *(self.score(chunk, task) for chunk in chunk_stream(batches))])
 
     def class_proba(self, rep: np.ndarray, task: str) -> np.ndarray:
         """Class probabilities of `task` for the representation rows `rep`,
@@ -461,28 +450,17 @@ class CustomerEncoder:
         return rep if task is None else self.class_proba(rep, task)
 
     def represent(self, table: BigTable, customers=None) -> tuple[list[str], np.ndarray]:
-        """Deterministic evaluation-mode representations, one row per customer."""
-        return _joined(self.score_chunks(table, customers), self.config.rep_width)
+        """Deterministic evaluation-mode representations, one row per customer
+        of `customers` of `table` (default: all), in that order."""
+        names = list(table.customers if customers is None else customers)
+        return names, self.forward_stream(self.encoded_chunks(table, names))
 
     def predict_proba(self, table: BigTable, task: str,
                       customers=None) -> tuple[list[str], np.ndarray]:
-        return _joined(self.score_chunks(table, customers, task), self.tasks[task])
-
-    def score_chunks(self, table: BigTable, customers=None,
-                     task: str | None = None) -> Iterator[tuple[list[str], np.ndarray]]:
-        """`score` of each EVAL_BATCH customers of `customers` of `table`
-        (default: all), as one `(names, rows)` pair per chunk, each encoded
-        when it is asked for.
-
-        The schema and the task are checked at the call. Beyond the table,
-        only about two chunks' inputs and one chunk's activations and rows
-        are alive; a row depends on its customer alone, so it equals that
-        customer's row of a whole-table encoding.
-        """
-        if task is not None:
-            self.classes(task)
-        return ((chunk.customers, self.score(chunk, task))
-                for chunk in chunk_stream(self.encoded_chunks(table, customers)))
+        """The class probabilities of `task`, one row per customer of
+        `customers` of `table` (default: all), in that order."""
+        names = list(table.customers if customers is None else customers)
+        return names, self.forward_stream(self.encoded_chunks(table, names), task)
 
     def encoded_chunks(self, table: BigTable, customers=None) -> Iterator[Batch]:
         """`encode_table` of `customers` of `table` (default: all),
@@ -583,7 +561,7 @@ class CustomerEncoder:
             # valid positions per halting step; padded ones read step 0
             for branch, st in out.branch_stats.items():
                 halting[branch] = halting.get(branch, 0) + np.bincount(
-                    st.halt_steps.ravel(), minlength=self.tconfig.t_max + 1)[1:]
+                    st.halt_steps.ravel(), minlength=self.config.t_max + 1)[1:]
             return float(loss.data)
 
         validation = encoded[val_idx]

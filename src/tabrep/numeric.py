@@ -22,7 +22,6 @@ from .errors import (NonFiniteGradientError, NonScalarLossError, NotRecordingErr
                      ShapeMismatchError)
 
 LAYER_NORM_EPS = 1e-5
-DEFAULT_DROPOUT = 0.1
 
 # Large finite stand-in for -inf in masked softmax scores; exp() of the
 # shifted value underflows to exactly 0.0, so masked entries cannot leak.
@@ -104,9 +103,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return take(self, key)
@@ -594,9 +590,8 @@ def tensor_max(a, axis: int, keepdims: bool = False) -> Tensor:
 def masked_max(a, mask: np.ndarray, axis: int, keepdims: bool = False) -> Tensor:
     """Columnwise max over rows where `mask` is true.
 
-    Slices with no valid rows yield exactly 0.0 and receive no gradient; the
-    caller can detect them via `degenerate_rows`. Ties route the gradient to
-    the lowest valid row index.
+    Slices with no valid rows yield exactly 0.0 and receive no gradient. Ties
+    route the gradient to the lowest valid row index.
     """
     a = as_tensor(a)
     axis = axis % a.ndim
@@ -606,11 +601,6 @@ def masked_max(a, mask: np.ndarray, axis: int, keepdims: bool = False) -> Tensor
     full_mask = np.broadcast_to(mask.reshape(mask.shape + (1,) * (a.ndim - mask.ndim)), a.shape)
     valid = np.expand_dims(full_mask.any(axis=axis), axis)
     return _argmax_node(a, np.where(full_mask, a.data, -np.inf), axis, keepdims, valid)
-
-
-def degenerate_rows(mask: np.ndarray, axis: int) -> np.ndarray:
-    """True where a masked_max slice had no valid rows."""
-    return ~np.asarray(mask, dtype=bool).any(axis=axis)
 
 
 def backward(loss: Tensor) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (AT_LEAST_ONE, AT_LEAST_TWO, NON_NEGATIVE, Checked, ConfigError,
                      MixedKindFeatureError, SchemaError, TableIOError, check_fields)
 from .table import (KIND_DATE, KIND_NUMBER, KIND_TOKEN, MISSING_CODE, BigTable, CellPool, Column,
-                    Columns)
+                    Columns, replacing)
 
 MISSING_TOKEN_ID = 0
 OOV_TOKEN_ID = 1
@@ -397,7 +397,8 @@ class FeatureSchema:
             raise TableIOError(f"malformed feature schema: {type(e).__name__}: {e}") from e
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True))
+        with replacing(path) as fh:
+            fh.write(json.dumps(self.to_dict(), sort_keys=True))
 
     @classmethod
     def load(cls, path) -> "FeatureSchema":

@@ -20,6 +20,7 @@ import json
 import math
 from array import array
 from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from functools import cache, cached_property
@@ -365,13 +366,12 @@ class Column:
 
 
 class RecordsView(Mapping):
-    """Customer -> list of `Row`s, built from the columns on first access
-    and cached per customer."""
+    """Customer -> list of `Row`s of a `BigTable`, built from its columns on
+    first access and cached per customer. It holds the table's parts, not the
+    table, so that a table is freed as soon as it is dropped."""
 
-    def __init__(self, customers: list[str], columns: Columns):
-        self.customers = customers
-        self.columns = columns
-        self.index = {c: i for i, c in enumerate(customers)}    # customer -> position
+    def __init__(self, table: "BigTable"):
+        self.customers, self.columns, self.index = table.customers, table.columns, table.index
         self._rows: dict[str, list[Row]] = {}
 
     def __getitem__(self, customer: str) -> list[Row]:
@@ -396,7 +396,8 @@ class BigTable:
 
     `records` may be a mapping of customer -> `Row` list (a customer it
     does not name has no records) or a `Columns` instance. After
-    construction `records` is always a `RecordsView` over `columns`.
+    construction `records` is always a `RecordsView` over `columns`, and
+    `index` maps each customer to its position.
     """
 
     customers: list[str]
@@ -405,9 +406,11 @@ class BigTable:
     labels: dict[str, dict[str, int]] = field(default_factory=dict)
     has_date_index: bool = False
     columns: Columns = field(init=False, repr=False, compare=False)
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.customers)) != len(self.customers):
+        self.index = {c: i for i, c in enumerate(self.customers)}
+        if len(self.index) != len(self.customers):
             raise SchemaError("duplicate customer ids")
         records, width = self.records, len(self.features)
         if isinstance(records, Columns):
@@ -419,7 +422,7 @@ class BigTable:
             columns = Columns.from_rows([records.get(c, ()) for c in self.customers],
                                         width, self.customers)
         self.columns = columns
-        self.records = RecordsView(self.customers, columns)
+        self.records = RecordsView(self)
         for task, labels in self.labels.items():
             unknown = set(labels) - set(self.customers)
             if unknown:
@@ -444,7 +447,7 @@ class BigTable:
         return Column(self.columns.pool, self.columns.codes[:, self.feature_index(feature)])
 
     def n_records(self, customer: str) -> int:
-        return int(self.columns.lengths[self.records.index[customer]])
+        return int(self.columns.lengths[self.index[customer]])
 
     def select(self, customers) -> Columns:
         """Columns of `customers`, in that order; KeyError names an
@@ -452,8 +455,7 @@ class BigTable:
         customers = list(customers)
         if customers == self.customers:
             return self.columns
-        index = self.records.index
-        return self.columns.take([index[c] for c in customers])
+        return self.columns.take([self.index[c] for c in customers])
 
 
 @dataclass(frozen=True)
@@ -624,6 +626,22 @@ def _record_date(cell: CellValue, path: Path, line: int) -> int | None:
     return date
 
 
+@contextmanager
+def replacing(path) -> Iterator:
+    """A text file open for writing beside `path` under a temporary name,
+    renamed to `path` when the block ends and removed if it raises: a write
+    that fails leaves no partial file."""
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    try:
+        with part.open("w", newline="", encoding="utf-8") as fh:
+            yield fh
+        part.replace(path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 def save_table(table: BigTable, path, fmt: TableFormat = TableFormat()) -> None:
     """Write a BigTable back to CSV in the `load_table` layout.
 
@@ -634,7 +652,6 @@ def save_table(table: BigTable, path, fmt: TableFormat = TableFormat()) -> None:
     if len(empty):
         raise TableIOError(f"customer {table.customers[empty[0]]!r} has no records; "
                            f"a saved table cannot hold it")
-    path = Path(path)
     header = [fmt.id_column]
     if fmt.date_column is not None:
         header.append(fmt.date_column)
@@ -643,7 +660,7 @@ def save_table(table: BigTable, path, fmt: TableFormat = TableFormat()) -> None:
     texts = [format_cell(cols.pool.cell(code)) if math.isnan(v) else _format_number(v)
              for code, v in enumerate(cols.pool.values.tolist())]
     date_texts: dict[int, str] = {}
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         plain = csv.writer(fh, delimiter=fmt.delimiter, lineterminator="\n")
         # `plain` quotes a field holding "\n" but not one holding only "\r"
         quoted = csv.writer(fh, delimiter=fmt.delimiter, lineterminator="\n",

@@ -20,9 +20,8 @@ import pytest
 
 from tabrep import numeric
 from tabrep.cli import main as cli_main
-from tabrep.dynamics import (TransformerConfig, TransformerParams, act_run,
-                             attention_weights, dynamic_embed, mhsa,
-                             pack, transformer_step)
+from tabrep.dynamics import (TransformerParams, act_run, attention_weights, dynamic_embed,
+                             mhsa, pack, transformer_step)
 from tabrep.embed import categorical_embed, max_concat, positional_numeric_embed
 from tabrep.encode import augmented_summary
 from tabrep.errors import SingleClassError
@@ -179,10 +178,8 @@ def gradient_cases():
                   lambda: scalarize(positional_numeric_embed(pv, pm), w245), [pm, pv]))
 
     mc = Parameter(distinct((3, 5)), name="mc")
-    mcm = np.array([True, True, False])
     w5 = rng.normal(size=(5,))
-    cases.append(("max_concat", lambda: scalarize(max_concat(mc, mask=mcm, axis=-2), w5),
-                  [mc]))
+    cases.append(("max_concat", lambda: scalarize(max_concat(mc), w5), [mc]))
 
     # the fused ops, each one node with a hand-written backward
     sx = Parameter(rng.normal(size=(2, 3, 8)), name="sx")
@@ -214,7 +211,7 @@ def gradient_cases():
 
     # the refinement block on a batch of two whose rows have different masks,
     # checking every parameter each function reads
-    tcfg = TransformerConfig(n_s=3, n_e=8, k=2, t_max=3, dropout=0.0)
+    tcfg = ModelConfig(n_s=3, embed_dim=8, heads=2, t_max=3, dropout=0.0)
     tparams = TransformerParams.init(tcfg, numeric.drawing(np.random.default_rng(11)), "t")
     te = Parameter(rng.normal(size=(2, 3, 8)), name="te")
     tmask = np.array([[True, True, False], [True, True, True]])
@@ -226,7 +223,7 @@ def gradient_cases():
     cases.append(("transformer_step",
                   lambda: scalarize(transformer_step(te, 1, tparams, tcfg, mask=tmask), w38),
                   [te, *step_params]))
-    dcfg = TransformerConfig(n_s=3, n_e=8, k=2, t_max=3, dropout=0.3)
+    dcfg = ModelConfig(n_s=3, embed_dim=8, heads=2, t_max=3, dropout=0.3)
     cases.append(("transformer_step dropout",
                   lambda: scalarize(transformer_step(te, 2, tparams, dcfg, mask=tmask, train=True,
                                                      rng=np.random.default_rng(41)), w38),
@@ -244,7 +241,7 @@ def gradient_cases():
     cases.append(("act_run", act_fn, [ae, *aparams.parameters()[:-1]]))
 
     # two windows of two positions, one with a hole, share one packed row of four
-    pcfg = TransformerConfig(n_s=4, n_e=8, k=2, t_max=3, dropout=0.3)
+    pcfg = ModelConfig(n_s=4, embed_dim=8, heads=2, t_max=3, dropout=0.3)
     pparams = TransformerParams.init(pcfg, numeric.drawing(np.random.default_rng(36)), "t")
     pparams.halt_b.data[:] = -1.0
     pe = Parameter(rng.normal(size=(2, 4, 8)), name="pe")
@@ -398,10 +395,10 @@ def test_criterion_4_structural_invariants():
 
         # attention rows are distributions; masked keys get exactly zero
         for _ in range(20):
-            config = TransformerConfig(n_s=int(rng.integers(2, 6)), n_e=8, k=2,
-                                       t_max=2, dropout=0.0)
+            config = ModelConfig(n_s=int(rng.integers(2, 6)), embed_dim=8, heads=2,
+                                 t_max=2, dropout=0.0)
             params = TransformerParams.init(config, numeric.drawing(rng), "t")
-            e = Tensor(rng.normal(size=(3, config.n_s, config.n_e)))
+            e = Tensor(rng.normal(size=(3, config.n_s, config.embed_dim)))
             mask = rng.random((3, config.n_s)) < 0.7
             mask[:, 0] = True
             w = attention_weights(e, params, config, mask=mask)
@@ -414,17 +411,17 @@ def test_criterion_4_structural_invariants():
             rows = Tensor(rng.normal(size=(6, 5)))
             mask = rng.random(6) < 0.8
             mask[0] = True
-            base = max_concat(rows, mask=mask, axis=-2).data
+            base = numeric.masked_max(rows, mask, axis=-2).data
             for _ in range(10):
                 perm = rng.permutation(6)
-                shuffled = max_concat(Tensor(rows.data[perm]), mask=mask[perm],
-                                      axis=-2).data
+                shuffled = numeric.masked_max(Tensor(rows.data[perm]), mask[perm],
+                                              axis=-2).data
                 assert shuffled.tobytes() == base.tobytes()
 
         # padded positions never leak into valid attention outputs
-        config = TransformerConfig(n_s=5, n_e=8, k=2, t_max=2, dropout=0.0)
+        config = ModelConfig(n_s=5, embed_dim=8, heads=2, t_max=2, dropout=0.0)
         params = TransformerParams.init(config, numeric.drawing(rng), "t")
-        base = rng.normal(size=(1, 5, config.n_e))
+        base = rng.normal(size=(1, 5, config.embed_dim))
         mask = np.array([[True, True, True, False, False]])
         altered = base.copy()
         altered[:, 3:] += 100.0
@@ -434,11 +431,11 @@ def test_criterion_4_structural_invariants():
 
         # halting steps stay within the cap on random inputs
         for _ in range(100):
-            config = TransformerConfig(n_s=3, n_e=8, k=2,
-                                       t_max=int(rng.integers(1, 5)), dropout=0.0)
+            config = ModelConfig(n_s=3, embed_dim=8, heads=2,
+                                 t_max=int(rng.integers(1, 5)), dropout=0.0)
             params = TransformerParams.init(config, numeric.drawing(rng), "t")
             params.halt_b.data[:] = rng.uniform(-3.0, 3.0)
-            _, _, stats = act_run(Tensor(rng.normal(size=(1, 3, config.n_e))),
+            _, _, stats = act_run(Tensor(rng.normal(size=(1, 3, config.embed_dim))),
                                   params, config)
             assert np.all(stats.halt_steps >= 1)
             assert np.all(stats.halt_steps <= config.t_max)

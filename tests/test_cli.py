@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import subprocess
@@ -14,8 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import fresh_python
-from tabrep.cli import _SECTIONS, EXIT_CODES, RunConfig, _write_rows, load_config, main
-from tabrep.dynamics import TransformerConfig
+from tabrep.cli import _SECTIONS, EXIT_CODES, RunConfig, _csv_rows, _write_text, load_config, main
 from tabrep.errors import ConfigError, check_fields
 from tabrep.eval import BaselineConfig, SynthConfig, synth_generate
 from tabrep.interpret import Target
@@ -28,22 +28,23 @@ def run_cli(argv, capsys=None):
     return main(argv)
 
 
+PIPELINE = {
+    "seed": 5,
+    "format": {"date_column": "date", "label_columns": ["churn"]},
+    "synth": {"n_customers": 80, "records_min": 3, "records_max": 8},
+    "model": {"embed_dim": 8, "n_s": 5, "heads": 2, "t_max": 2,
+              "rep_width": 8, "fusion_hidden": 16, "head_hidden": 8,
+              "recon_count": 1, "recon_dim": 4, "dropout": 0.0},
+    "train": {"epochs": 2, "batch_size": 16, "learning_rate": 0.01},
+    "interpret": {"k": 3, "mask_samples": 6,
+                  "targets": [{"kind": "class", "task": "churn"}]},
+    "tasks": ["churn"],
+}
+
+
 @pytest.fixture()
 def workdir(tmp_path):
-    config = {
-        "seed": 5,
-        "format": {"date_column": "date", "label_columns": ["churn"]},
-        "synth": {"n_customers": 80, "records_min": 3, "records_max": 8},
-        "model": {"embed_dim": 8, "n_s": 5, "heads": 2, "t_max": 2,
-                  "rep_width": 8, "fusion_hidden": 16, "head_hidden": 8,
-                  "recon_count": 1, "recon_dim": 4, "dropout": 0.0},
-        "train": {"epochs": 2, "batch_size": 16, "learning_rate": 0.01},
-        "interpret": {"k": 3, "mask_samples": 6,
-                      "targets": [{"kind": "class", "task": "churn"}]},
-        "tasks": ["churn"],
-    }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    (tmp_path / "config.json").write_text(json.dumps(PIPELINE))
     return tmp_path
 
 
@@ -184,7 +185,8 @@ def test_written_values_parse_back_bit_equal(rows):
     chunks = [(names[:cut], values[:cut]), (names[cut:], values[cut:])]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "v.csv"
-        assert _write_rows(path, ["customer_id", "a", "b", "c"], iter(chunks)) == len(rows)
+        texts = (_csv_rows(*chunk) for chunk in chunks)
+        assert _write_text(path, ["customer_id", "a", "b", "c"], texts) == len(rows)
         got_names, got = read_values(path)
     assert got_names == names and got.tobytes() == values.tobytes()
 
@@ -207,6 +209,69 @@ def test_pipeline_is_deterministic(workdir, capsys):
                                      "metrics.json")})
     assert outputs[0] == outputs[1]
     capsys.readouterr()
+
+
+class FullDisk:
+    """A text file that takes the first few characters of the first write,
+    then raises as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        self.fh.write(text[:5])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(tmp_path_factory):
+    """The run config, table, schema and checkpoint of `workdir`'s pipeline."""
+    directory = tmp_path_factory.mktemp("inputs")
+    config = directory / "config.json"
+    config.write_text(json.dumps(PIPELINE))
+    common = ["--config", str(config), "--out", str(directory)]
+    table = ["--table", str(directory / "synth.csv")]
+    with redirect_stdout(io.StringIO()):
+        for argv in (["synth"], ["profile", *table], ["train", *table]):
+            assert main(argv + common) == 0
+    return directory
+
+
+# A stage whose write fails part-way leaves neither the file it was writing
+# nor a `.part` file beside it.
+@pytest.mark.parametrize("stage,name", [
+    ("profile", "schema.json"), ("profile", "stats.json"), ("synth", "synth.csv"),
+    ("train", "checkpoint.json"), ("train", "train_log.jsonl"), ("embed", "embeddings.csv"),
+    ("predict", "predictions.csv"), ("interpret", "genome.json"),
+    ("interpret", "genome.txt"), ("evaluate", "metrics.json")])
+def test_a_failed_write_leaves_no_file(stage_inputs, tmp_path, monkeypatch, stage, name):
+    real_open = Path.open
+
+    def open_filling(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return FullDisk(fh) if path.name == name + ".part" else fh
+
+    monkeypatch.setattr(Path, "open", open_filling)
+    argv = [stage, "--config", str(stage_inputs / "config.json"), "--out", str(tmp_path)]
+    if stage != "synth":
+        argv += ["--table", str(stage_inputs / "synth.csv")]
+    if stage not in ("profile", "synth", "train"):
+        argv += ["--checkpoint", str(stage_inputs / "checkpoint.json")]
+    if stage == "interpret":
+        argv.append("--text")
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        assert main(argv) == EXIT_CODES[stage]
+    assert json.loads(err.getvalue())["error"]["code"] == "io-error"
+    assert not (tmp_path / name).exists()
+    assert not list(tmp_path.glob("*.part"))
 
 
 def test_missing_date_index_fails_with_error_json(tmp_path, capsys):
@@ -624,12 +689,56 @@ def test_mutated_config_field_ends_in_exit_zero_or_error_json(in_checkpoint, run
             assert json.loads(err.getvalue())["error"]["code"]
 
 
+# One field of a built `schema.json` (at any depth, list items included) set
+# to an odd value or removed: `train --schema` ends in exit 0 or in its exit
+# code, and stderr is then one error JSON document.
+def json_paths(value, prefix=()):
+    """The key path of every member and list item inside `value`."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from json_paths(child, prefix + (key,))
+
+
+REMOVE = object()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), value=st.one_of(odd_values, st.just(REMOVE)))
+def test_mutated_schema_field_ends_in_exit_zero_or_error_json(data, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        table = synth_generate(SynthConfig(n_customers=12, records_min=3, records_max=6, seed=1))
+        save_table(table, tmp / "t.csv", TABLE_FORMAT)
+        payload = build_schema(table).to_dict()
+        *parents, key = data.draw(st.sampled_from(list(json_paths(payload))))
+        owner = payload
+        for part in parents:
+            owner = owner[part]
+        if value is REMOVE:
+            del owner[key]
+        else:
+            owner[key] = value
+        (tmp / "schema.json").write_text(json.dumps(payload))
+        (tmp / "c.json").write_text(json.dumps(VALID_RUN))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["train", "--config", str(tmp / "c.json"), "--table", str(tmp / "t.csv"),
+                         "--schema", str(tmp / "schema.json"), "--out", str(tmp)])
+        if code == 0:
+            assert not err.getvalue()
+        else:
+            assert code == EXIT_CODES["train"]
+            assert json.loads(err.getvalue())["error"]["code"]
+
+
 # Every config dataclass: its default instance passes, and each field
 # rejects a value of no config type, alone or inside a container, so
 # `check_fields` understands the field's annotation (one it cannot check
 # raises `TypeError`). A field with bounds also rejects NaN.
 @pytest.mark.parametrize("make", [
-    *_SECTIONS.values(), RunConfig, TransformerConfig, BaselineConfig,
+    *_SECTIONS.values(), RunConfig, BaselineConfig,
     lambda: Target(kind="position"), lambda: _EncoderArgs({}, 0)])
 def test_every_config_field_is_checked(make):
     config = make()

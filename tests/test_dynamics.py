@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabrep import dynamics, numeric
-from tabrep.dynamics import (TransformerConfig, TransformerParams, act_run,
-                             attention_weights, coordinate_embedding, dynamic_embed,
-                             mhsa, pack, transformer_step)
+from tabrep.dynamics import (TransformerParams, act_run, attention_weights,
+                             coordinate_embedding, dynamic_embed, mhsa, pack, transformer_step)
 from tabrep.errors import AllMaskedError, ShapeMismatchError
+from tabrep.model import ModelConfig
 from tabrep.numeric import Parameter, Tensor
 
 from gradcheck import assert_gradients_match, scalarize
@@ -15,9 +15,9 @@ from oracles import padded_act_run
 
 
 def small_config(**kwargs):
-    defaults = dict(n_s=4, n_e=8, k=2, t_max=3, dropout=0.0)
+    defaults = dict(n_s=4, embed_dim=8, heads=2, t_max=3, dropout=0.0)
     defaults.update(kwargs)
-    return TransformerConfig(**defaults)
+    return ModelConfig(**defaults)
 
 
 def init_params(config, seed=0):
@@ -34,15 +34,15 @@ def ref_layer_norm(x, eps=1e-5):
 
 def test_projections_are_per_head_blocks_drawn_in_order():
     # the layout of the per-head matrices they replace, drawn the same way
-    config = small_config(n_e=12, k=3)
+    config = small_config(embed_dim=12, heads=3)
     params = TransformerParams.init(config, numeric.drawing(np.random.default_rng(7)), "t")
     rng = np.random.default_rng(7)
-    shape = (config.n_e, config.head_dim)
+    shape = (config.embed_dim, config.head_dim)
     for w in (params.wq, params.wk, params.wv):
-        blocks = [numeric.glorot_init(rng, shape) for _ in range(config.k)]
-        assert w.shape == (config.n_e, config.n_e)
+        blocks = [numeric.glorot_init(rng, shape) for _ in range(config.heads)]
+        assert w.shape == (config.embed_dim, config.embed_dim)
         assert w.data.tobytes() == np.concatenate(blocks, axis=1).tobytes()
-    wo = numeric.glorot_init(rng, (config.n_e, config.n_e))
+    wo = numeric.glorot_init(rng, (config.embed_dim, config.embed_dim))
     assert params.wo.data.tobytes() == wo.tobytes()
     assert [p.name for p in params.parameters()][:3] == ["t.wq", "t.wk", "t.wv"]
 
@@ -61,7 +61,7 @@ UNBATCHED_CALLS = {
 def test_single_unbatched_sequence_is_rejected(name):
     config = small_config()
     params = init_params(config)
-    e = Tensor(np.zeros((config.n_s, config.n_e)))
+    e = Tensor(np.zeros((config.n_s, config.embed_dim)))
     with pytest.raises(ShapeMismatchError):
         UNBATCHED_CALLS[name](e, params, config, np.ones(config.n_s, dtype=bool))
 
@@ -97,7 +97,7 @@ def test_step_index_starts_at_one():
 def test_single_position_attention_weight_is_one():
     config = small_config(n_s=1)
     params = init_params(config)
-    e = Tensor(np.random.default_rng(1).normal(size=(1, 1, config.n_e)))
+    e = Tensor(np.random.default_rng(1).normal(size=(1, 1, config.embed_dim)))
     w = attention_weights(e, params, config)
     assert np.allclose(w, 1.0, atol=1e-12)
     # with the sole softmax weight at 1 the output is (E Wv) mixed by Wo
@@ -109,7 +109,7 @@ def test_attention_rows_sum_to_one():
     config = small_config()
     params = init_params(config, seed=3)
     rng = np.random.default_rng(4)
-    e = Tensor(rng.normal(size=(3, config.n_s, config.n_e)))
+    e = Tensor(rng.normal(size=(3, config.n_s, config.embed_dim)))
     mask = np.array([[True] * 4, [True, True, True, False], [True, False, False, False]])
     w = attention_weights(e, params, config, mask=mask)
     assert np.all(np.abs(w.sum(axis=-1) - 1.0) <= 1e-6)
@@ -119,7 +119,7 @@ def test_attention_rows_sum_to_one():
 
 
 def test_two_position_single_head_matches_brute_force():
-    config = TransformerConfig(n_s=2, n_e=2, k=1, t_max=1, dropout=0.0)
+    config = ModelConfig(n_s=2, embed_dim=2, heads=1, t_max=1, dropout=0.0)
     params = init_params(config, seed=5)
     wq = np.array([[1.0, 0.5], [-0.5, 2.0]])
     wk = np.array([[0.3, -1.0], [1.0, 0.2]])
@@ -144,11 +144,11 @@ def test_padded_values_cannot_leak_into_valid_rows():
     config = small_config()
     params = init_params(config, seed=7)
     rng = np.random.default_rng(8)
-    base = rng.normal(size=(1, config.n_s, config.n_e))
+    base = rng.normal(size=(1, config.n_s, config.embed_dim))
     mask = np.array([[True, True, False, False]])
 
     altered = base.copy()
-    altered[0, 2:] = rng.normal(size=(2, config.n_e)) * 100.0
+    altered[0, 2:] = rng.normal(size=(2, config.embed_dim)) * 100.0
 
     out_a = mhsa(Tensor(base), params, config, mask=mask).data
     out_b = mhsa(Tensor(altered), params, config, mask=mask).data
@@ -158,7 +158,7 @@ def test_padded_values_cannot_leak_into_valid_rows():
 def test_all_masked_sequence_rejected():
     config = small_config()
     params = init_params(config)
-    e = Tensor(np.zeros((2, config.n_s, config.n_e)))
+    e = Tensor(np.zeros((2, config.n_s, config.embed_dim)))
     mask = np.ones((2, config.n_s), dtype=bool)
     mask[1] = False
     with pytest.raises(AllMaskedError):
@@ -169,9 +169,9 @@ def test_mhsa_gradcheck():
     config = small_config(n_s=3)
     params = init_params(config, seed=11)
     rng = np.random.default_rng(12)
-    e = Parameter(rng.normal(size=(1, 3, config.n_e)), name="e")
+    e = Parameter(rng.normal(size=(1, 3, config.embed_dim)), name="e")
     mask = np.array([[True, True, False]])
-    w = rng.normal(size=(1, 3, config.n_e))
+    w = rng.normal(size=(1, 3, config.embed_dim))
 
     def fn():
         return scalarize(mhsa(e, params, config, mask=mask), w)
@@ -184,7 +184,7 @@ def test_mhsa_gradcheck():
 def test_step_deterministic_in_eval_mode():
     config = small_config()
     params = init_params(config, seed=13)
-    e = Tensor(np.random.default_rng(14).normal(size=(1, config.n_s, config.n_e)))
+    e = Tensor(np.random.default_rng(14).normal(size=(1, config.n_s, config.embed_dim)))
     a = transformer_step(e, 1, params, config).data
     b = transformer_step(e, 1, params, config).data
     assert a.tobytes() == b.tobytes()
@@ -192,7 +192,7 @@ def test_step_deterministic_in_eval_mode():
 
 def test_step_preserves_shape():
     for n_s, n_e, k in [(2, 4, 1), (5, 12, 3), (8, 32, 4)]:
-        config = TransformerConfig(n_s=n_s, n_e=n_e, k=k, dropout=0.0)
+        config = ModelConfig(n_s=n_s, embed_dim=n_e, heads=k, dropout=0.0)
         params = init_params(config)
         e = Tensor(np.zeros((3, n_s, n_e)))
         assert transformer_step(e, 2, params, config).shape == (3, n_s, n_e)
@@ -203,8 +203,8 @@ def test_zero_weights_reduce_to_double_layer_norm():
     params = init_params(config, seed=15)
     for p in params.parameters():
         p.data[:] = 0.0
-    e = np.random.default_rng(16).normal(size=(1, config.n_s, config.n_e))
-    coords = coordinate_embedding(1, config.n_s, config.n_e)
+    e = np.random.default_rng(16).normal(size=(1, config.n_s, config.embed_dim))
+    coords = coordinate_embedding(1, config.n_s, config.embed_dim)
     want = ref_layer_norm(ref_layer_norm(e + coords))
     got = transformer_step(Tensor(e), 1, params, config).data
     assert np.allclose(got, want, atol=1e-9)
@@ -214,8 +214,8 @@ def test_step_gradcheck():
     config = small_config(n_s=3)
     params = init_params(config, seed=17)
     rng = np.random.default_rng(18)
-    e = Parameter(rng.normal(size=(1, 3, config.n_e)), name="e")
-    w = rng.normal(size=(1, 3, config.n_e))
+    e = Parameter(rng.normal(size=(1, 3, config.embed_dim)), name="e")
+    w = rng.normal(size=(1, 3, config.embed_dim))
 
     def fn():
         return scalarize(transformer_step(e, 1, params, config), w)
@@ -230,7 +230,7 @@ def test_strong_halt_bias_stops_after_one_step():
     params = init_params(config, seed=19)
     params.halt_w.data[:] = 0.0
     params.halt_b.data[:] = 20.0          # sigmoid ~ 1 everywhere
-    e0 = Tensor(np.random.default_rng(20).normal(size=(1, config.n_s, config.n_e)))
+    e0 = Tensor(np.random.default_rng(20).normal(size=(1, config.n_s, config.embed_dim)))
     final, ponder, stats = act_run(e0, params, config)
     assert np.all(stats.halt_steps == 1)
     want = transformer_step(e0, 1, params, config).data
@@ -242,7 +242,7 @@ def test_near_zero_halting_probability_hits_the_cap():
     params = init_params(config, seed=21)
     params.halt_w.data[:] = 0.0
     params.halt_b.data[:] = -20.0         # sigmoid ~ 0 everywhere
-    e0 = Tensor(np.random.default_rng(22).normal(size=(1, config.n_s, config.n_e)))
+    e0 = Tensor(np.random.default_rng(22).normal(size=(1, config.n_s, config.embed_dim)))
     _, _, stats = act_run(e0, params, config)
     assert np.all(stats.halt_steps == config.t_max)
 
@@ -252,7 +252,7 @@ def test_halt_steps_bounded_over_random_trials():
     rng = np.random.default_rng(23)
     for trial in range(100):
         params = init_params(config, seed=trial)
-        e0 = Tensor(rng.normal(size=(1, config.n_s, config.n_e)))
+        e0 = Tensor(rng.normal(size=(1, config.n_s, config.embed_dim)))
         _, _, stats = act_run(e0, params, config)
         assert np.all(stats.halt_steps >= 1)
         assert np.all(stats.halt_steps <= config.t_max)
@@ -264,7 +264,7 @@ def test_halting_mass_accounting():
     threshold = 1.0 - config.act_epsilon
     for trial in range(20):
         params = init_params(config, seed=100 + trial)
-        e0 = Tensor(rng.normal(size=(1, config.n_s, config.n_e)))
+        e0 = Tensor(rng.normal(size=(1, config.n_s, config.embed_dim)))
         _, _, stats = act_run(e0, params, config)
         # mass before the halting step was below threshold, so total stays
         # under threshold + 1; capped positions can stop with less
@@ -276,7 +276,7 @@ def test_halting_mass_accounting():
 def test_padded_positions_excluded_and_zeroed():
     config = small_config()
     params = init_params(config, seed=31)
-    e0 = Tensor(np.random.default_rng(32).normal(size=(1, config.n_s, config.n_e)))
+    e0 = Tensor(np.random.default_rng(32).normal(size=(1, config.n_s, config.embed_dim)))
     mask = np.array([[True, True, True, False]])
     final, _, stats = act_run(e0, params, config, mask=mask)
     assert stats.halt_steps[0, 3] == 0
@@ -287,7 +287,7 @@ def test_padded_positions_excluded_and_zeroed():
 def test_padded_positions_accumulate_no_halting_mass():
     config = small_config()
     params = init_params(config, seed=31)
-    e = np.random.default_rng(32).normal(size=(2, config.n_s, config.n_e))
+    e = np.random.default_rng(32).normal(size=(2, config.n_s, config.embed_dim))
     mask = np.array([[True, True, True, False], [True, False, False, False]])
     _, _, stats = act_run(Tensor(e), params, config, mask=mask)
     assert np.all(stats.accumulated[~mask] == 0.0)
@@ -297,7 +297,7 @@ def test_padded_positions_accumulate_no_halting_mass():
 def test_ponder_is_mean_steps_plus_mean_remainder():
     config = small_config()
     params = init_params(config, seed=34)
-    e = np.random.default_rng(33).normal(size=(2, config.n_s, config.n_e))
+    e = np.random.default_rng(33).normal(size=(2, config.n_s, config.embed_dim))
     mask = np.array([[True, True, True, True], [True, True, False, False]])
     _, ponder, stats = act_run(Tensor(e), params, config, mask=mask)
     assert float(ponder.data) == stats.mean_steps + stats.mean_remainder
@@ -310,9 +310,9 @@ def test_act_gradcheck_three_step_unrolled():
     params = init_params(config, seed=35)
     params.halt_b.data[:] = -1.0          # keep refinement running a few steps
     rng = np.random.default_rng(36)
-    e0 = Parameter(rng.normal(size=(1, 3, config.n_e)), name="e0")
+    e0 = Parameter(rng.normal(size=(1, 3, config.embed_dim)), name="e0")
     mask = np.array([[True, True, False]])
-    w = rng.normal(size=(1, 3, config.n_e))
+    w = rng.normal(size=(1, 3, config.embed_dim))
 
     def fn():
         final, ponder, _ = act_run(e0, params, config, mask=mask)
@@ -372,10 +372,10 @@ def test_perturbing_one_packed_segment_leaves_the_others_bitwise_unchanged(rows,
     params = init_params(config, seed=b)
     params.halt_b.data[:] = -1.0          # keep refinement running a few steps
     rng = np.random.default_rng(n_s)
-    e = rng.normal(size=(b, n_s, config.n_e))
+    e = rng.normal(size=(b, n_s, config.embed_dim))
     victim = data.draw(st.integers(0, b - 1))
     altered = e.copy()
-    altered[victim] += 3.0 * rng.normal(size=(n_s, config.n_e))
+    altered[victim] += 3.0 * rng.normal(size=(n_s, config.embed_dim))
     final_a, _, stats_a = act_run(Tensor(e), params, config, mask=valid)
     final_b, _, stats_b = act_run(Tensor(altered), params, config, mask=valid)
     others = np.arange(b) != victim
@@ -391,7 +391,7 @@ PONDER_ULPS = 4
 
 @pytest.mark.parametrize("train", [False, True])
 def test_packed_refinement_agrees_with_the_padded_oracle(train):
-    config = TransformerConfig(n_s=8, n_e=16, k=2, t_max=4, dropout=0.2)
+    config = ModelConfig(n_s=8, embed_dim=16, heads=2, t_max=4, dropout=0.2)
     rng = np.random.default_rng(51)
     for trial in range(10):
         params = init_params(config, seed=60 + trial)
@@ -399,7 +399,7 @@ def test_packed_refinement_agrees_with_the_padded_oracle(train):
         b = int(rng.integers(1, 40))
         valid = rng.random((b, config.n_s)) < rng.uniform(0.2, 0.9)
         valid[np.arange(b), rng.integers(0, config.n_s, size=b)] = True
-        e = Tensor(rng.normal(size=(b, config.n_s, config.n_e)))
+        e = Tensor(rng.normal(size=(b, config.n_s, config.embed_dim)))
         packed = act_run(e, params, config, mask=valid, train=train,
                          rng=np.random.default_rng(trial))
         padded = padded_act_run(e, params, config, mask=valid, train=train,

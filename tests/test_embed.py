@@ -121,19 +121,6 @@ def test_permutation_invariance_bit_identical():
         assert shuffled.tobytes() == base.tobytes()
 
 
-def test_mask_excludes_rows():
-    e = hand_table([[9.0, 9.0], [1.0, 2.0], [3.0, 0.0]])
-    out = max_concat(e, mask=np.array([False, True, True]))
-    assert out.data.tolist() == [3.0, 2.0]
-
-
-def test_degenerate_all_masked_is_zero_and_flagged():
-    e = hand_table([[4.0, 4.0]])
-    out, degenerate = max_concat(e, mask=np.array([False]), return_degenerate=True)
-    assert out.data.tolist() == [0.0, 0.0]
-    assert bool(degenerate)
-
-
 def test_output_dominates_rows_and_comes_from_rows():
     rng = np.random.default_rng(5)
     e = rng.normal(size=(7, 4))
@@ -158,17 +145,5 @@ def test_max_concat_gradcheck_off_ties():
 
     def fn():
         return scalarize(max_concat(e), w)
-
-    assert_gradients_match(fn, [e])
-
-
-def test_masked_max_gradcheck():
-    rng = np.random.default_rng(17)
-    e = Parameter(rng.normal(size=(2, 4, 3)), name="e")
-    mask = np.array([[True, True, False, True], [True, False, False, False]])
-    w = rng.normal(size=(2, 3))
-
-    def fn():
-        return scalarize(max_concat(e, mask=mask), w)
 
     assert_gradients_match(fn, [e])

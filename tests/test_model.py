@@ -199,6 +199,12 @@ def test_all_missing_customer_is_finite(schema):
     assert np.all(np.isfinite(reps))
 
 
+def test_heads_must_divide_embed_dim():
+    with pytest.raises(ConfigError, match=r"heads \(4\) must divide embed_dim \(30\)"):
+        ModelConfig(embed_dim=30, heads=4)
+    assert ModelConfig(embed_dim=30, heads=5).head_dim == 6
+
+
 def test_rep_width_follows_config(schema):
     model = CustomerEncoder(schema, small_model_config(rep_width=12))
     _, reps = model.represent(fixture_table(n=3))

@@ -100,7 +100,20 @@ def test_masked_max_degenerate_slice_is_zero_without_gradient():
         assert out.data.tolist() == [0.0, 0.0]
         numeric.backward(numeric.tensor_sum(out))
     assert np.array_equal(x.grad, np.zeros((2, 2)))
-    assert numeric.degenerate_rows(mask, axis=0)
+
+
+def test_masked_max_gradcheck():
+    """One mask row per sequence of the batch, one of them with a single
+    valid row."""
+    rng = np.random.default_rng(17)
+    e = Parameter(rng.normal(size=(2, 4, 3)), name="e")
+    mask = np.array([[True, True, False, True], [True, False, False, False]])
+    w = rng.normal(size=(2, 3))
+
+    def fn():
+        return scalarize(numeric.masked_max(e, mask, axis=-2), w)
+
+    assert_gradients_match(fn, [e])
 
 
 # ---- backward: spec examples --------------------------------------------

@@ -1,7 +1,7 @@
 """Scoring encodes and forwards one evaluation chunk at a time, from a
 checkpoint that loads without drawing.
 
-`score_chunks` encodes each chunk's customers on their own. That must give,
+`encoded_chunks` encodes each chunk's customers on their own. That must give,
 bit for bit, the rows a whole-table encoding gives, and the memory scoring
 and the CLI writers need must not grow with the number of customers. The
 `embed`, `predict` and `evaluate` stages read the table a group of customers
@@ -25,14 +25,14 @@ import pytest
 
 from oracles import no_child_left, same_encoding, stage_modules, traced_peak
 from tabrep import cli
-from tabrep.cli import EXIT_CODES, _write_rows
+from tabrep.cli import EXIT_CODES, _csv_rows, _write_scores, _write_text
 from tabrep.encode import encode_table
 from tabrep.errors import TabrepError
 from tabrep.eval import MetricSet, SynthConfig, synth_generate
 from tabrep.model import (EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig, chunk_stream,
                           eval_chunks)
 from tabrep.prep import build_schema
-from tabrep.table import TableFormat, load_table, order_records, save_table
+from tabrep.table import BigTable, TableFormat, load_table, order_records, save_table
 
 MODEL = ModelConfig(embed_dim=8, n_s=6, heads=2, t_max=2, rep_width=8, fusion_hidden=16,
                     head_hidden=8, recon_count=1, recon_dim=4, dropout=0.0)
@@ -137,20 +137,24 @@ def test_scoring_memory_does_not_grow_with_the_customer_count():
     assert peaks[1] - peaks[0] < PEAK_MARGIN, peaks
 
 
-def test_embed_writer_memory_does_not_grow_with_the_customer_count(tmp_path):
+def test_embed_writer_memory_does_not_grow_with_the_customer_count(tmp_path, monkeypatch):
     # rows of width 64: a whole-table result array would grow by 768 KiB
     # from 2 x EVAL_BATCH to 8 x EVAL_BATCH customers, three times the margin
+    monkeypatch.setattr(cli, "_worker_count", lambda: 1)    # forward here, where it is traced
     wide = replace(MODEL, rep_width=64)
     table = synth_generate(SynthConfig(n_customers=8 * EVAL_BATCH, records_max=12, seed=9))
+    few = table.customers[:2 * EVAL_BATCH]
     model = CustomerEncoder(build_schema(table), wide, seed=4)
     header = ["customer_id"] + [f"r{i:03d}" for i in range(wide.rep_width)]
     path = tmp_path / "embeddings.csv"
-    _write_rows(path, header, model.score_chunks(table))    # lazily built table state
     peaks = []
-    for customers in (table.customers[:2 * EVAL_BATCH], None):
-        count, peak = traced_peak(
-            lambda: _write_rows(path, header, model.score_chunks(table, customers)))
-        assert count == len(customers or table.customers)
+    for group in (BigTable(few, list(table.features), table.select(few)), table):
+        def write():
+            return _write_scores(None, None, [group], model, path, header)
+
+        write()                             # lazily built table state
+        count, peak = traced_peak(write)
+        assert count == group.n_customers
         peaks.append(peak)
     assert peaks[1] - peaks[0] < PEAK_MARGIN, peaks
 
@@ -234,10 +238,10 @@ def whole_table_outputs(directory) -> dict[str, bytes | str]:
     reps = forwarded(table.customers)
     proba = model.class_proba(reps, "churn")
     width = MODEL.rep_width
-    _write_rows(directory / "embeddings.csv", ["customer_id"] + [f"r{i:03d}" for i in range(width)],
-                [(table.customers, reps)])
-    _write_rows(directory / "predictions.csv", ["customer_id", "p_churn_0", "p_churn_1"],
-                [(table.customers, proba)])
+    _write_text(directory / "embeddings.csv", ["customer_id"] + [f"r{i:03d}" for i in range(width)],
+                [_csv_rows(table.customers, reps)])
+    _write_text(directory / "predictions.csv", ["customer_id", "p_churn_0", "p_churn_1"],
+                [_csv_rows(table.customers, proba)])
     want = {stage: (directory / name).read_bytes() for stage, name in STAGE_FILES.items()
             if stage != "evaluate"}
     got = table.labels["churn"]
