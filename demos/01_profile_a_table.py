@@ -1,37 +1,45 @@
 """Profile a mixed customer table: recognize feature kinds and dynamics.
 
-Builds a small in-memory table whose columns mix numbers, tokens and dates,
-then walks the two recognition stages: numerical-vs-categorical first, then
-static-vs-dynamic from the per-customer change statistics.
+Writes a small CSV whose columns mix numbers, tokens and missing cells to a
+temporary directory, loads it, then walks the two recognition stages:
+numerical-vs-categorical first, then static-vs-dynamic from the per-customer
+change statistics.
 """
+
+import csv
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from tabrep.prep import (RecognizerConfig, build_schema, dynamics_matrix,
                          nc_recognize, sd_recognize)
-from tabrep.table import MISSING, BigTable, Number, Row, Token, compute_stats
+from tabrep.table import TableFormat, compute_stats, load_table
 
 
-def make_table():
+def make_table(directory):
+    """Twelve customers with four monthly records each, written to a CSV
+    in `directory` and loaded from it."""
     rng = np.random.default_rng(7)
-    records = {}
+    lines = [["customer_id", "date", "city", "age", "balance", "plan"]]
     for u in range(12):
-        rows = []
-        city = Token(rng.choice(["north", "south", "east"]))
-        age = Number(float(rng.integers(20, 70)))
+        city = rng.choice(["north", "south", "east"])
+        age = float(rng.integers(20, 70))
         balance = float(rng.uniform(100, 900))
         for t in range(4):
             balance += float(rng.normal(0, 80))
-            plan = Token(rng.choice(["basic", "plus", "max"]))
-            bal_cell = MISSING if rng.random() < 0.2 else Number(round(balance, 2))
-            rows.append(Row(cells=(city, age, bal_cell, plan), date=t * 86400))
-        records[f"cust{u:02d}"] = rows
-    return BigTable(customers=list(records),
-                    features=["city", "age", "balance", "plan"],
-                    records=records)
+            plan = rng.choice(["basic", "plus", "max"])
+            amount = "" if rng.random() < 0.2 else round(balance, 2)     # "" is missing
+            lines.append([f"cust{u:02d}", f"2024-{t + 1:02d}-01", city, age, amount, plan])
+    path = Path(directory) / "customers.csv"
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(lines)
+    return load_table(path, TableFormat(date_column="date"))
 
 
-table = make_table()
+with tempfile.TemporaryDirectory() as tmp:
+    table = make_table(tmp)
+
 config = RecognizerConfig()
 
 print("=== step 1: numerical vs categorical ===")

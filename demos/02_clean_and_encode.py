@@ -6,37 +6,35 @@ numericals are min-max scaled into [0, 1] with missing imputed to zero, and
 the four branch arrays the encoder consumes are printed side by side.
 """
 
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from tabrep.encode import BranchLayout, augmented_summary, encode_customer
 from tabrep.prep import build_schema, uniform_normalize
-from tabrep.table import MISSING, BigTable, Number, Row, Token
+from tabrep.table import TableFormat, load_table
 
-
-def cell(v):
-    if v is None:
-        return MISSING
-    if isinstance(v, str):
-        return Token(v)
-    return Number(float(v))
-
-
+# one customer's records per entry, oldest first; "" is a missing cell
 rows_by_customer = {
     "ada": [("berlin", 52.0, "card", 120.75),
-            ("berlin", 52.0, "cash", None),
-            ("berlin", None, "card", 310.20)],
+            ("berlin", 52.0, "cash", ""),
+            ("berlin", "", "card", 310.20)],
     "bob": [("tokyo", 34.0, "wire", 95.10),
             ("tokyo", 34.0, "card", 180.40)],
-    "eve": [("lima", 47.0, None, 240.00),
+    "eve": [("lima", 47.0, "", 240.00),
             ("lima", 47.0, "cash", 60.80),
             ("lima", 47.0, "cash", 400.25)],
 }
-records = {cid: [Row(cells=tuple(cell(v) for v in vals), date=t * 86400)
-                 for t, vals in enumerate(rows)]
-           for cid, rows in rows_by_customer.items()}
-table = BigTable(customers=list(records),
-                 features=["city", "age", "channel", "amount"],
-                 records=records)
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "customers.csv"
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["customer_id", "date", "city", "age", "channel", "amount"])
+        for cid, rows in rows_by_customer.items():
+            writer.writerows([cid, f"2024-01-{t + 1:02d}", *vals] for t, vals in enumerate(rows))
+    table = load_table(path, TableFormat(date_column="date"))
 
 schema = build_schema(table)
 print("=== recognized kinds ===")

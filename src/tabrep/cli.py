@@ -187,6 +187,9 @@ def _infer_tasks(table: BigTable, names: list) -> dict[str, int]:
             raise ConfigError(f"no labels found for task {name!r}; "
                               f"is it listed in format.label_columns?")
         tasks[name] = max(2, max(int(v) for v in got.values()) + 1)
+        if tasks[name] > max(2, table.n_customers):
+            raise ConfigError(f"task {name!r} has a label of {tasks[name] - 1}, so "
+                              f"{tasks[name]} classes for {table.n_customers} customers")
     return tasks
 
 
@@ -355,12 +358,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.seed)
         return _COMMANDS[args.command](args, cfg)
-    except TabrepError as e:
-        payload = {"error": {"code": e.code, "type": type(e).__name__, "message": str(e)}}
-        print(json.dumps(payload), file=sys.stderr)
-        return EXIT_CODES[args.command]
-    except OSError as e:
-        payload = {"error": {"code": "io-error", "type": type(e).__name__, "message": str(e)}}
+    except (TabrepError, OSError) as e:
+        code = "io-error" if isinstance(e, OSError) else e.code
+        payload = {"error": {"code": code, "type": type(e).__name__, "message": str(e)}}
         print(json.dumps(payload), file=sys.stderr)
         return EXIT_CODES[args.command]
 

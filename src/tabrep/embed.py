@@ -43,7 +43,7 @@ class EmbeddingBank:
 
 
 def categorical_embed(ids: np.ndarray, table: Tensor) -> Tensor:
-    """Row lookup: output[..., f, :] = table[ids[..., f], :].
+    """Lookup by id: output[..., f, :] = table[ids[..., f], :].
 
     Ids must already be offset into the shared table. Id 0 of each feature
     block is the learned missing row; it is not forced to zero.

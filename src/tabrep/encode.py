@@ -18,7 +18,7 @@ import numpy as np
 from .errors import SchemaMismatchError
 from .prep import (FeatureSchema, change_rate, latest_non_missing, normalized_mean,
                    uniform_normalize)
-from .table import KIND_NUMBER, MISSING_CODE, BigTable, Columns, Row
+from .table import KIND_NUMBER, MISSING_CODE, BigTable, Columns
 
 
 @dataclass(frozen=True)
@@ -125,10 +125,10 @@ def encode_customer(table: BigTable, customer: str, schema: FeatureSchema,
     return encode_table(table, schema, layout, [customer])
 
 
-def encode_rows(rows: list[Row], schema: FeatureSchema, layout: BranchLayout) -> Batch:
-    """Encode one customer's records, given as `Row`s in time order, as a
-    one-row `Batch` of an unnamed ("") customer."""
-    cols = Columns.from_rows([rows], len(schema.feature_order))
+def encode_rows(cols: Columns, schema: FeatureSchema, layout: BranchLayout) -> Batch:
+    """Encode one customer's records, a one-customer `Columns` in time order
+    such as `table.records[c]`, as a one-row `Batch` of an unnamed ("")
+    customer."""
     return Batch([""], *_encode(cols, schema, layout))
 
 

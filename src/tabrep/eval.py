@@ -16,7 +16,7 @@ from .errors import (AT_LEAST_ONE, AT_LEAST_TWO, NON_NEGATIVE, POSITIVE, PROBABI
 from .numeric import Tensor
 from .encode import augmented_summaries
 from .prep import FeatureSchema, latest_non_missing
-from .table import MISSING_CODE, BigTable, Columns, Token, _CellCodes
+from .table import MISSING_CODE, BigTable, Columns, Token, _CellIndex
 
 
 # ---- metrics -------------------------------------------------------------
@@ -217,7 +217,7 @@ def synth_generate(config: SynthConfig) -> BigTable:
     m = config.signal_min_count
     labels: dict[str, int] = {}
     # the table's columns: a cell pool, each feature's codes, each record's date
-    pool = _CellCodes()
+    pool = _CellIndex()
     feature_codes: list[list[int]] = [[] for _ in features]
     dates_all: list[int] = []
     lengths: list[int] = []
@@ -275,7 +275,8 @@ def synth_generate(config: SynthConfig) -> BigTable:
             hidden[f] = h
 
         for f, codes in zip(features, feature_codes):     # a number is pooled without a cell
-            code = (lambda v: pool[Token(v)]) if isinstance(values[f][0], str) else pool._number
+            code = ((lambda v: pool[v] if v in pool else pool._add(v, Token(v)))
+                    if isinstance(values[f][0], str) else pool._number)
             codes.extend([MISSING_CODE if h else code(v)
                           for v, h in zip(values[f], hidden[f].tolist())])
         dates_all.extend(dates)

@@ -170,22 +170,20 @@ class Vocabulary:
         return len(self.token_to_id) + 2
 
     @classmethod
-    def fit(cls, cells) -> "Vocabulary":
-        """Ids from 2 for the tokens of the non-missing `cells` (a table
-        `Column` or any cells), in first-seen order."""
-        column = cells if isinstance(cells, Column) else Column.of(cells)
+    def fit(cls, column: Column) -> "Vocabulary":
+        """Ids from 2 for the tokens of the non-missing cells of `column`, in
+        first-seen order."""
         tokens = column.pool.tokens(column.codes)
         tokens = tokens[tokens >= 0]
         distinct, first = np.unique(tokens, return_index=True)
         texts = column.pool.token_texts
         return cls({texts[t]: 2 + i for i, t in enumerate(distinct[np.argsort(first)].tolist())})
 
-    def encode(self, cell) -> int:
-        return tokenize([cell], self)[0][0]
-
     def ids(self, pool: CellPool, codes: np.ndarray) -> np.ndarray:
-        """`encode` of the cells `codes` (any shape) of `pool`, as an int64
-        array of that shape; each distinct token is looked up once."""
+        """The id of each cell `codes` (any shape) of `pool`, as an int64
+        array of that shape: MISSING_TOKEN_ID for a missing cell, OOV_TOKEN_ID
+        for a token not in the vocabulary. Each distinct token is looked up
+        once."""
         tokens = pool.tokens(codes)
         distinct, inverse = np.unique(tokens, return_inverse=True)
         texts, get = pool.token_texts, self.token_to_id.get
@@ -194,14 +192,13 @@ class Vocabulary:
         return lookup[inverse].reshape(np.shape(codes))
 
 
-def tokenize(values, vocab: Vocabulary | None = None) -> tuple[list[int], Vocabulary]:
-    """Map cell values to token ids.
+def tokenize(column: Column, vocab: Vocabulary | None = None) -> tuple[list[int], Vocabulary]:
+    """Map a column's cells to token ids.
 
     With no vocabulary (train mode) one is fitted by `Vocabulary.fit`. With
     a vocabulary (apply mode) unseen tokens map to the OOV id and missing
     cells to id 0.
     """
-    column = values if isinstance(values, Column) else Column.of(values)
     if vocab is None:
         vocab = Vocabulary.fit(column)
     return vocab.ids(column.pool, column.codes).tolist(), vocab

@@ -9,8 +9,8 @@ Storage is columnar (`Columns`): one integer code per (record, feature)
 into a pool of distinct cells, the records of each customer contiguous
 and located by customer offsets, plus one int64 date per record with a
 mask of the dated ones. The pool of cells is columns too (`CellPool`).
-Whole-table passes are array operations over the codes; `BigTable.records`
-shows the same data as `Row`s, built per customer on first access.
+Whole-table passes are array operations over the codes. A table is built in
+memory only from `Columns`, or read from a CSV by `load_table`.
 """
 
 from __future__ import annotations
@@ -122,29 +122,11 @@ def _parse_date(text: str) -> int | None:
     return int(dt.timestamp())
 
 
-def format_cell(cell: CellValue) -> str:
-    if cell is MISSING:
-        return ""
-    if isinstance(cell, Number):
-        return _format_number(cell.value)
-    if isinstance(cell, Token):
-        return cell.value
-    if isinstance(cell, Date):
-        return _format_date(cell.epoch)
-    raise TypeError(f"not a cell value: {cell!r}")
-
-
 _format_number = repr       # a number's text, which `parse_cell` reads back bit for bit
 
 
 def _format_date(epoch: int) -> str:
     return datetime.fromtimestamp(epoch, tz=timezone.utc).isoformat()
-
-
-@dataclass(frozen=True)
-class Row:
-    cells: tuple
-    date: int | None = None
 
 
 # ---- columnar storage ------------------------------------------------------
@@ -154,27 +136,16 @@ class CellPool:
 
     `kinds` holds each code's cell kind, `values` a number's value (NaN for
     every other cell), and `items` a token's text or a date's epoch, by
-    code. Code 0 is MISSING, and no other code is. `cell` builds the cell
-    of a code, for the `Row` view only.
+    code. Code 0 is MISSING, and no other code is.
     """
 
     def __init__(self, kinds: np.ndarray, values: np.ndarray, items: dict[int, str | int]):
         self.kinds = kinds
         self.values = values
         self.items = items
-        self._cells: dict[int, CellValue] = {MISSING_CODE: MISSING}
         self._tokens = None                         # see `tokens`
         self._token_ids: dict[str, int] = {}
         self.token_texts: list[str] = []            # the tokens made so far, by id
-
-    def cell(self, code: int) -> CellValue:
-        """The cell of `code`, built on the first request and then kept."""
-        cell = self._cells.get(code)
-        if cell is None:
-            item = self.items.get(code)
-            cell = self._cells[code] = (Number(self.values.item(code)) if item is None
-                                        else Token(item) if isinstance(item, str) else Date(item))
-        return cell
 
     def tokens(self, codes: np.ndarray) -> np.ndarray:
         """Per code (any shape), the id in `token_texts` of its cell's
@@ -248,19 +219,6 @@ class _ParsedCells(_CellIndex):
         return self._number(v)
 
 
-class _CellCodes(_CellIndex):
-    """Cell -> code; equal cells share one."""
-
-    def __init__(self):
-        super().__init__()
-        self[MISSING] = MISSING_CODE
-
-    def __missing__(self, cell) -> int:
-        if cell.__class__ not in (Number, Token, Date):
-            raise SchemaError(f"not a cell value: {cell!r}")
-        return self._number(cell.value) if cell.__class__ is Number else self._add(cell, cell)
-
-
 @dataclass(frozen=True, eq=False)
 class Columns:
     """Records of a sequence of customers, stored column-wise.
@@ -288,25 +246,6 @@ class Columns:
     def segments(self) -> np.ndarray:
         """Customer index of each record."""
         return np.repeat(np.arange(self.n_customers), self.lengths)
-
-    @classmethod
-    def from_rows(cls, histories, width: int, names=None) -> "Columns":
-        """Columns of one `Row` list per customer; `names` label the
-        customers in the error for a row of the wrong width."""
-        pool = _CellCodes()
-        codes, dates, lengths = [], [], []
-        for i, rows in enumerate(histories):
-            for row in rows:
-                if len(row.cells) != width:
-                    who = names[i] if names is not None else i
-                    raise SchemaError(f"customer {who!r}: row has {len(row.cells)} cells, "
-                                      f"expected {width}")
-                codes.extend(map(pool.__getitem__, row.cells))
-                dates.append(row.date)
-            lengths.append(len(rows))
-        codes = np.array(codes, dtype=np.int32)
-        return cls.build(pool.pool_of(codes), codes, width, lengths,
-                         [0 if d is None else d for d in dates], [d is not None for d in dates])
 
     @classmethod
     def build(cls, pool: CellPool, codes, width: int, lengths, dates, dated=None) -> "Columns":
@@ -338,50 +277,27 @@ class Columns:
         return replace(self, codes=self.codes[rows], dates=self.dates[rows],
                        dated=self.dated[rows])
 
-    def rows(self, i: int) -> list[Row]:
-        """Customer `i`'s records as `Row`s of pool cells."""
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        cell = self.pool.cell
-        return [Row(cells=tuple(map(cell, codes)), date=date if dated else None)
-                for codes, date, dated in zip(self.codes[lo:hi].tolist(),
-                                              self.dates[lo:hi].tolist(),
-                                              self.dated[lo:hi].tolist())]
-
 
 class Column:
-    """One feature's cells, as codes into a pool; iterates as cells."""
+    """One feature's cells, as codes into a pool."""
 
     def __init__(self, pool: CellPool, codes: np.ndarray):
         self.pool = pool
         self.codes = codes
 
-    @classmethod
-    def of(cls, cells) -> "Column":
-        pool = _CellCodes()
-        codes = np.array(list(map(pool.__getitem__, cells)), dtype=np.int64)
-        return cls(pool.pool_of(codes), codes)
-
-    def __iter__(self):
-        return map(self.pool.cell, self.codes.tolist())
-
 
 class RecordsView(Mapping):
-    """Customer -> list of `Row`s of a `BigTable`, built from its columns on
-    first access and cached per customer. It holds the table's parts, not the
-    table, so that a table is freed as soon as it is dropped."""
+    """Customer -> that customer's records of a `BigTable`, as a one-customer
+    `Columns`. It exists for perfbench's `_subset` and for
+    `dataclasses.replace`, which hand it back to `BigTable`, and goes when
+    `_subset` calls `BigTable.select` (ROADMAP item 1). It holds the table's
+    parts, not the table, so that a table is freed as soon as it is dropped."""
 
     def __init__(self, table: "BigTable"):
         self.customers, self.columns, self.index = table.customers, table.columns, table.index
-        self._rows: dict[str, list[Row]] = {}
 
-    def __getitem__(self, customer: str) -> list[Row]:
-        rows = self._rows.get(customer)
-        if rows is None:
-            rows = self._rows[customer] = self.columns.rows(self.index[customer])
-        return rows
-
-    def __contains__(self, customer) -> bool:
-        return customer in self.index
+    def __getitem__(self, customer: str) -> Columns:
+        return self.columns.take([self.index[customer]])
 
     def __iter__(self):
         return iter(self.customers)
@@ -394,15 +310,15 @@ class RecordsView(Mapping):
 class BigTable:
     """Customers x features table with per-customer record sequences.
 
-    `records` may be a mapping of customer -> `Row` list (a customer it
-    does not name has no records) or a `Columns` instance. After
-    construction `records` is always a `RecordsView` over `columns`, and
-    `index` maps each customer to its position.
+    `records` is a `Columns` instance, or a mapping such as another
+    table's `records` gives: each customer's one-customer `Columns`, all of
+    one pool. After construction `records` is always a `RecordsView` over
+    `columns`, and `index` maps each customer to its position.
     """
 
     customers: list[str]
     features: list[str]
-    records: Mapping[str, list[Row]] | Columns
+    records: Mapping[str, Columns] | Columns
     labels: dict[str, dict[str, int]] = field(default_factory=dict)
     has_date_index: bool = False
     columns: Columns = field(init=False, repr=False, compare=False)
@@ -416,11 +332,9 @@ class BigTable:
         if isinstance(records, Columns):
             columns = records
         else:
-            unknown = set(records) - set(self.customers)
-            if unknown:
-                raise SchemaError(f"records of unknown customers: {sorted(unknown)[:3]}")
-            columns = Columns.from_rows([records.get(c, ()) for c in self.customers],
-                                        width, self.customers)
+            # for perfbench's `_subset` and `dataclasses.replace`; goes when `_subset`
+            # calls `select` (ROADMAP item 1)
+            columns = _concatenated(records, self.customers, width)
         self.columns = columns
         self.records = RecordsView(self)
         for task, labels in self.labels.items():
@@ -456,6 +370,24 @@ class BigTable:
         if customers == self.customers:
             return self.columns
         return self.columns.take([self.index[c] for c in customers])
+
+
+def _concatenated(records: Mapping, customers: list[str], width: int) -> Columns:
+    """One `Columns` of `records[c]` for each of `customers`, in order; each
+    must be a one-customer `Columns` of `width` features, all of one pool."""
+    unknown = set(records) - set(customers)
+    if unknown:
+        raise SchemaError(f"records of unknown customers: {sorted(unknown)[:3]}")
+    parts = [records.get(c) for c in customers]
+    pool = parts[0].pool if parts else _CellIndex().pool_of(np.empty(0, np.int32))
+    if not all(isinstance(p, Columns) and p.n_customers == 1 and p.pool is pool
+               and p.codes.shape[1] == width for p in parts):
+        raise SchemaError("records must give each customer a one-customer Columns, "
+                          "all of one pool")
+    return Columns.build(pool, np.concatenate([p.codes for p in parts] or [[]]), width,
+                         [len(p.dates) for p in parts],
+                         np.concatenate([p.dates for p in parts] or [[]]),
+                         np.concatenate([p.dated for p in parts] or [[]]))
 
 
 @dataclass(frozen=True)
@@ -610,6 +542,9 @@ def _read_table(path: Path, reader, fmt: TableFormat, group: int | None) -> Iter
             labels = part.labels[col]
             cell = MISSING if cust in labels else label_cell(raw[pos])
             if isinstance(cell, Number):
+                if cell.value < 0 or not cell.value.is_integer():
+                    raise ParseError(f"{path}:{reader.line_num}: label column {col!r} holds "
+                                     f"{raw[pos]!r}, not a non-negative integer")
                 labels[cust] = int(cell.value)
     yield completed()
 
@@ -657,8 +592,10 @@ def save_table(table: BigTable, path, fmt: TableFormat = TableFormat()) -> None:
         header.append(fmt.date_column)
     header.extend(table.features)
     header.extend(fmt.label_columns)
-    texts = [format_cell(cols.pool.cell(code)) if math.isnan(v) else _format_number(v)
-             for code, v in enumerate(cols.pool.values.tolist())]
+    pool = cols.pool
+    texts = ["" if kind == KIND_MISSING else _format_number(v) if kind == KIND_NUMBER
+             else pool.items[code] if kind == KIND_TOKEN else _format_date(pool.items[code])
+             for code, (kind, v) in enumerate(zip(pool.kinds.tolist(), pool.values.tolist()))]
     date_texts: dict[int, str] = {}
     with replacing(path) as fh:
         plain = csv.writer(fh, delimiter=fmt.delimiter, lineterminator="\n")

@@ -9,11 +9,13 @@ for every masked cell, which is what the package's batched masking must match.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,94 @@ from tabrep.dynamics import PonderStats, transformer_step
 from tabrep.encode import Batch, encode_rows, stack_encoded
 from tabrep.interpret import (GenomeReport, InterpretConfig, TargetGenome, _top_k,
                               maskable_features, position_target, sensitive_features)
-from tabrep.table import MISSING, BigTable, Date, Number, Row, Token
+from tabrep.table import (KIND_DATE, KIND_MISSING, KIND_NUMBER, KIND_TOKEN, MISSING, BigTable,
+                          CellPool, Column, Columns, Date, Number, Token)
+
+
+# ---- tables as `Row` lists -------------------------------------------------
+#
+# The package stores a table as columns of codes into a pool of cells. These
+# build such columns from one `Row` list per customer, and read a table's
+# records back as `Row`s, cell by cell.
+
+@dataclass(frozen=True)
+class Row:
+    """One record: one cell per feature, and its date (None if undated)."""
+
+    cells: tuple
+    date: int | None = None
+
+
+def _pooled(cells) -> tuple[CellPool, list[int]]:
+    """A pool of the distinct `cells` and each cell's code in it: MISSING is
+    0, the others follow in first-seen order. Numbers are told apart by
+    their bits, so 0.0 and -0.0 get two codes, as the package keeps them."""
+    kinds, values, items, code_of, codes = [KIND_MISSING], [math.nan], {}, {}, []
+    for cell in cells:
+        if cell is MISSING:
+            codes.append(0)
+            continue
+        key = cell.value.hex() if isinstance(cell, Number) else cell
+        if key not in code_of:
+            code_of[key] = len(kinds)
+            if isinstance(cell, Number):
+                kinds.append(KIND_NUMBER)
+                values.append(cell.value)
+            else:
+                kinds.append(KIND_TOKEN if isinstance(cell, Token) else KIND_DATE)
+                values.append(math.nan)
+                items[code_of[key]] = cell.value if isinstance(cell, Token) else cell.epoch
+        codes.append(code_of[key])
+    return CellPool(np.array(kinds, dtype=np.int8), np.array(values), items), codes
+
+
+def columns_of(histories, width: int) -> Columns:
+    """The columns of one `Row` list per customer, over one pool."""
+    rows = [row for history in histories for row in history]
+    assert all(len(row.cells) == width for row in rows)
+    pool, codes = _pooled([cell for row in rows for cell in row.cells])
+    return Columns.build(pool, codes, width, [len(history) for history in histories],
+                         [row.date or 0 for row in rows], [row.date is not None for row in rows])
+
+
+def table_from_rows(customers, features, records, labels=None,
+                    has_date_index=False) -> BigTable:
+    """The table of `records`, customer -> `Row` list; a customer it does
+    not name has no records."""
+    assert set(records) <= set(customers)
+    return BigTable(customers=list(customers), features=list(features),
+                    records=columns_of([records.get(c, ()) for c in customers], len(features)),
+                    labels=labels or {}, has_date_index=has_date_index)
+
+
+def column_of(cells) -> Column:
+    """A table `Column` of `cells`."""
+    pool, codes = _pooled(cells)
+    return Column(pool, np.array(codes, dtype=np.int64))
+
+
+def cell_of(pool: CellPool, code: int):
+    """The cell of `code` in `pool`."""
+    kind = pool.kinds[code]
+    if kind == KIND_MISSING:
+        return MISSING
+    if kind == KIND_NUMBER:
+        return Number(pool.values.item(code))
+    return Token(pool.items[code]) if kind == KIND_TOKEN else Date(pool.items[code])
+
+
+def cells_of(column: Column) -> list:
+    """The cells of a table `Column`, in its order."""
+    return [cell_of(column.pool, code) for code in column.codes.tolist()]
+
+
+def rows_of(table: BigTable, customer: str) -> list[Row]:
+    """A customer's records as `Row`s, read from `table.records`."""
+    cols = table.records[customer]
+    return [Row(cells=tuple(cell_of(cols.pool, code) for code in codes),
+                date=date if dated else None)
+            for codes, date, dated in zip(cols.codes.tolist(), cols.dates.tolist(),
+                                          cols.dated.tolist())]
 
 
 def traced_peak(fn):
@@ -193,13 +282,13 @@ def reference_dynamics(table: BigTable, feature: str, kind: str,
     pair threshold, then comparing that count to the feature threshold."""
     j = table.features.index(feature)
     if kind == "numerical":
-        values = [c.value for c in table.column(feature) if isinstance(c, Number)]
+        values = [c.value for c in cells_of(table.column(feature)) if isinstance(c, Number)]
         lo, hi = (min(values), max(values)) if values else (0.0, 0.0)
     else:
         lo = hi = 0.0
     count = 0
     for cust in table.customers:
-        cells = [row.cells[j] for row in table.records[cust]]
+        cells = [row.cells[j] for row in rows_of(table, cust)]
         if reference_change_statistic(cells, kind, lo, hi) > pair_threshold:
             count += 1
     return "dynamic" if count > feature_threshold else "static"
@@ -383,9 +472,8 @@ def random_table(rng: np.random.Generator) -> BigTable:
                     cells.append(MISSING)
             rows.append(Row(cells=tuple(cells), date=t))
         records[f"u{u}"] = rows
-    return BigTable(customers=list(records),
-                    features=[f"f{i}" for i in range(n_features)],
-                    records=records, labels={}, has_date_index=True)
+    return table_from_rows(list(records), [f"f{i}" for i in range(n_features)], records,
+                           has_date_index=True)
 
 
 def reference_auc(scores, labels) -> float:
@@ -463,16 +551,18 @@ def reference_genome_report(model, table: BigTable,
         chosen = _top_k(values, config.k)
         trials = []
         for cid in chosen:
-            rows = table.records[cid]
+            rows = rows_of(table, cid)
             if not rows or not feats:
                 continue
             rng = numeric.substream(config.seed, f"interpret/{target.key()}/{cid}")
             draws = [(int(rng.integers(len(rows))), int(rng.integers(len(feats))))
                      for _ in range(config.mask_samples)]
-            variants = [encode_rows(rows, model.schema, model.layout)]
+            width = len(model.schema.feature_order)
+            variants = [encode_rows(table.records[cid], model.schema, model.layout)]
             for t, fi in draws:
                 j = model.schema.feature_order.index(feats[fi])
-                variants.append(encode_rows(masked_rows(rows, j, t), model.schema, model.layout))
+                variants.append(encode_rows(columns_of([masked_rows(rows, j, t)], width),
+                                            model.schema, model.layout))
             vals = _reference_target_values(model, stack_encoded(variants), target)
             for (t, fi), v in zip(draws, vals[1:]):
                 trials.append((cid, feats[fi], t, float(v - vals[0])))

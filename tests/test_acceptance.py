@@ -38,7 +38,7 @@ from tabrep.prep import (RecognizerConfig, build_schema, dynamics_matrix,
 from tabrep.table import BigTable, Number
 
 from gradcheck import max_relative_error, scalarize
-from oracles import (random_table, reference_auc, reference_change_statistic,
+from oracles import (cells_of, random_table, reference_auc, reference_change_statistic,
                      reference_dynamics, reference_f_score,
                      reference_feature_kind, reference_weighted_accuracy)
 from test_interpret import linear_model, linear_table
@@ -63,7 +63,7 @@ def subset(table: BigTable, keep) -> BigTable:
     ks = set(keep)
     return BigTable(customers=keep,
                     features=list(table.features),
-                    records={c: table.records[c] for c in keep},
+                    records=table.select(keep),
                     labels={t: {c: v for c, v in lab.items() if c in ks}
                             for t, lab in table.labels.items()},
                     has_date_index=table.has_date_index)
@@ -347,7 +347,7 @@ def test_criterion_2_recognizer_oracle():
             t_f = max(1, math.ceil(0.05 * t.n_customers))
             for f in t.features:
                 features_checked += 1
-                if kinds[f] != reference_feature_kind(list(t.column(f)),
+                if kinds[f] != reference_feature_kind(cells_of(t.column(f)),
                                                       config.integer_unique_threshold):
                     mismatches += 1
                     continue

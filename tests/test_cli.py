@@ -544,6 +544,14 @@ MALFORMED = [
      {"m.json": checkpoint_file(tasks={"churn": 3})}, "config-error"),
     ("evaluate-label-outside-binary", "evaluate", {},
      {"t.csv": table_file(2), "m.json": checkpoint_file()}, "config-error"),
+    # a label a load accepts is a non-negative integer, and a task has no more
+    # classes than max(2, customers)
+    ("train-label-huge", "train", {},
+     {"t.csv": table_file("1e12"), "schema.json": schema_file()}, "config-error"),
+    ("train-label-fraction", "train", {},
+     {"t.csv": table_file("0.7"), "schema.json": schema_file()}, "parse-error"),
+    ("train-label-negative", "train", {},
+     {"t.csv": table_file("-3"), "schema.json": schema_file()}, "parse-error"),
     # one row per config field whose type or bounds went unchecked
     ("model-heads-zero", "train", {"model": {"heads": 0}}, {"schema.json": schema_file()},
      "config-error"),

@@ -1,6 +1,6 @@
 """The columnar table paths against the row oracles of `oracles.py`.
 
-Random `Row` tables go into `BigTable`; every whole-table pass (ordering,
+Random `Row` tables become `BigTable` columns; every whole-table pass (ordering,
 recognition, vocabularies, ranges, dynamics counts, statistics, encoding,
 summaries, masked re-encoding) must give, bit for bit, what straight-line
 loops over the same `Row`s give.
@@ -12,15 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (masked_rows, reference_encoding, reference_feature_kind,
+from oracles import (Row, masked_rows, reference_encoding, reference_feature_kind,
                      reference_change_statistic, reference_order, reference_range,
                      reference_stats_json, reference_summary, reference_vocabulary,
-                     same_encoding)
+                     rows_of, same_encoding, table_from_rows)
 from tabrep.encode import (BranchLayout, augmented_summaries, augmented_summary,
                            encode_table, masked_encodings, summary_width)
 from tabrep.errors import EmptyTableError, MixedKindFeatureError
 from tabrep.prep import NC_KIND, FeatureKind, RecognizerConfig, build_schema, nc_recognize
-from tabrep.table import MISSING, BigTable, Date, Number, Row, Token, compute_stats, order_records
+from tabrep.table import (MISSING, Columns, Date, Number, Token, compute_stats, load_table,
+                          order_records)
 
 # One cell style per feature. "int" holds integer-valued numbers (-0.0
 # among them), so it is recognized categorical; "num" turns numerical once
@@ -67,16 +68,16 @@ def _bits(x: float) -> bytes:
 @given(drawn=row_tables())
 def test_columnar_paths_equal_row_oracles(drawn):
     customers, records, labels = drawn
-    table = BigTable(customers=customers, features=FEATURES, records=records,
-                     labels={"churn": labels} if labels else {}, has_date_index=True)
-    assert table.records == records
-    assert {c: [[repr(x) for x in r.cells] + [r.date] for r in rs]
-            for c, rs in table.records.items()} == \
+    table = table_from_rows(customers, FEATURES, records,
+                            labels={"churn": labels} if labels else {}, has_date_index=True)
+    assert {c: rows_of(table, c) for c in customers} == records
+    assert {c: [[repr(x) for x in r.cells] + [r.date] for r in rows_of(table, c)]
+            for c in customers} == \
         {c: [[repr(x) for x in r.cells] + [r.date] for r in rs] for c, rs in records.items()}
 
     table = order_records(table)
     ordered = {c: reference_order(rs) for c, rs in records.items()}
-    assert table.records == ordered
+    assert {c: rows_of(table, c) for c in customers} == ordered
     if any(r.cells[FEATURES.index("mix")] == Token("1") for rs in records.values() for r in rs) \
             and any(r.cells[FEATURES.index("mix")] == Number(1.0)
                     for rs in records.values() for r in rs):
@@ -144,48 +145,51 @@ def test_columnar_paths_equal_row_oracles(drawn):
             assert same_encoding(got[k], want) and not same_encoding(want, enc), (cid, t, j)
 
 
-def test_row_view_is_built_once_per_customer_and_shares_pool_cells():
+def test_records_give_each_customer_as_one_customer_columns():
     records = {"a": [Row(cells=(Number(1.5), Token("x")), date=1)],
                "b": [Row(cells=(Number(1.5), Token("x")), date=None)], "c": []}
-    table = BigTable(customers=["a", "b", "c"], features=["f", "g"], records=records,
-                     has_date_index=True)
-    first = table.records["a"]
-    assert table.records["a"] is first
-    assert first[0].cells[0] is table.records["b"][0].cells[0]
-    assert table.records["c"] == [] and "c" in table.records and "z" not in table.records
+    table = table_from_rows(["a", "b", "c"], ["f", "g"], records, has_date_index=True)
+    for c in "abc":
+        got = table.records[c]
+        assert isinstance(got, Columns) and got.n_customers == 1
+        assert got.pool is table.columns.pool
+        assert rows_of(table, c) == records[c]
+    assert table.records["a"].codes.tolist() == table.records["b"].codes.tolist()
+    assert "c" in table.records and "z" not in table.records
+    assert list(table.records) == ["a", "b", "c"]
     assert table.n_records("a") == 1 and table.n_records("c") == 0
 
 
-def test_negative_zero_keeps_its_own_pool_entry():
-    records = {"a": [Row(cells=(Number(0.0),)), Row(cells=(Number(-0.0),))]}
-    table = BigTable(customers=["a"], features=["f"], records=records)
-    cells = [row.cells[0] for row in table.records["a"]]
+def test_negative_zero_keeps_its_own_pool_entry(tmp_path):
+    (tmp_path / "t.csv").write_text("customer_id,f\na,0.0\na,-0.0\n")
+    table = load_table(tmp_path / "t.csv")
+    cells = [row.cells[0] for row in rows_of(table, "a")]
     assert [repr(c.value) for c in cells] == ["0.0", "-0.0"]
 
 
 def test_replace_keeps_the_records():
     from dataclasses import replace
-    table = BigTable(customers=["a"], features=["f"],
-                     records={"a": [Row(cells=(Token("x"),))]})
+    table = table_from_rows(["a"], ["f"], {"a": [Row(cells=(Token("x"),))]})
     again = replace(table, labels={"churn": {"a": 1}})
-    assert again.records == table.records and again.labels == {"churn": {"a": 1}}
+    assert rows_of(again, "a") == rows_of(table, "a") and again.labels == {"churn": {"a": 1}}
 
 
 def test_summary_of_a_customer_without_records_is_zeros():
-    table = BigTable(customers=["a"], features=["f"], records={"a": []}, has_date_index=True)
-    schema = build_schema(BigTable(customers=["b"], features=["f"],
-                                   records={"b": [Row(cells=(Number(0.5),)),
-                                                  Row(cells=(Number(1.5),))]}))
+    table = table_from_rows(["a"], ["f"], {"a": []}, has_date_index=True)
+    schema = build_schema(table_from_rows(["b"], ["f"], {"b": [Row(cells=(Number(0.5),)),
+                                                               Row(cells=(Number(1.5),))]}))
     width = summary_width(schema)
     assert width and augmented_summary(table, "a", schema).tolist() == [0.0] * width
 
 
 def test_cli_stages_build_no_rows(tmp_path, monkeypatch, capsys):
-    """Every stage works on the columns; none asks for the `Row` view."""
+    """Every stage works on the whole columns; none reads one customer's
+    records through `table.records`."""
     import json
     from tabrep.cli import main
-    from tabrep.table import Columns
-    monkeypatch.setattr(Columns, "rows", lambda *a: pytest.fail("a Row was built"))
+    from tabrep.table import RecordsView
+    monkeypatch.setattr(RecordsView, "__getitem__",
+                        lambda *a: pytest.fail("a customer's records were read"))
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
         "seed": 1, "format": {"date_column": "date", "label_columns": ["churn"]},

@@ -16,7 +16,7 @@ from tabrep.eval import (BaselineConfig, MetricSet, SynthConfig, baseline_linear
 from tabrep.prep import RecognizerConfig, build_schema
 from tabrep.table import compute_stats, save_table, TableFormat
 
-from oracles import (random_table, reference_auc, reference_f_score,
+from oracles import (random_table, rows_of, reference_auc, reference_f_score,
                      reference_weighted_accuracy)
 
 
@@ -198,7 +198,7 @@ def test_labels_follow_planted_pattern_without_noise():
     table = synth_generate(config)
     j = table.feature_index("dc0")
     for cid in table.customers:
-        tokens = [row.cells[j] for row in table.records[cid]]
+        tokens = [row.cells[j] for row in rows_of(table, cid)]
         count = sum(1 for c in tokens
                     if getattr(c, "value", None) == config.signal_token)
         want = 1 if count >= config.signal_min_count else 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import Row, rows_of, table_from_rows
 from tabrep.errors import (ConfigError, InvalidCellCoordinatesError,
                            PositionOutOfRangeError)
 from tabrep.interpret import (GenomeReport, InterpretConfig, Target,
@@ -9,7 +10,7 @@ from tabrep.interpret import (GenomeReport, InterpretConfig, Target,
                               sensitive_features)
 from tabrep.model import CustomerEncoder, ModelConfig, TrainConfig
 from tabrep.prep import FeatureKind, FeatureSchema, RecognizerConfig
-from tabrep.table import MISSING, BigTable, Number, Row, Token
+from tabrep.table import MISSING, Number, Token
 
 
 def linear_model(weights, rep_position=0):
@@ -53,9 +54,9 @@ def linear_table(rows_by_customer):
                               for v in vals), date=0)]
         for cid, vals in rows_by_customer.items()
     }
-    return BigTable(customers=list(records),
-                    features=[f"f{i}" for i in range(n)],
-                    records=records, labels={}, has_date_index=True)
+    return table_from_rows(customers=list(records),
+                           features=[f"f{i}" for i in range(n)],
+                           records=records, labels={}, has_date_index=True)
 
 
 # ---- step one: sensitive customers ---------------------------------------
@@ -129,11 +130,9 @@ def test_invalid_cell_coordinates_rejected():
 def test_masking_leaves_table_untouched():
     model = linear_model([2.0, -1.0])
     table = linear_table({"a": [0.5, 0.25]})
-    before = {cid: [(r.date, r.cells) for r in rows]
-              for cid, rows in table.records.items()}
+    before = {cid: rows_of(table, cid) for cid in table.customers}
     mask_and_delta(model, table, "a", "f1", 0, position_target(0))
-    after = {cid: [(r.date, r.cells) for r in rows]
-             for cid, rows in table.records.items()}
+    after = {cid: rows_of(table, cid) for cid in table.customers}
     assert after == before
 
 
@@ -242,11 +241,9 @@ def test_huge_threshold_empties_rankings():
 def test_report_leaves_table_untouched():
     model = linear_model([1.0, -2.0])
     table = linear_table({"a": [0.3, 0.6], "b": [0.2, None]})
-    before = {cid: [(r.date, r.cells) for r in rows]
-              for cid, rows in table.records.items()}
+    before = {cid: rows_of(table, cid) for cid in table.customers}
     genome_report(model, table, InterpretConfig(k=2, mask_samples=6, seed=1))
-    after = {cid: [(r.date, r.cells) for r in rows]
-             for cid, rows in table.records.items()}
+    after = {cid: rows_of(table, cid) for cid in table.customers}
     assert after == before
 
 
@@ -260,9 +257,9 @@ def test_class_target_report_on_trained_model():
                 for t in range(3)]
         records[cid] = rows
         labels[cid] = y
-    table = BigTable(customers=list(records), features=["sc", "dc"],
-                     records=records, labels={"churn": labels},
-                     has_date_index=True)
+    table = table_from_rows(customers=list(records), features=["sc", "dc"],
+                            records=records, labels={"churn": labels},
+                            has_date_index=True)
     from tabrep.prep import build_schema
     schema = build_schema(table, RecognizerConfig())
     model = CustomerEncoder(

@@ -12,15 +12,16 @@ import json
 import numpy as np
 import pytest
 
-from oracles import masked_rows, reference_genome_report, same_encoding
+from oracles import (Row, columns_of, column_of, masked_rows, reference_genome_report,
+                     rows_of, same_encoding, table_from_rows)
 from tabrep import interpret, numeric
 from tabrep.encode import BranchLayout, encode_rows, encode_table, masked_encodings
 from tabrep.eval import SynthConfig, synth_generate
 from tabrep.interpret import (InterpretConfig, class_target, genome_report,
                               mask_and_delta, maskable_features, position_target)
 from tabrep.model import EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig
-from tabrep.prep import OOV_TOKEN_ID, build_schema
-from tabrep.table import MISSING, BigTable, Number, Row, Token
+from tabrep.prep import OOV_TOKEN_ID, build_schema, tokenize
+from tabrep.table import MISSING, BigTable, Number, Token
 
 
 def test_masked_rows_pure_copy():
@@ -32,11 +33,10 @@ def test_masked_rows_pure_copy():
 
 
 def _with_extra_customers(table: BigTable, extra: dict) -> BigTable:
-    records = dict(table.records)
+    records = {c: rows_of(table, c) for c in table.customers}
     records.update(extra)
-    return BigTable(customers=list(table.customers) + list(extra),
-                    features=list(table.features), records=records,
-                    labels=table.labels, has_date_index=table.has_date_index)
+    return table_from_rows(list(table.customers) + list(extra), table.features, records,
+                           labels=table.labels, has_date_index=table.has_date_index)
 
 
 def _hand_made_customers(table: BigTable, schema) -> dict:
@@ -91,12 +91,13 @@ def test_masked_encodings_match_reencoding_on_every_cell():
         assert same_encoding(bases[cid], encode_rows(table.records[cid], schema, layout)), cid
     for k, (i, t, j) in enumerate(cells):
         cid, f = table.customers[i], schema.feature_order[j]
-        rows, base = table.records[cid], bases[cid]
+        rows, base = rows_of(table, cid), bases[cid]
         cell = rows[t].cells[j]
         seen["missing"] += cell is MISSING
         seen["oov"] += f in vocabs and cell is not MISSING \
-            and vocabs[f].encode(cell) == OOV_TOKEN_ID
-        want = encode_rows(masked_rows(rows, j, t), schema, layout)
+            and tokenize(column_of([cell]), vocabs[f])[0] == [OOV_TOKEN_ID]
+        want = encode_rows(columns_of([masked_rows(rows, j, t)], len(table.features)), schema,
+                           layout)
         if k not in got:
             seen["skipped"] += 1
             assert same_encoding(want, base), (cid, t, f)
@@ -183,7 +184,7 @@ def test_mask_and_delta_equals_report_delta(trained):
     checked = 0
     for genome in report.targets:
         for cid in genome.customers:
-            rows = table.records[cid]
+            rows = rows_of(table, cid)
             if not rows:
                 continue
             rng = numeric.substream(config.seed, f"interpret/{genome.target.key()}/{cid}")

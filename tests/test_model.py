@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import reference_backward, traced_peak
+from oracles import Row, reference_backward, table_from_rows, traced_peak
 from tabrep import model as model_module
 from tabrep import numeric
 from tabrep.encode import (BranchLayout, augmented_summary, encode_customer, encode_table,
@@ -18,7 +18,7 @@ from tabrep.model import (EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig,
                           cross_entropy, joint_loss, mean_squared_error)
 from tabrep.numeric import Tensor
 from tabrep.prep import RecognizerConfig, build_schema
-from tabrep.table import MISSING, BigTable, Number, Row, Token
+from tabrep.table import MISSING, Number, Token
 
 
 def small_model_config(**kwargs):
@@ -46,10 +46,10 @@ def fixture_table(n=40, with_labels=True, seed=0):
             ), date=t))
         records[cid] = rows
         labels[cid] = y
-    table = BigTable(customers=list(records), features=["sc", "sn", "dc", "dn"],
-                     records=records,
-                     labels={"churn": labels} if with_labels else {},
-                     has_date_index=True)
+    table = table_from_rows(customers=list(records), features=["sc", "sn", "dc", "dn"],
+                            records=records,
+                            labels={"churn": labels} if with_labels else {},
+                            has_date_index=True)
     return table
 
 
@@ -86,12 +86,12 @@ def test_layout_offsets_are_the_exclusive_cumsum(sizes):
 def test_static_value_is_latest_non_missing(schema):
     rows = [Row(cells=(Token("t0"), Number(3.0), MISSING, MISSING), date=0),
             Row(cells=(MISSING, Number(7.0), MISSING, MISSING), date=1)]
-    table = BigTable(customers=["a"], features=["sc", "sn", "dc", "dn"],
-                     records={"a": rows}, labels={}, has_date_index=True)
+    table = table_from_rows(customers=["a"], features=["sc", "sn", "dc", "dn"],
+                            records={"a": rows}, labels={}, has_date_index=True)
     model = CustomerEncoder(schema, small_model_config())
     enc = encode_customer(table, "a", schema, model.layout)
     # the later Missing does not shadow the earlier token
-    assert enc.cs_ids[0, 0] == schema.vocabularies["sc"].encode(Token("t0"))
+    assert enc.cs_ids[0, 0] == schema.vocabularies["sc"].token_to_id["t0"]
     lo, hi = schema.numeric_stats["sn"]
     assert enc.ns_vals[0, 0] == pytest.approx((7.0 - lo) / (hi - lo))
 
@@ -99,19 +99,19 @@ def test_static_value_is_latest_non_missing(schema):
 def test_window_keeps_most_recent_records(schema):
     rows = [Row(cells=(MISSING, MISSING, Token(f"v{t % 3}"), Number(float(t))), date=t)
             for t in range(9)]
-    table = BigTable(customers=["a"], features=["sc", "sn", "dc", "dn"],
-                     records={"a": rows}, labels={}, has_date_index=True)
+    table = table_from_rows(customers=["a"], features=["sc", "sn", "dc", "dn"],
+                            records={"a": rows}, labels={}, has_date_index=True)
     model = CustomerEncoder(schema, small_model_config())   # n_s = 4
     enc = encode_customer(table, "a", schema, model.layout)
     assert enc.seq_valid.all()
     vocab = schema.vocabularies["dc"]
-    want = [vocab.encode(Token(f"v{t % 3}")) for t in range(5, 9)]
+    want = [vocab.token_to_id[f"v{t % 3}"] for t in range(5, 9)]
     assert enc.cd_ids[0, :, 0].tolist() == want
 
 
 def test_zero_record_customer_gets_anchor_step(schema):
-    table = BigTable(customers=["a"], features=["sc", "sn", "dc", "dn"],
-                     records={"a": []}, labels={}, has_date_index=True)
+    table = table_from_rows(customers=["a"], features=["sc", "sn", "dc", "dn"],
+                            records={"a": []}, labels={}, has_date_index=True)
     model = CustomerEncoder(schema, small_model_config())
     enc = encode_customer(table, "a", schema, model.layout)
     assert enc.seq_valid.tolist() == [[True, False, False, False]]
@@ -124,8 +124,8 @@ def test_augmented_summary_hand_check(schema):
     rows = [Row(cells=(Token("t0"), Number(10.0), Token("a"), Number(2.0)), date=0),
             Row(cells=(MISSING, MISSING, Token("b"), Number(4.0)), date=1),
             Row(cells=(MISSING, MISSING, Token("b"), MISSING), date=2)]
-    table = BigTable(customers=["a"], features=["sc", "sn", "dc", "dn"],
-                     records={"a": rows}, labels={}, has_date_index=True)
+    table = table_from_rows(customers=["a"], features=["sc", "sn", "dc", "dn"],
+                            records={"a": rows}, labels={}, has_date_index=True)
     got = augmented_summary(table, "a", schema)
     assert got.shape == (summary_width(schema),)
     sn_lo, sn_hi = schema.numeric_stats["sn"]
@@ -190,8 +190,8 @@ def test_joint_loss_requires_some_term():
 
 def test_all_missing_customer_is_finite(schema):
     rows = [Row(cells=(MISSING,) * 4, date=t) for t in range(2)]
-    table = BigTable(customers=["ghost"], features=["sc", "sn", "dc", "dn"],
-                     records={"ghost": rows}, labels={}, has_date_index=True)
+    table = table_from_rows(customers=["ghost"], features=["sc", "sn", "dc", "dn"],
+                            records={"ghost": rows}, labels={}, has_date_index=True)
     model = CustomerEncoder(schema, small_model_config(), tasks={"churn": 2})
     names, reps = model.represent(table)
     assert names == ["ghost"]

@@ -8,10 +8,11 @@ from tabrep.prep import (FeatureKind, RecognizerConfig, Vocabulary, build_schema
                          dynamics_matrix, dynamics_statistic,
                          nc_recognize, sd_recognize, tokenize, uniform_normalize,
                          FeatureSchema, MISSING_TOKEN_ID, OOV_TOKEN_ID)
-from tabrep.table import MISSING, BigTable, Date, Number, Row, Token
+from tabrep.table import MISSING, Date, Number, Token
 
-from oracles import (numpy_uniform_normalize, random_table, reference_change_statistic,
-                     reference_feature_kind)
+from oracles import (Row, cells_of, column_of, numpy_uniform_normalize, random_table,
+                     reference_change_statistic, reference_feature_kind, rows_of,
+                     table_from_rows)
 
 
 def seq_table(sequences, features=("f",)):
@@ -19,8 +20,8 @@ def seq_table(sequences, features=("f",)):
     records = {u: [Row(cells=(c,) if not isinstance(c, tuple) else c, date=t)
                    for t, c in enumerate(cells)]
                for u, cells in sequences.items()}
-    return BigTable(customers=list(records), features=list(features),
-                    records=records, labels={}, has_date_index=True)
+    return table_from_rows(customers=list(records), features=list(features),
+                           records=records, labels={}, has_date_index=True)
 
 
 # ---- kind recognition ----------------------------------------------------
@@ -40,7 +41,7 @@ def test_wide_integer_feature_is_numerical():
     config = RecognizerConfig(integer_unique_threshold=10)
     assert nc_recognize(t, config)["f"] == "numerical"
     # cross-check against the straight-line oracle
-    cells = [t.records[u][0].cells[0] for u in t.customers]
+    cells = [rows_of(t, u)[0].cells[0] for u in t.customers]
     assert reference_feature_kind(cells, 10) == "numerical"
 
 
@@ -61,7 +62,7 @@ def test_mixed_kind_feature_raises_with_feature_name():
 # ---- tokenization --------------------------------------------------------
 
 def test_tokenize_training_stream_first_seen_order():
-    ids, vocab = tokenize([Token("red"), Token("blue"), Token("red")])
+    ids, vocab = tokenize(column_of([Token("red"), Token("blue"), Token("red")]))
     assert ids == [2, 3, 2]
     assert vocab.token_to_id == {"red": 2, "blue": 3}
     assert vocab.size == 4
@@ -70,25 +71,23 @@ def test_tokenize_training_stream_first_seen_order():
 def test_vocabulary_fit_is_tokenize_train_mode():
     cells = [MISSING, Token("b"), Number(3.0), Date(86400), MISSING, Token("b"),
              Number(2.5), Token("3"), Date(0), Number(3.0), MISSING]
-    vocab = Vocabulary.fit(cells)
+    vocab = Vocabulary.fit(column_of(cells))
     assert vocab.token_to_id == {"b": 2, "3": 3, "86400": 4, "2.5": 5, "0": 6}
-    ids, train_vocab = tokenize(cells)
+    ids, train_vocab = tokenize(column_of(cells))
     assert train_vocab == vocab
     assert ids == [0, 2, 3, 4, 0, 2, 5, 3, 6, 3, 0]
-    # a one-shot iterable is read once, for the fit and the ids alike
-    assert tokenize(iter(cells)) == (ids, vocab)
 
 
 def test_schema_vocabulary_is_the_shared_fit():
     table = build_mixed_table()
     schema = build_schema(table, overrides={"dn": FeatureKind.DYNAMIC_CATEGORICAL})
     for f, vocab in schema.vocabularies.items():
-        assert vocab == Vocabulary.fit(table.column(f)) == tokenize(list(table.column(f)))[1]
+        assert vocab == Vocabulary.fit(table.column(f)) == tokenize(table.column(f))[1]
 
 
 def test_tokenize_missing_and_oov():
-    _, vocab = tokenize([Token("red")])
-    ids, _ = tokenize([MISSING, Token("green"), Token("red")], vocab)
+    _, vocab = tokenize(column_of([Token("red")]))
+    ids, _ = tokenize(column_of([MISSING, Token("green"), Token("red")]), vocab)
     assert ids == [MISSING_TOKEN_ID, OOV_TOKEN_ID, 2]
 
 
@@ -211,19 +210,19 @@ def test_recognizer_and_statistic_match_oracle_on_random_tables():
         t = random_table(rng)
         kinds = nc_recognize(t, config)
         for f in t.features:
-            assert kinds[f] == reference_feature_kind(list(t.column(f)), 20)
+            assert kinds[f] == reference_feature_kind(cells_of(t.column(f)), 20)
         for f in t.features:
             if kinds[f] == "date":
                 continue
             got = dynamics_statistic(t, f, kinds[f])
             if kinds[f] == "numerical":
-                vals = [c.value for c in t.column(f) if isinstance(c, Number)]
+                vals = [c.value for c in cells_of(t.column(f)) if isinstance(c, Number)]
                 lo, hi = (min(vals), max(vals)) if vals else (0.0, 0.0)
             else:
                 lo = hi = 0.0
             j = t.features.index(f)
             for i, u in enumerate(t.customers):
-                cells = [r.cells[j] for r in t.records[u]]
+                cells = [r.cells[j] for r in rows_of(t, u)]
                 assert got[i] == reference_change_statistic(cells, kinds[f], lo, hi)
 
 
@@ -245,8 +244,8 @@ def build_mixed_table():
                 Date(t * 86400),                         # date column
             ), date=t))
         records[f"u{u:02d}"] = rows
-    return BigTable(customers=list(records), features=["sc", "sn", "dc", "dn", "ts"],
-                    records=records, labels={}, has_date_index=True)
+    return table_from_rows(customers=list(records), features=["sc", "sn", "dc", "dn", "ts"],
+                           records=records, labels={}, has_date_index=True)
 
 
 def test_build_schema_assigns_all_kinds():

@@ -2,24 +2,28 @@ import csv
 import io
 import math
 import tracemalloc
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import Row, cell_of, rows_of, table_from_rows
 from tabrep import SynthConfig, build_schema, synth_generate
 from tabrep import table as tb
 from tabrep.errors import (EmptyTableError, InterleavedTableError, MissingDateIndexError,
                            ParseError, SchemaError, TableIOError)
-from tabrep.table import (MISSING, BigTable, Date, Number, Row, TableFormat,
-                          Token, compute_stats, format_cell, load_table,
+from tabrep.table import (MISSING, Date, Number, TableFormat, Token, compute_stats, load_table,
                           order_records, parse_cell, read_groups, save_table)
 
 
 def make_table(records, features=("f",), labels=None, dated=True):
-    return BigTable(customers=list(records), features=list(features),
-                    records=records, labels=labels or {}, has_date_index=dated)
+    return table_from_rows(list(records), features, records, labels=labels, has_date_index=dated)
+
+
+def rows_by_customer(table):
+    return {c: rows_of(table, c) for c in table.customers}
 
 
 # ---- cell parsing --------------------------------------------------------
@@ -52,18 +56,18 @@ def test_fixture_counts(fixture_csv):
     t = load_table(fixture_csv, TableFormat(date_column="date"))
     assert t.n_customers == 3
     assert t.n_features == 2
-    assert sum(len(rows) for rows in t.records.values()) == 5
+    assert sum(len(rows) for rows in rows_by_customer(t).values()) == 5
 
 
 def test_empty_cell_is_missing(fixture_csv):
     t = load_table(fixture_csv, TableFormat(date_column="date"))
-    plan = t.records["a1"][1].cells[t.feature_index("plan")]
+    plan = rows_of(t, "a1")[1].cells[t.feature_index("plan")]
     assert plan is MISSING
 
 
 def test_float_cell_parses(fixture_csv):
     t = load_table(fixture_csv, TableFormat(date_column="date"))
-    assert t.records["a3"][0].cells[t.feature_index("age")] == Number(3.5)
+    assert rows_of(t, "a3")[0].cells[t.feature_index("age")] == Number(3.5)
 
 
 def test_duplicate_header_rejected(tmp_path):
@@ -92,7 +96,7 @@ def test_byte_order_mark_is_not_part_of_the_first_header(tmp_path):
     path.write_bytes("customer_id,f\nc1,1.5\n".encode("utf-8-sig"))
     t = load_table(path)
     assert t.customers == ["c1"] and t.features == ["f"]
-    assert t.records["c1"] == [Row(cells=(Number(1.5),))]
+    assert rows_of(t, "c1") == [Row(cells=(Number(1.5),))]
 
 
 def test_ragged_row_error_names_the_line_it_ends_on(tmp_path):
@@ -114,7 +118,7 @@ def test_label_column_loads_first_value_per_customer(tmp_path):
 
 def test_order_records_sorts_by_date(fixture_csv):
     t = order_records(load_table(fixture_csv, TableFormat(date_column="date")))
-    dates = [r.date for r in t.records["a2"]]
+    dates = [r.date for r in rows_of(t, "a2")]
     assert dates == sorted(dates)
 
 
@@ -122,14 +126,14 @@ def test_order_records_unsorted_then_sorted():
     rows = {"u": [Row(cells=(Token("a"),), date=3), Row(cells=(Token("b"),), date=1),
                   Row(cells=(Token("c"),), date=2)]}
     out = order_records(make_table(rows))
-    assert [r.date for r in out.records["u"]] == [1, 2, 3]
+    assert [r.date for r in rows_of(out, "u")] == [1, 2, 3]
 
 
 def test_order_records_idempotent():
     rows = {"u": [Row(cells=(Token("a"),), date=1), Row(cells=(Token("b"),), date=2)]}
     once = order_records(make_table(rows))
     twice = order_records(once)
-    assert once.records == twice.records
+    assert rows_by_customer(once) == rows_by_customer(twice)
 
 
 def test_order_records_stable_on_date_ties():
@@ -137,8 +141,8 @@ def test_order_records_stable_on_date_ties():
     out = order_records(make_table(rows))
     # brute-force stable sort oracle: equal keys keep file order
     oracle = sorted(rows["u"], key=lambda r: r.date)
-    assert out.records["u"] == oracle
-    assert [r.cells[0].value for r in out.records["u"]] == ["a", "b"]
+    assert rows_of(out, "u") == oracle
+    assert [r.cells[0].value for r in rows_of(out, "u")] == ["a", "b"]
 
 
 def test_order_records_requires_date_index():
@@ -175,14 +179,33 @@ def csv_file(directory, rows):
 
 
 def cells_by_customer(table):
-    return {cust: [(row.date, *map(repr, row.cells)) for row in records]
-            for cust, records in table.records.items()}
+    return {cust: [(row.date, *map(repr, row.cells)) for row in rows]
+            for cust, rows in rows_by_customer(table).items()}
+
+
+def bad_label_line(rows):
+    """The file line of the first label a load reads, one per customer,
+    that is a number but no non-negative integer; None if there is none."""
+    labeled = set()
+    for line, (cust, _, _, _, label) in enumerate(rows, start=2):
+        cell = parse_cell(label)
+        if isinstance(cell, Number) and cust.strip() not in labeled:
+            if cell.value < 0 or not cell.value.is_integer():
+                return line
+            labeled.add(cust.strip())
+    return None
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(rows=csv_rows)
 def test_loaded_cells_equal_parse_cell_of_their_raw_text(tmp_path_factory, rows):
-    t = load_table(csv_file(tmp_path_factory.mktemp("load"), rows), CSV_FORMAT)
+    path = csv_file(tmp_path_factory.mktemp("load"), rows)
+    line = bad_label_line(rows)
+    if line is not None:
+        with pytest.raises(ParseError, match=rf"t\.csv:{line}: label column 'churn'"):
+            load_table(path, CSV_FORMAT)
+        return
+    t = load_table(path, CSV_FORMAT)
 
     want_records, want_labels = {}, {}
     for cust, date, f, g, label in rows:
@@ -204,6 +227,12 @@ def test_groups_are_the_load_cut_between_customers(tmp_path_factory, rows, group
     # the same random rows: the groups hold the load's customers, `group` at a
     # time, unless a customer's rows continue after its group
     path = csv_file(tmp_path_factory.mktemp("groups"), rows)
+    if bad_label_line(rows) is not None:
+        with pytest.raises(ParseError):
+            load_table(path, CSV_FORMAT)
+        with pytest.raises((ParseError, InterleavedTableError)):
+            list(read_groups(path, CSV_FORMAT, group))
+        return
     whole = load_table(path, CSV_FORMAT)
     group_of = {c: i // group for i, c in enumerate(whole.customers)}
     in_file_order = [group_of[cust.strip()] for cust, *_ in rows]
@@ -224,11 +253,12 @@ def test_equal_texts_in_one_load_share_one_cell(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("customer_id,f,g\nc1,gold,1.5\nc2,gold,1.5\nc2,1.5,-0.0\nc3, gold,0.0\n")
     t = load_table(path)
-    first, second, third = (row.cells for row in t.records["c1"] + t.records["c2"])
-    assert first[0] is second[0] and first[1] is second[1] is third[0]
+    f, g = t.column("f").codes.tolist(), t.column("g").codes.tolist()
+    assert f[0] == f[1] and g[0] == g[1] == f[2]
     # distinct texts get their own cells, even when the cells compare equal
-    spaced, zero = t.records["c3"][0].cells
-    assert spaced == first[0] and spaced is not first[0]
+    assert f[3] != f[0]
+    first, _, third, (spaced, zero) = (row.cells for c in t.customers for row in rows_of(t, c))
+    assert spaced == first[0]
     assert math.copysign(1.0, third[1].value) == -1.0 and math.copysign(1.0, zero.value) == 1.0
 
 
@@ -258,7 +288,7 @@ def test_pool_shares_number_cells_by_value_bits_and_others_by_raw_text(tmp_path,
             assert pool.values[c].tobytes() == np.float64(cell.value).tobytes()
         else:
             assert pool.kinds[c] != tb.KIND_NUMBER and np.isnan(pool.values[c])
-        assert repr(pool.cell(c)) == repr(cell)
+        assert repr(cell_of(pool, c)) == repr(cell)
 
 
 @pytest.mark.parametrize("kept", [0, 3])
@@ -330,13 +360,12 @@ def test_save_load_round_trip(tmp_path, fixture_csv):
     again = load_table(out, fmt)
     assert again.customers == t.customers
     assert again.features == t.features
-    assert again.records == t.records
+    assert rows_by_customer(again) == rows_by_customer(t)
 
 
 def test_save_refuses_a_customer_without_records_before_writing(tmp_path):
-    table = BigTable(customers=["a", "b"], features=["f"],
-                     records={"a": [Row(cells=(Number(1.0),), date=0)], "b": []},
-                     labels={"churn": {"a": 1, "b": 0}}, has_date_index=True)
+    table = table_from_rows(["a", "b"], ["f"], {"a": [Row(cells=(Number(1.0),), date=0)], "b": []},
+                            labels={"churn": {"a": 1, "b": 0}}, has_date_index=True)
     path = tmp_path / "t.csv"
     with pytest.raises(TableIOError, match="'b'"):
         save_table(table, path, TableFormat(date_column="date", label_columns=("churn",)))
@@ -346,14 +375,23 @@ def test_save_refuses_a_customer_without_records_before_writing(tmp_path):
 # Tables through `save_table` and back through `load_table`: every cell,
 # date and label survives, also in ids and tokens that hold the delimiter,
 # quotes or line breaks. Only cells that `parse_cell` maps back onto
-# themselves are drawn.
+# themselves are drawn, and only labels a load accepts.
+def cell_text(cell) -> str:
+    """The text `save_table` writes for `cell`."""
+    if cell is MISSING:
+        return ""
+    if isinstance(cell, Date):
+        return datetime.fromtimestamp(cell.epoch, tz=timezone.utc).isoformat()
+    return repr(cell.value) if isinstance(cell, Number) else cell.value
+
+
 trip_text = st.text(st.sampled_from(list("ab7 ,;\t\"'\r\n\x85\u2028")), min_size=1, max_size=6)
 trip_cells = st.one_of(
     st.just(MISSING),
     st.floats(allow_nan=False, allow_infinity=False).map(Number),
     st.integers(-2 ** 34, 2 ** 34).map(Date),
     trip_text.filter(str.strip).map(Token),
-).filter(lambda cell: parse_cell(format_cell(cell)) == cell)
+).filter(lambda cell: parse_cell(cell_text(cell)) == cell)
 
 
 @st.composite
@@ -364,10 +402,9 @@ def trip_tables(draw):
     rows = st.lists(st.builds(Row, cells=st.tuples(trip_cells, trip_cells),
                               date=st.none() | st.integers(-2 ** 34, 2 ** 34)),
                     min_size=1, max_size=3)
-    labels = draw(st.dictionaries(st.sampled_from(customers), st.integers(-3, 3)))
-    return BigTable(customers=customers, features=["f", "g"],
-                    records={c: draw(rows) for c in customers},
-                    labels={"churn": labels} if labels else {}, has_date_index=True)
+    labels = draw(st.dictionaries(st.sampled_from(customers), st.integers(0, 3)))
+    return table_from_rows(customers, ["f", "g"], {c: draw(rows) for c in customers},
+                           labels={"churn": labels} if labels else {}, has_date_index=True)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -379,7 +416,7 @@ def test_save_load_round_trip_keeps_every_cell(tmp_path_factory, table, delimite
     again = load_table(path, fmt)
     assert again.customers == table.customers
     assert again.features == table.features
-    assert again.records == table.records
+    assert rows_by_customer(again) == rows_by_customer(table)
     assert again.labels == table.labels
 
 
