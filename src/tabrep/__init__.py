@@ -20,8 +20,8 @@ if "numpy" not in _sys.modules and not {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS
                                         "MKL_NUM_THREADS"} & _os.environ.keys():
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .table import (BigTable, TableFormat, TableStats, Number, Token, Date,
-                    MISSING, load_table, save_table, order_records, compute_stats)
+from .table import (BigTable, TableFormat, TableStats, load_table, save_table, order_records,
+                    compute_stats)
 from .prep import (FeatureKind, FeatureSchema, RecognizerConfig, build_schema,
                    nc_recognize, sd_recognize, dynamics_matrix, tokenize,
                    uniform_normalize, Vocabulary)
@@ -37,8 +37,8 @@ from .errors import TabrepError
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigTable", "TableFormat", "TableStats", "Number", "Token", "Date",
-    "MISSING", "load_table", "save_table", "order_records", "compute_stats",
+    "BigTable", "TableFormat", "TableStats", "load_table", "save_table", "order_records",
+    "compute_stats",
     "FeatureKind", "FeatureSchema", "RecognizerConfig", "build_schema",
     "nc_recognize", "sd_recognize", "dynamics_matrix", "tokenize",
     "uniform_normalize", "Vocabulary",

@@ -138,7 +138,7 @@ def masked_encodings(table: BigTable, who, records, features, schema: FeatureSch
 
     Variant `i` is customer `who[i]` with the cell of its record
     `records[i]` (below that customer's record count) and feature column
-    `features[i]` set to Missing; `table` is not modified. Returns the
+    `features[i]` set to missing; `table` is not modified. Returns the
     positions of the variants whose encoding differs in any bit from their
     customer's unmasked one, and the `Batch` of those variants, in order.
     """

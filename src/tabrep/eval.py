@@ -16,7 +16,7 @@ from .errors import (AT_LEAST_ONE, AT_LEAST_TWO, NON_NEGATIVE, POSITIVE, PROBABI
 from .numeric import Tensor
 from .encode import augmented_summaries
 from .prep import FeatureSchema, latest_non_missing
-from .table import MISSING_CODE, BigTable, Columns, Token, _CellIndex
+from .table import KIND_TOKEN, MISSING_CODE, BigTable, Columns, _CellIndex, parse_text
 
 
 # ---- metrics -------------------------------------------------------------
@@ -119,7 +119,8 @@ class SynthConfig:
     that are entirely missing. The positive class is planted in the first
     dynamic categorical feature: a customer is pattern-positive when the
     signal token is observed at least `signal_min_count` times, and labels
-    flip with probability `label_noise`.
+    flip with probability `label_noise`. The signal token must load back as
+    itself, a token (see `table.parse_text`).
     """
 
     n_customers: int = field(default=2000, metadata=AT_LEAST_ONE)
@@ -143,6 +144,9 @@ class SynthConfig:
         check_fields(self)
         if self.records_min > self.records_max:
             raise ConfigError("records_min must be <= records_max")
+        if parse_text(self.signal_token) != (KIND_TOKEN, self.signal_token):
+            raise ConfigError(f"signal_token must be a token that a load reads back as itself, "
+                              f"got {self.signal_token!r}")
 
     @property
     def feature_names(self) -> list[str]:
@@ -275,7 +279,7 @@ def synth_generate(config: SynthConfig) -> BigTable:
             hidden[f] = h
 
         for f, codes in zip(features, feature_codes):     # a number is pooled without a cell
-            code = ((lambda v: pool[v] if v in pool else pool._add(v, Token(v)))
+            code = ((lambda v: pool[v] if v in pool else pool._add(v, KIND_TOKEN, v))
                     if isinstance(values[f][0], str) else pool._number)
             codes.extend([MISSING_CODE if h else code(v)
                           for v, h in zip(values[f], hidden[f].tolist())])

@@ -127,7 +127,7 @@ def maskable_features(model: CustomerEncoder) -> list[str]:
 
 def mask_and_delta(model: CustomerEncoder, table: BigTable, customer: str,
                    feature: str, time_index: int, target: Target) -> float:
-    """target(cell masked to Missing) − target(original), evaluation mode.
+    """target(cell masked to missing) − target(original), evaluation mode.
 
     The table is never modified; the customer is re-encoded with the cell
     masked, and a cell whose masking leaves the encoding unchanged scores 0.0.

@@ -78,7 +78,7 @@ _KIND_NAMES = {KIND_TOKEN: "token", KIND_NUMBER: "number", KIND_DATE: "date"}
 def nc_recognize(table: BigTable, config: RecognizerConfig, ignore=()) -> dict[str, str]:
     """Classify each feature as 'numerical', 'categorical' or 'date'.
 
-    Token-only features are categorical, date-only are date, any fractional
+    Features of tokens only are categorical, of dates only date; any fractional
     number makes the feature numerical, and all-integer features are
     numerical only when their distinct-value count exceeds the configured
     threshold. Features mixing cell kinds raise; list them in `ignore` (and
@@ -161,7 +161,7 @@ def uniform_normalize(x, stats: tuple[float, float]):
 
 @dataclass
 class Vocabulary:
-    """Token -> dense id map with reserved missing (0) and OOV (1) slots."""
+    """A token's text -> dense id map with reserved missing (0) and OOV (1) slots."""
 
     token_to_id: dict[str, int] = field(default_factory=dict)
 
@@ -214,7 +214,7 @@ def tokenize(column: Column, vocab: Vocabulary | None = None) -> tuple[list[int]
 def latest_non_missing(cols: Columns, j: int) -> np.ndarray:
     """Per customer, the code of the most recent non-missing cell of
     feature `j`, or MISSING_CODE."""
-    codes = np.append(cols.codes[:, j], MISSING_CODE)        # row -1 reads MISSING
+    codes = np.append(cols.codes[:, j], MISSING_CODE)        # row -1 reads missing
     present = np.where(codes != MISSING_CODE, np.arange(len(codes)), -1)
     # the latest present row before each customer's end, if it is the customer's
     latest = np.maximum.accumulate(np.append(-1, present))[cols.offsets[1:]]

@@ -34,81 +34,39 @@ from .errors import (Checked, EmptyTableError, InterleavedTableError, MissingDat
 MISSING_STRINGS = {"", "na", "nan", "null"}
 
 
-class Missing:
-    """Singleton cell value for absent data."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Missing"
-
-
-MISSING = Missing()
-
-
-@dataclass(frozen=True, slots=True)
-class Number:
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError(f"non-finite number cell: {self.value}")
-
-
-@dataclass(frozen=True, slots=True)
-class Token:
-    value: str
-
-    def __post_init__(self):
-        if not self.value.strip():
-            raise ValueError("empty token cell")
-
-
-@dataclass(frozen=True, slots=True)
-class Date:
-    epoch: int
-
-
-CellValue = Missing | Number | Token | Date
-
 # Cell kind codes of `CellPool.kinds`.
 KIND_MISSING, KIND_NUMBER, KIND_TOKEN, KIND_DATE = 0, 1, 2, 3
-MISSING_CODE = 0        # every pool holds MISSING, and only there
+MISSING_CODE = 0        # every pool holds the missing cell, and only there
 KEPT_NUMBERS = 4096     # distinct number texts a load keeps by text (see `_ParsedCells`)
 KEPT_DATES = 4096       # distinct date texts a load keeps with their epochs, file-wide
 
 
-def parse_cell(text: str) -> CellValue:
-    """Parse one raw cell; unparseable content never raises, it degrades.
+def parse_text(text: str) -> tuple[int, float | str | int | None]:
+    """One raw cell's kind and item; unparseable content never raises, it degrades.
 
-    Empty strings and the usual NA spellings become Missing; numbers must be
-    finite (inf/nan spellings degrade to Missing); ISO-8601 dates become
-    epoch seconds; everything else is a token.
+    Empty strings and the usual NA spellings are missing (item None); a
+    number must be finite (inf/nan spellings are missing), its item its
+    value; an ISO-8601 date's item is its epoch seconds (`Z` is UTC);
+    everything else is a token, its item the stripped text.
     """
     value = _parse_number(text)
     if value is not None:
-        return MISSING if value is MISSING else Number(value)
+        return (KIND_NUMBER, value) if math.isfinite(value) else (KIND_MISSING, None)
     text = text.strip()
     if text.lower() in MISSING_STRINGS:
-        return MISSING
+        return KIND_MISSING, None
     epoch = _parse_date(text)
     if epoch is not None:
-        return Date(epoch)
-    return Token(text)
+        return KIND_DATE, epoch
+    return KIND_TOKEN, text
 
 
-def _parse_number(text: str) -> float | Missing | None:
-    """A number text's value; MISSING if it is not finite, None if `text` is no number."""
+def _parse_number(text: str) -> float | None:
+    """A number text's value, finite or not; None if `text` is no number."""
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         return None
-    return value if math.isfinite(value) else MISSING
 
 
 def _parse_date(text: str) -> int | None:
@@ -122,7 +80,7 @@ def _parse_date(text: str) -> int | None:
     return int(dt.timestamp())
 
 
-_format_number = repr       # a number's text, which `parse_cell` reads back bit for bit
+_format_number = repr       # a number's text, which `parse_text` reads back bit for bit
 
 
 def _format_date(epoch: int) -> str:
@@ -136,7 +94,7 @@ class CellPool:
 
     `kinds` holds each code's cell kind, `values` a number's value (NaN for
     every other cell), and `items` a token's text or a date's epoch, by
-    code. Code 0 is MISSING, and no other code is.
+    code. Code 0 is the missing cell, and no other code is.
     """
 
     def __init__(self, kinds: np.ndarray, values: np.ndarray, items: dict[int, str | int]):
@@ -149,8 +107,8 @@ class CellPool:
 
     def tokens(self, codes: np.ndarray) -> np.ndarray:
         """Per code (any shape), the id in `token_texts` of its cell's
-        string form as a category; -1 for MISSING. Each entry's token is
-        made once, on the first request that holds its code."""
+        string form as a category; -1 for the missing cell. Each entry's
+        token is made once, on the first request that holds its code."""
         if self._tokens is None:
             self._tokens = np.full(len(self.kinds), -2, dtype=np.int64)
             self._tokens[MISSING_CODE] = -1
@@ -168,8 +126,8 @@ class CellPool:
 
 class _CellIndex(dict):
     """Key -> code of its cell, for building a `CellPool`. A token, date or
-    MISSING is kept by key, its cell added once; a number is not kept, and
-    its code is -1 - its value's position in `numbers` until `pool_of`."""
+    missing cell is kept by key, its entry added once; a number is not kept,
+    and its code is -1 - its value's position in `numbers` until `pool_of`."""
 
     def __init__(self):
         super().__init__()
@@ -181,11 +139,11 @@ class _CellIndex(dict):
         self.numbers.append(value)
         return -len(self.numbers)
 
-    def _add(self, key, cell) -> int:
-        code = MISSING_CODE if cell is MISSING else len(self.kinds)
+    def _add(self, key, kind: int, item) -> int:
+        code = MISSING_CODE if kind == KIND_MISSING else len(self.kinds)
         if code:
-            self.kinds.append(KIND_DATE if cell.__class__ is Date else KIND_TOKEN)
-            self.items[code] = cell.epoch if cell.__class__ is Date else cell.value
+            self.kinds.append(kind)
+            self.items[code] = item
         self[key] = code
         return code
 
@@ -205,18 +163,18 @@ class _CellIndex(dict):
 
 
 class _ParsedCells(_CellIndex):
-    """Raw cell text -> code of `parse_cell` of it. A text is parsed on its
+    """Raw cell text -> code of its `parse_text` entry. A text is parsed on its
     first lookup only, and keyed on the exact unstripped text, so "a" and
     " a" keep their own cells; but once `KEPT_NUMBERS` number texts are
     kept, a new number text is parsed wherever it occurs, and not kept."""
 
     def __missing__(self, text: str) -> int:
-        v = _parse_number(text)             # as `parse_cell` would, without building a cell
-        if v.__class__ is not float:
-            return self._add(text, parse_cell(text))
+        kind, item = parse_text(text)
+        if kind != KIND_NUMBER:
+            return self._add(text, kind, item)
         if len(self.numbers) < KEPT_NUMBERS:
             self[text] = -1 - len(self.numbers)     # the code `_number` gives it
-        return self._number(v)
+        return self._number(item)
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,14 +361,17 @@ class TableFormat(Checked):
 def load_table(path, fmt: TableFormat = TableFormat()) -> BigTable:
     """Read a delimited file with a header row into a BigTable.
 
-    Cell content never fails the load: anything unparseable is Missing.
-    Structural problems (duplicate headers, absent id column, ragged rows,
-    malformed CSV) raise SchemaError/ParseError. The file is streamed
-    through the CSV reader, so a quoted cell may hold line breaks, and a
-    leading byte-order mark is dropped. The cells go into the pool's
-    columns, each number without a cell object: equal numbers share one
-    cell ("1.5" and " 1.5" do, "0.0" and "-0.0" do not), and the other
-    cells one per distinct raw text.
+    A feature cell's content never fails the load: anything unparseable is
+    missing (see `parse_text`). A label cell must be missing or a
+    non-negative integer, and a customer's label cells must agree, and a
+    date must fit 64 bits, or ParseError names the line. Structural
+    problems (duplicate headers, absent id column, ragged rows, malformed
+    CSV) raise SchemaError/ParseError. The file is streamed through the CSV
+    reader, so a quoted cell may hold line breaks, and a leading byte-order
+    mark is dropped. The cells go into the pool's columns, each number
+    without a cell object: equal numbers share one entry ("1.5" and " 1.5"
+    do, "0.0" and "-0.0" do not), and the other cells one per distinct raw
+    text.
     """
     (table,) = read_groups(path, fmt)
     return table
@@ -490,7 +451,7 @@ def _read_table(path: Path, reader, fmt: TableFormat, group: int | None) -> Iter
     features = [h for i, h in enumerate(header) if i not in special]
     feature_pos = [i for i in range(len(header)) if i not in special]
 
-    label_cell = cache(parse_cell)          # few distinct label texts: each parsed once
+    label_of = cache(_label)                # few distinct label texts: each parsed once
     date_of: dict[str | None, int | None] = {None: None}     # raw date text -> its epoch
     # the sorted hashes of the yielded groups' ids, over a sentinel that
     # stops each lookup inside the array
@@ -533,29 +494,39 @@ def _read_table(path: Path, reader, fmt: TableFormat, group: int | None) -> Iter
         if text in date_of:
             date = date_of[text]
         else:
-            date = _record_date(parse_cell(text), path, reader.line_num)
+            date = _record_date(*parse_text(text), path, reader.line_num)
             if len(date_of) <= KEPT_DATES:
                 date_of[text] = date
         part.dates.append(date or 0)
         part.dated.append(date is not None)
         for col, pos in label_pos.items():
-            labels = part.labels[col]
-            cell = MISSING if cust in labels else label_cell(raw[pos])
-            if isinstance(cell, Number):
-                if cell.value < 0 or not cell.value.is_integer():
-                    raise ParseError(f"{path}:{reader.line_num}: label column {col!r} holds "
-                                     f"{raw[pos]!r}, not a non-negative integer")
-                labels[cust] = int(cell.value)
+            try:
+                label = label_of(raw[pos])
+            except ValueError:
+                raise ParseError(f"{path}:{reader.line_num}: label column {col!r} holds "
+                                 f"{raw[pos]!r}, not a non-negative integer") from None
+            if label is not None and part.labels[col].setdefault(cust, label) != label:
+                raise ParseError(f"{path}:{reader.line_num}: label column {col!r} holds "
+                                 f"{raw[pos]!r}, but customer {cust!r} is labelled "
+                                 f"{part.labels[col][cust]}")
     yield completed()
 
 
-def _record_date(cell: CellValue, path: Path, line: int) -> int | None:
-    if isinstance(cell, Date):
-        date = cell.epoch
-    elif isinstance(cell, Number):
-        date = int(cell.value)
-    else:
+def _label(text: str) -> int | None:
+    """A label cell's class, None if it is missing; ValueError if it is
+    neither missing nor a non-negative integer."""
+    kind, value = parse_text(text)
+    if kind == KIND_MISSING:
         return None
+    if kind != KIND_NUMBER or value < 0 or not value.is_integer():
+        raise ValueError(text)
+    return int(value)
+
+
+def _record_date(kind: int, item, path: Path, line: int) -> int | None:
+    if kind != KIND_DATE and kind != KIND_NUMBER:
+        return None
+    date = int(item)                # a date's epoch, or a number's integer part
     if not -2 ** 63 <= date < 2 ** 63:
         raise ParseError(f"{path}:{line}: date {date} is outside the 64-bit epoch range")
     return date
@@ -666,7 +637,7 @@ class TableStats:
 def compute_stats(table: BigTable, schema) -> TableStats:
     """Data-characteristics statistics.
 
-    Missing ratios are customer-level means averaged uniformly over
+    The missing ratios are customer-level means averaged uniformly over
     customers, then over features; the structural ratio counts
     customer-feature pairs whose every record is missing.
     """

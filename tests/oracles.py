@@ -26,8 +26,58 @@ from tabrep.dynamics import PonderStats, transformer_step
 from tabrep.encode import Batch, encode_rows, stack_encoded
 from tabrep.interpret import (GenomeReport, InterpretConfig, TargetGenome, _top_k,
                               maskable_features, position_target, sensitive_features)
-from tabrep.table import (KIND_DATE, KIND_MISSING, KIND_NUMBER, KIND_TOKEN, MISSING, BigTable,
-                          CellPool, Column, Columns, Date, Number, Token)
+from tabrep.table import (KIND_DATE, KIND_MISSING, KIND_NUMBER, KIND_TOKEN, BigTable, CellPool,
+                          Column, Columns, parse_text)
+
+
+# ---- cells -----------------------------------------------------------------
+#
+# The package keeps a cell only as a pool entry: a kind and a value or item.
+# The tests build and compare tables cell by cell, as these tagged values.
+
+class Missing:
+    """Singleton cell value for absent data."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "Missing"
+
+
+MISSING = Missing()
+
+
+@dataclass(frozen=True, slots=True)
+class Number:
+    value: float
+
+
+@dataclass(frozen=True, slots=True)
+class Token:
+    value: str
+
+
+@dataclass(frozen=True, slots=True)
+class Date:
+    epoch: int
+
+
+def _cell(kind: int, item):
+    """The cell of a pool entry of `kind` with `item`: a number's value, a
+    token's text or a date's epoch."""
+    if kind == KIND_MISSING:
+        return MISSING
+    return {KIND_NUMBER: Number, KIND_TOKEN: Token, KIND_DATE: Date}[kind](item)
+
+
+def parse_cell(text: str):
+    """The cell of `table.parse_text(text)`."""
+    return _cell(*parse_text(text))
 
 
 # ---- tables as `Row` lists -------------------------------------------------
@@ -94,12 +144,8 @@ def column_of(cells) -> Column:
 
 def cell_of(pool: CellPool, code: int):
     """The cell of `code` in `pool`."""
-    kind = pool.kinds[code]
-    if kind == KIND_MISSING:
-        return MISSING
-    if kind == KIND_NUMBER:
-        return Number(pool.values.item(code))
-    return Token(pool.items[code]) if kind == KIND_TOKEN else Date(pool.items[code])
+    kind = int(pool.kinds[code])
+    return _cell(kind, pool.values.item(code) if kind == KIND_NUMBER else pool.items.get(code))
 
 
 def cells_of(column: Column) -> list:

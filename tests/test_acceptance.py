@@ -16,7 +16,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from tabrep import numeric
 from tabrep.cli import main as cli_main
@@ -24,7 +23,6 @@ from tabrep.dynamics import (TransformerParams, act_run, attention_weights, dyna
                              mhsa, pack, transformer_step)
 from tabrep.embed import categorical_embed, max_concat, positional_numeric_embed
 from tabrep.encode import augmented_summary
-from tabrep.errors import SingleClassError
 from tabrep.eval import (BaselineConfig, SynthConfig, baseline_linear,
                          f_score, flatten_features, roc_auc, synth_generate,
                          task_labels, weighted_accuracy)
@@ -32,15 +30,13 @@ from tabrep.interpret import InterpretConfig, class_target, genome_report, posit
 from tabrep.model import (CustomerEncoder, ModelConfig, TrainConfig,
                           cross_entropy, joint_loss, mean_squared_error)
 from tabrep.numeric import Parameter, Tensor
-from tabrep.prep import (RecognizerConfig, build_schema, dynamics_matrix,
-                         dynamics_statistic, nc_recognize, sd_recognize,
-                         uniform_normalize)
-from tabrep.table import BigTable, Number
+from tabrep.prep import (RecognizerConfig, build_schema, dynamics_matrix, nc_recognize,
+                         sd_recognize, uniform_normalize)
+from tabrep.table import BigTable
 
 from gradcheck import max_relative_error, scalarize
-from oracles import (cells_of, random_table, reference_auc, reference_change_statistic,
-                     reference_dynamics, reference_f_score,
-                     reference_feature_kind, reference_weighted_accuracy)
+from oracles import (cells_of, random_table, reference_auc, reference_dynamics,
+                     reference_f_score, reference_feature_kind, reference_weighted_accuracy)
 from test_interpret import linear_model, linear_table
 
 

@@ -412,6 +412,21 @@ def table_file(label):
     return write
 
 
+def label_cells(*texts):
+    """Maker of the table with its first customer's churn cells set to
+    `texts` in file order, and that customer's later churn cells empty."""
+    def write(path, table):
+        save_table(table, path, TABLE_FORMAT)
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        first = [row for row in rows if row[0] == table.customers[0]]
+        for i, row in enumerate(first):
+            row[-1] = texts[i] if i < len(texts) else ""
+        with path.open("w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    return write
+
+
 def as_version_2(payload):
     """A version-2 checkpoint: its config still held `attention_literal_scale`."""
     payload["version"] = 2
@@ -552,6 +567,13 @@ MALFORMED = [
      {"t.csv": table_file("0.7"), "schema.json": schema_file()}, "parse-error"),
     ("train-label-negative", "train", {},
      {"t.csv": table_file("-3"), "schema.json": schema_file()}, "parse-error"),
+    # every label cell is read: a token, a date, or a later label that differs
+    ("train-label-token-then-integer", "train", {},
+     {"t.csv": label_cells("yes", "1"), "schema.json": schema_file()}, "parse-error"),
+    ("train-label-later-differs", "train", {},
+     {"t.csv": label_cells("0", "1"), "schema.json": schema_file()}, "parse-error"),
+    ("train-label-date", "train", {},
+     {"t.csv": label_cells("2020-01-01"), "schema.json": schema_file()}, "parse-error"),
     # one row per config field whose type or bounds went unchecked
     ("model-heads-zero", "train", {"model": {"heads": 0}}, {"schema.json": schema_file()},
      "config-error"),
@@ -635,6 +657,19 @@ def test_unedited_malformed_row_files_are_accepted(tmp_path, capsys, stage, file
     # so each MALFORMED row fails on its own edit, not on the shared set-up
     assert run_on_files(tmp_path, stage, {"train": {"epochs": 1}}, files) == 0
     assert not capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["", "na", "7", "2020-01-01", " x "])
+def test_signal_token_that_does_not_load_back_as_itself_ends_in_config_error(tmp_path, capsys,
+                                                                             token):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"synth": {"n_customers": 30, "signal_token": token}}))
+    assert run_cli(["synth", "--config", str(path), "--out", str(tmp_path)]) == \
+        EXIT_CODES["synth"]
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"]["code"] == "config-error"
+    assert "signal_token" in payload["error"]["message"]
+    assert not (tmp_path / "synth.csv").exists()
 
 
 def test_negative_seed_override_ends_in_config_error(tmp_path, capsys):

@@ -12,16 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (Row, masked_rows, reference_encoding, reference_feature_kind,
-                     reference_change_statistic, reference_order, reference_range,
-                     reference_stats_json, reference_summary, reference_vocabulary,
-                     rows_of, same_encoding, table_from_rows)
+from oracles import (MISSING, Date, Number, Row, Token, masked_rows, reference_encoding,
+                     reference_feature_kind, reference_change_statistic, reference_order,
+                     reference_range, reference_stats_json, reference_summary,
+                     reference_vocabulary, rows_of, same_encoding, table_from_rows)
 from tabrep.encode import (BranchLayout, augmented_summaries, augmented_summary,
                            encode_table, masked_encodings, summary_width)
 from tabrep.errors import EmptyTableError, MixedKindFeatureError
 from tabrep.prep import NC_KIND, FeatureKind, RecognizerConfig, build_schema, nc_recognize
-from tabrep.table import (MISSING, Columns, Date, Number, Token, compute_stats, load_table,
-                          order_records)
+from tabrep.table import Columns, compute_stats, load_table, order_records
 
 # One cell style per feature. "int" holds integer-valued numbers (-0.0
 # among them), so it is recognized categorical; "num" turns numerical once

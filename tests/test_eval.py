@@ -16,8 +16,7 @@ from tabrep.eval import (BaselineConfig, MetricSet, SynthConfig, baseline_linear
 from tabrep.prep import RecognizerConfig, build_schema
 from tabrep.table import compute_stats, save_table, TableFormat
 
-from oracles import (random_table, rows_of, reference_auc, reference_f_score,
-                     reference_weighted_accuracy)
+from oracles import rows_of, reference_auc, reference_f_score, reference_weighted_accuracy
 
 
 # ---- auc ----------------------------------------------------------------

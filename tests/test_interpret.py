@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from oracles import Row, rows_of, table_from_rows
+from oracles import MISSING, Number, Row, Token, rows_of, table_from_rows
 from tabrep.errors import (ConfigError, InvalidCellCoordinatesError,
                            PositionOutOfRangeError)
-from tabrep.interpret import (GenomeReport, InterpretConfig, Target,
-                              class_target, genome_report, mask_and_delta,
+from tabrep.interpret import (InterpretConfig, Target, class_target, genome_report, mask_and_delta,
                               position_target, sensitive_customers,
                               sensitive_features)
 from tabrep.model import CustomerEncoder, ModelConfig, TrainConfig
 from tabrep.prep import FeatureKind, FeatureSchema, RecognizerConfig
-from tabrep.table import MISSING, Number, Token
 
 
 def linear_model(weights, rep_position=0):

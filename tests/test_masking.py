@@ -12,8 +12,8 @@ import json
 import numpy as np
 import pytest
 
-from oracles import (Row, columns_of, column_of, masked_rows, reference_genome_report,
-                     rows_of, same_encoding, table_from_rows)
+from oracles import (MISSING, Number, Row, Token, columns_of, column_of, masked_rows,
+                     reference_genome_report, rows_of, same_encoding, table_from_rows)
 from tabrep import interpret, numeric
 from tabrep.encode import BranchLayout, encode_rows, encode_table, masked_encodings
 from tabrep.eval import SynthConfig, synth_generate
@@ -21,7 +21,7 @@ from tabrep.interpret import (InterpretConfig, class_target, genome_report,
                               mask_and_delta, maskable_features, position_target)
 from tabrep.model import EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig
 from tabrep.prep import OOV_TOKEN_ID, build_schema, tokenize
-from tabrep.table import MISSING, BigTable, Number, Token
+from tabrep.table import BigTable
 
 
 def test_masked_rows_pure_copy():

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import Row, reference_backward, table_from_rows, traced_peak
+from oracles import MISSING, Number, Row, Token, reference_backward, table_from_rows, traced_peak
 from tabrep import model as model_module
 from tabrep import numeric
 from tabrep.encode import (BranchLayout, augmented_summary, encode_customer, encode_table,
@@ -18,7 +18,6 @@ from tabrep.model import (EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig,
                           cross_entropy, joint_loss, mean_squared_error)
 from tabrep.numeric import Tensor
 from tabrep.prep import RecognizerConfig, build_schema
-from tabrep.table import MISSING, Number, Token
 
 
 def small_model_config(**kwargs):

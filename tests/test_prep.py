@@ -8,11 +8,10 @@ from tabrep.prep import (FeatureKind, RecognizerConfig, Vocabulary, build_schema
                          dynamics_matrix, dynamics_statistic,
                          nc_recognize, sd_recognize, tokenize, uniform_normalize,
                          FeatureSchema, MISSING_TOKEN_ID, OOV_TOKEN_ID)
-from tabrep.table import MISSING, Date, Number, Token
 
-from oracles import (Row, cells_of, column_of, numpy_uniform_normalize, random_table,
-                     reference_change_statistic, reference_feature_kind, rows_of,
-                     table_from_rows)
+from oracles import (MISSING, Date, Number, Row, Token, cells_of, column_of,
+                     numpy_uniform_normalize, random_table, reference_change_statistic,
+                     reference_feature_kind, rows_of, table_from_rows)
 
 
 def seq_table(sequences, features=("f",)):

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import Row, cell_of, rows_of, table_from_rows
+from oracles import MISSING, Date, Number, Row, Token, parse_cell, rows_of, table_from_rows
 from tabrep import SynthConfig, build_schema, synth_generate
 from tabrep import table as tb
 from tabrep.errors import (EmptyTableError, InterleavedTableError, MissingDateIndexError,
                            ParseError, SchemaError, TableIOError)
-from tabrep.table import (MISSING, Date, Number, TableFormat, Token, compute_stats, load_table,
-                          order_records, parse_cell, read_groups, save_table)
+from tabrep.table import (KIND_DATE, KIND_MISSING, KIND_NUMBER, KIND_TOKEN, TableFormat,
+                          compute_stats, load_table, order_records, parse_text, read_groups,
+                          save_table)
 
 
 def make_table(records, features=("f",), labels=None, dated=True):
@@ -28,26 +29,22 @@ def rows_by_customer(table):
 
 # ---- cell parsing --------------------------------------------------------
 
-@pytest.mark.parametrize("text", ["", "na", "NaN", "NULL", "  "])
+@pytest.mark.parametrize("text", ["", "na", "NaN", "NULL", "  ", " nan "])
 def test_missing_spellings(text):
-    assert parse_cell(text) is MISSING
+    assert parse_text(text) == (KIND_MISSING, None)
 
 
 def test_parse_number_token_date():
-    assert parse_cell("3.5") == Number(3.5)
-    assert parse_cell("premium") == Token("premium")
-    d = parse_cell("2021-01-02")
-    assert isinstance(d, Date)
+    assert parse_text(" 3.5") == (KIND_NUMBER, 3.5)
+    assert parse_text(" premium ") == (KIND_TOKEN, "premium")
+    assert parse_text("2021-01-02") == (KIND_DATE, 1_609_545_600)
+    assert parse_text(" 2021-01-02T01:00:00Z") == (KIND_DATE, 1_609_549_200)
+    assert parse_text("2021-01-02T01:00:00+01:00") == (KIND_DATE, 1_609_545_600)
 
 
 def test_non_finite_numbers_become_missing():
-    assert parse_cell("inf") is MISSING
-    assert parse_cell("-inf") is MISSING
-
-
-def test_number_rejects_nan_at_construction():
-    with pytest.raises(ValueError):
-        Number(float("nan"))
+    for text in ("inf", "-inf", " Infinity", "1e999"):
+        assert parse_text(text) == (KIND_MISSING, None)
 
 
 # ---- loading -------------------------------------------------------------
@@ -108,10 +105,24 @@ def test_ragged_row_error_names_the_line_it_ends_on(tmp_path):
 
 def test_label_column_loads_first_value_per_customer(tmp_path):
     p = tmp_path / "labels.csv"
-    p.write_text("customer_id,x,churn\nc1,1,1\nc1,2,1\nc2,3,0\n")
+    p.write_text("customer_id,x,churn\nc1,1,1\nc1,2,1\nc2,3,0\nc2,4,\nc2,5, 0.0\nc3,6,na\n")
     t = load_table(p, TableFormat(label_columns=("churn",)))
     assert t.labels["churn"] == {"c1": 1, "c2": 0}
     assert t.features == ["x"]
+
+
+@pytest.mark.parametrize("rows,line", [
+    ("c1,1,yes\nc1,2,1\n", 2),                 # a token
+    ("c1,1,0\nc1,2,1\n", 3),                   # a later label that differs
+    ("c1,1,2020-01-01\n", 2),                  # a date
+    ("c1,1,\nc1,2,-3\n", 3),                   # a negative number
+    ("c1,1,1\nc2,2,1\nc2,3,0.5\n", 4),         # a fraction
+])
+def test_every_label_cell_is_missing_or_the_customers_one_integer(tmp_path, rows, line):
+    p = tmp_path / "labels.csv"
+    p.write_text("customer_id,x,churn\n" + rows)
+    with pytest.raises(ParseError, match=rf"labels\.csv:{line}: label column 'churn'"):
+        load_table(p, TableFormat(label_columns=("churn",)))
 
 
 # ---- ordering ------------------------------------------------------------
@@ -153,8 +164,9 @@ def test_order_records_requires_date_index():
 
 # Random CSV text through `load_table`: every feature, date and label cell
 # it reads is `parse_cell` of that cell's raw text, although equal texts
-# share one parsed cell. Cells compare by repr, so a shared cell for "0.0"
-# and "-0.0" would show.
+# share one pool entry. Cells compare by repr, so a shared entry for "0.0"
+# and "-0.0" would show. Most random label columns are refused, so each
+# file is also loaded with its label column read as a feature.
 RAW_CELLS = ["", "  ", "na", " NA ", "NaN", "null", "nan", "inf", "-inf", "1e999",
              "0.0", "-0.0", " -0.0", "0", "1", "1.0", " 1 ", "-2.5", "2020-01-01",
              " 2020-01-01 ", "2020-01-01T10:00:00Z", "2020-02-30", "a", " a", "a ",
@@ -166,6 +178,7 @@ csv_rows = st.lists(st.tuples(st.sampled_from(["c1", " c2 ", "c3"]), raw_cells,
 
 
 CSV_FORMAT = TableFormat(date_column="date", label_columns=("churn",))
+FEATURE_FORMAT = TableFormat(date_column="date")        # "churn" is a feature
 
 
 def csv_file(directory, rows):
@@ -183,16 +196,29 @@ def cells_by_customer(table):
             for cust, rows in rows_by_customer(table).items()}
 
 
-def bad_label_line(rows):
-    """The file line of the first label a load reads, one per customer,
-    that is a number but no non-negative integer; None if there is none."""
-    labeled = set()
-    for line, (cust, _, _, _, label) in enumerate(rows, start=2):
+def epoch_of(text):
+    """The date a load reads from a date cell's raw text, or None."""
+    cell = parse_cell(text)
+    return (cell.epoch if isinstance(cell, Date)
+            else int(cell.value) if isinstance(cell, Number) else None)
+
+
+def refused(rows, labels=True):
+    """The file line of the first cell a load refuses, and what its error
+    names: a date outside the 64-bit epoch range, or with `labels` a label
+    cell that is neither missing nor its customer's one non-negative
+    integer. None if there is none."""
+    first = {}
+    for line, (cust, date, _, _, label) in enumerate(rows, start=2):
+        epoch = epoch_of(date)
+        if epoch is not None and not -2 ** 63 <= epoch < 2 ** 63:
+            return line, "date"
         cell = parse_cell(label)
-        if isinstance(cell, Number) and cust.strip() not in labeled:
-            if cell.value < 0 or not cell.value.is_integer():
-                return line
-            labeled.add(cust.strip())
+        if not labels or cell is MISSING:
+            continue
+        if not (isinstance(cell, Number) and cell.value >= 0 and cell.value.is_integer()) \
+                or first.setdefault(cust.strip(), cell.value) != cell.value:
+            return line, "label column 'churn'"
     return None
 
 
@@ -200,24 +226,27 @@ def bad_label_line(rows):
 @given(rows=csv_rows)
 def test_loaded_cells_equal_parse_cell_of_their_raw_text(tmp_path_factory, rows):
     path = csv_file(tmp_path_factory.mktemp("load"), rows)
-    line = bad_label_line(rows)
-    if line is not None:
-        with pytest.raises(ParseError, match=rf"t\.csv:{line}: label column 'churn'"):
-            load_table(path, CSV_FORMAT)
+    for fmt, bad in ((FEATURE_FORMAT, refused(rows, labels=False)), (CSV_FORMAT, refused(rows))):
+        if bad is not None:
+            with pytest.raises(ParseError, match=rf"t\.csv:{bad[0]}: {bad[1]}"):
+                load_table(path, fmt)
+    if refused(rows, labels=False) is not None:
         return
-    t = load_table(path, CSV_FORMAT)
-
     want_records, want_labels = {}, {}
     for cust, date, f, g, label in rows:
-        date_cell, label_cell = parse_cell(date), parse_cell(label)
-        epoch = (date_cell.epoch if isinstance(date_cell, Date)
-                 else int(date_cell.value) if isinstance(date_cell, Number) else None)
+        label_cell = parse_cell(label)
         want_records.setdefault(cust.strip(), []).append(
-            (epoch, repr(parse_cell(f)), repr(parse_cell(g))))
+            (epoch_of(date), repr(parse_cell(f)), repr(parse_cell(g)), repr(label_cell)))
         if isinstance(label_cell, Number):
             want_labels.setdefault(cust.strip(), int(label_cell.value))
+    t = load_table(path, FEATURE_FORMAT)
     assert t.customers == list(want_records)
     assert cells_by_customer(t) == want_records
+    if refused(rows) is not None:
+        return
+    t = load_table(path, CSV_FORMAT)
+    assert cells_by_customer(t) == {c: [r[:-1] for r in records]
+                                    for c, records in want_records.items()}
     assert t.labels == ({"churn": want_labels} if want_labels else {})
 
 
@@ -227,20 +256,23 @@ def test_groups_are_the_load_cut_between_customers(tmp_path_factory, rows, group
     # the same random rows: the groups hold the load's customers, `group` at a
     # time, unless a customer's rows continue after its group
     path = csv_file(tmp_path_factory.mktemp("groups"), rows)
-    if bad_label_line(rows) is not None:
+    fmt = CSV_FORMAT
+    if refused(rows) is not None:
         with pytest.raises(ParseError):
             load_table(path, CSV_FORMAT)
         with pytest.raises((ParseError, InterleavedTableError)):
             list(read_groups(path, CSV_FORMAT, group))
-        return
-    whole = load_table(path, CSV_FORMAT)
+        if refused(rows, labels=False) is not None:
+            return
+        fmt = FEATURE_FORMAT
+    whole = load_table(path, fmt)
     group_of = {c: i // group for i, c in enumerate(whole.customers)}
     in_file_order = [group_of[cust.strip()] for cust, *_ in rows]
     if in_file_order != sorted(in_file_order):
         with pytest.raises(InterleavedTableError):
-            list(read_groups(path, CSV_FORMAT, group))
+            list(read_groups(path, fmt, group))
         return
-    parts = list(read_groups(path, CSV_FORMAT, group))
+    parts = list(read_groups(path, fmt, group))
     assert [p.customers for p in parts] == [whole.customers[i:i + group]
                                             for i in range(0, len(whole.customers), group)]
     assert {c: v for p in parts for c, v in cells_by_customer(p).items()} == \
@@ -262,7 +294,7 @@ def test_equal_texts_in_one_load_share_one_cell(tmp_path):
     assert math.copysign(1.0, third[1].value) == -1.0 and math.copysign(1.0, zero.value) == 1.0
 
 
-def test_pool_shares_number_cells_by_value_bits_and_others_by_raw_text(tmp_path, monkeypatch):
+def test_pool_shares_number_cells_by_value_bits_and_others_by_raw_text(tmp_path):
     texts = ["1.5", " 1.5", "1.50", "0.0", "-0.0", " -0.0", "1e3", "gold", " gold", "gold ",
              "2020-01-01", " 2020-01-01", "", "na", " NULL ", "inf", "1.5", "-0.0"]
     buffer = io.StringIO()
@@ -270,9 +302,7 @@ def test_pool_shares_number_cells_by_value_bits_and_others_by_raw_text(tmp_path,
                                                       + [["c", text] for text in texts])
     path = tmp_path / "t.csv"
     path.write_text(buffer.getvalue())
-    monkeypatch.setattr(Number, "__post_init__", lambda self: pytest.fail("a Number was built"))
     t = load_table(path)
-    monkeypatch.undo()
     codes = t.column("f").codes.tolist()
     code = dict(zip(texts, codes))
     assert code["1.5"] == code[" 1.5"] == code["1.50"] == codes[texts.index("1.5", 1)]
@@ -282,13 +312,12 @@ def test_pool_shares_number_cells_by_value_bits_and_others_by_raw_text(tmp_path,
     assert {code[""], code["na"], code[" NULL "], code["inf"]} == {tb.MISSING_CODE}
     pool = t.columns.pool
     for text, c in zip(texts, codes):
-        cell = parse_cell(text)
-        if isinstance(cell, Number):
-            assert pool.kinds[c] == tb.KIND_NUMBER
-            assert pool.values[c].tobytes() == np.float64(cell.value).tobytes()
+        kind, item = parse_text(text)
+        assert pool.kinds[c] == kind
+        if kind == KIND_NUMBER:
+            assert pool.values[c].tobytes() == np.float64(item).tobytes()
         else:
-            assert pool.kinds[c] != tb.KIND_NUMBER and np.isnan(pool.values[c])
-        assert repr(cell_of(pool, c)) == repr(cell)
+            assert np.isnan(pool.values[c]) and pool.items.get(c) == item
 
 
 @pytest.mark.parametrize("kept", [0, 3])
@@ -342,7 +371,7 @@ def test_repeated_numbers_load_peak_memory_per_record_is_bounded(tmp_path, synth
     with open(tmp_path / "t.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     for row in rows[1:]:
-        row[2:-1] = [str(int(abs(float(t))) % 100) if isinstance(parse_cell(t), Number) else t
+        row[2:-1] = [str(int(abs(float(t))) % 100) if parse_text(t)[0] == KIND_NUMBER else t
                      for t in row[2:-1]]
     with open(tmp_path / "t.csv", "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
