@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NON_NEGATIVE, Checked, ConfigError, InterleavedTableError, TabrepError
-from .eval import MetricSet, SynthConfig, synth_generate
+from .eval import MetricSet, SynthConfig, synth_generate, task_labels
 from .interpret import InterpretConfig, Target, genome_report
 from .model import EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig, chunk_stream
 from .prep import FeatureSchema, RecognizerConfig, build_schema
@@ -292,9 +292,8 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
 
         def labeled():
             for table in tables:
-                got = table.labels.get(task, {})
-                names = [c for c in table.customers if c in got]
-                labels.extend(int(got[c]) for c in names)
+                names, got = task_labels(table, task)
+                labels.extend(got.tolist())
                 yield from model.encoded_chunks(table, names)
 
         with _scored(labeled(), lambda chunk: model.score(chunk, task)[:, 1]) as rows:

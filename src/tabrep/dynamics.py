@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -72,8 +72,7 @@ class TransformerParams:
         )
 
     def parameters(self) -> list[Parameter]:
-        return [self.wq, self.wk, self.wv, self.wo, self.ts_w1, self.ts_b1,
-                self.ts_w2, self.ts_b2, self.halt_w, self.halt_b, self.wd]
+        return [getattr(self, f.name) for f in fields(self)]
 
 
 @functools.lru_cache(maxsize=None)

@@ -9,37 +9,11 @@ so an imputed-missing 0.0 contributes exactly the zero vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import numeric
 from .errors import IdOutOfRangeError, LengthMismatchError
-from .numeric import Parameter, Tensor
-
-
-@dataclass
-class EmbeddingBank:
-    """Lookup storage for one branch pair (categorical table + numeric rows).
-
-    `cat_table` stacks every categorical feature's vocabulary rows in the
-    block order of `encode.BranchLayout`; `num_matrix` has one row per
-    numerical feature. Both share one width.
-    """
-
-    cat_table: Parameter | None
-    num_matrix: Parameter | None
-
-    @classmethod
-    def build(cls, dim: int, cat_rows: int, num_rows: int, param, name: str) -> "EmbeddingBank":
-        """The bank's parameters, made by `param(name, shape, init)` (see
-        `numeric.drawing`)."""
-        init = numeric.embedding_init
-        return cls(cat_table=param(f"{name}.cat", (cat_rows, dim), init) if cat_rows else None,
-                   num_matrix=param(f"{name}.num", (num_rows, dim), init) if num_rows else None)
-
-    def parameters(self) -> list[Parameter]:
-        return [p for p in (self.cat_table, self.num_matrix) if p is not None]
+from .numeric import Tensor
 
 
 def categorical_embed(ids: np.ndarray, table: Tensor) -> Tensor:

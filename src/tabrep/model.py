@@ -1,10 +1,11 @@
 """Customer encoder: four embedding branches fused into one representation.
 
 Static categorical and static numerical features become fixed-width vectors
-through their embedding banks and columnwise max. The two dynamic branches
-run their per-time-step embeddings through an adaptive-depth transformer and
-mix the halted states into one vector each. A small fusion network maps the
-concatenated branch vectors (plus presence bits) to the representation.
+through a categorical lookup or a positional numeric embedding, then a
+columnwise max. The two dynamic branches run their per-time-step embeddings
+through an adaptive-depth transformer and mix the halted states into one
+vector each. A small fusion network maps the concatenated branch vectors
+(plus presence bits) to the representation.
 
 Training couples two mechanisms: reconstruction of frozen random projections
 of a model-free customer summary, and any number of supervised
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import numeric
 from .dynamics import TransformerParams, act_run, dynamic_embed
-from .embed import EmbeddingBank, categorical_embed, max_concat, positional_numeric_embed
+from .embed import categorical_embed, max_concat, positional_numeric_embed
 from .encode import (Batch, BranchLayout, augmented_summaries, check_schema, encode_table,
                      summary_width)
 from .encode import augmented_summary, encode_customer  # noqa: F401 (perfbench wraps them)
@@ -232,13 +233,26 @@ class CustomerEncoder:
         self.layout = BranchLayout.from_schema(schema, config.n_s)
         d = config.embed_dim
         # `load` passes a maker that reads each parameter from the checkpoint
-        param = _param or numeric.drawing(numeric.substream(self.seed, "init"))
+        make = _param or numeric.drawing(numeric.substream(self.seed, "init"))
         glorot, zeros = numeric.glorot_init, numeric.zeros_init
+        self._params: dict[str, Parameter] = {}
 
-        self.static_bank = EmbeddingBank.build(
-            d, sum(self.layout.cs_vocab_sizes), len(self.layout.sn_features), param, "static")
-        self.dynamic_bank = EmbeddingBank.build(
-            d, sum(self.layout.cd_vocab_sizes), len(self.layout.dn_features), param, "dynamic")
+        def param(name, shape, init) -> Parameter:
+            # every parameter is recorded as it is made, in making order
+            if name in self._params:
+                raise ConfigError(f"duplicate parameter name {name!r}")
+            self._params[name] = made = make(name, shape, init)
+            return made
+
+        def lookup(name, rows) -> Parameter | None:
+            # a categorical table stacks its features' vocabulary blocks in
+            # `BranchLayout` order; a numerical one has a row per feature
+            return param(name, (rows, d), numeric.embedding_init) if rows else None
+
+        self.static_cat = lookup("static.cat", sum(self.layout.cs_vocab_sizes))
+        self.static_num = lookup("static.num", len(self.layout.sn_features))
+        self.dynamic_cat = lookup("dynamic.cat", sum(self.layout.cd_vocab_sizes))
+        self.dynamic_num = lookup("dynamic.num", len(self.layout.dn_features))
         self.cd_params = (TransformerParams.init(config, param, "cd")
                           if self.layout.cd_features else None)
         self.nd_params = (TransformerParams.init(config, param, "nd")
@@ -278,27 +292,11 @@ class CustomerEncoder:
     # ---- parameters and persistence -------------------------------------
 
     def named_parameters(self) -> dict[str, Parameter]:
-        params: list[Parameter] = []
-        params += self.static_bank.parameters()
-        params += self.dynamic_bank.parameters()
-        if self.cd_params is not None:
-            params += self.cd_params.parameters()
-        if self.nd_params is not None:
-            params += self.nd_params.parameters()
-        params += [self.fusion_w1, self.fusion_b1, self.fusion_w2, self.fusion_b2]
-        for w, b in self.recon_heads:
-            params += [w, b]
-        for head in self.task_heads.values():
-            params += list(head)
-        out = {}
-        for p in params:
-            if p.name in out:
-                raise ConfigError(f"duplicate parameter name {p.name!r}")
-            out[p.name] = p
-        return out
+        """Every parameter by name, in the order `__init__` made them."""
+        return dict(self._params)
 
     def parameters(self) -> list[Parameter]:
-        return list(self.named_parameters().values())
+        return list(self._params.values())
 
     def save(self, path) -> None:
         """Write the constructor's arguments plus every learned parameter as
@@ -362,12 +360,12 @@ class CustomerEncoder:
 
         # each branch's per-feature embeddings die as soon as their max is taken
         if self.layout.cs_features:
-            v_cs = max_concat(categorical_embed(batch.cs_ids, self.static_bank.cat_table), axis=-2)
+            v_cs = max_concat(categorical_embed(batch.cs_ids, self.static_cat), axis=-2)
         else:
             v_cs = zeros()
         if self.layout.sn_features:
-            v_ns = max_concat(positional_numeric_embed(Tensor(batch.ns_vals),
-                                                       self.static_bank.num_matrix), axis=-2)
+            v_ns = max_concat(positional_numeric_embed(Tensor(batch.ns_vals), self.static_num),
+                              axis=-2)
         else:
             v_ns = zeros()
 
@@ -379,11 +377,10 @@ class CustomerEncoder:
         dynamic = []
         for name, embedded, params, column in (
                 ("dynamic_categorical",
-                 lambda: categorical_embed(batch.cd_ids, self.dynamic_bank.cat_table),
+                 lambda: categorical_embed(batch.cd_ids, self.dynamic_cat),
                  self.cd_params, 2),
                 ("dynamic_numerical",
-                 lambda: positional_numeric_embed(Tensor(batch.nd_vals),
-                                                  self.dynamic_bank.num_matrix),
+                 lambda: positional_numeric_embed(Tensor(batch.nd_vals), self.dynamic_num),
                  self.nd_params, 3)):
             if params is None:
                 dynamic.append(zeros())
@@ -484,8 +481,12 @@ class CustomerEncoder:
         validation chunks without a trainable term are skipped and counted in
         `skipped_batches`. `halt_histogram` gives, per dynamic branch, how
         many valid positions of the epoch's training forwards halted at each
-        step 1 … t_max.
+        step 1 … t_max. A `task_weights` entry for a task the model has no
+        head for is a ConfigError.
         """
+        unknown = sorted(set(config.task_weights or ()) - set(self.tasks))
+        if unknown:
+            raise ConfigError(f"task_weights names tasks the model has no head for: {unknown}")
         encoded = self.encode_table(table)
         customers, n = encoded.customers, encoded.size
         if n == 0:

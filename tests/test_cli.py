@@ -460,6 +460,16 @@ def vocabulary_ids(ids):
     return edit
 
 
+def renamed_feature(payload):
+    """Schema edit: the last feature renamed throughout, so the schema is
+    well formed but names a feature the table does not have."""
+    old = payload["feature_order"][-1]
+    new = payload["feature_order"][-1] = f"{old}_renamed"
+    for section in ("kinds", "vocabularies", "numeric_stats", "dynamics_summary"):
+        if old in payload[section]:
+            payload[section][new] = payload[section].pop(old)
+
+
 def first_weight(value):
     def edit(payload):
         next(iter(payload["params"].values()))["data"][0] = value
@@ -526,6 +536,11 @@ MALFORMED = [
     ("checkpoint-schema-dynamics-count-fraction", "embed", {},
      {"m.json": checkpoint_file(lambda c: first_entry("dynamics_summary", 2.7)(c["schema"]))},
      "io-error"),
+    # a well-formed schema or checkpoint of other features than the table's
+    ("schema-of-other-features", "train", {},
+     {"schema.json": schema_file(renamed_feature)}, "schema-mismatch"),
+    ("checkpoint-of-other-features", "embed", {},
+     {"m.json": checkpoint_file(lambda c: renamed_feature(c["schema"]))}, "schema-mismatch"),
     ("schema-corrupt-json", "train", {}, {"schema.json": b'{"feature_order": ['}, "io-error"),
     ("schema-missing-keys", "train", {},
      {"schema.json": schema_file(lambda s: s.pop("kinds"))}, "io-error"),
@@ -594,6 +609,8 @@ MALFORMED = [
     ("train-batch-size-fraction", "train", {"train": {"batch_size": 1.5}},
      {"schema.json": schema_file()}, "config-error"),
     ("train-task-weights-list", "train", {"train": {"task_weights": [1]}},
+     {"schema.json": schema_file()}, "config-error"),
+    ("train-task-weights-unknown-task", "train", {"train": {"task_weights": {"chrun": 5.0}}},
      {"schema.json": schema_file()}, "config-error"),
     ("model-act-epsilon-string", "train", {"model": {"act_epsilon": "a"}},
      {"schema.json": schema_file()}, "config-error"),

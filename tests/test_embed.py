@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from tabrep import numeric
-from tabrep.embed import (EmbeddingBank, categorical_embed, max_concat,
-                          positional_numeric_embed)
+from tabrep.embed import categorical_embed, max_concat, positional_numeric_embed
 from tabrep.errors import IdOutOfRangeError, LengthMismatchError
 from tabrep.numeric import Parameter, Tensor
 
@@ -24,9 +23,9 @@ def test_lookup_of_hand_set_rows():
 
 def test_missing_id_reads_learned_row_not_zero():
     rng = np.random.default_rng(0)
-    bank = EmbeddingBank.build(4, 5, 0, numeric.drawing(rng), "b")
-    out = categorical_embed(np.array([0]), bank.cat_table)
-    assert np.array_equal(out.data[0], bank.cat_table.data[0])
+    table = numeric.drawing(rng)("b.cat", (5, 4), numeric.embedding_init)
+    out = categorical_embed(np.array([0]), table)
+    assert np.array_equal(out.data[0], table.data[0])
     assert np.any(out.data[0] != 0.0)
 
 

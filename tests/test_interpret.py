@@ -33,7 +33,7 @@ def linear_model(weights, rep_position=0):
                          fusion_hidden=2, head_hidden=2, recon_count=1,
                          recon_dim=2, dropout=0.0)
     model = CustomerEncoder(schema, config, tasks=None, seed=0)
-    model.static_bank.num_matrix.data[:] = np.eye(n)
+    model.static_num.data[:] = np.eye(n)
     model.fusion_w1.data[:] = 0.0
     model.fusion_w1.data[n:2 * n, 0] = w
     model.fusion_w1.data[n:2 * n, 1] = -w

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import is_dataclass
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from tabrep.errors import (AllTermsDisabledError, ConfigError, TableIOError,
 from tabrep.eval import SynthConfig, synth_generate
 from tabrep.model import (EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig,
                           cross_entropy, joint_loss, mean_squared_error)
-from tabrep.numeric import Tensor
+from tabrep.numeric import Parameter, Tensor
 from tabrep.prep import RecognizerConfig, build_schema
 
 
@@ -322,6 +323,26 @@ def test_same_seed_same_initial_parameters(schema):
         assert p.data.tobytes() == b.named_parameters()[name].data.tobytes()
 
 
+def test_named_parameters_are_every_parameter_the_encoder_holds(schema):
+    model = CustomerEncoder(schema, small_model_config(), tasks={"churn": 2, "other": 3})
+
+    def held(value):
+        if isinstance(value, Parameter):
+            yield value
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                yield from held(item)
+        elif isinstance(value, dict):
+            yield from held(list(value.values()))
+        elif is_dataclass(value):
+            yield from held(list(vars(value).values()))
+
+    named = model.named_parameters()
+    assert [p.name for p in named.values()] == list(named)
+    assert ({id(p) for p in held([v for k, v in vars(model).items() if k != "_params"])}
+            == {id(p) for p in named.values()})
+
+
 # ---- reconstruction targets ---------------------------------------------
 
 def test_zero_summary_zero_targets(schema):
@@ -526,6 +547,13 @@ def test_label_outside_task_range_rejected(schema):
     model = CustomerEncoder(schema, small_model_config(), tasks={"churn": 2})
     with pytest.raises(ConfigError):
         model.fit(table, TrainConfig(epochs=1))
+
+
+def test_task_weight_of_a_task_without_a_head_rejected_before_encoding(schema, monkeypatch):
+    model = CustomerEncoder(schema, small_model_config(), tasks={"churn": 2})
+    monkeypatch.setattr(model_module, "encode_table", None)    # any encode would fail
+    with pytest.raises(ConfigError, match="chrun"):
+        model.fit(fixture_table(), TrainConfig(epochs=1, task_weights={"chrun": 5.0}))
 
 
 # ---- prediction ----------------------------------------------------------
