@@ -27,7 +27,7 @@ from .errors import NON_NEGATIVE, Checked, ConfigError, InterleavedTableError, T
 from .eval import MetricSet, SynthConfig, synth_generate, task_labels
 from .interpret import InterpretConfig, Target, genome_report
 from .model import EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig, chunk_stream
-from .prep import FeatureSchema, RecognizerConfig, build_schema
+from .prep import FeatureSchema, RecognizerConfig, TableProfile, build_schema
 from .table import (BigTable, TableFormat, compute_stats, load_table, order_records, read_groups,
                     replacing, save_table)
 from .workers import ordered_map
@@ -134,7 +134,11 @@ def _load_ordered(args, cfg: RunConfig) -> BigTable:
 
 def _table_groups(args, cfg: RunConfig) -> Iterator[BigTable]:
     """The table's customers, EVAL_BATCH at a time in file order, each group
-    in time order and read when asked for; the first is read at the call."""
+    in time order and read when asked for; the first is read at the call.
+    Without a date column no group can be ordered, and the stage fails as a
+    whole-table pass fails: on a malformed row anywhere in the file first."""
+    if cfg.format.date_column is None:
+        return iter([_load_ordered(args, cfg)])
     groups = map(order_records, read_groups(args.table, cfg.format, EVAL_BATCH))
     return chain([next(groups)], groups)
 
@@ -200,13 +204,14 @@ def _schema_for(args, cfg: RunConfig, table: BigTable) -> FeatureSchema:
 
 
 def cmd_profile(args, cfg: RunConfig) -> int:
-    table = _load_ordered(args, cfg)
-    schema = build_schema(table, cfg.recognizer)
-    stats = compute_stats(table, schema)
+    profile = _by_groups(args, cfg, _table_groups(args, cfg),
+                         lambda tables: TableProfile.of(tables, cfg.recognizer))
+    schema = build_schema(profile)
+    stats = compute_stats(profile, schema)
     out = _out_dir(args)
     schema.save(out / "schema.json")
     _write(out / "stats.json", stats.to_json())
-    print(f"profiled {table.n_customers} customers, {table.n_features} features "
+    print(f"profiled {profile.n_customers} customers, {len(profile.features)} features "
           f"-> {out / 'schema.json'}, {out / 'stats.json'}")
     return 0
 

@@ -6,6 +6,10 @@ features by counting per-customer change statistics over chronologically
 ordered records. The augmentation half tokenizes categorical values
 (missing included, as its own token), scales numerical values to [0, 1]
 and imputes zeros for missing ones.
+
+Both recognizers and the fits run over a `TableProfile`, which adds up a
+table one group of customers at a time, so that `profile` need not hold
+the whole table.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from .errors import (AT_LEAST_ONE, AT_LEAST_TWO, NON_NEGATIVE, Checked, ConfigError,
                      MixedKindFeatureError, SchemaError, TableIOError, check_fields)
 from .table import (KIND_DATE, KIND_NUMBER, KIND_TOKEN, MISSING_CODE, BigTable, CellPool, Column,
-                    Columns, replacing)
+                    Columns, TableSums, replacing)
 
 MISSING_TOKEN_ID = 0
 OOV_TOKEN_ID = 1
@@ -76,39 +80,30 @@ _KIND_NAMES = {KIND_TOKEN: "token", KIND_NUMBER: "number", KIND_DATE: "date"}
 
 
 def nc_recognize(table: BigTable, config: RecognizerConfig, ignore=()) -> dict[str, str]:
-    """Classify each feature as 'numerical', 'categorical' or 'date'.
+    """Classify each feature as 'numerical', 'categorical' or 'date' (see
+    `nc_kind`). Features mixing cell kinds raise; list them in `ignore` (and
+    supply an override) to skip recognition."""
+    return TableProfile.of([table], config).nc_kinds(ignore)
 
-    Features of tokens only are categorical, of dates only date; any fractional
-    number makes the feature numerical, and all-integer features are
-    numerical only when their distinct-value count exceeds the configured
-    threshold. Features mixing cell kinds raise; list them in `ignore` (and
-    supply an override) to skip recognition.
-    """
-    if not table.customers:
-        raise SchemaError("cannot recognize features of an empty table")
-    pool = table.columns.pool
-    kinds: dict[str, str] = {}
-    for feature in table.features:
-        if feature in ignore:
-            continue
-        present = np.flatnonzero(np.bincount(table.column(feature).codes,
-                                             minlength=len(pool.kinds)))   # entries in use
-        present_kinds = pool.kinds[present]
-        seen = {name for kind, name in _KIND_NAMES.items() if (present_kinds == kind).any()}
-        if len(seen) > 1:
-            raise MixedKindFeatureError(feature, seen)
-        values = pool.values[present[present_kinds == KIND_NUMBER]]
-        if seen == {"token"} or not seen:
-            kinds[feature] = "categorical"
-        elif seen == {"date"}:
-            kinds[feature] = "date"
-        elif (values != np.floor(values)).any():
-            kinds[feature] = "numerical"
-        else:
-            distinct = len(set(values.tolist()))        # 0.0 and -0.0 count once
-            kinds[feature] = "numerical" if distinct > config.integer_unique_threshold else "categorical"
-    return kinds
 
+def nc_kind(seen: set[str], fractional: bool, distinct: int,
+            config: RecognizerConfig) -> str | None:
+    """The NC kind of a feature whose non-missing cells are of the kinds
+    `seen`, with `fractional` if a number is not an integer and `distinct`
+    distinct numbers (0.0 and -0.0 count once); None when it mixes kinds.
+
+    Features of tokens only (or of missing cells only) are categorical, of
+    dates only date; any fractional number makes the feature numerical, and
+    all-integer features are numerical only when their distinct-value count
+    exceeds the configured threshold."""
+    if len(seen) > 1:
+        return None
+    if seen <= {"token"}:
+        return "categorical"
+    if seen == {"date"}:
+        return "date"
+    return ("numerical" if fractional or distinct > config.integer_unique_threshold
+            else "categorical")
 
 
 def check_range(feature: str, lo: float, hi: float) -> None:
@@ -119,21 +114,40 @@ def check_range(feature: str, lo: float, hi: float) -> None:
         raise SchemaError(f"feature {feature!r}: range [{lo!r}, {hi!r}] has no finite width")
 
 
-def numeric_range(table: BigTable, feature: str) -> tuple[float, float]:
-    """(min, max) over the feature's non-missing numeric cells; (0, 0) if none.
-    Raises `SchemaError` when max - min overflows.
+@dataclass
+class NumberRange:
+    """The running (min, max) of a feature's numbers, added in table order.
+    Of equal extremes (0.0 and -0.0) the first is kept, as Python's `min`
+    and `max` keep it: a group's extreme is its first, and it replaces the
+    running one only when strictly beyond it."""
 
-    Of equal extremes (0.0 and -0.0) the first in table order is kept, as
-    Python's `min` and `max` keep it."""
+    lo: float | None = None
+    hi: float | None = None
+
+    def add(self, values: np.ndarray) -> None:
+        if len(values):
+            lo, hi = float(values[np.argmin(values)]), float(values[np.argmax(values)])
+            if self.lo is None or lo < self.lo:
+                self.lo = lo
+            if self.hi is None or hi > self.hi:
+                self.hi = hi
+
+    def value(self, feature: str) -> tuple[float, float]:
+        """(min, max); (0, 0) if no number was added. Raises `SchemaError`
+        when max - min overflows."""
+        if self.lo is None:
+            return (0.0, 0.0)
+        check_range(feature, self.lo, self.hi)
+        return (self.lo, self.hi)
+
+
+def numeric_range(table: BigTable, feature: str) -> tuple[float, float]:
+    """`NumberRange.value` of the feature's non-missing numeric cells."""
     column = table.column(feature)
     pool = column.pool
-    codes = column.codes[pool.kinds[column.codes] == KIND_NUMBER]
-    if not len(codes):
-        return (0.0, 0.0)
-    values = pool.values[codes]
-    lo, hi = float(values[np.argmin(values)]), float(values[np.argmax(values)])
-    check_range(feature, lo, hi)
-    return (lo, hi)
+    extremes = NumberRange()
+    extremes.add(pool.values[column.codes[pool.kinds[column.codes] == KIND_NUMBER]])
+    return extremes.value(feature)
 
 
 def uniform_normalize(x, stats: tuple[float, float]):
@@ -173,11 +187,21 @@ class Vocabulary:
     def fit(cls, column: Column) -> "Vocabulary":
         """Ids from 2 for the tokens of the non-missing cells of `column`, in
         first-seen order."""
+        return cls().add(column)
+
+    def add(self, column: Column) -> "Vocabulary":
+        """Give the tokens of the non-missing cells of `column` that are new
+        the next ids, in first-seen order; returns self."""
         tokens = column.pool.tokens(column.codes)
+        texts, ids = column.pool.token_texts, self.token_to_id
+        present = np.flatnonzero(np.bincount(tokens + 1, minlength=len(texts) + 1)[1:])
+        if all(texts[t] in ids for t in present.tolist()):
+            return self                     # the common case after the first group
         tokens = tokens[tokens >= 0]
         distinct, first = np.unique(tokens, return_index=True)
-        texts = column.pool.token_texts
-        return cls({texts[t]: 2 + i for i, t in enumerate(distinct[np.argsort(first)].tolist())})
+        for t in distinct[np.argsort(first)].tolist():
+            ids.setdefault(texts[t], len(ids) + 2)
+        return self
 
     def ids(self, pool: CellPool, codes: np.ndarray) -> np.ndarray:
         """The id of each cell `codes` (any shape) of `pool`, as an int64
@@ -232,25 +256,43 @@ def normalized_mean(cols: Columns, j: int, stats: tuple[float, float]) -> np.nda
     return np.where(count > 0, total / np.maximum(count, 1), 0.0)
 
 
-def _successive_pairs(cols: Columns) -> np.ndarray:
-    """Rows r whose next row r + 1 belongs to the same customer."""
+def _same_customer(cols: Columns) -> np.ndarray:
+    """For each row r but the last, whether row r + 1 belongs to the same customer."""
     seg = cols.segments
-    return np.flatnonzero(seg[1:] == seg[:-1])
+    return seg[1:] == seg[:-1]
 
 
 def change_count(cols: Columns, j: int) -> np.ndarray:
     """Successive record pairs whose feature-`j` values differ, missing
     counted as its own value."""
     tokens = cols.pool.tokens(cols.codes[:, j])
-    pairs = _successive_pairs(cols)
-    changed = pairs[tokens[pairs] != tokens[pairs + 1]]
-    return np.bincount(cols.segments[changed], minlength=cols.n_customers)
+    changed = _same_customer(cols) & (tokens[1:] != tokens[:-1])
+    return np.bincount(cols.segments[:-1][changed], minlength=cols.n_customers)
 
 
 def change_rate(cols: Columns, j: int) -> np.ndarray:
     """`change_count` per successive pair; 0.0 below two records."""
     pairs = cols.lengths - 1
     return np.where(pairs > 0, change_count(cols, j) / np.maximum(pairs, 1), 0.0)
+
+
+def number_pairs(cols: Columns, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The successive record pairs of one customer whose `values` (one per
+    row, NaN where the cell is no number) are unequal numbers: the earlier
+    value, the later one and the customer, in row order. A pair of equal
+    numbers adds |n(a) - n(a)| = +0.0 to a non-negative sum, which moves no
+    bit, so it is left out."""
+    a, b = values[:-1], values[1:]
+    keep = _same_customer(cols) & (a != b) & ~np.isnan(a) & ~np.isnan(b)
+    return a[keep], b[keep], cols.segments[:-1][keep]
+
+
+def numeric_change_sums(pairs, stats: tuple[float, float], n_customers: int = 0) -> np.ndarray:
+    """Per customer, the sum of |n(b) - n(a)| over its `number_pairs` (a, b)
+    in row order, n being `uniform_normalize` by `stats`."""
+    a, b, owner = pairs
+    return np.bincount(owner, minlength=n_customers,
+                       weights=np.abs(uniform_normalize(b, stats) - uniform_normalize(a, stats)))
 
 
 def dynamics_statistic(table: BigTable, feature: str, kind: str) -> np.ndarray:
@@ -266,14 +308,8 @@ def dynamics_statistic(table: BigTable, feature: str, kind: str) -> np.ndarray:
     cols = table.columns
     if kind == "categorical":
         return change_count(cols, j).astype(np.float64)
-    stats = numeric_range(table, feature)
-    codes = cols.codes[:, j]
-    normalized = uniform_normalize(cols.pool.values[codes], stats)
-    number = cols.pool.kinds[codes] == KIND_NUMBER
-    pairs = _successive_pairs(cols)
-    pairs = pairs[number[pairs] & number[pairs + 1]]
-    return np.bincount(cols.segments[pairs], minlength=cols.n_customers,
-                       weights=np.abs(normalized[pairs + 1] - normalized[pairs]))
+    pairs = number_pairs(cols, cols.pool.values[cols.codes[:, j]])
+    return numeric_change_sums(pairs, numeric_range(table, feature), cols.n_customers)
 
 
 @dataclass
@@ -293,19 +329,15 @@ def dynamics_matrix(table: BigTable, nc_kinds: dict[str, str], config: Recognize
     return DynamicsMatrix(customers=list(table.customers), features=feats, values=values)
 
 
-def dynamic_customer_counts(matrix: DynamicsMatrix, nc_kinds: dict[str, str], config: RecognizerConfig) -> dict[str, int]:
-    """Per feature, the number of customers whose change statistic clears
-    the pair threshold."""
-    counts = {}
-    for k, feature in enumerate(matrix.features):
-        t_d = config.pair_threshold(nc_kinds[feature])
-        counts[feature] = int(np.sum(matrix.values[:, k] > t_d))
-    return counts
+def dynamic_customers(statistic: np.ndarray, kind: str, config: RecognizerConfig) -> int:
+    """The customers whose change `statistic` clears the pair threshold of `kind`."""
+    return int(np.count_nonzero(statistic > config.pair_threshold(kind)))
 
 
 def dynamic_flags(counts: dict[str, int], n_customers: int, config: RecognizerConfig) -> dict[str, bool]:
-    """Per-feature dynamic flag from `dynamic_customer_counts`: dynamic iff
-    the count exceeds the feature threshold. Equality resolves to static."""
+    """Per-feature dynamic flag from the per-feature `dynamic_customers`
+    counts: dynamic iff the count exceeds the feature threshold. Equality
+    resolves to static."""
     t_f = config.resolved_feature_threshold(n_customers)
     return {f: d_f > t_f for f, d_f in counts.items()}
 
@@ -313,7 +345,9 @@ def dynamic_flags(counts: dict[str, int], n_customers: int, config: RecognizerCo
 def sd_recognize(matrix: DynamicsMatrix, nc_kinds: dict[str, str], config: RecognizerConfig) -> dict[str, bool]:
     """Per-feature dynamic flag: dynamic iff the number of customers whose
     change statistic clears the pair threshold exceeds the feature threshold."""
-    return dynamic_flags(dynamic_customer_counts(matrix, nc_kinds, config), len(matrix.customers), config)
+    counts = {feature: dynamic_customers(matrix.values[:, k], nc_kinds[feature], config)
+              for k, feature in enumerate(matrix.features)}
+    return dynamic_flags(counts, len(matrix.customers), config)
 
 
 @dataclass
@@ -413,30 +447,140 @@ def read_json(path, kind: str):
         raise TableIOError(f"not a {kind}: {e}") from e
 
 
-def build_schema(table: BigTable, config: RecognizerConfig = RecognizerConfig(),
+class _FeatureProfile:
+    """What a `TableProfile` has seen of one feature."""
+
+    def __init__(self, pinned: str | None):
+        self.pinned = pinned                # an override's NC kind, or None
+        self.seen: set[str] = set()         # the kinds of its non-missing cells
+        self.fractional = False             # whether a number is not an integer
+        self.integers: set[float] = set()   # distinct numbers, until they pass the threshold
+        self.vocabulary: Vocabulary | None = Vocabulary()   # while it may be categorical
+        self.changing = 0                   # customers clearing the categorical threshold
+        self.range = NumberRange()
+        self.pairs: list[tuple] = []        # each group's `number_pairs`
+
+    def recognized(self, config: RecognizerConfig) -> str | None:
+        return nc_kind(self.seen, self.fractional, len(self.integers), config)
+
+
+class TableProfile(TableSums):
+    """What `build_schema` reads of a table, added up over groups of its
+    customers, on top of the `TableSums` that `compute_stats` reads.
+
+    Groups come in table order, each holding whole customers with their
+    records in time order; then vocabularies keep the whole table's
+    first-seen order, ranges its first extremes, and each customer's change
+    statistic is computed within its group. Per feature it keeps the cell
+    kinds seen, the fractional flag and up to `integer_unique_threshold` + 1
+    distinct numbers; the vocabulary and the categorical change count while
+    the feature may turn out categorical; and, while it may turn out
+    numerical, the range and the `number_pairs`, whose sums need the final
+    range. Nothing raises before `nc_kinds` or `schema`, so errors come in
+    the order of a whole-table pass.
+    """
+
+    def __init__(self, features: list[str], config: RecognizerConfig,
+                 overrides: dict[str, FeatureKind] | None = None):
+        super().__init__(len(features))
+        self.features = list(features)
+        self.config = config
+        self.overrides = dict(overrides or {})
+        self._profiles = [_FeatureProfile(NC_KIND[self.overrides[f]] if f in self.overrides
+                                          else None) for f in self.features]
+
+    @classmethod
+    def of(cls, groups, config: RecognizerConfig,
+           overrides: dict[str, FeatureKind] | None = None) -> "TableProfile":
+        """The profile of `groups` (at least one), added in turn."""
+        profile = None
+        for group in groups:
+            profile = profile or cls(group.features, config, overrides)
+            profile.add(group)
+        return profile
+
+    def add(self, table: BigTable) -> "TableProfile":
+        """Add the next group of customers, its records in time order; returns self."""
+        super().add(table)
+        cols, config = table.columns, self.config
+        pool = cols.pool
+        for j, f in enumerate(self._profiles):
+            codes = cols.codes[:, j]
+            kinds = pool.kinds[codes]
+            present = np.bincount(kinds, minlength=len(_KIND_NAMES) + 1)
+            f.seen.update(name for kind, name in _KIND_NAMES.items() if present[kind])
+            numbers = pool.values[codes[kinds == KIND_NUMBER]]
+            if len(numbers) and not f.fractional:
+                f.fractional = bool((numbers != np.floor(numbers)).any())
+                if not f.fractional and len(f.integers) <= config.integer_unique_threshold:
+                    f.integers.update(numbers.tolist())
+            kind = f.pinned or f.recognized(config)
+            if kind == "categorical":
+                f.vocabulary.add(Column(pool, codes))
+                f.changing += dynamic_customers(change_count(cols, j), kind, config)
+            else:
+                f.vocabulary = None
+            # a recognized feature of numbers only may still turn numerical in a later group
+            may_be_numerical = kind == "numerical" if f.pinned else f.seen == {"number"}
+            if may_be_numerical:
+                f.range.add(numbers)
+                pairs = number_pairs(cols, pool.values[codes])   # NaN where no number
+                if len(pairs[0]):
+                    f.pairs.append(pairs)
+        return self
+
+    def nc_kinds(self, ignore=()) -> dict[str, str]:
+        """`nc_kind` of each feature not in `ignore`. Raises `SchemaError` if
+        no customer was added, and `MixedKindFeatureError` on the first
+        feature that mixes cell kinds."""
+        if not self.n_customers:
+            raise SchemaError("cannot recognize features of an empty table")
+        kinds = {}
+        for feature, f in zip(self.features, self._profiles):
+            if feature not in ignore:
+                kinds[feature] = f.recognized(self.config)
+                if kinds[feature] is None:
+                    raise MixedKindFeatureError(feature, f.seen)
+        return kinds
+
+    def schema(self) -> FeatureSchema:
+        """The schema of the customers added; see `build_schema`."""
+        config, overrides = self.config, self.overrides
+        nc_kinds = self.nc_kinds(ignore=overrides)
+        for feature, kind in overrides.items():
+            if feature not in self.features:
+                raise SchemaError(f"override for unknown feature {feature!r}")
+            nc_kinds[feature] = NC_KIND[kind]
+        profiles = dict(zip(self.features, self._profiles))
+        ranges = {f: p.range.value(f) for f, p in profiles.items() if nc_kinds[f] == "numerical"}
+        counts = {}
+        for f, p in profiles.items():
+            if nc_kinds[f] == "categorical":
+                counts[f] = p.changing
+            elif nc_kinds[f] == "numerical":   # a customer without pairs clears no threshold
+                counts[f] = sum(dynamic_customers(numeric_change_sums(pairs, ranges[f]),
+                                                  "numerical", config) for pairs in p.pairs)
+        dynamic = dynamic_flags(counts, self.n_customers, config)
+        return FeatureSchema(
+            feature_order=list(self.features),
+            kinds={f: overrides[f] if f in overrides else KIND_TABLE[nc_kinds[f], dynamic.get(f, False)]
+                   for f in self.features},
+            vocabularies={f: p.vocabulary for f, p in profiles.items()
+                          if nc_kinds[f] == "categorical"},
+            numeric_stats=ranges, dynamics_summary=counts, config=config)
+
+
+def build_schema(table: BigTable | TableProfile, config: RecognizerConfig = RecognizerConfig(),
                  overrides: dict[str, FeatureKind] | None = None) -> FeatureSchema:
     """Run both recognizers and fit vocabularies/normalization stats.
 
     Records must already be in chronological order when a date index exists.
     `overrides` pins a feature to a kind, bypassing recognition for it (the
     analyst-assignment hook); overridden features still get vocabularies or
-    ranges fitted for their assigned kind.
+    ranges fitted for their assigned kind. `table` may instead be the
+    `TableProfile` of a table read in groups, which holds its own config and
+    overrides.
     """
-    overrides = dict(overrides or {})
-    nc_kinds = nc_recognize(table, config, ignore=overrides.keys())
-    for feature, kind in overrides.items():
-        if feature not in table.features:
-            raise SchemaError(f"override for unknown feature {feature!r}")
-        nc_kinds[feature] = NC_KIND[kind]
-
-    counts = dynamic_customer_counts(dynamics_matrix(table, nc_kinds, config), nc_kinds, config)
-    dynamic = dynamic_flags(counts, table.n_customers, config)
-    kinds = {f: overrides[f] if f in overrides
-             else KIND_TABLE[nc_kinds[f], dynamic.get(f, False)] for f in table.features}
-    return FeatureSchema(
-        feature_order=list(table.features), kinds=kinds,
-        vocabularies={f: Vocabulary.fit(table.column(f))
-                      for f in table.features if nc_kinds[f] == "categorical"},
-        numeric_stats={f: numeric_range(table, f)
-                       for f in table.features if nc_kinds[f] == "numerical"},
-        dynamics_summary=counts, config=config)
+    if not isinstance(table, TableProfile):
+        table = TableProfile.of([table], config, overrides)
+    return table.schema()

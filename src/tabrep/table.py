@@ -112,8 +112,12 @@ class CellPool:
         if self._tokens is None:
             self._tokens = np.full(len(self.kinds), -2, dtype=np.int64)
             self._tokens[MISSING_CODE] = -1
+        got = self._tokens[codes]
+        new = got == -2
+        if not new.any():
+            return got
         ids = self._token_ids
-        for code in dict.fromkeys(codes[self._tokens[codes] == -2].tolist()):
+        for code in dict.fromkeys(codes[new].tolist()):
             v = float(self.values[code])
             text = (str(self.items[code]) if math.isnan(v)         # a token's text, a date's epoch
                     else str(int(v)) if v.is_integer() else _format_number(v))
@@ -634,47 +638,71 @@ class TableStats:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def compute_stats(table: BigTable, schema) -> TableStats:
-    """Data-characteristics statistics.
+class TableSums:
+    """The sums `compute_stats` reads, added up over groups of a table's
+    customers in table order: per feature the customer-level missing ratios,
+    the entirely missing customer-feature pairs, each task's label classes
+    and the records per customer. The ratio sums run left to right, each
+    group's seeded with the earlier groups' total, so they have the bits of
+    one pass over the whole table."""
+
+    def __init__(self, n_features: int):
+        self.n_features = n_features
+        self.n_customers = 0
+        self.n_active = 0                               # customers with records
+        self.missing_ratios = np.zeros(n_features)      # summed over active customers
+        self.structural_pairs = 0
+        self.label_counts: dict[str, list[int]] = {}    # task -> [positives, negatives]
+        self.records = 0
+        self.fewest, self.most = math.inf, 0            # records of an active customer
+
+    def add(self, table: BigTable) -> "TableSums":
+        """Add the next group of customers; returns self."""
+        cols = table.columns
+        self.n_customers += table.n_customers
+        active = cols.lengths > 0
+        counts, starts = cols.lengths[active], cols.offsets[:-1][active]
+        if len(counts):
+            # per active customer, whose records are the rows from its offset to the next
+            # one's; a feature at a time, as `reduceat` copies its whole input to the sum's dtype
+            missing = np.zeros((len(counts), self.n_features), dtype=np.int64)
+            for j in range(self.n_features):
+                missing[:, j] = np.add.reduceat(cols.codes[:, j] == MISSING_CODE, starts,
+                                                dtype=np.int64)
+            ratios = missing / counts[:, None]
+            ratios[0] += self.missing_ratios        # continue the earlier groups' sums
+            self.missing_ratios = np.cumsum(ratios, axis=0)[-1]
+            self.structural_pairs += int((missing == counts[:, None]).sum())
+            self.fewest = min(self.fewest, int(counts.min()))
+            self.most = max(self.most, int(counts.max()))
+            self.n_active += len(counts)
+            self.records += int(counts.sum())
+        for task, labels in table.labels.items():
+            classes = list(labels.values())
+            got = self.label_counts.setdefault(task, [0, 0])
+            got[0] += classes.count(1)
+            got[1] += classes.count(0)
+        return self
+
+
+def compute_stats(table: BigTable | TableSums, schema) -> TableStats:
+    """Data-characteristics statistics of a table, or of the `TableSums` of
+    one read in groups.
 
     The missing ratios are customer-level means averaged uniformly over
     customers, then over features; the structural ratio counts
     customer-feature pairs whose every record is missing.
     """
-    cols = table.columns
-    counts = cols.lengths
-    active = counts > 0
-    if not active.any() or not table.features:
+    sums = table if isinstance(table, TableSums) else TableSums(table.n_features).add(table)
+    n_feat, n_active = sums.n_features, sums.n_active
+    if not n_active or not n_feat:
         raise EmptyTableError("no records to profile")
-
-    n_feat = table.n_features
-    n_active = int(active.sum())
-    counts = counts[active]
-    # per active customer, whose records are the rows from its offset to the next one's;
-    # a feature at a time, as `reduceat` copies its whole input to the sum's dtype
-    starts = cols.offsets[:-1][active]
-    missing = np.stack([np.add.reduceat(cols.codes[:, j] == MISSING_CODE, starts, dtype=np.int64)
-                        for j in range(n_feat)], axis=1)
-    # customer-level ratios, summed over customers in table order
-    per_feature_missing = np.cumsum(missing / counts[:, None], axis=0)[-1]
-    per_feature_missing = [m / n_active for m in per_feature_missing.tolist()]
-    feature_missing_ratio = sum(per_feature_missing) / n_feat
-    structural_pairs = int((missing == counts[:, None]).sum())
-    structural_missing_ratio = structural_pairs / (n_active * n_feat)
-
-    label_ratio: dict[str, float | None] = {}
-    for task, labels in table.labels.items():
-        pos = sum(1 for v in labels.values() if v == 1)
-        neg = sum(1 for v in labels.values() if v == 0)
-        label_ratio[task] = (pos / neg) if neg else None
-
-    records_per_customer = {
-        "min": float(counts.min()),
-        "mean": int(counts.sum()) / n_active,
-        "max": float(counts.max()),
-    }
-    return TableStats(label_ratio=label_ratio,
-                      feature_missing_ratio=feature_missing_ratio,
-                      structural_missing_ratio=structural_missing_ratio,
-                      kind_ratios=schema.kind_ratios(),
-                      records_per_customer=records_per_customer)
+    per_feature_missing = [m / n_active for m in sums.missing_ratios.tolist()]
+    return TableStats(
+        label_ratio={task: pos / neg if neg else None
+                     for task, (pos, neg) in sums.label_counts.items()},
+        feature_missing_ratio=sum(per_feature_missing) / n_feat,
+        structural_missing_ratio=sums.structural_pairs / (n_active * n_feat),
+        kind_ratios=schema.kind_ratios(),
+        records_per_customer={"min": float(sums.fewest), "mean": sums.records / n_active,
+                              "max": float(sums.most)})

@@ -19,7 +19,7 @@ from tabrep.cli import _SECTIONS, EXIT_CODES, RunConfig, _csv_rows, _write_text,
 from tabrep.errors import ConfigError, check_fields
 from tabrep.eval import BaselineConfig, SynthConfig, synth_generate
 from tabrep.interpret import Target
-from tabrep.model import CustomerEncoder, ModelConfig, _EncoderArgs
+from tabrep.model import EVAL_BATCH, CustomerEncoder, ModelConfig, _EncoderArgs
 from tabrep.prep import FeatureSchema, build_schema
 from tabrep.table import TableFormat, load_table, order_records, save_table
 
@@ -427,6 +427,25 @@ def label_cells(*texts):
     return write
 
 
+def grouped_cells(*edits, ragged=False):
+    """Maker of a table of 2 x EVAL_BATCH + 10 customers, which `profile`
+    reads in three groups, with each edit `(group, column, text)` setting
+    that column in the first row of the group's first customer, and a ragged
+    last row when `ragged`."""
+    def write(path, _):
+        table = synth_generate(SynthConfig(n_customers=2 * EVAL_BATCH + 10, seed=3))
+        save_table(table, path, TABLE_FORMAT)
+        with path.open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        for group, column, text in edits:
+            first = table.customers[group * EVAL_BATCH]
+            next(row for row in rows if row[0] == first)[header.index(column)] = text
+        with path.open("w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [header, *rows] + [["late", "2020-01-01"]] * ragged)
+    return write
+
+
 def as_version_2(payload):
     """A version-2 checkpoint: its config still held `attention_literal_scale`."""
     payload["version"] = 2
@@ -512,6 +531,22 @@ MALFORMED = [
     ("table-range-overflows", "profile", {},
      {"t.csv": b"customer_id,date,f,churn\nc1,2020-01-01,1.5e308,0\n"
                b"c1,2020-01-02,0.5,0\nc2,2020-01-01,-1.5e308,1\n"}, "schema-error"),
+    # `profile` reads the table a group of customers at a time, and raises as
+    # a whole-table pass does once the file ends
+    ("profile-kinds-mixed-in-second-group", "profile", {},
+     {"t.csv": grouped_cells((1, "sc0", "7"))}, "mixed-kind-feature"),
+    ("profile-range-overflows-in-third-group", "profile", {},
+     {"t.csv": grouped_cells((0, "sn0", "1.5e308"), (2, "sn0", "-1.5e308"))}, "schema-error"),
+    ("profile-ragged-row-after-mixed-kinds", "profile", {},
+     {"t.csv": grouped_cells((0, "sc0", "7"), ragged=True)}, "parse-error"),
+    ("profile-header-only", "profile", {}, {"t.csv": b"customer_id,date,f,churn\n"},
+     "schema-error"),
+    # with no date column a streamed stage cannot order a group, but a
+    # malformed row past the first group is still the error, as in a whole-table pass
+    ("profile-no-date-column-ragged-row", "profile", {"format": {"label_columns": ["churn"]}},
+     {"t.csv": grouped_cells(ragged=True)}, "parse-error"),
+    ("embed-no-date-column-ragged-row", "embed", {"format": {"label_columns": ["churn"]}},
+     {"t.csv": grouped_cells(ragged=True), "m.json": checkpoint_file()}, "parse-error"),
     ("schema-range-overflows", "train", {},
      {"schema.json": schema_file(overflowing_range)}, "schema-error"),
     ("schema-kind-without-vocabulary", "train", {},

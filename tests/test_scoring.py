@@ -2,37 +2,45 @@
 checkpoint that loads without drawing.
 
 `encoded_chunks` encodes each chunk's customers on their own. That must give,
-bit for bit, the rows a whole-table encoding gives, and the memory scoring
-and the CLI writers need must not grow with the number of customers. The
-`embed`, `predict` and `evaluate` stages read the table a group of customers
-at a time, and write what a whole-table load gives, byte for byte, whether
-they forward in worker processes or in their own; and they leave no
-process behind. A loaded model draws nothing: the scoring stages never import `numpy.random`,
+bit for bit, the rows a whole-table encoding gives, and the memory scoring,
+profiling and the CLI writers need must not grow with the number of
+customers. The `profile`, `embed`, `predict` and `evaluate` stages read the
+table a group of customers at a time, and write what a whole-table load
+gives, byte for byte, the scoring stages whether they forward in worker
+processes or in their own; and they leave no process behind. A loaded model draws nothing: the scoring stages never import `numpy.random`,
 and the reconstruction projections a loaded model draws on first use are a
 fresh model's.
 """
 
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import no_child_left, same_encoding, stage_modules, traced_peak
 from tabrep import cli
+from tabrep import table as table_module
 from tabrep.cli import EXIT_CODES, _csv_rows, _write_scores, _write_text
 from tabrep.encode import encode_table
 from tabrep.errors import TabrepError
 from tabrep.eval import MetricSet, SynthConfig, synth_generate
 from tabrep.model import (EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig, chunk_stream,
                           eval_chunks)
-from tabrep.prep import build_schema
-from tabrep.table import BigTable, TableFormat, load_table, order_records, save_table
+from tabrep.prep import RecognizerConfig, build_schema
+from tabrep.table import (BigTable, TableFormat, compute_stats, load_table, order_records,
+                          save_table)
 
 MODEL = ModelConfig(embed_dim=8, n_s=6, heads=2, t_max=2, rep_width=8, fusion_hidden=16,
                     head_hidden=8, recon_count=1, recon_dim=4, dropout=0.0)
@@ -159,6 +167,34 @@ def test_embed_writer_memory_does_not_grow_with_the_customer_count(tmp_path, mon
     assert peaks[1] - peaks[0] < PEAK_MARGIN, peaks
 
 
+def test_profile_memory_does_not_grow_with_the_customer_count(tmp_path, capsys, monkeypatch):
+    # From 2 x EVAL_BATCH to 8 x EVAL_BATCH customers, what grows is the kept
+    # pairs of unequal successive numbers (24 bytes each, about 60 KiB here)
+    # and the reader's 8-byte hash of each customer id: the peaks are about
+    # 160 KiB apart, and 1.6 MiB apart with a whole-table load. The reader's
+    # cache of date texts is bounded by KEPT_DATES, but it would still be
+    # filling between these two sizes, so it is bounded lower here.
+    monkeypatch.setattr(table_module, "KEPT_DATES", 64)
+    table = synth_generate(SynthConfig(n_customers=8 * EVAL_BATCH, records_max=12, seed=9))
+    few = table.customers[:2 * EVAL_BATCH]
+    fmt = TableFormat(date_column="date")
+    (tmp_path / "run.json").write_text(json.dumps({"format": {"date_column": "date"}}))
+    peaks = []
+    for name, group in (("few.csv", BigTable(few, list(table.features), table.select(few))),
+                        ("all.csv", table)):
+        save_table(group, tmp_path / name, fmt)
+
+        def profile():
+            return cli.main(["profile", "--config", str(tmp_path / "run.json"),
+                             "--table", str(tmp_path / name), "--out", str(tmp_path)])
+
+        profile()                           # lazily built state, before measuring
+        code, peak = traced_peak(profile)
+        assert code == 0, capsys.readouterr().err
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] < PEAK_MARGIN, peaks
+
+
 @pytest.mark.parametrize("stage", ["embed", "predict", "evaluate"])
 def test_scoring_stages_never_import_numpy_random(tmp_path, stage):
     table = synth_generate(SynthConfig(n_customers=20, records_max=6, seed=2))
@@ -277,6 +313,92 @@ def test_streamed_stages_write_the_whole_table_outputs(tmp_path, capsys, monkeyp
             assert (out / name).read_bytes() == want[stage], stage
     # only a file whose customers are interleaved across groups falls back to one load
     assert len(loads) == (len(STAGE_FILES) if interleaved else 0)
+
+
+def whole_table_profile(path, fmt: TableFormat = FORMAT,
+                        config: RecognizerConfig = RecognizerConfig()) -> dict[str, bytes]:
+    """`schema.json` and `stats.json` of the table at `path`, loaded at once."""
+    table = order_records(load_table(path, fmt))
+    schema = build_schema(table, config)
+    schema.save(path.with_name("whole_schema.json"))
+    return {"schema.json": path.with_name("whole_schema.json").read_bytes(),
+            "stats.json": compute_stats(table, schema).to_json().encode()}
+
+
+def profile_outputs(out: Path) -> dict[str, bytes]:
+    return {name: (out / name).read_bytes() for name in ("schema.json", "stats.json")}
+
+
+@pytest.mark.parametrize("n,interleaved", [
+    (2 * EVAL_BATCH + 40, False), (2 * EVAL_BATCH + 40, True), (EVAL_BATCH + 1, False),
+    (3 * EVAL_BATCH + 1, False), (1, False)],
+    ids=["grouped", "interleaved", "batch+1", "3batch+1", "one-customer"])
+def test_streamed_profile_writes_the_whole_table_profile(tmp_path, capsys, monkeypatch, n,
+                                                         interleaved):
+    args = write_scoring_inputs(tmp_path, n, interleaved)[:4]      # no checkpoint
+    want = whole_table_profile(tmp_path / "t.csv")
+    loads = []
+    monkeypatch.setattr(cli, "load_table", lambda *a: loads.append(a) or load_table(*a))
+    code = cli.main(["profile", *args, "--out", str(tmp_path / "profile")])
+    assert code == 0, capsys.readouterr().err
+    assert profile_outputs(tmp_path / "profile") == want
+    # only a file whose customers are interleaved across groups falls back to one load
+    assert len(loads) == interleaved
+
+
+# Random tables of whole customers in file order, each record a date (days
+# 1-4, so a customer's records are reordered) and the cells of `n`, integers
+# that may pass the recognizer's threshold of 3 distinct values in a later
+# group; `x`, integers that may turn fractional; `t`, tokens that may first
+# appear in a later group; `z`, whose minimum is 0.0 or -0.0, which tie; and
+# `e`, which holds no number. Customers may have one record.
+PROFILE_FEATURES = ["n", "x", "t", "z", "e"]
+profile_record = st.tuples(st.integers(1, 4), st.tuples(
+    st.sampled_from(["", "0", "1", "2", "3", "4", "5"]),
+    st.sampled_from(["", "1", "2", "-2", "0.5"]),
+    st.sampled_from(["", "a", "b", "c", "d"]),
+    st.sampled_from(["", "0.0", "-0.0", "0", "-0", "3"]),
+    st.sampled_from(["", "u", "v"])))
+profile_customers = st.lists(st.tuples(st.sampled_from(["", "0", "1"]),
+                                       st.lists(profile_record, min_size=1, max_size=4)),
+                             min_size=1, max_size=14)
+# groups of two: `n` passes the threshold, `x` turns fractional and `t` gains
+# `c` in the second group; `z` ties 0.0 against -0.0 across groups, either way
+# round; the second customer has one record
+LATE_CHANGES = [("1", [(1, ("1", "1", "a", "{}", "u")), (2, ("2", "2", "a", "3", ""))]),
+                ("", [(1, ("1", "", "b", "", "v"))]),
+                ("0", [(2, ("3", "0.5", "c", "{}", "")), (1, ("4", "1", "a", "", "u"))]),
+                ("0", [(3, ("5", "-2", "", "3", ""))])]
+
+
+def late_changes(first_zero: str, later_zero: str):
+    zeros = iter([first_zero, later_zero])
+    return [(label, [(day, tuple(c.format(next(zeros)) if c == "{}" else c for c in cells))
+                     for day, cells in records]) for label, records in LATE_CHANGES]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@example(customers=late_changes("0.0", "-0.0"), batch=2)
+@example(customers=late_changes("-0.0", "0.0"), batch=2)
+@given(customers=profile_customers, batch=st.integers(2, 5))
+def test_streamed_profile_equals_the_whole_table_profile_on_random_tables(tmp_path_factory,
+                                                                          customers, batch):
+    tmp = tmp_path_factory.mktemp("profile")
+    with (tmp / "t.csv").open("w", newline="") as fh:
+        rows = csv.writer(fh, lineterminator="\n")
+        rows.writerow(["customer_id", "date", *PROFILE_FEATURES, "churn"])
+        for i, (label, records) in enumerate(customers):
+            rows.writerows([f"c{i}", f"2020-01-0{day}", *cells, label] for day, cells in records)
+    config = RecognizerConfig(integer_unique_threshold=3)
+    (tmp / "run.json").write_text(json.dumps(
+        {"format": {"date_column": "date", "label_columns": ["churn"]},
+         "recognizer": {"integer_unique_threshold": 3}}))
+    want = whole_table_profile(tmp / "t.csv", config=config)
+    with mock.patch.object(cli, "EVAL_BATCH", batch), redirect_stdout(io.StringIO()):
+        code = cli.main(["profile", "--config", str(tmp / "run.json"), "--table",
+                         str(tmp / "t.csv"), "--out", str(tmp / "out")])
+    assert code == 0
+    assert profile_outputs(tmp / "out") == want
 
 
 def test_a_ragged_last_row_leaves_no_partial_output(tmp_path, capsys):
