@@ -159,12 +159,26 @@ def _worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _scored(batches, job):
-    """`job` of each `chunk_stream` chunk of `batches`, in order, run in
-    `_worker_count` forked processes (see `workers.ordered_map`); to be used
-    in a `with` block, which reaps them. The chunks only bound memory: a
-    row's result depends on its customer alone."""
-    return closing(ordered_map(job, chunk_stream(batches), _worker_count()))
+def _score_groups(args, cfg: RunConfig, groups, model: CustomerEncoder, job, finish,
+                  labeled: str | None = None):
+    """`finish(results, labels)`: `results` yields `job` of each `chunk_stream`
+    chunk of the groups' customers, in order, from `_worker_count` forked
+    processes (`workers.ordered_map`), reaped when `finish` returns. With
+    `labeled`, only the customers labeled for that task are scored, and
+    `labels` gathers their labels, afresh for each pass of `_by_groups`."""
+    def attempt(tables):
+        labels: list[int] = []
+
+        def batches():
+            for table in tables:
+                names, got = task_labels(table, labeled) if labeled else (table.customers, [])
+                labels.extend(got)
+                yield from model.encoded_chunks(table, names)
+
+        with closing(ordered_map(job, chunk_stream(batches()), _worker_count())) as results:
+            return finish(results, labels)
+
+    return _by_groups(args, cfg, groups, attempt)
 
 
 def _write_scores(args, cfg: RunConfig, groups, model: CustomerEncoder, path: Path,
@@ -172,15 +186,17 @@ def _write_scores(args, cfg: RunConfig, groups, model: CustomerEncoder, path: Pa
     """The `_csv_rows` file of `CustomerEncoder.score` of the chunks of the
     groups' customers, each chunk's text made where it is forwarded, so no
     more than one chunk's values exist at once in this process."""
-    def text(chunk) -> tuple[int, str]:
-        return _csv_rows(chunk.customers, model.score(chunk, task))
+    return _score_groups(args, cfg, groups, model,
+                         lambda chunk: _csv_rows(chunk.customers, model.score(chunk, task)),
+                         lambda texts, _: _write_text(path, header, texts))
 
-    def write(tables) -> int:
-        batches = chain.from_iterable(map(model.encoded_chunks, tables))
-        with _scored(batches, text) as texts:
-            return _write_text(path, header, texts)
 
-    return _by_groups(args, cfg, groups, write)
+def _task(args, model: CustomerEncoder) -> str:
+    """The `--task` head, or the model's first; ConfigError when it has none."""
+    task = args.task or next(iter(model.tasks), None)
+    if task is None:
+        raise ConfigError(f"model has no task heads; nothing to {args.command}")
+    return task
 
 
 def _infer_tasks(table: BigTable, names: list) -> dict[str, int]:
@@ -257,9 +273,7 @@ def cmd_embed(args, cfg: RunConfig) -> int:
 def cmd_predict(args, cfg: RunConfig) -> int:
     groups = _table_groups(args, cfg)
     model = CustomerEncoder.load(args.checkpoint)
-    task = args.task or next(iter(model.tasks), None)
-    if task is None:
-        raise ConfigError("model has no task heads; nothing to predict")
+    task = _task(args, model)
     header = [cfg.format.id_column] + [f"p_{task}_{c}" for c in range(model.classes(task))]
     out = _out_dir(args) / "predictions.csv"
     count = _write_scores(args, cfg, groups, model, out, header, task)
@@ -284,27 +298,13 @@ def cmd_interpret(args, cfg: RunConfig) -> int:
 def cmd_evaluate(args, cfg: RunConfig) -> int:
     groups = _table_groups(args, cfg)
     model = CustomerEncoder.load(args.checkpoint)
-    task = args.task or next(iter(model.tasks), None)
-    if task is None:
-        raise ConfigError("model has no task heads; nothing to evaluate")
+    task = _task(args, model)
     if model.classes(task) != 2:
         raise ConfigError(f"evaluate reports binary metrics; task {task!r} "
                           f"has {model.tasks[task]} classes")
-
-    def scored(tables) -> tuple[list[int], np.ndarray]:
-        """The labels and positive-class probabilities of the labeled customers."""
-        labels = []
-
-        def labeled():
-            for table in tables:
-                names, got = task_labels(table, task)
-                labels.extend(got.tolist())
-                yield from model.encoded_chunks(table, names)
-
-        with _scored(labeled(), lambda chunk: model.score(chunk, task)[:, 1]) as rows:
-            return labels, np.concatenate([np.zeros(0), *rows])
-
-    labels, scores = _by_groups(args, cfg, groups, scored)
+    labels, scores = _score_groups(
+        args, cfg, groups, model, lambda chunk: model.score(chunk, task)[:, 1],
+        lambda rows, labels: (labels, np.concatenate([np.zeros(0), *rows])), labeled=task)
     if not labels:
         raise ConfigError(f"table has no labels for task {task!r}")
     metrics = MetricSet.from_scores(scores, labels)

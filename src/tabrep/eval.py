@@ -93,9 +93,11 @@ class MetricSet:
                 raise ValueError(f"{name} out of [0,1]: {v}")
 
     @classmethod
-    def from_scores(cls, scores, labels, threshold: float = 0.5) -> "MetricSet":
+    def from_scores(cls, scores, labels) -> "MetricSet":
+        """The metrics of positive-class `scores`; a score of 0.5 or more
+        predicts class 1."""
         scores = np.asarray(scores, dtype=np.float64)
-        predicted = (scores >= threshold).astype(np.int64)
+        predicted = (scores >= 0.5).astype(np.int64)
         return cls(auc=roc_auc(scores, labels),
                    f_score=f_score(predicted, labels),
                    weighted_accuracy=weighted_accuracy(predicted, labels))
@@ -364,7 +366,6 @@ class BaselineConfig(Checked):
     learning_rate: float = field(default=0.05, metadata=POSITIVE)
     l2: float = field(default=1e-4, metadata=NON_NEGATIVE)
     validation_fraction: float = field(default=0.3, metadata=RATE)
-    threshold: float = field(default=0.5, metadata=PROBABILITY)
     seed: int = field(default=0, metadata=NON_NEGATIVE)
 
 
@@ -431,6 +432,5 @@ def baseline_linear(x: np.ndarray, labels: np.ndarray,
     model = LinearModel(weights=w.data[:, 0].copy(), bias=float(b.data[0]),
                         mean=mean, std=std)
     eval_idx = val_idx if len(val_idx) else train_idx
-    metrics = MetricSet.from_scores(model.scores(x[eval_idx]), labels[eval_idx],
-                                    threshold=config.threshold)
+    metrics = MetricSet.from_scores(model.scores(x[eval_idx]), labels[eval_idx])
     return model, metrics

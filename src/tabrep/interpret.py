@@ -152,28 +152,35 @@ def mask_and_delta(model: CustomerEncoder, table: BigTable, customer: str,
     return float(values[1] - values[0])
 
 
+def _by_feature(trials) -> dict[str, dict[str, list[float]]]:
+    """The deltas of (customer, feature, time, delta) `trials` by feature,
+    then by customer, in order of first appearance, each list in trial order."""
+    grouped: dict[str, dict[str, list[float]]] = {}
+    for customer, feat, _t, delta in trials:
+        grouped.setdefault(feat, {}).setdefault(customer, []).append(delta)
+    return grouped
+
+
 def sensitive_features(deltas, threshold: float) -> list[dict]:
-    """Aggregate (customer, feature, time, delta) trials into a ranking.
+    """Aggregate (customer, feature, time, delta) trials, or their
+    `_by_feature` grouping, into a ranking.
 
     Features whose mean |delta| exceeds the threshold are returned ordered
     by descending score; `sign` is the sign of the mean signed delta and
     `support` counts the customers whose own mean |delta| clears the
-    threshold too.
+    threshold too. A feature's deltas are read customer by customer: in
+    trial order when the trials come a customer at a time, as in
+    `genome_report`.
     """
-    by_feature: dict[str, list[float]] = {}
-    by_customer: dict[str, dict[str, list[float]]] = {}
-    for customer, feat, _t, delta in deltas:
-        by_feature.setdefault(feat, []).append(delta)
-        by_customer.setdefault(feat, {}).setdefault(customer, []).append(delta)
+    grouped = deltas if isinstance(deltas, dict) else _by_feature(deltas)
     out = []
-    for feat, values in by_feature.items():
-        arr = np.array(values)
+    for feat, by_customer in grouped.items():
+        arr = np.concatenate(list(by_customer.values()))
         score = float(np.abs(arr).mean())
         if score <= threshold:
             continue
         mean_delta = float(arr.mean())
-        support = sum(1 for vals in by_customer[feat].values()
-                      if np.abs(vals).mean() > threshold)
+        support = sum(1 for vals in by_customer.values() if np.abs(vals).mean() > threshold)
         out.append({"feature": feat, "score": score,
                     "sign": int(np.sign(mean_delta)), "support": support})
     out.sort(key=lambda rec: (-rec["score"], rec["feature"]))
@@ -207,8 +214,9 @@ class GenomeReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    def render_text(self, width: int = 40) -> str:
-        """Plain-text horizontal bars, one block per target."""
+    def render_text(self) -> str:
+        """Plain-text horizontal bars, one block per target, the top
+        feature's 40 characters long."""
         lines = []
         for genome in self.targets:
             lines.append(f"target {genome.target.key()}  "
@@ -218,7 +226,7 @@ class GenomeReport:
                 lines.append("  (no feature clears the threshold)")
             top = genome.features[0]["score"] if genome.features else 1.0
             for rec in genome.features:
-                bar = "#" * max(1, int(round(width * rec["score"] / top)))
+                bar = "#" * max(1, int(round(40 * rec["score"] / top)))
                 sign = "+" if rec["sign"] >= 0 else "-"
                 lines.append(f"  {rec['feature']:<16} {sign} {bar} "
                              f"{rec['score']:.6g} (support {rec['support']})")
@@ -292,18 +300,15 @@ def genome_report(model: CustomerEncoder, table: BigTable,
                 delta = 0.0 if row is None else float(values[row] - base[cid])
                 trials.append((cid, feats[fi], t, delta))
 
-        ranked = sensitive_features(trials, threshold)
-        by_customer: dict[str, dict[str, list[float]]] = {cid: {} for cid in chosen}
-        for cid, feat, _t, delta in trials:
-            by_customer[cid].setdefault(feat, []).append(delta)
-        per_customer: dict[str, list[dict]] = {}
-        for cid, per_feat in by_customer.items():
-            contribs = [{"feature": feat, "contribution": float(np.mean(vals))}
-                        for feat, vals in per_feat.items()]
+        grouped = _by_feature(trials)
+        per_customer: dict[str, list[dict]] = {cid: [] for cid in chosen}
+        for feat, by_customer in grouped.items():
+            for cid, vals in by_customer.items():
+                per_customer[cid].append({"feature": feat, "contribution": float(np.mean(vals))})
+        for contribs in per_customer.values():
             contribs.sort(key=lambda rec: (-abs(rec["contribution"]), rec["feature"]))
-            per_customer[cid] = contribs
-        genomes.append(TargetGenome(target=target, threshold=threshold,
-                                    customers=chosen, features=ranked,
+        genomes.append(TargetGenome(target=target, threshold=threshold, customers=chosen,
+                                    features=sensitive_features(grouped, threshold),
                                     per_customer=per_customer))
     return GenomeReport(seed=config.seed, mask_samples=config.mask_samples,
                         targets=genomes)

@@ -139,11 +139,6 @@ class ForwardResult:
     branch_stats: dict = field(default_factory=dict)
 
 
-def eval_chunks(n: int) -> list[slice]:
-    """Consecutive slices of EVAL_BATCH of `n` rows, the last one shorter."""
-    return [slice(lo, min(lo + EVAL_BATCH, n)) for lo in range(0, n, EVAL_BATCH)]
-
-
 def chunk_stream(batches: Iterable[Batch]) -> Iterator[Batch]:
     """The rows of `batches` in order, in chunks of EVAL_BATCH rows and a
     shorter last one. Each full chunk is emitted as soon as its rows have
@@ -421,15 +416,13 @@ class CustomerEncoder:
 
     # ---- inference ------------------------------------------------------
 
-    def forward_stream(self, batches: Iterable[Batch], task: str | None = None) -> np.ndarray:
-        """`score` of the rows of `batches`, in order, as one [n, width] array,
-        forwarded a `chunk_stream` chunk at a time: evaluation-mode
-        representations, or with `task` its class probabilities. The task is
-        checked at the call. Beyond the input, about one chunk's activations
-        and the rows so far are alive; a row depends on that row alone."""
-        width = self.config.rep_width if task is None else self.classes(task)
-        return np.concatenate([np.zeros((0, width)),
-                               *(self.score(chunk, task) for chunk in chunk_stream(batches))])
+    def forward_stream(self, batches: Iterable[Batch]) -> np.ndarray:
+        """The evaluation-mode representations of the rows of `batches`, in
+        order, as one [n, rep_width] array, forwarded a `chunk_stream` chunk
+        at a time. Beyond the input, about one chunk's activations and the
+        rows so far are alive; a row depends on that row alone."""
+        return np.concatenate([np.zeros((0, self.config.rep_width)),
+                               *(self.score(chunk) for chunk in chunk_stream(batches))])
 
     def class_proba(self, rep: np.ndarray, task: str) -> np.ndarray:
         """Class probabilities of `task` for the representation rows `rep`,
@@ -454,19 +447,20 @@ class CustomerEncoder:
 
     def predict_proba(self, table: BigTable, task: str,
                       customers=None) -> tuple[list[str], np.ndarray]:
-        """The class probabilities of `task`, one row per customer of
-        `customers` of `table` (default: all), in that order."""
-        names = list(table.customers if customers is None else customers)
-        return names, self.forward_stream(self.encoded_chunks(table, names), task)
+        """`class_proba` of `task` of `represent`: the class probabilities,
+        one row per customer of `customers` of `table` (default: all), in
+        that order. The task is checked at the call."""
+        self.classes(task)
+        names, reps = self.represent(table, customers)
+        return names, self.class_proba(reps, task)
 
-    def encoded_chunks(self, table: BigTable, customers=None) -> Iterator[Batch]:
-        """`encode_table` of `customers` of `table` (default: all),
-        EVAL_BATCH customers at a time, each encoded when it is asked for.
-        The schema is checked at the call."""
+    def encoded_chunks(self, table: BigTable, customers: list[str]) -> Iterator[Batch]:
+        """`encode_table` of the `customers` of `table`, EVAL_BATCH at a
+        time, each encoded when it is asked for. The schema is checked at
+        the call."""
         check_schema(table, self.schema)
-        names = list(table.customers if customers is None else customers)
-        return (encode_table(table, self.schema, self.layout, names[lo:lo + EVAL_BATCH])
-                for lo in range(0, len(names), EVAL_BATCH))
+        return (encode_table(table, self.schema, self.layout, customers[lo:lo + EVAL_BATCH])
+                for lo in range(0, len(customers), EVAL_BATCH))
 
     # ---- training -------------------------------------------------------
 
@@ -585,10 +579,11 @@ class CustomerEncoder:
                           "halt_histogram": {k: v.tolist() for k, v in halting.items()}}
                 if len(val_idx):
                     # only each chunk's loss and class probabilities outlive it
-                    total, count = 0.0, 0
+                    total, count, done = 0.0, 0, 0
                     probas: dict[str, list[np.ndarray]] = {task: [] for task in auc_tasks}
-                    for rows in eval_chunks(len(val_idx)):
-                        out, idx = self.forward(validation[rows], train=False), val_idx[rows]
+                    for chunk in chunk_stream([validation]):
+                        out = self.forward(chunk, train=False)
+                        idx, done = val_idx[done:done + chunk.size], done + chunk.size
                         if has_term(idx):
                             total += float(loss_of(out, idx).data) * len(idx)
                             count += len(idx)

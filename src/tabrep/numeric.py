@@ -22,6 +22,7 @@ from .errors import (NonFiniteGradientError, NonScalarLossError, NotRecordingErr
                      ShapeMismatchError)
 
 LAYER_NORM_EPS = 1e-5
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8    # moment decays, denominator offset
 
 # Large finite stand-in for -inf in masked softmax scores; exp() of the
 # shifted value underflows to exactly 0.0, so masked entries cannot leak.
@@ -360,7 +361,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _node(y, (a,), lambda g, _: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
 
 
-def layer_norm(a, axis: int = -1, epsilon: float = LAYER_NORM_EPS, residual=None) -> Tensor:
+def layer_norm(a, axis: int = -1, residual=None) -> Tensor:
     """Normalize to zero mean / unit variance along `axis` (no affine). With
     an equal-shape `residual`, normalize `a + residual` as one op; both
     operands get the gradient of the sum."""
@@ -372,7 +373,7 @@ def layer_norm(a, axis: int = -1, epsilon: float = LAYER_NORM_EPS, residual=None
     # `y` is one fresh buffer, centered and then scaled in place
     y = z - mean if residual is None else np.subtract(z, mean, out=z)
     var = (y * y).mean(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + epsilon)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     y *= inv
 
     def grads(g, live):
@@ -641,8 +642,8 @@ def glorot_init(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def embedding_init(rng: np.random.Generator, shape, scale: float = 0.02) -> np.ndarray:
-    return rng.normal(0.0, scale, size=shape)
+def embedding_init(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.normal(0.0, 0.02, size=shape)
 
 
 def zeros_init(_rng, shape) -> np.ndarray:
@@ -657,13 +658,9 @@ def zeros_param(shape, name: str) -> Parameter:
 class Adam:
     """Adaptive-moment optimizer; deterministic given parameter order."""
 
-    def __init__(self, params: list[Parameter], lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, params: list[Parameter], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -680,17 +677,17 @@ class Adam:
             if p.grad is not None and not np.isfinite(p.grad).all():
                 raise NonFiniteGradientError(p.name or "<unnamed>")
         t = self.t + 1
-        b1t = 1.0 - self.beta1 ** t
-        b2t = 1.0 - self.beta2 ** t
+        b1t = 1.0 - ADAM_BETA1 ** t
+        b2t = 1.0 - ADAM_BETA2 ** t
         updates = []
         for i, p in enumerate(self.params):
             g = p.grad
             if g is None:
                 continue
             with np.errstate(over="ignore", invalid="ignore"):    # an overflow fails the check
-                m = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-                v = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
-                data = p.data - self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.epsilon)
+                m = ADAM_BETA1 * self._m[i] + (1.0 - ADAM_BETA1) * g
+                v = ADAM_BETA2 * self._v[i] + (1.0 - ADAM_BETA2) * (g * g)
+                data = p.data - self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
             if not (np.isfinite(data).all() and np.isfinite(v).all()):
                 raise NonFiniteGradientError(p.name or "<unnamed>")
             updates.append((i, p, m, v, data))

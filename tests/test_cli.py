@@ -711,6 +711,21 @@ def test_unedited_malformed_row_files_are_accepted(tmp_path, capsys, stage, file
     assert not capsys.readouterr().err
 
 
+def without_task_heads(payload):
+    payload["tasks"] = {}
+    payload["params"] = {k: v for k, v in payload["params"].items() if not k.startswith("task.")}
+
+
+@pytest.mark.parametrize("stage", ["predict", "evaluate"])
+def test_a_model_without_task_heads_has_nothing_to_score(tmp_path, capsys, stage):
+    files = {"m.json": checkpoint_file(without_task_heads)}
+    assert run_on_files(tmp_path, stage, {}, files) == EXIT_CODES[stage]
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["code"] == "config-error"
+    assert error["message"] == f"model has no task heads; nothing to {stage}"
+    assert run_on_files(tmp_path, "embed", {}, files) == 0
+
+
 @pytest.mark.parametrize("token", ["", "na", "7", "2020-01-01", " x "])
 def test_signal_token_that_does_not_load_back_as_itself_ends_in_config_error(tmp_path, capsys,
                                                                              token):

@@ -36,8 +36,7 @@ from tabrep.cli import EXIT_CODES, _csv_rows, _write_scores, _write_text
 from tabrep.encode import encode_table
 from tabrep.errors import TabrepError
 from tabrep.eval import MetricSet, SynthConfig, synth_generate
-from tabrep.model import (EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig, chunk_stream,
-                          eval_chunks)
+from tabrep.model import EVAL_BATCH, CustomerEncoder, ModelConfig, TrainConfig, chunk_stream
 from tabrep.prep import RecognizerConfig, build_schema
 from tabrep.table import (BigTable, TableFormat, compute_stats, load_table, order_records,
                           save_table)
@@ -56,11 +55,12 @@ def scored():
 def test_each_chunk_encodes_as_its_rows_of_the_whole_table(scored):
     model, table = scored
     whole = encode_table(table, model.schema, model.layout)
-    names = list(table.customers)
-    for rows in eval_chunks(len(names)):
-        chunk = encode_table(table, model.schema, model.layout, names[rows])
-        assert chunk.customers == whole[rows].customers
-        assert same_encoding(chunk, whole[rows])
+    chunks = list(chunk_stream([whole]))
+    assert sum((c.customers for c in chunks), []) == whole.customers
+    for want in chunks:
+        chunk = encode_table(table, model.schema, model.layout, want.customers)
+        assert chunk.customers == want.customers
+        assert same_encoding(chunk, want)
 
 
 @pytest.mark.parametrize("sizes", [
