@@ -246,7 +246,9 @@ def transformer_step(e: Tensor, step: int, params: TransformerParams, config: Mo
         drawn = (mask.padded + e.shape[-1:], mask.key)
         mask = mask.segment
     x = e + Tensor(coords)
-    # rebinding `x` lets the input and the attention output die at the first norm
+    # rebinding `x` lets the attention output die at the first norm, and the
+    # input too outside `recording()`; in training the tape keeps only the
+    # input, which attention's backward reads
     x = numeric.layer_norm(x, residual=numeric.dropout(mhsa(x, params, config, mask),
                                                        config.dropout, train, rng, drawn))
     ts = numeric.mlp(x, params.ts_w1, params.ts_b1, params.ts_w2, params.ts_b2)
@@ -298,7 +300,7 @@ def act_run(e0: Tensor, params: TransformerParams, config: ModelConfig,
     halted = ~filled                      # empty slots never halt or count
     halt_steps = np.zeros(filled.shape, dtype=np.int64)
     e_t = numeric.take(e0, packing.key, distinct=True)     # [rows, n_s, n_e]
-    del e0                                # the first step's input dies with that step
+    del e0                                # the padded input dies here, in training too
     final = Tensor(np.zeros(e_t.shape))
     probs: list[Tensor] = []              # [rows, n_s, 1] halting probability per step
 

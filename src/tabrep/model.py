@@ -353,7 +353,8 @@ class CustomerEncoder:
         b = batch.size
         zeros = lambda: Tensor(np.zeros((b, d)))
 
-        # each branch's per-feature embeddings die as soon as their max is taken
+        # each branch's per-feature embeddings die as soon as their max is
+        # taken, in training too: the max's backward reads only its argmax
         if self.layout.cs_features:
             v_cs = max_concat(categorical_embed(batch.cs_ids, self.static_cat), axis=-2)
         else:
@@ -366,7 +367,8 @@ class CustomerEncoder:
 
         # the [b, n_s, d] step embeddings go straight into `act_run`, and each
         # branch's halted states die with its vector: no activation of the
-        # categorical branch is alive while the numerical one runs
+        # categorical branch is alive while the numerical one runs, except,
+        # in training, the arrays the tape keeps for its backward
         ponder = None
         stats = {}
         dynamic = []

@@ -4,7 +4,11 @@ All learned layers in the package are expressed through the ops below. Ops
 run eagerly; only inside `recording()` do they go on a tape, which keeps
 input-dependent depth (adaptive halting) trivial to support. Everything runs
 in float64 so gradients can be verified against central finite differences.
-`backward` frees each node's gradient and saved arrays as it passes them, so
+The tape holds one small slot per op: the gradient of its output, its backward
+function, and its output's shape and layout, not the output's data. A backward
+function holds only the arrays and shapes it reads, never an operand, so an
+output that no backward reads dies as soon as the forward code drops it.
+`backward` frees each slot's gradient and saved arrays as it passes them, so
 only leaves keep `.grad` and training memory peaks at one step's forward tape.
 Attention scales, masks and normalizes its score array in place, so its
 softmax needs no second [b, heads, n, n] array.
@@ -33,7 +37,7 @@ NEG_MASK_VALUE = 1e30
 # 2.1-4.3x on rows of 64; on 64 rows it broke even at 4 (a few µs either way).
 ROW_MAX_CHAIN = 16
 
-_tape: list | None = None  # nodes since the last `backward`; None outside `recording()`
+_tape: list | None = None  # slots since the last `backward`; None outside `recording()`
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
@@ -42,21 +46,90 @@ def substream(seed: int, name: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(key,))))
 
 
-class Tensor:
+def _layout(data: np.ndarray):
+    """`data`'s shape and the axis order, outermost first, of the array
+    `np.empty_like(data)` makes: None for C order. Otherwise its axes are
+    sorted by stride, largest first, as numpy sorts them."""
+    if data.flags.c_contiguous:
+        return data.shape, None
+    if data.flags.f_contiguous:
+        return data.shape, tuple(range(data.ndim))[::-1]
+    return data.shape, tuple(sorted(range(data.ndim), key=lambda i: (-abs(data.strides[i]), i)))
+
+
+def _blank(shape, perm) -> np.ndarray:
+    """An uninitialized float64 array of `shape` in the axis order `perm`."""
+    if perm is None:
+        return np.empty(shape)
+    return np.empty([shape[i] for i in perm]).transpose(np.argsort(perm))
+
+
+def _owned_c(g, shape) -> bool:
+    """Whether `g` is a writeable float64 array of `shape` that owns its
+    memory and lays it out in C order, as `_blank(shape, None)` does."""
+    if not (isinstance(g, np.ndarray) and g.shape == shape and g.dtype == np.float64
+            and g.flags.owndata and g.flags.writeable):
+        return False
+    step, strides = g.itemsize, []
+    for n in reversed(shape):
+        strides.append(step)
+        step *= n or 1
+    return g.strides == tuple(reversed(strides))
+
+
+class _Gradient:
+    """Where `backward` sums a gradient: a leaf `Tensor`, or the slot of an
+    op's output on the tape."""
+
+    __slots__ = ("grad",)
+
+    def accumulate(self, g: np.ndarray, adopt: bool = False) -> None:
+        """Add the share `g`. The first share is copied into a fresh array
+        in the layout of this gradient's data, which keeps the later BLAS
+        calls and their rounding (`g` may be a read-only view). `adopt` is
+        the caller's word that nothing else holds `g`; then a share that
+        already is such an array, and owns its memory, is kept instead."""
+        if self.grad is not None:
+            self.grad += g
+            return
+        shape, perm = self._layout()
+        if adopt and perm is None and _owned_c(g, shape):
+            self.grad = g
+        else:
+            self.grad = _blank(shape, perm)
+            self.grad[...] = g
+
+
+class _Slot(_Gradient):
+    """An op's output on the tape: its gradient, its backward function, and
+    the shape and layout of its data, but not the data."""
+
+    __slots__ = ("backward_fn", "shape", "perm")
+
+    def __init__(self, data: np.ndarray, backward_fn):
+        self.grad = None
+        self.backward_fn = backward_fn
+        self.shape, self.perm = _layout(data)
+
+    def _layout(self):
+        return self.shape, self.perm
+
+
+class Tensor(_Gradient):
     """N-dimensional float64 array node in the differentiation graph.
 
-    Ops build their nodes through `_node`; a tensor built directly is a
-    leaf, with no backward function. `grad` is the gradient `backward`
-    accumulated into a leaf (a parameter or a tensor built directly); the
-    sweep clears it on every node it passes, so a node keeps none."""
+    Ops build their outputs through `_node`; a tensor built directly is a
+    leaf, with no slot. `grad` is the gradient `backward` accumulated into
+    a leaf (a parameter or a tensor built directly); an op's output sums its
+    gradient in its slot, which the sweep clears, so it keeps none."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward_fn", "name")
+    __slots__ = ("data", "requires_grad", "_slot", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._backward_fn = None
+        self._slot: _Slot | None = None
         self.name = name
 
     @property
@@ -67,14 +140,18 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # a copy in this tensor's memory layout, which keeps the later
-            # BLAS calls and their rounding; `g` may be a read-only view
-            self.grad = np.empty_like(self.data)
-            self.grad[...] = g
-        else:
-            self.grad += g
+    def _layout(self):
+        return _layout(self.data)
+
+    @property
+    def _backward_fn(self):
+        """The backward function of this op output's slot; None on a leaf.
+        Settable, so that perfbench can wrap it in a timer."""
+        return None if self._slot is None else self._slot.backward_fn
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn) -> None:
+        self._slot.backward_fn = fn
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -131,28 +208,37 @@ def recording():
         _tape = outer
 
 
+def _gradient_of(t: Tensor) -> _Gradient:
+    """Where `t`'s gradient is summed: its slot, or `t` itself if it is a leaf."""
+    return t if t._slot is None else t._slot
+
+
 def _node(data, parents, grads) -> Tensor:
     """One op: its value `data`, its operands `parents` and `grads(g, live)`,
     which maps the output gradient `g` to one share per parent, in order.
     `live[i]` is true when parent i requires a gradient; `grads` computes
     what the shares have in common once and gives a parent that is not live
-    no work and None. Only inside `recording()`, and only if a parent is
-    live, does the node get a backward function and go on the tape;
-    otherwise it is a plain leaf."""
+    no work and None. `grads` holds the arrays and shapes it reads, never a
+    parent. Only inside `recording()`, and only if a parent is live, does
+    the output get a slot on the tape; otherwise it is a plain leaf."""
     out = Tensor(data)
     if _tape is None:
         return out
     live = tuple(p.requires_grad for p in parents)
-    if any(live):
-        out.requires_grad = True
-        _tape.append(out)
+    if not any(live):
+        return out
+    targets = tuple(_gradient_of(p) if need else None for p, need in zip(parents, live))
 
-        def backward_fn(g):
-            for parent, share in zip(parents, grads(g, live)):
-                if share is not None:
-                    parent.accumulate(share)
+    def backward_fn(g):
+        shares = grads(g, live)
+        for i, (target, share) in enumerate(zip(targets, shares)):
+            if share is not None:
+                # a share given to two parents is copied by the second
+                target.accumulate(share, adopt=not any(share is s for s in shares[:i]))
 
-        out._backward_fn = backward_fn
+    out.requires_grad = True
+    out._slot = _Slot(data, backward_fn)
+    _tape.append(out._slot)
     return out
 
 
@@ -175,9 +261,10 @@ def add(a, b) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise ShapeMismatchError("add", a.shape, b.shape) from None
+    sa, sb = a.shape, b.shape
     return _node(data, (a, b), lambda g, live: (
-        _unbroadcast(g, a.shape) if live[0] else None,
-        _unbroadcast(g, b.shape) if live[1] else None))
+        _unbroadcast(g, sa) if live[0] else None,
+        _unbroadcast(g, sb) if live[1] else None))
 
 
 def sub(a, b) -> Tensor:
@@ -186,9 +273,10 @@ def sub(a, b) -> Tensor:
         data = a.data - b.data
     except ValueError:
         raise ShapeMismatchError("sub", a.shape, b.shape) from None
+    sa, sb = a.shape, b.shape
     return _node(data, (a, b), lambda g, live: (
-        _unbroadcast(g, a.shape) if live[0] else None,
-        _unbroadcast(-g, b.shape) if live[1] else None))
+        _unbroadcast(g, sa) if live[0] else None,
+        _unbroadcast(-g, sb) if live[1] else None))
 
 
 def mul(a, b) -> Tensor:
@@ -197,9 +285,12 @@ def mul(a, b) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise ShapeMismatchError("mul", a.shape, b.shape) from None
+    # each share reads the other operand's data
+    sa, sb = a.shape, b.shape
+    x, y = (a.data if b.requires_grad else None), (b.data if a.requires_grad else None)
     return _node(data, (a, b), lambda g, live: (
-        _unbroadcast(g * b.data, a.shape) if live[0] else None,
-        _unbroadcast(g * a.data, b.shape) if live[1] else None))
+        _unbroadcast(g * y, sa) if live[0] else None,
+        _unbroadcast(g * x, sb) if live[1] else None))
 
 
 def _swap_last(x: np.ndarray) -> np.ndarray:
@@ -218,23 +309,28 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError("matmul", a.shape, b.shape)
+    # each share reads the other operand's data
+    sa, sb = a.shape, b.shape
+    y = b.data if a.requires_grad else None
     if b.ndim == 2:
         a2 = _rows(a.data)
-        data = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+        data = (a2 @ b.data).reshape(sa[:-1] + sb[1:])
+        x2 = a2 if b.requires_grad else None
 
         def grads(g, live):
             g2 = _rows(g)
-            return ((g2 @ b.data.T).reshape(a.shape) if live[0] else None,
-                    a2.T @ g2 if live[1] else None)
+            return ((g2 @ y.T).reshape(sa) if live[0] else None,
+                    x2.T @ g2 if live[1] else None)
 
         return _node(data, (a, b), grads)
     try:
         data = np.matmul(a.data, b.data)
     except ValueError:
         raise ShapeMismatchError("matmul", a.shape, b.shape) from None
+    x = a.data if b.requires_grad else None
     return _node(data, (a, b), lambda g, live: (
-        _unbroadcast(np.matmul(g, _swap_last(b.data)), a.shape) if live[0] else None,
-        _unbroadcast(np.matmul(_swap_last(a.data), g), b.shape) if live[1] else None))
+        _unbroadcast(np.matmul(g, _swap_last(y)), sa) if live[0] else None,
+        _unbroadcast(np.matmul(_swap_last(x), g), sb) if live[1] else None))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -255,11 +351,21 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def take(a, key, distinct: bool = False) -> Tensor:
     """Slicing / advanced indexing; gradients scatter-add back into `a`, or
-    are written there when the positions `key` picks are `distinct`."""
+    are written there when the positions `key` picks are `distinct`. Rows
+    of a 2-D table picked by an integer array (an embedding lookup) sum
+    their gradient with one `np.bincount`, which adds in input order from
+    0.0, as `np.add.at` does."""
     a = as_tensor(a)
+    shape = a.shape
+    lookup = not distinct and a.ndim == 2 and isinstance(key, np.ndarray) and key.dtype.kind in "iu"
 
     def scatter(g, _live):
-        share = np.zeros_like(a.data)
+        if lookup:
+            rows, d = shape
+            cells = (key % rows)[..., None] * d + np.arange(d)
+            return (np.bincount(cells.ravel(), weights=g.ravel(),
+                                minlength=rows * d).reshape(shape),)
+        share = np.zeros(shape)
         if distinct:
             share[key] = g
         else:
@@ -280,7 +386,8 @@ def place(a, key, shape) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    return _node(a.data.reshape(shape), (a,), lambda g, _: (g.reshape(a.shape),))
+    sa = a.shape
+    return _node(a.data.reshape(shape), (a,), lambda g, _: (g.reshape(sa),))
 
 
 def transpose(a, axes=None) -> Tensor:
@@ -291,7 +398,8 @@ def transpose(a, axes=None) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    return _node(np.maximum(a.data, 0.0), (a,), lambda g, _: (g * (a.data > 0),))
+    x = a.data
+    return _node(np.maximum(x, 0.0), (a,), lambda g, _: (g * (x > 0),))
 
 
 def sigmoid(a) -> Tensor:
@@ -309,7 +417,8 @@ def exp(a) -> Tensor:
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    return _node(np.log(a.data), (a,), lambda g, _: (g / a.data,))
+    x = a.data
+    return _node(np.log(x), (a,), lambda g, _: (g / x,))
 
 
 def _chain(op, x: np.ndarray, axis: int) -> np.ndarray:
@@ -332,11 +441,26 @@ def row_max(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return _chain(np.maximum, x, axis)
 
 
-def _first_max(x: np.ndarray, axis: int) -> np.ndarray:
+def _first_max(x: np.ndarray, axis: int, index: bool = False):
     """`row_max`'s chain, keeping the first of equal values (0.0 and -0.0)
     as `np.argmax` picks it: `np.maximum` returns its second operand on a
-    tie, and here that is the running max."""
-    return _chain(lambda run, nxt, out: np.maximum(nxt, run, out=out), x, axis)
+    tie, and here that is the running max. Returns the max (`axis` kept
+    with size 1) and, with `index`, the position along `axis` that
+    `np.argmax` gives, else None: a later slice takes it only when it is
+    greater, or is the first NaN."""
+    at = (slice(None),) * axis
+    run = x[at + (slice(0, 1),)].copy()
+    idx = np.zeros(run.shape, dtype=np.intp) if index else None
+    for i in range(1, x.shape[axis]):
+        nxt = x[at + (slice(i, i + 1),)]
+        if index:
+            # not (nxt <= run) is nxt > run or nxt NaN; a NaN run keeps its place
+            wins = np.less_equal(nxt, run)
+            np.logical_not(wins, out=wins)
+            wins &= run == run
+            np.copyto(idx, i, where=wins)
+        np.maximum(nxt, run, out=run)
+    return run, idx
 
 
 def row_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -379,7 +503,9 @@ def layer_norm(a, axis: int = -1, residual=None) -> Tensor:
     def grads(g, live):
         gm = g.mean(axis=axis, keepdims=True)
         gy = (g * y).mean(axis=axis, keepdims=True)
-        share = inv * (g - gm - y * gy)
+        share = g - gm                  # inv * (g - gm - y * gy), in one buffer
+        share -= y * gy
+        share *= inv
         return [share if need else None for need in live]
 
     return _node(y, parents, grads)
@@ -389,7 +515,7 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
     """Two-layer ReLU network `relu(x @ w1 + b1) @ w2 + b2` over the last
     axis of `x` [..., k], as one op on flat GEMMs."""
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
-    x2 = _rows(x.data)
+    x2, sx, w1d, w2d = _rows(x.data), x.shape, w1.data, w2.data
     try:
         hidden = x2 @ w1.data
         hidden += b1.data
@@ -405,14 +531,14 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
         d_b2 = g2.sum(axis=0) if live[4] else None
         if not any(live[:3]):
             return None, None, None, d_w2, d_b2
-        d_pre = g2 @ w2.data.T
+        d_pre = g2 @ w2d.T
         d_pre *= hidden > 0
-        return ((d_pre @ w1.data.T).reshape(x.shape) if live[0] else None,
+        return ((d_pre @ w1d.T).reshape(sx) if live[0] else None,
                 x2.T @ d_pre if live[1] else None,
                 d_pre.sum(axis=0) if live[2] else None,
                 d_w2, d_b2)
 
-    return _node(out.reshape(x.shape[:-1] + out.shape[1:]), (x, w1, b1, w2, b2), grads)
+    return _node(out.reshape(sx[:-1] + out.shape[1:]), (x, w1, b1, w2, b2), grads)
 
 
 def _heads(m: np.ndarray, b: int, n: int, heads: int) -> np.ndarray:
@@ -466,7 +592,7 @@ def self_attention(x, wq, wk, wv, wo, heads: int, mask: np.ndarray | None = None
     segments packed into one row do not see each other."""
     x, wq, wk, wv, wo = (as_tensor(t) for t in (x, wq, wk, wv, wo))
     b, n, e = x.shape
-    w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+    w_qkv, w_o = np.concatenate([wq.data, wk.data, wv.data], axis=1), wo.data
     x2, q, k, v, scale, weights = _attention_kernel(x.data, w_qkv, heads, mask)
     mixed = np.matmul(weights, v).transpose(0, 2, 1, 3).reshape(b * n, e)
 
@@ -475,18 +601,26 @@ def self_attention(x, wq, wk, wv, wo, heads: int, mask: np.ndarray | None = None
         d_wo = mixed.T @ g2 if live[4] else None
         if not any(live[:4]):
             return None, None, None, None, d_wo
-        d_mixed = _heads(g2 @ wo.data.T, b, n, heads)
-        d_weights = np.matmul(d_mixed, _swap_last(v))
-        d_scores = weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True)) * scale
-        d_qkv = np.stack([np.matmul(d_scores, k), np.matmul(_swap_last(d_scores), q),
-                          np.matmul(_swap_last(weights), d_mixed)])
-        d_qkv = d_qkv.transpose(1, 3, 0, 2, 4).reshape(b * n, 3 * e)
+        d_mixed = _heads(g2 @ w_o.T, b, n, heads)
+        # the weights' gradient, turned into the scores' gradient in place
+        d_scores = np.matmul(d_mixed, _swap_last(v))
+        d_scores -= (d_scores * weights).sum(axis=-1, keepdims=True)
+        d_scores *= weights
+        d_scores *= scale
+        # the Q, K and V gradients go straight into their [b*n, 3e] columns
+        d_qkv = np.empty((b, n, 3, heads, e // heads))
+        d_q, d_k, d_v = d_qkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(d_scores, k, out=d_q)
+        np.matmul(_swap_last(d_scores), q, out=d_k)
+        np.matmul(_swap_last(weights), d_mixed, out=d_v)
+        del d_mixed, d_scores                 # freed before the last two products
+        d_qkv = d_qkv.reshape(b * n, 3 * e)
         d_w = x2.T @ d_qkv if any(live[1:4]) else None
         return ((d_qkv @ w_qkv.T).reshape(b, n, e) if live[0] else None,
                 *(d_w[:, i * e:(i + 1) * e] if live[1 + i] else None for i in range(3)),
                 d_wo)
 
-    return _node((mixed @ wo.data).reshape(b, n, e), (x, wq, wk, wv, wo), grads)
+    return _node((mixed @ w_o).reshape(b, n, e), (x, wq, wk, wv, wo), grads)
 
 
 def softmax_cross_entropy(logits, labels: np.ndarray, weights: np.ndarray) -> Tensor:
@@ -534,50 +668,51 @@ def _norm_axes(axis, ndim: int):
     return tuple(ax % ndim for ax in axis)
 
 
-def _spread(g: np.ndarray, a: Tensor, axes, keepdims: bool) -> np.ndarray:
-    """A reduction's output gradient broadcast back over `a`'s shape."""
-    return np.broadcast_to(g if keepdims else np.expand_dims(g, axes), a.shape)
+def _spread(g: np.ndarray, shape, axes, keepdims: bool) -> np.ndarray:
+    """A reduction's output gradient broadcast back over its input's `shape`."""
+    return np.broadcast_to(g if keepdims else np.expand_dims(g, axes), shape)
 
 
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    axes = _norm_axes(axis, a.ndim)
+    shape, axes = a.shape, _norm_axes(axis, a.ndim)
     return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,),
-                 lambda g, _: (_spread(g, a, axes, keepdims),))
+                 lambda g, _: (_spread(g, shape, axes, keepdims),))
 
 
 def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    axes = _norm_axes(axis, a.ndim)
-    count = int(np.prod([a.shape[ax] for ax in axes]))
+    shape, axes = a.shape, _norm_axes(axis, a.ndim)
+    count = int(np.prod([shape[ax] for ax in axes]))
     return _node(a.data.mean(axis=axis, keepdims=keepdims), (a,),
-                 lambda g, _: (_spread(g, a, axes, keepdims) / count,))
+                 lambda g, _: (_spread(g, shape, axes, keepdims) / count,))
 
 
 def _argmax_node(a: Tensor, values: np.ndarray, axis: int, keepdims: bool,
                  valid: np.ndarray | None = None) -> Tensor:
     """Max of `values` (`a`'s data or a masked copy) along `axis`; each
     slice's gradient routes to its first argmax. Slices where `valid` is
-    false read exactly 0.0 and route no gradient. Outside `recording()`
-    there is nothing to route, and slices up to ROW_MAX_CHAIN long take the
-    same max by `_first_max`, with no index built."""
-    if _tape is None and values.shape[axis] <= ROW_MAX_CHAIN:
-        y = _first_max(values, axis)
-        y = y if valid is None else np.where(valid, y, 0.0)
-        return Tensor(y if keepdims else np.squeeze(y, axis=axis))
-    idx = np.expand_dims(np.argmax(values, axis=axis), axis)
-    y = np.take_along_axis(values, idx, axis=axis)
+    false read exactly 0.0 and route no gradient. Slices up to
+    ROW_MAX_CHAIN long take the max by `_first_max`, which builds the
+    argmax only when there is a gradient to route."""
+    n, routed = values.shape[axis], _tape is not None and a.requires_grad
+    if n <= ROW_MAX_CHAIN:
+        y, idx = _first_max(values, axis, index=routed)
+    else:
+        idx = np.expand_dims(np.argmax(values, axis=axis), axis)
+        y = np.take_along_axis(values, idx, axis=axis)
     if valid is not None:
         y = np.where(valid, y, 0.0)
+    if not routed:
+        return Tensor(y if keepdims else np.squeeze(y, axis=axis))
+    at = np.arange(n).reshape((n,) + (1,) * (values.ndim - axis - 1)) == idx
 
     def route(g, _live):
         if not keepdims:
             g = np.expand_dims(g, axis)
         if valid is not None:
             g = np.where(valid, g, 0.0)
-        share = np.zeros_like(a.data)
-        np.put_along_axis(share, idx, g, axis=axis)
-        return (share,)
+        return (np.where(at, g, 0.0),)
 
     return _node(y if keepdims else np.squeeze(y, axis=axis), (a,), route)
 
@@ -611,13 +746,13 @@ def backward(loss: Tensor) -> None:
         raise NonScalarLossError(f"loss has shape {loss.shape}; expected a scalar")
     if _tape is None:
         raise NotRecordingError("backward needs the loss computed inside numeric.recording()")
-    loss.accumulate(np.ones_like(loss.data))
+    _gradient_of(loss).accumulate(np.ones_like(loss.data))
     while _tape:
-        # off the tape and out of the node before the call, so the node's
+        # off the tape and out of the slot before the call, so the slot's
         # gradient and the arrays its backward function saved die with it
-        node = _tape.pop()
-        g, fn = node.grad, node._backward_fn
-        node.grad = node._backward_fn = None
+        slot = _tape.pop()
+        g, fn = slot.grad, slot.backward_fn
+        slot.grad = slot.backward_fn = None
         if g is not None:
             fn(g)
 

@@ -212,12 +212,12 @@ def stage_modules(argv: list[str]) -> set[str]:
 
 
 def reference_backward(loss, tape) -> None:
-    """The reverse sweep that frees nothing: every node of `tape` keeps its
+    """The reverse sweep that frees nothing: every slot of `tape` keeps its
     gradient and backward function, which `numeric.backward` must match."""
-    loss.accumulate(np.ones_like(loss.data))
-    for node in reversed(tape):
-        if node.grad is not None:
-            node._backward_fn(node.grad)
+    loss._slot.accumulate(np.ones_like(loss.data))
+    for slot in reversed(tape):
+        if slot.grad is not None:
+            slot.backward_fn(slot.grad)
 
 
 def padded_act_run(e0, params, config, mask=None, train=False, rng=None):

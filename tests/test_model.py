@@ -271,10 +271,32 @@ def test_training_step_tape_is_bounded_and_each_fused_op_adds_one_node(schema, m
     assert {name: set(n) for name, n in added.items()} == {name: {1} for name in FUSED_OPS}
 
 
+# The traced size of that step's tape after its forward: the slots and the
+# arrays their backward functions read. Holding every op's output and its
+# operands made it 11.2 MB.
+TAPE_BYTES = 8e6
+
+
+def test_training_forward_tape_holds_only_what_its_backward_reads():
+    table = synth_generate(SynthConfig(n_customers=64, seed=3))
+    model = CustomerEncoder(build_schema(table), ModelConfig(), tasks={"churn": 2})
+    batch = model.encode_table(table)
+
+    def forward():
+        before = tracemalloc.get_traced_memory()[0]
+        loss = training_loss(model, table, batch, numeric.substream(0, "dropout"))[1]
+        return tracemalloc.get_traced_memory()[0] - before, loss
+
+    with numeric.recording():
+        (tape_bytes, loss), _ = traced_peak(forward)
+        numeric.backward(loss)
+    assert 0 < tape_bytes <= TAPE_BYTES, tape_bytes
+
+
 # What the sweep holds beyond the tape, as a share of the tape's traced size.
-# Keeping every node's gradient and backward function until the sweep ended
-# took 59 % for this step (9.9 of 16.6 MB); popping each node as it is passed
-# takes 0.2-1 %.
+# Keeping every slot's gradient and backward function until the sweep ended
+# takes about 100 % for this step (of 6.0 MB); popping each slot as it is
+# passed takes 4.8 %, the transient arrays of the last transition's backward.
 SWEEP_PEAK_SHARE = 0.05
 
 
@@ -299,9 +321,9 @@ def test_backward_frees_each_node_it_passes():
         return traced_peak(lambda: numeric.backward(loss))[1]
 
     def backward_keeping_nodes(loss):
-        nodes = list(numeric._tape)
+        slots = list(numeric._tape)
         numeric.backward(loss)
-        return nodes
+        return slots
 
     def reference_sweep(loss):
         tape = list(numeric._tape)
@@ -310,8 +332,8 @@ def test_backward_frees_each_node_it_passes():
 
     (tape_bytes, peak, grads), _ = traced_peak(lambda: step(peak_of_backward))
     assert 0 <= peak <= SWEEP_PEAK_SHARE * tape_bytes, (peak, tape_bytes)
-    _, nodes, again = step(backward_keeping_nodes)
-    assert nodes and all(n.grad is None and n._backward_fn is None for n in nodes)
+    _, slots, again = step(backward_keeping_nodes)
+    assert slots and all(s.grad is None and s.backward_fn is None for s in slots)
     assert again == grads
     assert step(reference_sweep)[2] == grads
 

@@ -1,4 +1,5 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -234,19 +235,22 @@ def test_only_recorded_ops_over_a_live_operand_get_a_backward_function():
     # outside recording() every op is a plain leaf
     for op in constant_ops + live_ops:
         out = op()
-        assert not out.requires_grad and out._backward_fn is None
+        assert not out.requires_grad and out._slot is None
     with numeric.recording():
         # an op over constants alone is a plain leaf
         for op in constant_ops:
             out = op()
-            assert not out.requires_grad and out._backward_fn is None
+            assert not out.requires_grad and out._slot is None
         # with one grad-requiring operand, only that operand gets a gradient
         for op in live_ops:
             out = op()
-            assert out.requires_grad and out._backward_fn is not None
+            slot = out._slot
+            assert out.requires_grad and slot.backward_fn is not None
+            assert numeric._tape[-1] is slot and slot.shape == out.shape and slot.grad is None
             x.zero_grad()
             numeric.backward(numeric.tensor_sum(out))
             assert x.grad is not None and c1.grad is None and c2.grad is None
+            assert slot.grad is None and slot.backward_fn is None and out.grad is None
             assert not numeric._tape
 
 
@@ -256,6 +260,75 @@ def test_tensor_consumed_by_three_ops_gets_the_summed_gradient():
     with numeric.recording():
         numeric.backward(numeric.tensor_sum(x * 3.0 + x * x + numeric.relu(x)))
     assert x.grad.tolist() == [7.0, -1.0, 4.5]
+
+
+def test_a_share_given_to_two_operands_is_not_shared_by_their_gradients():
+    """`add` and a residual `layer_norm` give one array to both operands:
+    the first may keep it, the second copies it."""
+    rng = np.random.default_rng(4)
+    a, b = (Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(2))
+    w = Tensor(rng.normal(size=(3, 4)))
+    for op in (numeric.add, lambda p, q: numeric.layer_norm(p, residual=q)):
+        a.zero_grad()
+        b.zero_grad()
+        with numeric.recording():
+            numeric.backward(numeric.tensor_sum(op(a, b) * w))
+        assert a.grad is not b.grad and np.array_equal(a.grad, b.grad)
+    a.zero_grad()
+    with numeric.recording():
+        numeric.backward(numeric.tensor_sum((a + a) * w))
+    assert np.array_equal(a.grad, 2.0 * w.data)
+
+
+def test_an_output_no_backward_reads_dies_with_its_last_reference():
+    """Inside recording(), a dropout output that feeds a residual layer
+    norm is freed as soon as the caller drops it, and the gradient is the
+    one of a run that keeps it."""
+    rng = np.random.default_rng(3)
+    x = Parameter(rng.normal(size=(4, 6)), name="x")
+    w = Tensor(rng.normal(size=(4, 6)))
+    grads = []
+    for drop in (True, False):
+        x.zero_grad()
+        with numeric.recording():
+            dropped = numeric.dropout(x * 2.0, 0.5, train=True, rng=np.random.default_rng(0))
+            data = weakref.ref(dropped.data)
+            y = numeric.layer_norm(dropped, residual=x)
+            if drop:
+                del dropped
+                assert data() is None
+            numeric.backward(numeric.tensor_sum(y * w))
+        grads.append(x.grad.tobytes())
+    assert grads[0] == grads[1]
+
+
+def test_a_gradient_takes_the_layout_numpy_gives_its_data():
+    """A slot keeps its output's shape and axis order, not its data, and
+    lays the gradient out as `np.empty_like` of the data would."""
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        x = np.empty(tuple(rng.integers(1, 5, size=rng.integers(0, 5))))
+        x = x.transpose(rng.permutation(x.ndim))[tuple(slice(None, None, int(rng.choice([1, 2, -1])))
+                                                       for _ in range(x.ndim))]
+        if rng.random() < 0.3:
+            x = np.expand_dims(x, int(rng.integers(x.ndim + 1)))
+        if rng.random() < 0.3:
+            x = np.broadcast_to(x, (2,) + x.shape)
+        assert numeric._blank(*numeric._layout(x)).strides == np.empty_like(x).strides
+
+
+def test_lookup_gradient_sums_as_add_at_does():
+    """An integer-array lookup of a 2-D table's rows sums the gradient of
+    repeated and negative ids with the bits of `np.add.at`."""
+    rng = np.random.default_rng(6)
+    table = Tensor(rng.normal(size=(7, 5)), requires_grad=True)
+    ids = rng.integers(-7, 7, size=(6, 4, 3))
+    g = rng.normal(size=(6, 4, 3, 5)) * 10.0 ** rng.integers(-8, 8, size=(6, 4, 3, 5))
+    with numeric.recording():
+        numeric.backward(numeric.tensor_sum(table[ids] * Tensor(g)))
+    want = np.zeros((7, 5))
+    np.add.at(want, ids, g)
+    assert table.grad.tobytes() == want.tobytes()
 
 
 def test_backward_outside_recording_raises():
